@@ -26,14 +26,6 @@ UNIT_SENSOR_COST_USD = 100.0
 
 
 @dataclass(frozen=True)
-class EmissionReport:
-    area_km2: float
-    b_avg_mg_ha: float
-    carbon_tons: float
-    price_usd: float
-
-
-@dataclass(frozen=True)
 class SavingsReport:
     baseline_price_usd: float
     scenario_price_usd: float
@@ -105,10 +97,3 @@ def savings(baseline_usd: float, scenario_usd: float,
                          unit_cost_usd=unit_cost_usd,
                          savings_usd=value)
 
-
-def emission_report(area_km2: float, b_avg: float,
-                    usd_per_ton: float = USD_PER_TON) -> EmissionReport:
-    tons = emission_tons(area_km2, b_avg)
-    return EmissionReport(area_km2=area_km2, b_avg_mg_ha=b_avg,
-                          carbon_tons=tons,
-                          price_usd=carbon_price(tons, usd_per_ton))

@@ -6,10 +6,12 @@ Subcommands:
   linkbudget  evaluate the uplink budget, write a capacity report JSON
   synth-env   synthesize an environment grid from a spec file
 
-Configuration is one JSON file selected with --config; every model
-constant has a default in DEFAULT_CONFIG and any value can be overridden
-with repeated --set dotted.key=value flags. The effective configuration
-is echoed into the run manifest. Exit codes: 0 success, 1 bad input or
+Every model constant has a default in DEFAULT_CONFIG. load_config
+resolves the configuration in one layered step, later layers winning:
+defaults < a scenario bundle's sweep and evolution sections < the JSON
+file selected with --config < repeated --set dotted.key=value flags.
+Keys a command would ignore are rejected. The resolved configuration is
+echoed into the run manifest. Exit codes: 0 success, 1 bad input or
 configuration, 2 runtime failure.
 """
 
@@ -23,14 +25,14 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import harness, linkbudget
-from .envdata import (CALIFORNIA, EnvGrid, GeoTransform, SynthSpec,
-                      load_biomass, load_env_grid, load_incidents,
-                      save_env_grid, synth_env)
+from .envdata import (CALIFORNIA, GeoTransform, SynthSpec, load_biomass,
+                      load_env_grid, load_incidents, save_env_grid, synth_env)
 from .errors import ValidationError
 from .evolution import EvolutionConfig, simulate_incident, trace_rows
 from .firekernel import SpreadParams
 from .harness import (SweepConfig, atomic_write_text, load_season_bundle,
-                      write_manifest, write_summary_csv, write_sweep_csv)
+                      read_season_bundle, write_manifest, write_summary_csv,
+                      write_sweep_csv)
 from .sensors import SensorField, deploy_uniform, load_sensors
 
 DEFAULT_CONFIG: dict = {
@@ -103,28 +105,44 @@ def _apply_set(config: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
-def load_config(path: str | None, sets: list[str]) -> dict:
-    config = copy.deepcopy(DEFAULT_CONFIG)
-    if path is not None:
-        fpath = Path(path)
-        if not fpath.is_file():
-            raise ValidationError(f"config file missing: {fpath}")
-        try:
-            user = json.loads(fpath.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {fpath} is not valid JSON: {exc}") from exc
-        config = _merge(config, user)
+def _read_config_file(path: str) -> dict:
+    fpath = Path(path)
+    if not fpath.is_file():
+        raise ValidationError(f"config file missing: {fpath}")
+    try:
+        return json.loads(fpath.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config {fpath} is not valid JSON: {exc}") from exc
+
+
+def _apply_layers(base: dict, user: dict, sets: list[str]) -> dict:
+    config = _merge(base, user)
     for assignment in sets:
         _apply_set(config, assignment)
     return config
 
 
-def _spread_params(config: dict) -> SpreadParams:
-    return SpreadParams(**config["spread"])
+def load_config(path: str | None, sets: list[str]) -> dict:
+    """Resolve the configuration; later layers win.
+
+    defaults < scenario bundle sweep/evolution sections < --config file <
+    --set assignments. The bundle path itself may come from any layer, so
+    the layers are applied once to find it and again on top of it.
+    """
+    user = _read_config_file(path) if path is not None else {}
+    config = _apply_layers(DEFAULT_CONFIG, user, sets)
+    bundle = config["paths"]["scenario_bundle"]
+    if bundle:
+        raw = read_season_bundle(bundle)
+        base = _merge(DEFAULT_CONFIG, {"sweep": raw["sweep"],
+                                       "evolution": raw["evolution"]})
+        config = _apply_layers(base, user, sets)
+    return config
 
 
 def _evolution_config(config: dict) -> EvolutionConfig:
-    return EvolutionConfig(params=_spread_params(config), **config["evolution"])
+    return EvolutionConfig(params=SpreadParams(**config["spread"]),
+                           **config["evolution"])
 
 
 def _geo(config: dict) -> GeoTransform:
@@ -132,22 +150,16 @@ def _geo(config: dict) -> GeoTransform:
 
 
 def _load_scenario(config: dict, need_bio: bool, need_incidents: bool):
-    """Resolve env / biomass / incidents / sweep / evolution from config.
-
-    A scenario bundle supplies everything, with --set overrides applied on
-    top of the bundle's sweep and evolution sections; otherwise the
-    explicit per-file paths and the config sections are used.
-    """
+    """Resolve env / biomass / incidents from a scenario bundle or from the
+    explicit per-file paths; a bundle excludes those paths."""
     paths = config["paths"]
     if paths["scenario_bundle"]:
-        incidents, env, bio, swp, evo = load_season_bundle(paths["scenario_bundle"])
-        swp = SweepConfig(**{**asdict(swp), **config.get("_sweep_over", {})})
-        evo_over = config.get("_evolution_over", {})
-        if evo_over:
-            evo = EvolutionConfig(**{
-                **{k: v for k, v in asdict(evo).items() if k != "params"},
-                "params": evo.params, **evo_over})
-        return incidents, env, bio, swp, evo
+        for key in ("env_manifest", "biomass_manifest", "incidents_csv"):
+            if paths[key]:
+                raise ValidationError(
+                    f"paths.{key} cannot be combined with paths.scenario_bundle")
+        incidents, env, bio, _, _ = load_season_bundle(paths["scenario_bundle"])
+        return incidents, env, bio
     if not paths["env_manifest"]:
         raise ValidationError(
             "paths.env_manifest (or paths.scenario_bundle) must be set")
@@ -162,28 +174,26 @@ def _load_scenario(config: dict, need_bio: bool, need_incidents: bool):
         if not paths["incidents_csv"]:
             raise ValidationError("paths.incidents_csv must be set")
         incidents = load_incidents(paths["incidents_csv"], _geo(config), env)
-    swp = SweepConfig(**{**config["sweep"],
-                         "sensor_counts": tuple(config["sweep"]["sensor_counts"])})
-    evo = _evolution_config(config)
-    return incidents, env, bio, swp, evo
-
-
-def _sensor_field(config: dict, env: EnvGrid, args: argparse.Namespace) -> SensorField:
-    if config["paths"]["sensors_csv"]:
-        return load_sensors(config["paths"]["sensors_csv"])
-    if getattr(args, "deploy", None):
-        return deploy_uniform(args.deploy, env.rect, args.seed or 0)
-    return SensorField(positions=[])
+    return incidents, env, bio
 
 
 def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
-    incidents, env, _, _, evo = _load_scenario(config, need_bio=False,
-                                               need_incidents=True)
+    sensors_csv = config["paths"]["sensors_csv"]
+    if sensors_csv and args.deploy is not None:
+        raise ValidationError("--deploy cannot be combined with paths.sensors_csv")
+    evo = _evolution_config(config)
+    incidents, env, _ = _load_scenario(config, need_bio=False,
+                                       need_incidents=True)
     wanted = [inc for inc in incidents if inc.id == args.incident]
     if not wanted:
         raise ValidationError(f"incident id '{args.incident}' not found")
     incident = wanted[0]
-    field_ = _sensor_field(config, env, args)
+    if sensors_csv:
+        field_ = load_sensors(sensors_csv)
+    elif args.deploy is not None:
+        field_ = deploy_uniform(args.deploy, env.rect, args.seed or 0)
+    else:
+        field_ = SensorField(positions=[])
     result = simulate_incident(incident, env, field_, evo)
     out_dir = Path(config["out_dir"])
     payload = asdict(result)
@@ -201,14 +211,19 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
-    incidents, env, bio, swp, evo = _load_scenario(config, need_bio=True,
-                                                   need_incidents=True)
+    if config["paths"]["sensors_csv"]:
+        raise ValidationError(
+            "paths.sensors_csv is not used by sweep, which deploys its own fields")
     if args.seed is not None:
-        swp = SweepConfig(**{**asdict(swp), "base_seed": args.seed})
+        config["sweep"]["base_seed"] = args.seed
+    swp = SweepConfig(**config["sweep"])
+    evo = _evolution_config(config)
+    incidents, env, bio = _load_scenario(config, need_bio=True,
+                                         need_incidents=True)
     rows, summary, manifest = harness.sweep(incidents, env, bio, swp,
                                             evolution=evo,
                                             workers=args.workers)
-    manifest["config"] = {k: v for k, v in config.items() if not k.startswith("_")}
+    manifest["config"] = config
     out_dir = Path(config["out_dir"])
     write_sweep_csv(rows, swp.unit_sensor_cost_usd, out_dir / "sweep_rows.csv")
     write_summary_csv(summary, swp.unit_sensor_cost_usd,
@@ -306,14 +321,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        sets = list(args.set)
-        config = load_config(args.config, sets)
+        if args.seed is not None and args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        config = load_config(args.config, args.set)
         if args.out_dir:
             config["out_dir"] = args.out_dir
-        # bundle-backed runs take sweep/evolution from the bundle; carry the
-        # explicit --set overrides for those sections separately
-        config["_sweep_over"] = _section_overrides(sets, "sweep")
-        config["_evolution_over"] = _section_overrides(sets, "evolution")
         if args.command == "simulate":
             return cmd_simulate(config, args)
         if args.command == "sweep":
@@ -331,19 +343,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-
-
-def _section_overrides(sets: list[str], section: str) -> dict:
-    out: dict = {}
-    prefix = section + "."
-    for assignment in sets:
-        key, sep, raw = assignment.partition("=")
-        if sep and key.startswith(prefix) and key.count(".") == 1:
-            try:
-                out[key[len(prefix):]] = json.loads(raw)
-            except json.JSONDecodeError:
-                out[key[len(prefix):]] = raw
-    return out
 
 
 if __name__ == "__main__":

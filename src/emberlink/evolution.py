@@ -203,33 +203,11 @@ def _evolve(incident: Incident, env: EnvGrid, cfg: EvolutionConfig):
         yield hours, circle, frontier
 
 
-def _stop_hour(incident: Incident, cfg: EvolutionConfig, hours_run: int) -> float:
-    # cap-limited runs report the (possibly fractional) cap; runs cut
-    # short by the env horizon report the hours actually burned
-    cap = incident_cap_hours(incident, cfg)
-    return cap if hours_run + 1 > cap else float(hours_run)
-
-
 def simulate_incident(incident: Incident, env: EnvGrid, sensors: SensorField,
                       cfg: EvolutionConfig) -> IncidentResult:
-    """Run one incident until a sensor detects the fire or time runs out."""
-    trace: list[BurnCircle] = []
-    hours = 0
-    for hours, circle, _ in _evolve(incident, env, cfg):
-        trace.append(circle)
-        if hours == 0 and not cfg.detect_at_ignition:
-            continue
-        hit = detect(circle, sensors)
-        if hit is not None:
-            return IncidentResult(
-                incident_id=incident.id, detected=True,
-                detection_hour=float(hours), detecting_sensor=hit,
-                burned_area_km2=circle.area_km2, circle_trace=tuple(trace))
-    return IncidentResult(
-        incident_id=incident.id, detected=False,
-        detection_hour=_stop_hour(incident, cfg, hours),
-        detecting_sensor=None, burned_area_km2=trace[-1].area_km2,
-        circle_trace=tuple(trace))
+    """Outcome of one incident: its full trajectory replayed against the field."""
+    return replay_detection(incident, circle_trajectory(incident, env, cfg),
+                            sensors, cfg)
 
 
 def circle_trajectory(incident: Incident, env: EnvGrid,
@@ -254,8 +232,8 @@ def replay_detection(incident: Incident,
                      sensors: SensorField, cfg: EvolutionConfig) -> IncidentResult:
     """Detection outcome of a precomputed trajectory against one field.
 
-    Matches simulate_incident(incident, env, sensors, cfg) exactly when
-    the circles came from circle_trajectory with the same env and cfg.
+    This is the only hourly detection loop: every caller first builds the
+    trajectory with circle_trajectory (same env and cfg), then replays it.
     """
     start = 0 if cfg.detect_at_ignition else 1
     for k in range(start, len(circles)):
@@ -265,8 +243,12 @@ def replay_detection(incident: Incident,
                 incident_id=incident.id, detected=True, detection_hour=float(k),
                 detecting_sensor=hit, burned_area_km2=circles[k].area_km2,
                 circle_trace=tuple(circles[:k + 1]))
+    # cap-limited runs report the (possibly fractional) cap; runs cut
+    # short by the env horizon report the hours actually burned
+    hours_run = len(circles) - 1
+    cap = incident_cap_hours(incident, cfg)
     return IncidentResult(
         incident_id=incident.id, detected=False,
-        detection_hour=_stop_hour(incident, cfg, len(circles) - 1),
+        detection_hour=cap if hours_run + 1 > cap else float(hours_run),
         detecting_sensor=None, burned_area_km2=circles[-1].area_km2,
         circle_trace=tuple(circles))

@@ -18,18 +18,19 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .carbon import average_biomass, carbon_price, emission_tons
+from .carbon import average_biomass, carbon_price, emission_tons, savings
 from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec,
                       check_biomass_alignment, synth_biomass, synth_env)
 from .errors import ValidationError
 from .evolution import (BurnCircle, EvolutionConfig, IncidentResult,
-                        circle_trajectory, replay_detection, simulate_incident)
+                        circle_trajectory, replay_detection)
 from .sensors import SensorField, deploy_uniform
 
 BASELINE_MODES = ("historical", "simulated-zero-sensor")
@@ -60,6 +61,8 @@ class SweepConfig:
             raise ValidationError(f"sensor_counts must be ascending, got {counts}")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if self.base_seed < 0:
+            raise ValidationError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.unit_sensor_cost_usd:
             raise ValidationError("unit_sensor_cost_usd must be non-empty")
         if self.baseline not in BASELINE_MODES:
@@ -107,8 +110,14 @@ class SummaryRow:
     savings_usd: tuple[float, ...]
 
 
-def _season_totals(results: list[IncidentResult], bio: BiomassGrid,
-                   usd_per_ton: float) -> SeasonTotals:
+def _replay_season(incidents: list[Incident],
+                   trajectories: list[list[BurnCircle]], field_: SensorField,
+                   bio: BiomassGrid, evo: EvolutionConfig, usd_per_ton: float,
+                   ) -> tuple[list[IncidentResult], SeasonTotals]:
+    """Replay each incident's trajectory against one field; totals sum in
+    incident order."""
+    results = [replay_detection(inc, circles, field_, evo)
+               for inc, circles in zip(incidents, trajectories)]
     hours = 0.0
     area = 0.0
     tons = 0.0
@@ -118,10 +127,10 @@ def _season_totals(results: list[IncidentResult], bio: BiomassGrid,
         area += r.burned_area_km2
         tons += emission_tons(r.burned_area_km2, average_biomass(r.circle, bio))
         detected += int(r.detected)
-    return SeasonTotals(burned_hours=hours, burned_area_km2=area,
-                        carbon_tons=tons,
-                        carbon_price_usd=carbon_price(tons, usd_per_ton),
-                        n_incidents=len(results), n_detected=detected)
+    return results, SeasonTotals(
+        burned_hours=hours, burned_area_km2=area, carbon_tons=tons,
+        carbon_price_usd=carbon_price(tons, usd_per_ton),
+        n_incidents=len(results), n_detected=detected)
 
 
 def run_season(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
@@ -130,8 +139,8 @@ def run_season(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
                ) -> tuple[list[IncidentResult], SeasonTotals]:
     """Simulate every incident against one field; totals sum in file order."""
     check_biomass_alignment(bio, env)
-    results = [simulate_incident(inc, env, field_, cfg) for inc in incidents]
-    return results, _season_totals(results, bio, usd_per_ton)
+    trajectories = _trajectories(incidents, env, cfg, workers=1)
+    return _replay_season(incidents, trajectories, field_, bio, cfg, usd_per_ton)
 
 
 def baseline_totals(incidents: list[Incident], env: EnvGrid | None,
@@ -211,25 +220,29 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
     evo = replace(evolution, max_hours=cfg.cap_hours)
     trajectories = _trajectories(incidents, env, evo, workers)
 
-    base = baseline_from_trajectories(incidents, trajectories, bio, cfg, evo)
+    if cfg.baseline == "historical":
+        base = baseline_totals(incidents, None, bio, "historical", evo,
+                               cfg.usd_per_ton)
+    else:
+        _, base = _replay_season(incidents, trajectories,
+                                 SensorField(positions=[]), bio, evo,
+                                 cfg.usd_per_ton)
     rows: list[SweepRow] = []
     for count in cfg.sensor_counts:
         for trial in range(cfg.trials):
-            seed = cfg.base_seed + trial
-            field_ = deploy_uniform(count, env.rect, seed)
-            results = [replay_detection(inc, circles, field_, evo)
-                       for inc, circles in zip(incidents, trajectories)]
-            totals = _season_totals(results, bio, cfg.usd_per_ton)
-            sav = tuple(
-                base.carbon_price_usd - (totals.carbon_price_usd + count * c)
-                for c in cfg.unit_sensor_cost_usd)
+            field_ = deploy_uniform(count, env.rect, cfg.base_seed + trial)
+            _, totals = _replay_season(incidents, trajectories, field_, bio,
+                                       evo, cfg.usd_per_ton)
             rows.append(SweepRow(
                 n_sensors=count, trial=trial,
                 burned_hours=totals.burned_hours,
                 burned_area_km2=totals.burned_area_km2,
                 carbon_tons=totals.carbon_tons,
                 carbon_price_usd=totals.carbon_price_usd,
-                savings_usd=sav))
+                savings_usd=tuple(
+                    savings(base.carbon_price_usd, totals.carbon_price_usd,
+                            count, c).savings_usd
+                    for c in cfg.unit_sensor_cost_usd)))
 
     summary: list[SummaryRow] = []
     for count in cfg.sensor_counts:
@@ -261,24 +274,6 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
     return rows, summary, manifest
 
 
-def baseline_from_trajectories(incidents: list[Incident],
-                               trajectories: list[list[BurnCircle]],
-                               bio: BiomassGrid, cfg: SweepConfig,
-                               evo: EvolutionConfig) -> SeasonTotals:
-    """Baseline totals, reusing the sweep's cached trajectories.
-
-    The zero-sensor mode replays each trajectory against an empty field,
-    which agrees exactly with a fresh zero-sensor run_season.
-    """
-    if cfg.baseline == "historical":
-        return baseline_totals(incidents, None, bio, "historical", evo,
-                               cfg.usd_per_ton)
-    empty = SensorField(positions=[])
-    results = [replay_detection(inc, circles, empty, evo)
-               for inc, circles in zip(incidents, trajectories)]
-    return _season_totals(results, bio, cfg.usd_per_ton)
-
-
 # ---------------------------------------------------------------------------
 # output files
 # ---------------------------------------------------------------------------
@@ -291,13 +286,35 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _read_umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# os.umask can only be read by setting it, which would race with other
+# threads creating files, so it is read once at import
+_FILE_MODE = 0o666 & ~_read_umask()
+
+
 def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write via a temp file and rename, so readers never see partials."""
+    """Write via a temp file and rename, so readers never see partials.
+
+    The temp file is unique per call, so concurrent writers to one path
+    never share it; the last rename wins and no temp file is left behind.
+    """
     fpath = Path(path)
     fpath.parent.mkdir(parents=True, exist_ok=True)
-    tmp = fpath.with_name(fpath.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, fpath)
+    fd, tmp = tempfile.mkstemp(dir=fpath.parent, prefix=fpath.name + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.chmod(tmp, _FILE_MODE)  # mkstemp creates the file as 0600
+        os.replace(tmp, fpath)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return fpath
 
 
@@ -344,14 +361,9 @@ def bundled_scenario_path() -> Path:
         "data/synthetic_season.json")))
 
 
-def load_season_bundle(path: str | Path,
-                       ) -> tuple[list[Incident], EnvGrid, BiomassGrid,
-                                  SweepConfig, EvolutionConfig]:
-    """Materialize a self-contained scenario file.
-
-    The bundle stores synthesis specs and seeds rather than rasters; grids
-    regenerate deterministically on load.
-    """
+def read_season_bundle(path: str | Path) -> dict:
+    """Parsed scenario file, checked for its top-level fields; nothing
+    is synthesized."""
     fpath = Path(path)
     if not fpath.is_file():
         raise ValidationError(f"scenario bundle missing: {fpath}")
@@ -362,6 +374,18 @@ def load_season_bundle(path: str | Path,
     for key in ("env", "env_seed", "biomass", "incidents", "evolution", "sweep"):
         if key not in raw:
             raise ValidationError(f"scenario bundle missing field '{key}'")
+    return raw
+
+
+def load_season_bundle(path: str | Path,
+                       ) -> tuple[list[Incident], EnvGrid, BiomassGrid,
+                                  SweepConfig, EvolutionConfig]:
+    """Materialize a self-contained scenario file.
+
+    The bundle stores synthesis specs and seeds rather than rasters; grids
+    regenerate deterministically on load.
+    """
+    raw = read_season_bundle(path)
     env = synth_env(SynthSpec.from_dict(raw["env"]), int(raw["env_seed"]))
     b = raw["biomass"]
     for key in ("nx", "ny", "spacing_km", "lo", "hi", "seed"):

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from emberlink.carbon import (average_biomass, carbon_price, emission_report,
-                              emission_tons, savings)
+from emberlink.carbon import (average_biomass, carbon_price, emission_tons,
+                              savings)
 from emberlink.envdata import BiomassGrid
 from emberlink.errors import ValidationError
 from emberlink.evolution import BurnCircle
@@ -91,11 +91,6 @@ class TestEmission:
         assert carbon_price(1000.0, usd_per_ton=7.5) == 7500.0
         with pytest.raises(ValidationError):
             carbon_price(-1.0)
-
-    def test_report_composition(self):
-        rep = emission_report(25.0, 40.0, usd_per_ton=10.0)
-        assert rep.carbon_tons == pytest.approx(25.0 * 1.2 * 40.0 * 100.0)
-        assert rep.price_usd == pytest.approx(rep.carbon_tons * 10.0)
 
 
 class TestSavings:

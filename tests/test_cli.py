@@ -89,6 +89,18 @@ class TestSimulateCommand:
                      "simulate", "--incident", "nope"])
         assert code == 1
 
+    def test_spread_set_applies_to_bundle_runs(self, tmp_path):
+        areas = []
+        for u_max in ("0.13", "0.5"):
+            code = main(["--out-dir", str(tmp_path), "--set", BUNDLE,
+                         "--set", "evolution.max_hours=4.0",
+                         "--set", f"spread.u_max_ms={u_max}",
+                         "simulate", "--incident", "syn-001"])
+            assert code == 0
+            result = json.loads((tmp_path / "incident_syn-001.json").read_text())
+            areas.append(result["burned_area_km2"])
+        assert areas[1] > areas[0]
+
 
 class TestSweepCommand:
     def test_small_sweep_writes_outputs(self, tmp_path):
@@ -111,6 +123,48 @@ class TestSweepCommand:
     def test_needs_a_scenario(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "sweep"])
         assert code == 1
+
+    def test_layers_bundle_then_config_then_set(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {
+            "trials": 1, "sensor_counts": [10], "cap_hours": 3}}))
+        base = ["--config", str(cfg), "--set", BUNDLE, "sweep"]
+
+        # --config beats the bundle's sweep section
+        code = main(["--out-dir", str(tmp_path / "a")] + base)
+        assert code == 0
+        rows = (tmp_path / "a" / "sweep_rows.csv").read_text().splitlines()
+        assert len(rows) == 1 + 1
+        manifest = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
+        assert manifest["sweep"]["trials"] == 1
+        assert manifest["config"]["sweep"]["trials"] == 1
+        # keys no later layer sets keep the bundle's values
+        assert manifest["sweep"]["base_seed"] == 2020
+        assert manifest["config"]["sweep"]["base_seed"] == 2020
+        assert manifest["deployment_seeds"] == [2020]
+
+        # --set beats --config, and spread values reach the run
+        code = main(["--out-dir", str(tmp_path / "b"),
+                     "--set", "sweep.trials=2",
+                     "--set", "spread.u_max_ms=0.5"] + base)
+        assert code == 0
+        rows = (tmp_path / "b" / "sweep_rows.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2
+        manifest = json.loads((tmp_path / "b" / "run_manifest.json").read_text())
+        assert manifest["sweep"]["trials"] == 2
+        assert manifest["config"]["sweep"]["trials"] == 2
+        assert manifest["evolution"]["params"]["u_max_ms"] == 0.5
+        assert manifest["config"]["spread"]["u_max_ms"] == 0.5
+
+    def test_seed_flag_is_recorded(self, tmp_path):
+        code = main(["--out-dir", str(tmp_path), "--seed", "7",
+                     "--set", BUNDLE, "--set", "sweep.sensor_counts=[10]",
+                     "--set", "sweep.trials=1", "--set", "sweep.cap_hours=2",
+                     "sweep"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["deployment_seeds"] == [7]
+        assert manifest["config"]["sweep"]["base_seed"] == 7
 
 
 class TestConfigPlumbing:
@@ -146,3 +200,31 @@ class TestConfigPlumbing:
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["--bogus", "linkbudget"]) == 1
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--seed", "-1", "simulate", "--incident", "syn-001",
+          "--deploy", "10"], "--seed"),
+        (["--seed", "-1", "sweep"], "--seed"),
+        (["--seed", "-1", "synth-env", "--spec", "spec.json"], "--seed"),
+        (["--set", "sweep.base_seed=-1", "sweep"], "base_seed"),
+    ])
+    def test_negative_seed_is_bad_input(self, tmp_path, capsys, argv, field):
+        code = main(["--out-dir", str(tmp_path), "--set", BUNDLE] + argv)
+        assert code == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--set", "paths.sensors_csv=s.csv", "sweep"], "paths.sensors_csv"),
+        (["--set", "paths.env_manifest=e.json", "sweep"], "paths.env_manifest"),
+        (["--set", "paths.biomass_manifest=b.json", "sweep"],
+         "paths.biomass_manifest"),
+        (["--set", "paths.incidents_csv=i.csv",
+          "simulate", "--incident", "syn-001"], "paths.incidents_csv"),
+        (["--set", "paths.sensors_csv=s.csv",
+          "simulate", "--incident", "syn-001", "--deploy", "10"],
+         "paths.sensors_csv"),
+    ])
+    def test_ignored_path_keys_are_rejected(self, tmp_path, capsys, argv, key):
+        code = main(["--out-dir", str(tmp_path), "--set", BUNDLE] + argv)
+        assert code == 1
+        assert key in capsys.readouterr().err

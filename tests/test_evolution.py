@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emberlink.envdata import EnvGrid, Incident, SynthSpec, synth_env
+from emberlink.envdata import EnvGrid, Incident, Rect, SynthSpec, synth_env
 from emberlink.errors import ValidationError
 from emberlink.evolution import (BurnCircle, EvolutionConfig, Frontier,
                                  burned_circle, circle_trajectory, detect,
@@ -250,8 +250,26 @@ class TestSimulate:
         assert r.burned_area_km2 == 0.0
 
 
+def brute_force_detection(circles, positions):
+    """(hour, sensor) of the first detection from ignition on, or None:
+    every sensor is tested every hour, no spatial hash, closest wins, ties
+    to the lowest index."""
+    for k in range(len(circles)):
+        cx, cy = circles[k].center
+        r = circles[k].radius_km
+        best = None
+        for i, (x, y) in enumerate(positions):
+            dx, dy = x - cx, y - cy
+            d2 = dx * dx + dy * dy
+            if d2 <= r * r and (best is None or d2 < best[0]):
+                best = (d2, i)
+        if best is not None:
+            return k, best[1]
+    return None
+
+
 class TestTrajectoryReplay:
-    def test_replay_matches_simulate(self):
+    def test_replay_matches_brute_force(self):
         rng = np.random.default_rng(8)
         spec = SynthSpec(nx=8, ny=8, nt=40, spacing_km=25.0, mode="random",
                          u10_range=(5.0, 30.0), v10_range=(-10.0, 10.0),
@@ -259,6 +277,7 @@ class TestTrajectoryReplay:
                          coarse_nt=4)
         env = synth_env(spec, 31)
         cfg = EvolutionConfig(snap_km=0.05, margin_km=0.0, max_hours=20.0)
+        detections = 0
         for trial in range(10):
             inc = Incident(id=f"r{trial}", start_hour=int(rng.integers(0, 15)),
                            ignition_xy=(float(rng.uniform(40, 160)),
@@ -266,9 +285,30 @@ class TestTrajectoryReplay:
             circles = circle_trajectory(inc, env, cfg)
             field_ = deploy_uniform(int(rng.integers(0, 400)), env.rect,
                                     seed=trial)
-            direct = simulate_incident(inc, env, field_, cfg)
-            replayed = replay_detection(inc, circles, field_, cfg)
-            assert direct == replayed
+            # the uniform fields are too sparse to see these sub-km fires;
+            # a local field, stacked on a copy of itself so every hit has
+            # an equidistant twin at a higher index, exercises detection
+            # and the tie rule
+            x, y = inc.ignition_xy
+            local = deploy_uniform(20, Rect(x - 1.0, y - 1.0, 2.0, 2.0),
+                                   seed=trial).positions
+            twinned = SensorField(positions=np.vstack([local, local]))
+            for sensors in (field_, twinned):
+                r = replay_detection(inc, circles, sensors, cfg)
+                expected = brute_force_detection(
+                    circles, sensors.positions.tolist())
+                if expected is None:
+                    assert not r.detected and r.detecting_sensor is None
+                    assert r.detection_hour == cfg.max_hours
+                    assert r.circle_trace == tuple(circles)
+                else:
+                    k, sensor = expected
+                    detections += 1
+                    assert r.detected and r.detecting_sensor == sensor
+                    assert r.detection_hour == float(k)
+                    assert r.circle_trace == tuple(circles[:k + 1])
+                assert r.burned_area_km2 == r.circle_trace[-1].area_km2
+        assert detections >= 5
 
     def test_trajectory_matches_trace(self):
         env = constant_env(20.0, 5.0, 0.05)

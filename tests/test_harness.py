@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -152,6 +153,8 @@ class TestSweep:
             SweepConfig(sensor_counts=(50,), trials=0)
         with pytest.raises(ValidationError):
             SweepConfig(sensor_counts=(50,), baseline="bogus")
+        with pytest.raises(ValidationError, match="base_seed"):
+            SweepConfig(sensor_counts=(50,), base_seed=-1)
 
 
 class TestOutputs:
@@ -159,7 +162,35 @@ class TestOutputs:
         p = tmp_path / "deep" / "file.txt"
         atomic_write_text(p, "hello")
         assert p.read_text() == "hello"
-        assert not p.with_name(p.name + ".tmp").exists()
+        assert list(p.parent.iterdir()) == [p]
+
+    def test_concurrent_writers_leave_one_complete_file(self, tmp_path):
+        p = tmp_path / "file.txt"
+        texts = [str(k) * 200_000 for k in range(4)]
+        errors = []
+
+        def write(text):
+            try:
+                for _ in range(20):
+                    atomic_write_text(p, text)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(t,)) for t in texts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert errors == []
+        assert p.read_text() in texts
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        p = tmp_path / "file.txt"
+        with pytest.raises(TypeError):
+            atomic_write_text(p, b"not text")
+        assert list(tmp_path.iterdir()) == []
 
     def test_csv_round_trip_exact(self, tmp_path):
         incidents, env, bio = small_scenario()
