@@ -149,16 +149,26 @@ def _geo(config: dict) -> GeoTransform:
     return GeoTransform(**config["geo"])
 
 
-def _load_scenario(config: dict, need_bio: bool, need_incidents: bool):
+def _check_paths(config: dict, command: str, used: tuple[str, ...] = ()) -> None:
+    """Reject every set paths.* key the command does not read."""
+    for key, value in config["paths"].items():
+        if value and key not in used:
+            reads = ", ".join(f"paths.{k}" for k in used) or "no paths"
+            raise ValidationError(
+                f"paths.{key} is not used by {command}, which reads {reads}")
+
+
+def _load_scenario(config: dict, command: str, need_bio: bool,
+                   other_paths: tuple[str, ...] = ()):
     """Resolve env / biomass / incidents from a scenario bundle or from the
     explicit per-file paths; a bundle excludes those paths."""
     paths = config["paths"]
-    if paths["scenario_bundle"]:
-        for key in ("env_manifest", "biomass_manifest", "incidents_csv"):
-            if paths[key]:
-                raise ValidationError(
-                    f"paths.{key} cannot be combined with paths.scenario_bundle")
-        incidents, env, bio, _, _ = load_season_bundle(paths["scenario_bundle"])
+    bundle = paths["scenario_bundle"]
+    scenario = (("scenario_bundle",) if bundle else ("env_manifest", "incidents_csv")
+                + (("biomass_manifest",) if need_bio else ()))
+    _check_paths(config, command, scenario + other_paths)
+    if bundle:
+        incidents, env, bio, _, _ = load_season_bundle(bundle)
         return incidents, env, bio
     if not paths["env_manifest"]:
         raise ValidationError(
@@ -169,11 +179,9 @@ def _load_scenario(config: dict, need_bio: bool, need_incidents: bool):
         if not paths["biomass_manifest"]:
             raise ValidationError("paths.biomass_manifest must be set")
         bio = load_biomass(paths["biomass_manifest"])
-    incidents = None
-    if need_incidents:
-        if not paths["incidents_csv"]:
-            raise ValidationError("paths.incidents_csv must be set")
-        incidents = load_incidents(paths["incidents_csv"], _geo(config), env)
+    if not paths["incidents_csv"]:
+        raise ValidationError("paths.incidents_csv must be set")
+    incidents = load_incidents(paths["incidents_csv"], _geo(config), env)
     return incidents, env, bio
 
 
@@ -182,8 +190,8 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     if sensors_csv and args.deploy is not None:
         raise ValidationError("--deploy cannot be combined with paths.sensors_csv")
     evo = _evolution_config(config)
-    incidents, env, _ = _load_scenario(config, need_bio=False,
-                                       need_incidents=True)
+    incidents, env, _ = _load_scenario(config, "simulate", need_bio=False,
+                                       other_paths=("sensors_csv",))
     wanted = [inc for inc in incidents if inc.id == args.incident]
     if not wanted:
         raise ValidationError(f"incident id '{args.incident}' not found")
@@ -211,15 +219,11 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
-    if config["paths"]["sensors_csv"]:
-        raise ValidationError(
-            "paths.sensors_csv is not used by sweep, which deploys its own fields")
     if args.seed is not None:
         config["sweep"]["base_seed"] = args.seed
     swp = SweepConfig(**config["sweep"])
     evo = _evolution_config(config)
-    incidents, env, bio = _load_scenario(config, need_bio=True,
-                                         need_incidents=True)
+    incidents, env, bio = _load_scenario(config, "sweep", need_bio=True)
     rows, summary, manifest = harness.sweep(incidents, env, bio, swp,
                                             evolution=evo,
                                             workers=args.workers)
@@ -236,6 +240,7 @@ def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_linkbudget(config: dict, args: argparse.Namespace) -> int:
+    _check_paths(config, "linkbudget")
     link = config["link"]
     if args.params:
         params = linkbudget.LinkParams.from_json(args.params)
@@ -250,7 +255,8 @@ def cmd_linkbudget(config: dict, args: argparse.Namespace) -> int:
         traffic = linkbudget.TrafficModel(**traffic_cfg)
     tbs = (linkbudget.TbsMap.from_csv(link["tbs_csv"])
            if link["tbs_csv"] else linkbudget.DEFAULT_TBS)
-    system_bw = args.system_bw_hz if args.system_bw_hz else link["system_bw_hz"]
+    system_bw = (args.system_bw_hz if args.system_bw_hz is not None
+                 else link["system_bw_hz"])
     report = linkbudget.capacity_report(params, traffic, tbs=tbs,
                                         system_bw_hz=system_bw,
                                         ru_duration_s=link["ru_duration_s"])
@@ -261,6 +267,7 @@ def cmd_linkbudget(config: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_synth_env(config: dict, args: argparse.Namespace) -> int:
+    _check_paths(config, "synth-env")
     spath = Path(args.spec)
     if not spath.is_file():
         raise ValidationError(f"spec file missing: {spath}")
@@ -323,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.seed is not None and args.seed < 0:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        if args.workers < 1:
+            raise ValidationError(f"--workers must be >= 1, got {args.workers}")
         config = load_config(args.config, args.set)
         if args.out_dir:
             config["out_dir"] = args.out_dir

@@ -164,12 +164,6 @@ def prune(frontier: Frontier, prev: BurnCircle | None,
     return Frontier(points=pts, hour=frontier.hour)
 
 
-def detect(circle: BurnCircle, sensors: SensorField) -> int | None:
-    """Closest sensor inside the closed burned disk (ties to the lowest
-    index), or None."""
-    return nearest_index_within(sensors, circle.center, circle.radius_km)
-
-
 def incident_cap_hours(incident: Incident, cfg: EvolutionConfig) -> float:
     """Horizon for one incident: its own historical duration when known.
 
@@ -237,7 +231,8 @@ def replay_detection(incident: Incident,
     """
     start = 0 if cfg.detect_at_ignition else 1
     for k in range(start, len(circles)):
-        hit = detect(circles[k], sensors)
+        hit = nearest_index_within(sensors, circles[k].center,
+                                   circles[k].radius_km)
         if hit is not None:
             return IncidentResult(
                 incident_id=incident.id, detected=True, detection_hour=float(k),

@@ -196,7 +196,7 @@ def _traj_task(item: tuple[int, Incident]) -> tuple[int, list[BurnCircle]]:
 
 def _trajectories(incidents: list[Incident], env: EnvGrid,
                   cfg: EvolutionConfig, workers: int) -> list[list[BurnCircle]]:
-    if workers <= 1 or len(incidents) <= 1:
+    if workers <= 1:
         return [circle_trajectory(inc, env, cfg) for inc in incidents]
     out: list[list[BurnCircle] | None] = [None] * len(incidents)
     with ProcessPoolExecutor(max_workers=workers, initializer=_traj_init,
@@ -214,10 +214,13 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
 
     Trial t of every count deploys with seed base_seed + t, so counts are
     compared on common random numbers; results and CSVs are deterministic
-    for a fixed config, independent of the worker count.
+    for a fixed config, independent of the worker count. At most one
+    worker process runs per incident and per CPU; manifest["workers"]
+    records the count used.
     """
     check_biomass_alignment(bio, env)
     evo = replace(evolution, max_hours=cfg.cap_hours)
+    workers = max(1, min(workers, len(incidents), os.cpu_count() or 1))
     trajectories = _trajectories(incidents, env, evo, workers)
 
     if cfg.baseline == "historical":

@@ -2,10 +2,13 @@
 
 A field is a flat (n, 2) array of planar sensor positions (km), plus the
 deployment provenance needed to regenerate it: the RNG seed and the
-region rectangle. Proximity queries run against a lazily built spatial
-hash bucketed near the expected inter-sensor spacing, so lookups stay
-cheap from thousands to millions of sensors; results are always exact,
-the hash only narrows the candidate set.
+region rectangle. Proximity queries run against a lazily built cell
+grid over the field's bounding box, stored as CSR offsets into a
+cell-sorted sensor order. The cell side is at least sqrt(area / n) and
+span / n, so the grid has at most 3n + 1 cells: memory stays O(n)
+however far apart the sensors lie, and a query touches only the cells
+its disk overlaps. Results are always exact; the grid only narrows the
+candidate set.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ import numpy as np
 from .envdata import Rect
 from .errors import ValidationError
 
-# spatial-hash cell bounds (km); the target is one sensor per cell
+# smallest grid cell (km); keeps cells positive for coincident or
+# collinear sensors
 MIN_CELL_KM = 0.25
-MAX_CELL_KM = 64.0
-_KEY_BIAS = 1 << 25  # cell indices must fit signed 26-bit for hashing
+
+_Grid = tuple[float, float, float, int, int, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -38,8 +42,7 @@ class SensorField:
     positions: np.ndarray
     seed: int | None = None
     region: Rect | None = None
-    _grid: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    _grid: _Grid | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=float)
@@ -63,54 +66,41 @@ class SensorField:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def _cell_km(self) -> float:
-        # one expected sensor per cell, clamped to sane extremes
-        n = max(len(self), 1)
-        if self.region is not None:
-            area = self.region.width_km * self.region.height_km
-        elif len(self) > 1:
-            span = self.positions.max(axis=0) - self.positions.min(axis=0)
-            area = float(span[0] * span[1])
-        else:
-            area = 0.0
-        if area <= 0:
-            return MAX_CELL_KM
-        return min(max(math.sqrt(area / n), MIN_CELL_KM), MAX_CELL_KM)
-
-    def _hash(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    def _index(self) -> _Grid:
+        """(x0, y0, cell, nx, ny, starts, order): sensors of grid cell
+        (i, j) are order[starts[i * ny + j]:starts[i * ny + j + 1]]."""
         if self._grid is None:
-            cell = self._cell_km()
-            ki = np.floor(self.positions[:, 0] / cell).astype(np.int64)
-            kj = np.floor(self.positions[:, 1] / cell).astype(np.int64)
-            if self.positions.size and (np.abs(ki).max() >= _KEY_BIAS
-                                        or np.abs(kj).max() >= _KEY_BIAS):
-                raise ValidationError("sensor coordinates too large to index")
-            key = (ki + _KEY_BIAS) * (2 * _KEY_BIAS) + (kj + _KEY_BIAS)
-            order = np.argsort(key, kind="stable").astype(np.int64)
-            skey = key[order]
-            bounds = np.flatnonzero(np.diff(skey)) + 1
-            starts = np.concatenate(([0], bounds, [skey.size])).astype(np.int64)
-            self._grid = (cell, skey[starts[:-1]] if skey.size else skey,
-                          starts, order)
+            # per-column reductions: axis=0 ones on an (n, 2) array are
+            # an order of magnitude slower
+            n = len(self)
+            x, y = self.positions[:, 0], self.positions[:, 1]
+            x0, y0 = float(x.min()), float(y.min())
+            wx, wy = float(x.max()) - x0, float(y.max()) - y0
+            cell = max(math.sqrt(wx * wy / n), max(wx, wy) / n, MIN_CELL_KM)
+            i = np.floor((x - x0) / cell).astype(np.int64)
+            j = np.floor((y - y0) / cell).astype(np.int64)
+            nx, ny = int(i.max()) + 1, int(j.max()) + 1
+            flat = i * ny + j
+            starts = np.zeros(nx * ny + 1, dtype=np.int64)
+            np.cumsum(np.bincount(flat, minlength=nx * ny), out=starts[1:])
+            self._grid = (x0, y0, cell, nx, ny, starts, np.argsort(flat))
         return self._grid
 
     def _candidates(self, center: tuple[float, float], radius: float) -> np.ndarray:
-        cell, ukeys, starts, order = self._hash()
-        cx0 = math.floor((center[0] - radius) / cell)
-        cx1 = math.floor((center[0] + radius) / cell)
-        cy0 = math.floor((center[1] - radius) / cell)
-        cy1 = math.floor((center[1] + radius) / cell)
-        if (cx1 - cx0 + 1) * (cy1 - cy0 + 1) >= ukeys.size:
-            # disk covers most occupied cells; scan everything
-            return np.arange(len(self), dtype=np.int64)
-        qi = np.arange(cx0, cx1 + 1, dtype=np.int64) + _KEY_BIAS
-        qj = np.arange(cy0, cy1 + 1, dtype=np.int64) + _KEY_BIAS
-        qkeys = (qi[:, None] * (2 * _KEY_BIAS) + qj[None, :]).ravel()
-        pos = np.searchsorted(ukeys, qkeys)
-        hit = np.flatnonzero((pos < ukeys.size) & (ukeys[np.minimum(pos, ukeys.size - 1)] == qkeys))
-        if hit.size == 0:
+        # indices_within's rounded disk test can accept a sensor up to
+        # ~3e-16 * radius + 3e-162 km (rounding, underflow) past the
+        # radius; reaching past that margin with the build's monotone
+        # floor formula keeps every such sensor a candidate
+        x0, y0, cell, nx, ny, starts, order = self._index()
+        reach = radius * (1.0 + 1e-12) + 1e-150
+        i0 = max(math.floor((center[0] - reach - x0) / cell), 0)
+        i1 = min(math.floor((center[0] + reach - x0) / cell), nx - 1)
+        j0 = max(math.floor((center[1] - reach - y0) / cell), 0)
+        j1 = min(math.floor((center[1] + reach - y0) / cell), ny - 1)
+        if i0 > i1 or j0 > j1:
             return np.empty(0, dtype=np.int64)
-        return np.concatenate([order[starts[p]:starts[p + 1]] for p in pos[hit]])
+        return np.concatenate([order[starts[i * ny + j0]:starts[i * ny + j1 + 1]]
+                               for i in range(i0, i1 + 1)])
 
 
 def indices_within(field_: SensorField, center: tuple[float, float],
@@ -140,14 +130,6 @@ def nearest_index_within(field_: SensorField, center: tuple[float, float],
     d = field_.positions[hits] - np.asarray(center, dtype=float)
     dist2 = np.einsum("ij,ij->i", d, d)
     return int(hits[np.argmin(dist2)])  # argmin takes the first of equals
-
-
-def nearest_distance(field_: SensorField, center: tuple[float, float]) -> float:
-    """Distance to the closest sensor, or inf for an empty field."""
-    if len(field_) == 0:
-        return math.inf
-    d = field_.positions - np.asarray(center, dtype=float)
-    return float(np.sqrt(np.einsum("ij,ij->i", d, d).min()))
 
 
 def deploy_uniform(n: int, rect: Rect, seed: int) -> SensorField:

@@ -43,6 +43,12 @@ class TestLinkBudgetCommand:
                      "--params", str(pfile)])
         assert code == 0
 
+    def test_zero_system_bandwidth_is_bad_input(self, tmp_path, capsys):
+        code = main(["--out-dir", str(tmp_path), "linkbudget",
+                     "--system-bw-hz", "0"])
+        assert code == 1
+        assert "bandwidth" in capsys.readouterr().err
+
     def test_infeasible_link_is_runtime_error(self, tmp_path):
         code = main(["--out-dir", str(tmp_path),
                      "--set", "link.params.eirp_dbm=-40", "linkbudget"])
@@ -228,3 +234,29 @@ class TestConfigPlumbing:
         code = main(["--out-dir", str(tmp_path), "--set", BUNDLE] + argv)
         assert code == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--set", "paths.env_manifest=/nonexistent.json", "linkbudget"],
+         "paths.env_manifest"),
+        (["--set", BUNDLE, "linkbudget"], "paths.scenario_bundle"),
+        (["--set", "paths.sensors_csv=s.csv",
+          "synth-env", "--spec", "spec.json"], "paths.sensors_csv"),
+        (["--set", BUNDLE, "synth-env", "--spec", "spec.json"],
+         "paths.scenario_bundle"),
+        (["--set", "paths.env_manifest=e.json",
+          "--set", "paths.incidents_csv=i.csv",
+          "--set", "paths.biomass_manifest=b.json",
+          "simulate", "--incident", "syn-001"], "paths.biomass_manifest"),
+    ])
+    def test_path_keys_a_command_never_reads_are_rejected(self, tmp_path, capsys,
+                                                          argv, key):
+        code = main(["--out-dir", str(tmp_path)] + argv)
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_bad_input(self, tmp_path, capsys, workers):
+        code = main(["--out-dir", str(tmp_path), "--workers", workers,
+                     "--set", BUNDLE, "sweep"])
+        assert code == 1
+        assert "--workers" in capsys.readouterr().err

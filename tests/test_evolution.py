@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from emberlink.envdata import EnvGrid, Incident, Rect, SynthSpec, synth_env
 from emberlink.errors import ValidationError
 from emberlink.evolution import (BurnCircle, EvolutionConfig, Frontier,
-                                 burned_circle, circle_trajectory, detect,
+                                 burned_circle, circle_trajectory,
                                  incident_cap_hours, prune, replay_detection,
                                  simulate_incident, step, trace_rows)
 from emberlink.firekernel import speeds
@@ -157,17 +157,6 @@ class TestPrune:
         f = Frontier(points=np.array([[0.0, 0.0]]), hour=0)
         with pytest.raises(ValidationError):
             prune(f, None, snap_km=-0.1, margin_km=0.0)
-
-
-class TestDetect:
-    def test_boundary_inclusive(self):
-        field_ = SensorField(positions=np.array([[3.0, 4.0]]))
-        assert detect(BurnCircle((0.0, 0.0), 5.0), field_) == 0
-        assert detect(BurnCircle((0.0, 0.0), 4.9), field_) is None
-
-    def test_nearest_wins(self):
-        field_ = SensorField(positions=np.array([[4.0, 0.0], [1.0, 0.0]]))
-        assert detect(BurnCircle((0.0, 0.0), 5.0), field_) == 1
 
 
 class TestSimulate:

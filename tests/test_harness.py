@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import numpy as np
@@ -123,6 +124,8 @@ class TestSweep:
         a = sweep(incidents, env, bio, self.CFG, evolution=EVO, workers=1)
         b = sweep(incidents, env, bio, self.CFG, evolution=EVO, workers=3)
         assert a[0] == b[0] and a[1] == b[1]
+        assert a[2]["workers"] == 1
+        assert b[2]["workers"] == min(3, len(incidents), os.cpu_count() or 1)
 
     def test_per_trial_detection_is_monotone_in_count(self):
         # deployments of one seed share a prefix, so more sensors can only

@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emberlink.envdata import Rect
 from emberlink.errors import ValidationError
 from emberlink.sensors import (SensorField, deploy_uniform, indices_within,
-                               load_sensors, nearest_distance,
-                               nearest_index_within, save_sensors)
+                               load_sensors, nearest_index_within,
+                               save_sensors)
 
 RECT = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -19,6 +21,19 @@ RECT = Rect(0.0, 0.0, 100.0, 100.0)
 def brute_within(field_: SensorField, center, radius) -> np.ndarray:
     d = field_.positions - np.asarray(center, dtype=float)
     return np.flatnonzero(np.einsum("ij,ij->i", d, d) <= radius * radius)
+
+
+def brute_nearest(field_: SensorField, center, radius) -> int | None:
+    hits = brute_within(field_, center, radius)
+    if hits.size == 0:
+        return None
+    d = field_.positions[hits] - np.asarray(center, dtype=float)
+    return int(hits[np.argmin(np.einsum("ij,ij->i", d, d))])
+
+
+def brute_nearest_distance(field_: SensorField, center) -> float:
+    d = field_.positions - np.asarray(center, dtype=float)
+    return float(np.sqrt(np.einsum("ij,ij->i", d, d).min()))
 
 
 class TestDeploy:
@@ -67,7 +82,8 @@ class TestDeploy:
         expected = math.sqrt(math.log(2.0) / math.pi) / math.sqrt(density)
         rng = np.random.default_rng(99)
         queries = rng.uniform(5.0, 95.0, size=(2000, 2))  # stay off the border
-        dists = [nearest_distance(f, (float(x), float(y))) for x, y in queries]
+        dists = [brute_nearest_distance(f, (float(x), float(y)))
+                 for x, y in queries]
         med = float(np.median(dists))
         assert abs(med - expected) / expected < 0.10
 
@@ -118,12 +134,71 @@ class TestQueries:
         f = SensorField(positions=[])
         assert len(indices_within(f, (0.0, 0.0), 10.0)) == 0
         assert nearest_index_within(f, (0.0, 0.0), 10.0) is None
-        assert nearest_distance(f, (0.0, 0.0)) == math.inf
 
     def test_negative_radius_rejected(self):
         f = deploy_uniform(10, RECT, seed=0)
         with pytest.raises(ValidationError):
             indices_within(f, (0.0, 0.0), -1.0)
+
+
+def _uniform(n, x0, y0, size, seed):
+    return (np.random.default_rng(seed).random((n, 2)) * size
+            + np.array([x0, y0])).tolist()
+
+
+# layouts that stress the grid build: zero or tiny spans, one axis
+# collapsed, a span dominated by one point, coordinates far from the
+# origin, and a span far beyond any fixed-size cell key
+DEGENERATE_FIELDS = {
+    "one sensor": [[3.0, -2.0]],
+    "coincident duplicates": [[1.0, 1.0]] * 5 + [[1.5, 1.0]] + [[1.0, 1.0]] * 3,
+    "horizontal line": [[0.37 * k, 7.0] for k in range(40)],
+    "vertical line": [[-4.0, 1.3 * k] for k in range(40)],
+    "cluster and far outlier": _uniform(30, 10.0, 10.0, 0.01, 1) + [[9000.0, -6000.0]],
+    "offset by 1e9 km": _uniform(200, 1e9, 1e9, 100.0, 2),
+    "far apart": [[0.0, 0.0], [1e10, 1e10]],
+}
+
+
+class TestDegenerateFields:
+    @pytest.mark.parametrize("name", list(DEGENERATE_FIELDS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_queries_match_brute_force(self, name, data):
+        f = SensorField(positions=DEGENERATE_FIELDS[name])
+        lo = f.positions.min(axis=0)
+        span = f.positions.max(axis=0) - lo
+        scale = max(float(span.max()), 1.0)
+        kind = data.draw(st.sampled_from(["on sensor", "off box", "covering", "random"]))
+        if kind == "on sensor":
+            k = data.draw(st.integers(0, len(f) - 1))
+            center, radius = tuple(f.positions[k]), 0.0
+        elif kind == "off box":
+            side = data.draw(st.sampled_from([(-1, 0), (1, 0), (0, -1), (0, 1), (1, 1)]))
+            gap = data.draw(st.floats(0.01, 2.0)) * scale
+            mid = lo + span / 2
+            center = (float(mid[0] + side[0] * (span[0] / 2 + gap)),
+                      float(mid[1] + side[1] * (span[1] / 2 + gap)))
+            radius = data.draw(st.floats(0.0, 0.999)) * gap
+        elif kind == "covering":
+            u = data.draw(st.tuples(st.floats(0, 1), st.floats(0, 1)))
+            center = tuple(float(v) for v in lo + span * np.array(u))
+            radius = 3.0 * scale
+        else:
+            u = data.draw(st.tuples(st.floats(-1, 2), st.floats(-1, 2)))
+            center = tuple(float(v) for v in lo + scale * np.array(u))
+            radius = data.draw(st.floats(0.0, 1.5)) * scale
+        got = indices_within(f, center, radius)
+        np.testing.assert_array_equal(got, brute_within(f, center, radius))
+        if kind == "off box":
+            assert got.size == 0
+        if kind == "covering":
+            assert got.size == len(f)
+        assert nearest_index_within(f, center, radius) == brute_nearest(f, center, radius)
+        # reads the private grid: the cell count bound is what keeps
+        # memory O(n) however far apart the sensors lie
+        starts = f._grid[5]
+        assert starts.size - 1 <= 3 * len(f) + 1
 
 
 class TestFieldValidation:
