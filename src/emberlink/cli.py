@@ -8,8 +8,9 @@ Subcommands:
 
 Every model constant has a default in DEFAULT_CONFIG. load_config
 resolves the configuration in one layered step, later layers winning:
-defaults < a scenario bundle's sweep and evolution sections < the JSON
-file selected with --config < repeated --set dotted.key=value flags.
+defaults < a scenario bundle's sweep and evolution sections (read only
+by the commands that use a bundle) < the JSON file selected with
+--config < repeated --set dotted.key=value flags.
 Keys a command would ignore are rejected. The resolved configuration is
 echoed into the run manifest. Exit codes: 0 success, 1 bad input or
 configuration, 2 runtime failure.
@@ -122,17 +123,19 @@ def _apply_layers(base: dict, user: dict, sets: list[str]) -> dict:
     return config
 
 
-def load_config(path: str | None, sets: list[str]) -> dict:
+def load_config(path: str | None, sets: list[str], *,
+                read_bundle: bool) -> dict:
     """Resolve the configuration; later layers win.
 
     defaults < scenario bundle sweep/evolution sections < --config file <
     --set assignments. The bundle path itself may come from any layer, so
-    the layers are applied once to find it and again on top of it.
+    the layers are applied once to find it and again on top of it. With
+    read_bundle False the bundle is neither read nor layered in.
     """
     user = _read_config_file(path) if path is not None else {}
     config = _apply_layers(DEFAULT_CONFIG, user, sets)
     bundle = config["paths"]["scenario_bundle"]
-    if bundle:
+    if bundle and read_bundle:
         raw = read_season_bundle(bundle)
         base = _merge(DEFAULT_CONFIG, {"sweep": raw["sweep"],
                                        "evolution": raw["evolution"]})
@@ -222,6 +225,8 @@ def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
     if args.seed is not None:
         config["sweep"]["base_seed"] = args.seed
     swp = SweepConfig(**config["sweep"])
+    # every sweep incident runs to sweep.cap_hours; record that horizon
+    config["evolution"]["max_hours"] = swp.cap_hours
     evo = _evolution_config(config)
     incidents, env, bio = _load_scenario(config, "sweep", need_bio=True)
     rows, summary, manifest = harness.sweep(incidents, env, bio, swp,
@@ -332,7 +337,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         if args.workers < 1:
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
-        config = load_config(args.config, args.set)
+        config = load_config(args.config, args.set,
+                             read_bundle=args.command in ("simulate", "sweep"))
         if args.out_dir:
             config["out_dir"] = args.out_dir
         if args.command == "simulate":

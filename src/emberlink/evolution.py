@@ -9,7 +9,9 @@ happens when a sensor lies inside that closed disk.
 
 The 4^t branching blow-up is tamed by prune(): snap the frontier to a
 lattice keeping one representative per cell, and optionally drop points
-well inside the current burned circle. Pruning runs after the hour's
+well inside the current burned circle. The dedup sorts one int64 key per
+point (lattice cell, then input index), so the kept frontier comes out
+in lattice-cell order, (ki, kj) ascending. Pruning runs after the hour's
 circle and detection check, so it never influences that hour's result.
 """
 
@@ -116,14 +118,66 @@ def step(frontier: Frontier, env: EnvGrid, dt_s: float = 3600.0,
 
 
 def burned_circle(points: np.ndarray) -> BurnCircle:
-    """Circle over a point set: mean-point center, max distance radius."""
+    """Circle over a point set: mean-point center, max distance radius.
+
+    Each coordinate is summed left to right, as mean(axis=0) does on a
+    C-ordered (n, 2) array, whatever the input's memory layout.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValidationError(f"need a non-empty (n, 2) point array, got {pts.shape}")
-    center = pts.mean(axis=0)
-    d = pts - center
-    radius = float(np.sqrt(np.einsum("ij,ij->i", d, d).max()))
-    return BurnCircle(center=(float(center[0]), float(center[1])), radius_km=radius)
+    n = pts.shape[0]
+    center = (float(np.cumsum(pts[:, 0])[-1] / n),
+              float(np.cumsum(pts[:, 1])[-1] / n))
+    radius = float(np.sqrt(_dist2(pts, center).max()))
+    return BurnCircle(center=center, radius_km=radius)
+
+
+def _dist2(pts: np.ndarray, center: tuple[float, float]) -> np.ndarray:
+    """Squared distance of every point to center, dx*dx + dy*dy."""
+    dx = pts[:, 0] - center[0]
+    dy = pts[:, 1] - center[1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _lattice_cells(pts: np.ndarray, snap_km: float, bits: int) -> np.ndarray:
+    """Snap-lattice cell number of every point, ascending in (ki, kj) order.
+
+    Cells are numbered row-major over the frontier's cell bounding box,
+    or by rank when that box is too large for cell << bits to fit in
+    int64; either way cell << bits | index is exact.
+    """
+    scale = float(np.max(np.abs(pts)))
+    if math.isnan(scale):
+        raise ValidationError("frontier points contain NaN")
+    if scale > 0 and snap_km < scale * 2.0 ** -53:
+        # lattice finer than float spacing: cells can only merge exact
+        # duplicates, so the coordinates themselves are the cell indices
+        ki, kj = pts[:, 0], pts[:, 1]
+    else:
+        # here scale/snap <= 2**53, so the cell indices are exact
+        ki = np.round(pts[:, 0] / snap_km).astype(np.int64)
+        kj = np.round(pts[:, 1] / snap_km).astype(np.int64)
+        i0, j0 = int(ki.min()), int(kj.min())
+        wi, wj = int(ki.max()) - i0 + 1, int(kj.max()) - j0 + 1
+        if wi * wj << bits <= 2 ** 63:
+            return (ki - i0) * wj + (kj - j0)
+    # ranks merge -0.0 with 0.0 as the lattice comparison does; the cell
+    # numbers stay below n
+    ri = np.unique(ki, return_inverse=True)[1]
+    rj = np.unique(kj, return_inverse=True)[1]
+    return np.unique(ri * (int(rj.max()) + 1) + rj, return_inverse=True)[1]
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a sorted, non-empty array starts a run."""
+    starts = np.empty(a.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return starts
 
 
 def prune(frontier: Frontier, prev: BurnCircle | None,
@@ -133,8 +187,12 @@ def prune(frontier: Frontier, prev: BurnCircle | None,
     Interior drop: with margin_km > 0 and a circle, discard points
     strictly deeper than margin_km inside it (they cannot extend the
     burned circle). Snap dedup: with snap_km > 0, bucket points onto the
-    snap lattice and keep the lexicographically smallest (x, y) point of
-    each bucket.
+    snap lattice, cell (ki, kj) = round((x, y) / snap_km), and keep one
+    point per cell: the lexicographically smallest (x, y), the first in
+    input order among equals (-0.0 ties with 0.0). One value sort of the
+    int64 keys cell << bits | input index groups each cell's points in
+    input order, so the kept frontier comes out in lattice-cell order,
+    (ki, kj) ascending.
     """
     if snap_km < 0 or margin_km < 0:
         raise ValidationError("snap_km and margin_km must be >= 0")
@@ -142,25 +200,30 @@ def prune(frontier: Frontier, prev: BurnCircle | None,
     if margin_km > 0 and prev is not None:
         keep_r = prev.radius_km - margin_km
         if keep_r > 0:
-            d = pts - np.asarray(prev.center, dtype=float)
             # sqrt space, matching burned_circle: the max-distance point
             # sits exactly at prev.radius_km and always survives
-            pts = pts[np.sqrt(np.einsum("ij,ij->i", d, d)) >= keep_r]
-    if snap_km > 0 and pts.shape[0] > 1:
-        scale = float(np.max(np.abs(pts)))
-        if scale > 0 and snap_km < scale * 2.0 ** -53:
-            # lattice finer than float spacing: cells can only merge
-            # exact duplicates, so dedup directly on the coordinates
-            ki, kj = pts[:, 0], pts[:, 1]
-        else:
-            # here scale/snap <= 2**53, so the cell keys are exact
-            ki = np.round(pts[:, 0] / snap_km)
-            kj = np.round(pts[:, 1] / snap_km)
-        order = np.lexsort((pts[:, 1], pts[:, 0], kj, ki))
-        ki_s, kj_s = ki[order], kj[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (ki_s[1:] != ki_s[:-1]) | (kj_s[1:] != kj_s[:-1])
-        pts = pts[order[first]]
+            pts = pts[np.sqrt(_dist2(pts, prev.center)) >= keep_r]
+    n = pts.shape[0]
+    if snap_km > 0 and n > 1:
+        bits = (n - 1).bit_length()
+        key = _lattice_cells(pts, snap_km, bits) << bits | np.arange(n)
+        key.sort()
+        idx = key & ((1 << bits) - 1)
+        group = np.cumsum(_run_starts(key >> bits)) - 1
+        cells = int(group[-1]) + 1
+        # candidates: sorted positions at their cell's smallest x, then
+        # of those at the smallest y; the first left per cell has the
+        # lowest input index
+        x = pts[:, 0].take(idx)
+        xmin = np.full(cells, np.inf)
+        np.minimum.at(xmin, group, x)
+        cand = np.flatnonzero(x == xmin.take(group))
+        at, y = group.take(cand), pts[:, 1].take(idx.take(cand))
+        ymin = np.full(cells, np.inf)
+        np.minimum.at(ymin, at, y)
+        cand = cand[y == ymin.take(at)]
+        first = cand[_run_starts(group.take(cand))]
+        pts = pts.take(idx.take(first), axis=0)
     return Frontier(points=pts, hour=frontier.hour)
 
 

@@ -106,8 +106,10 @@ class SensorField:
 def indices_within(field_: SensorField, center: tuple[float, float],
                    radius: float) -> np.ndarray:
     """Ascending indices of sensors inside the closed disk of given radius."""
-    if radius < 0:
-        raise ValidationError(f"radius must be >= 0, got {radius}")
+    if not 0 <= radius < math.inf:
+        raise ValidationError(f"radius must be finite and >= 0, got {radius}")
+    if not (math.isfinite(center[0]) and math.isfinite(center[1])):
+        raise ValidationError(f"center must be finite, got {tuple(center)}")
     if len(field_) == 0:
         return np.empty(0, dtype=np.int64)
     cand = field_._candidates(center, radius)

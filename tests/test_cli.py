@@ -124,6 +124,8 @@ class TestSweepCommand:
         assert manifest["sweep"]["sensor_counts"] == [100, 1000]
         assert manifest["sweep"]["trials"] == 2
         assert manifest["evolution"]["max_hours"] == 3
+        # the bundle says 72 h; the recorded config is the horizon that ran
+        assert manifest["config"]["evolution"]["max_hours"] == 3
         assert not any(k.startswith("_") for k in manifest["config"])
 
     def test_needs_a_scenario(self, tmp_path):
@@ -253,6 +255,19 @@ class TestConfigPlumbing:
         code = main(["--out-dir", str(tmp_path)] + argv)
         assert code == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["linkbudget"],
+        ["synth-env", "--spec", "spec.json"],
+    ])
+    def test_unused_bundle_is_rejected_before_it_is_read(self, tmp_path, capsys,
+                                                         argv):
+        missing = tmp_path / "missing.json"
+        code = main(["--out-dir", str(tmp_path),
+                     "--set", f"paths.scenario_bundle={missing}"] + argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"paths.scenario_bundle is not used by {argv[0]}" in err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_bad_input(self, tmp_path, capsys, workers):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emberlink import evolution
 from emberlink.envdata import EnvGrid, Incident, Rect, SynthSpec, synth_env
 from emberlink.errors import ValidationError
 from emberlink.evolution import (BurnCircle, EvolutionConfig, Frontier,
@@ -16,6 +18,7 @@ from emberlink.evolution import (BurnCircle, EvolutionConfig, Frontier,
                                  incident_cap_hours, prune, replay_detection,
                                  simulate_incident, step, trace_rows)
 from emberlink.firekernel import speeds
+from emberlink.harness import bundled_scenario_path, load_season_bundle
 from emberlink.sensors import SensorField, deploy_uniform
 
 NO_PRUNE = EvolutionConfig(snap_km=0.0, margin_km=0.0, max_hours=5.0)
@@ -33,6 +36,59 @@ def mid_incident(env: EnvGrid, start: int = 0, hist: float | None = None) -> Inc
     return Incident(id="t", start_hour=start,
                     ignition_xy=(r.x0 + r.width_km / 2, r.y0 + r.height_km / 2),
                     historical_burn_hours=hist)
+
+
+def lexsort_prune(frontier: Frontier, prev: BurnCircle | None,
+                  snap_km: float, margin_km: float) -> Frontier:
+    """Reference prune: the 4-key float lexsort (ki, kj, x, y), first of
+    each (ki, kj) run kept."""
+    pts = frontier.points
+    if margin_km > 0 and prev is not None:
+        keep_r = prev.radius_km - margin_km
+        if keep_r > 0:
+            d = pts - np.asarray(prev.center, dtype=float)
+            pts = pts[np.sqrt(np.einsum("ij,ij->i", d, d)) >= keep_r]
+    if snap_km > 0 and pts.shape[0] > 1:
+        scale = float(np.max(np.abs(pts)))
+        if scale > 0 and snap_km < scale * 2.0 ** -53:
+            ki, kj = pts[:, 0], pts[:, 1]
+        else:
+            ki = np.round(pts[:, 0] / snap_km)
+            kj = np.round(pts[:, 1] / snap_km)
+        order = np.lexsort((pts[:, 1], pts[:, 0], kj, ki))
+        ki_s, kj_s = ki[order], kj[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (ki_s[1:] != ki_s[:-1]) | (kj_s[1:] != kj_s[:-1])
+        pts = pts[order[first]]
+    return Frontier(points=pts, hour=frontier.hour)
+
+
+def assert_prunes_like_lexsort(pts, snap_km: float, margin_km: float = 0.0,
+                               prev: BurnCircle | None = None) -> np.ndarray:
+    """prune and lexsort_prune keep the same points, bit for bit, in the
+    same order; returns the kept points."""
+    f = Frontier(points=np.asarray(pts, dtype=float), hour=0)
+    got = prune(f, prev, snap_km, margin_km).points
+    want = lexsort_prune(f, prev, snap_km, margin_km).points
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+def sequential_circle(pts: np.ndarray) -> bytes:
+    """Center and radius from left-to-right Python float sums, as bytes."""
+    rows = pts.tolist()
+    sx = sy = 0.0
+    for x, y in rows:
+        sx += x
+        sy += y
+    cx, cy = sx / len(rows), sy / len(rows)
+    r2 = max((x - cx) * (x - cx) + (y - cy) * (y - cy) for x, y in rows)
+    return np.array([cx, cy, math.sqrt(r2)]).tobytes()
+
+
+def circle_bytes(c: BurnCircle) -> bytes:
+    return np.array([c.center[0], c.center[1], c.radius_km]).tobytes()
 
 
 class TestStep:
@@ -97,6 +153,19 @@ class TestBurnedCircle:
         with pytest.raises(ValidationError):
             burned_circle(np.empty((0, 2)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=400),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1e-6, 1.0, 1e3]),
+           st.floats(min_value=-1e4, max_value=1e4),
+           st.booleans())
+    def test_matches_sequential_sum(self, n, seed, scale, offset, fortran):
+        rng = np.random.default_rng(seed)
+        pts = offset + rng.normal(scale=scale, size=(n, 2))
+        if fortran:  # the sums must not follow the memory layout
+            pts = np.asfortranarray(pts)
+        assert circle_bytes(burned_circle(pts)) == sequential_circle(pts)
+
 
 class TestPrune:
     def test_identity_when_disabled(self):
@@ -157,6 +226,150 @@ class TestPrune:
         f = Frontier(points=np.array([[0.0, 0.0]]), hour=0)
         with pytest.raises(ValidationError):
             prune(f, None, snap_km=-0.1, margin_km=0.0)
+
+
+class TestPruneMatchesLexsort:
+    """The int64 cell-key dedup keeps what the 4-key lexsort kept, bit for
+    bit and in the same order (the next hour's sums follow that order)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=300),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(min_value=1e-3, max_value=2.0),
+           st.sampled_from([0.01, 1.0, 50.0]),
+           st.floats(min_value=-1e4, max_value=1e4),
+           st.floats(min_value=0.0, max_value=0.9),
+           st.booleans(),
+           st.sampled_from([0.0, 0.1, 1.0]))
+    def test_random_clouds(self, n, seed, snap, spread, offset, dup_frac,
+                           half_cells, margin):
+        rng = np.random.default_rng(seed)
+        pts = offset + rng.normal(scale=spread, size=(n, 2))
+        if half_cells:
+            # on the half-cell grid: rounding ties at cell edges, and
+            # cell-mates sharing x so y and input order break the tie
+            pts = np.round(pts / (snap / 2)) * (snap / 2)
+        dups = rng.integers(0, n, size=int(dup_frac * n))
+        pts[rng.integers(0, n, size=dups.size)] = pts[dups]
+        assert_prunes_like_lexsort(pts, snap, margin, burned_circle(pts))
+
+    @pytest.mark.parametrize("pts", [
+        [[3.2, -1.7]],
+        [[3.2, -1.7], [3.2, -1.7]],
+        [[3.2, -1.7], [3.21, -1.69]],
+        [[3.2, -1.7], [-3.2, 1.7]],
+        [[0.0, 0.0], [-0.0, -0.0]],
+    ])
+    def test_one_and_two_points(self, pts):
+        for snap in (1e-30, 0.05, 1.0):
+            assert_prunes_like_lexsort(pts, snap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.permutations([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
+                            (-0.0, -0.0), (-0.0, 1e-4), (1e-4, -0.0)]),
+           st.sampled_from([1e-30, 1e-3, 1.0]))
+    def test_signed_zeros_tie_in_input_order(self, pts, snap):
+        kept = assert_prunes_like_lexsort(pts, snap)
+        # the first (+-0, +-0) point in input order represents the origin
+        origin = np.array([p for p in pts if p == (0.0, 0.0)][0])
+        assert any(k.tobytes() == origin.tobytes() for k in kept)
+
+    def test_lattice_finer_than_float_spacing(self):
+        pts = [[1e6, 1.0], [1e6 + 1e-10, 1.0], [1e6, 1.0]]
+        kept = assert_prunes_like_lexsort(pts, 1e-11)
+        assert kept.tolist() == [[1e6, 1.0], [1e6 + 1e-10, 1.0]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([1e6, -3.0e7, 12.5, 2.0 ** 40]),
+           st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                    min_size=1, max_size=40),
+           st.floats(min_value=1e-300, max_value=1e-3))
+    def test_sub_spacing_lattice_keeps_distinct_floats(self, base, steps, frac):
+        # neighbouring floats stay apart when the lattice is finer than
+        # float spacing at that scale
+        ulp = float(np.spacing(abs(base)))
+        pts = [[base + i * ulp, base + j * ulp] for i, j in steps]
+        snap = abs(base) * 2.0 ** -53 * frac
+        kept = assert_prunes_like_lexsort(pts, snap)
+        assert len(kept) == len(set(map(tuple, pts)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=1e-3, max_value=2.0),
+           st.lists(st.tuples(st.sampled_from([-1.0, 1.0]),
+                              st.sampled_from([1.0 + 2.0 ** -52, 1.0,
+                                               1.0 - 2.0 ** -53, 1.0 - 2.0 ** -40,
+                                               0.5, 2.0 ** -30, 0.0]),
+                              st.integers(-3, 3)),
+                    min_size=2, max_size=24),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_coordinates_near_2_53_snaps(self, snap, coords, seed):
+        # |x| / snap near 2**53: both sides of the float-spacing branch,
+        # and spans whose bounding-box key would overflow int64
+        big = 2.0 ** 53 * snap
+        vals = [sign * big * frac + k * snap for sign, frac, k in coords]
+        rng = np.random.default_rng(seed)
+        pts = np.column_stack([vals, rng.permutation(vals)])
+        assert_prunes_like_lexsort(pts, snap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=2, max_value=200),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(min_value=1e-3, max_value=2.0),
+           st.sampled_from([1e3, 1e9, 1e12]))
+    def test_far_apart_clusters(self, n, seed, snap, distance):
+        rng = np.random.default_rng(seed)
+        corners = distance * rng.choice([-1.0, 1.0], size=(n, 2))
+        pts = corners + rng.normal(scale=3 * snap, size=(n, 2))
+        assert_prunes_like_lexsort(pts, snap)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 300])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_packed_key_at_the_int64_limit(self, n, extra):
+        # the bounding box holds 2**(63 - bits) cells, plus extra columns:
+        # the largest exact key sits right at 2**63 - 1
+        bits = (n - 1).bit_length()
+        wi = 2 ** ((63 - bits) // 2)
+        wj = 2 ** (63 - bits) // wi + extra
+        rng = np.random.default_rng(n)
+        pts = np.column_stack([rng.integers(0, wi, n), rng.integers(0, wj, n)])
+        pts[:2] = [[0, 0], [wi - 1, wj - 1]]
+        assert_prunes_like_lexsort(pts.astype(float) - 2.0 ** 20, 1.0)
+
+    def test_infinite_coordinates(self):
+        pts = [[math.inf, 0.0], [1.0, 2.0], [math.inf, 0.0], [-math.inf, 5.0]]
+        assert_prunes_like_lexsort(pts, 0.5)
+
+    def test_nan_rejected(self):
+        f = Frontier(points=np.array([[0.0, math.nan], [1.0, 1.0]]), hour=0)
+        with pytest.raises(ValidationError):
+            prune(f, None, snap_km=0.05, margin_km=0.0)
+
+
+class TestBundledFrontiers:
+    def test_every_hour_matches_references(self, monkeypatch):
+        # three bundled incidents stepped 96 h through the production
+        # loop; every hour's circle and pruned frontier is checked
+        incidents, env, _, _, evo = load_season_bundle(bundled_scenario_path())
+        hours = []
+        real_prune, real_circle = evolution.prune, evolution.burned_circle
+
+        def checked_prune(frontier, prev, snap_km, margin_km):
+            got = real_prune(frontier, prev, snap_km, margin_km)
+            want = lexsort_prune(frontier, prev, snap_km, margin_km)
+            assert got.points.tobytes() == want.points.tobytes()
+            hours.append(frontier.points.shape[0])
+            return got
+
+        def checked_circle(points):
+            got = real_circle(points)
+            assert circle_bytes(got) == sequential_circle(points)
+            return got
+
+        monkeypatch.setattr(evolution, "prune", checked_prune)
+        monkeypatch.setattr(evolution, "burned_circle", checked_circle)
+        for inc in incidents[:3]:
+            circle_trajectory(inc, env, replace(evo, max_hours=96.0))
+        assert len(hours) == 3 * 96 and max(hours) > 10_000
 
 
 class TestSimulate:

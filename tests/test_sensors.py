@@ -140,6 +140,21 @@ class TestQueries:
         with pytest.raises(ValidationError):
             indices_within(f, (0.0, 0.0), -1.0)
 
+    @pytest.mark.parametrize("query", [indices_within, nearest_index_within])
+    @pytest.mark.parametrize("field_", [SensorField(positions=[]),
+                                        SensorField([[0.0, 0.0], [1.0, 1.0]])],
+                             ids=["empty", "two"])
+    @pytest.mark.parametrize("center, radius, bad", [
+        ((0.0, 0.0), math.inf, "radius"),
+        ((0.0, 0.0), math.nan, "radius"),
+        ((math.nan, 0.0), 1.0, "center"),
+        ((0.0, -math.inf), 1.0, "center"),
+        ((math.inf, math.nan), 0.0, "center"),
+    ], ids=["inf-radius", "nan-radius", "nan-x", "inf-y", "inf-nan-center"])
+    def test_non_finite_query_rejected(self, query, field_, center, radius, bad):
+        with pytest.raises(ValidationError, match=bad):
+            query(field_, center, radius)
+
 
 def _uniform(n, x0, y0, size, seed):
     return (np.random.default_rng(seed).random((n, 2)) * size
