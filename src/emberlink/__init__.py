@@ -7,7 +7,7 @@ Submodules:
   sensors     uniform sensor deployments with fast range queries
   carbon      burned area -> carbon tonnage, price, and savings
   linkbudget  GEO uplink CNR, throughput, supportable sensor counts
-  harness     season replay and sensor-count sweeps
+  harness     sensor-count sweeps over a season and their outputs
   cli         command-line entry point
 """
 

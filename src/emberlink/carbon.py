@@ -22,7 +22,6 @@ from .evolution import BurnCircle
 UNDERGROUND_FACTOR = 1.2   # underground biomass adds 20% of above-ground
 UNIT_FACTOR = 100.0        # Mg/ha over km2 -> tons
 USD_PER_TON = 20.0
-UNIT_SENSOR_COST_USD = 100.0
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .envdata import (CALIFORNIA, GeoTransform, SynthSpec, load_biomass,
                       load_env_grid, load_incidents, save_env_grid, synth_env)
 from .errors import ValidationError
 from .evolution import EvolutionConfig, simulate_incident, trace_rows
-from .firekernel import SpreadParams
+from .firekernel import DEFAULT_PARAMS, SpreadParams
 from .harness import (SweepConfig, atomic_write_text, load_season_bundle,
                       read_season_bundle, write_manifest, write_summary_csv,
                       write_sweep_csv)
@@ -49,15 +49,9 @@ DEFAULT_CONFIG: dict = {
         "lon_min": CALIFORNIA.lon_min, "lon_max": CALIFORNIA.lon_max,
         "width_km": CALIFORNIA.width_km, "height_km": CALIFORNIA.height_km,
     },
-    "spread": {
-        "u_max_ms": 0.13, "windless_gain": 0.1, "wetness_cutoff": 0.35,
-        "backspread_ratio": 0.2, "wind_sq_scale": 2500.0,
-        "elongation_gain": 10.0, "elongation_rate": 0.017,
-    },
-    "evolution": {
-        "dt_s": 3600.0, "snap_km": 0.05, "margin_km": 0.0,
-        "max_hours": 168.0, "detect_at_ignition": True,
-    },
+    "spread": asdict(DEFAULT_PARAMS),
+    "evolution": {k: v for k, v in asdict(EvolutionConfig()).items()
+                  if k != "params"},
     "sweep": {
         "sensor_counts": [100000, 1000000], "trials": 10, "base_seed": 0,
         "usd_per_ton": 20.0, "unit_sensor_cost_usd": [10.0, 20.0, 50.0, 100.0],
@@ -74,20 +68,66 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+# keys with a non-null default whose dataclass field also takes None
+_NULLABLE = ("link.params.elevation_deg",)
+
+
+def _kind(default) -> str:
+    """Name of the kind of value a key with this default takes."""
+    if default is None:
+        return "a string"
+    if isinstance(default, bool):
+        return "true or false"
+    if isinstance(default, int):
+        return "an integer"
+    if isinstance(default, float):
+        return "a number"
+    if isinstance(default, list):
+        return f"a list of items that are each {_kind(default[0])}"
+    return "a string" if isinstance(default, str) else "an object"
+
+
+def _fits(default, value) -> bool:
+    """Whether value is of its default's kind: a bool is not a number, an
+    integer default takes only integers, a float default any number, a
+    list default a list of its items' kind, a null default (a path) a
+    string."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
+    return isinstance(value, str if default is None else type(default))
+
+
+def _merge(base: dict, override: dict, path: str = "",
+           defaults: dict = DEFAULT_CONFIG) -> dict:
+    """base with override laid over it, key by key; every key must exist in
+    defaults (the DEFAULT_CONFIG section at path) and every value must be
+    of its default's kind."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ValidationError(f"unknown config key '{where}'")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, where)
-        else:
+        default = defaults[key]
+        if isinstance(default, dict) and isinstance(value, dict):
+            out[key] = _merge(base[key], value, where, default)
+        elif value is None and (default is None or where in _NULLABLE):
+            out[key] = None
+        elif _fits(default, value):
             out[key] = copy.deepcopy(value)
+        else:
+            raise ValidationError(
+                f"config key '{where}' must be {_kind(default)}, got {value!r}")
     return out
 
 
-def _apply_set(config: dict, assignment: str) -> None:
+def _apply_set(config: dict, assignment: str) -> dict:
+    """config with one --set dotted.key=value laid over it by _merge."""
     key, sep, raw = assignment.partition("=")
     if not sep:
         raise ValidationError(f"--set needs key=value, got '{assignment}'")
@@ -95,15 +135,9 @@ def _apply_set(config: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings pass through
-    node = config
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node.get(part), dict):
-            raise ValidationError(f"unknown config key '{key}'")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ValidationError(f"unknown config key '{key}'")
-    node[parts[-1]] = value
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return _merge(config, value)
 
 
 def _read_config_file(path: str) -> dict:
@@ -119,7 +153,7 @@ def _read_config_file(path: str) -> dict:
 def _apply_layers(base: dict, user: dict, sets: list[str]) -> dict:
     config = _merge(base, user)
     for assignment in sets:
-        _apply_set(config, assignment)
+        config = _apply_set(config, assignment)
     return config
 
 
@@ -189,6 +223,8 @@ def _load_scenario(config: dict, command: str, need_bio: bool,
 
 
 def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
+    if args.deploy is not None and args.deploy < 0:
+        raise ValidationError(f"--deploy must be >= 0, got {args.deploy}")
     sensors_csv = config["paths"]["sensors_csv"]
     if sensors_csv and args.deploy is not None:
         raise ValidationError("--deploy cannot be combined with paths.sensors_csv")

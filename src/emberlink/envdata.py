@@ -11,8 +11,9 @@ File formats:
   rasters           flat little-endian float32, row-major
   incidents         CSV id,start_iso8601,lat_deg,lon_deg,contained_iso8601,area_acre
 
-Lookups are nearest-cell (no interpolation); a position on a shared cell
-edge resolves to the lower-index cell.
+Lookups are nearest-cell (no interpolation) over a whole point array at
+once; a position on a shared cell edge resolves to the lower-index cell,
+and a position off the rectangle samples the nearest edge cell.
 """
 
 from __future__ import annotations
@@ -179,44 +180,20 @@ class Incident:
     historical_area_km2: float | None = None
 
 
-def _cell_index(local: float, spacing: float, n: int) -> int:
-    # shared-edge positions resolve to the lower-index cell
-    i = math.ceil(local / spacing) - 1
-    return min(max(i, 0), n - 1)
-
-
-def sample_env(grid: EnvGrid, xy: tuple[float, float], t: int) -> tuple[float, float, float]:
-    """Nearest-cell lookup of (u10, v10, swvl1) at planar position xy, hour t."""
-    if not 0 <= t < grid.nt:
-        raise ValidationError(f"hour {t} outside [0, {grid.nt})")
-    if not grid.rect.contains(xy):
-        raise ValidationError(f"position {xy} outside the simulation rectangle")
-    ix = _cell_index(xy[0] - grid.origin[0], grid.spacing_km, grid.nx)
-    iy = _cell_index(xy[1] - grid.origin[1], grid.spacing_km, grid.ny)
-    return (float(grid.u10[t, iy, ix]),
-            float(grid.v10[t, iy, ix]),
-            float(grid.swvl1[t, iy, ix]))
-
-
 def sample_env_many(
-    grid: EnvGrid, points: np.ndarray, t: int, clamp: bool = False
+    grid: EnvGrid, points: np.ndarray, t: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vector form of sample_env over an (n, 2) point array.
+    """Nearest-cell lookup of (u10, v10, swvl1) at every point of an (n, 2)
+    array, hour t.
 
-    With clamp=True, positions outside the rectangle sample the nearest
-    edge cell instead of raising.
+    A position on a shared cell edge resolves to the lower-index cell;
+    positions outside the rectangle sample the nearest edge cell.
     """
     if not 0 <= t < grid.nt:
         raise ValidationError(f"hour {t} outside [0, {grid.nt})")
     pts = np.asarray(points, dtype=float)
-    lx = pts[:, 0] - grid.origin[0]
-    ly = pts[:, 1] - grid.origin[1]
-    if clamp:
-        lx = np.clip(lx, 0.0, grid.nx * grid.spacing_km)
-        ly = np.clip(ly, 0.0, grid.ny * grid.spacing_km)
-    elif (np.any(lx < 0) or np.any(lx > grid.nx * grid.spacing_km)
-          or np.any(ly < 0) or np.any(ly > grid.ny * grid.spacing_km)):
-        raise ValidationError("point outside the simulation rectangle")
+    lx = np.clip(pts[:, 0] - grid.origin[0], 0.0, grid.nx * grid.spacing_km)
+    ly = np.clip(pts[:, 1] - grid.origin[1], 0.0, grid.ny * grid.spacing_km)
     ix = np.clip(np.ceil(lx / grid.spacing_km).astype(np.int64) - 1, 0, grid.nx - 1)
     iy = np.clip(np.ceil(ly / grid.spacing_km).astype(np.int64) - 1, 0, grid.ny - 1)
     return (grid.u10[t, iy, ix].astype(float),

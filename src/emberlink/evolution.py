@@ -47,11 +47,14 @@ class EvolutionConfig:
     params: SpreadParams = DEFAULT_PARAMS
 
     def __post_init__(self) -> None:
-        if self.dt_s <= 0:
-            raise ValidationError(f"dt_s must be > 0, got {self.dt_s}")
-        if self.snap_km < 0 or self.margin_km < 0:
-            raise ValidationError("snap_km and margin_km must be >= 0")
-        if self.max_hours < 0:
+        # negated comparisons, so that NaN fails them too
+        if not 0 < self.dt_s < math.inf:
+            raise ValidationError(f"dt_s must be finite and > 0, got {self.dt_s}")
+        if not (self.snap_km >= 0 and self.margin_km >= 0):
+            raise ValidationError(
+                f"snap_km and margin_km must be >= 0, got {self.snap_km}, "
+                f"{self.margin_km}")
+        if not self.max_hours >= 0:
             raise ValidationError(f"max_hours must be >= 0, got {self.max_hours}")
 
 
@@ -111,8 +114,7 @@ def step(frontier: Frontier, env: EnvGrid, dt_s: float = 3600.0,
     if not 0 <= frontier.hour < env.nt:
         raise ValidationError(
             f"cannot step at hour {frontier.hour}: env time range is [0, {env.nt})")
-    u10, v10, swvl1 = sample_env_many(env, frontier.points, frontier.hour,
-                                      clamp=True)
+    u10, v10, swvl1 = sample_env_many(env, frontier.points, frontier.hour)
     branched = branch_endpoints(frontier.points, u10, v10, swvl1, dt_s, params)
     return Frontier(points=branched.reshape(-1, 2), hour=frontier.hour + 1)
 

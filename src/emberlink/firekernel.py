@@ -6,18 +6,19 @@ downwind direction, is damped by low wind and wet soil, and the back-spread
 speed is a fixed fraction of the head speed. All speeds are m/s; geometry is
 km; wind angles are radians from the +x axis.
 
-The scalar entry points (``speeds``, ``ellipse_from_ignition``) build one
-ellipse; the field functions (``wind_factor``, ``moisture_factor``,
-``spread_speed``, ``length_breadth_ratio``) and ``branch_endpoints`` accept
-numpy arrays so callers can evaluate whole frontiers at once.
+The field functions (``wind_factor``, ``moisture_factor``, ``spread_speed``,
+``length_breadth_ratio``) take scalars or numpy arrays; ``branch_endpoints``
+grows one ellipse per point of a whole frontier at once and returns its
+four axis endpoints.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .errors import ValidationError
 
 M_PER_KM = 1000.0
 
@@ -33,6 +34,9 @@ class SpreadParams:
     wind_sq_scale    : (m/s)^2 scale of the wind-factor exponential
     elongation_gain  : asymptotic extra length-to-breadth ratio at high wind
     elongation_rate  : per-(m/s) rate of the elongation exponential
+
+    Every field is finite and >= 0; the two divisors, wetness_cutoff and
+    wind_sq_scale, are > 0.
     """
 
     u_max_ms: float = 0.13
@@ -43,59 +47,18 @@ class SpreadParams:
     elongation_gain: float = 10.0
     elongation_rate: float = 0.017
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 <= value < float("inf"):
+                raise ValidationError(
+                    f"{f.name} must be finite and >= 0, got {value}")
+        for name in ("wetness_cutoff", "wind_sq_scale"):  # divisors
+            if getattr(self, name) == 0.0:
+                raise ValidationError(f"{name} must be > 0")
+
 
 DEFAULT_PARAMS = SpreadParams()
-
-
-@dataclass(frozen=True)
-class WindSample:
-    """Wind speed (m/s, >= 0) and direction angle from the +x axis, (-pi, pi]."""
-
-    speed_ms: float
-    theta_rad: float
-
-    def __post_init__(self) -> None:
-        if self.speed_ms < 0:
-            raise ValueError(f"wind speed must be >= 0, got {self.speed_ms}")
-        if not -math.pi < self.theta_rad <= math.pi:
-            raise ValueError(f"theta_rad must be in (-pi, pi], got {self.theta_rad}")
-
-    @classmethod
-    def from_uv(cls, u10: float, v10: float) -> "WindSample":
-        """Build from eastward/northward components; calm wind gets theta = 0."""
-        speed = math.hypot(u10, v10)
-        if speed == 0.0:
-            return cls(0.0, 0.0)
-        theta = math.atan2(v10, u10)
-        if theta <= -math.pi:
-            theta = math.pi
-        return cls(speed, theta)
-
-
-@dataclass(frozen=True)
-class SpreadSpeeds:
-    """Head (u_p), back (u_b), and lateral (v) spread speeds in m/s."""
-
-    u_p: float
-    u_b: float
-    v: float
-
-
-@dataclass(frozen=True)
-class FireEllipse:
-    """One burn ellipse grown from ``ignition_xy`` over a single timestep.
-
-    The ignition point sits on the major axis: the downwind vertex is
-    ``u_p * dt`` ahead of it and the upwind vertex ``u_b * dt`` behind it,
-    so the center leads the ignition by ``(u_p - u_b) / 2 * dt``.
-    """
-
-    ignition_xy: tuple[float, float]
-    center_xy: tuple[float, float]
-    semi_major_km: float
-    semi_minor_km: float
-    theta_rad: float
-    t_created: int
 
 
 def wind_factor(ws_ms, params: SpreadParams = DEFAULT_PARAMS):
@@ -137,63 +100,6 @@ def length_breadth_ratio(ws_ms, params: SpreadParams = DEFAULT_PARAMS):
     return float(out) if np.isscalar(ws_ms) else out
 
 
-def speeds(ws_ms: float, beta_root: float, params: SpreadParams = DEFAULT_PARAMS) -> SpreadSpeeds:
-    """All three spread speeds for one wind/wetness condition.
-
-    v follows from the length-to-breadth ratio: L_B = (u_p + u_b) / (2 v).
-    """
-    u_p = spread_speed(ws_ms, beta_root, params)
-    u_b = params.backspread_ratio * u_p
-    v = (u_p + u_b) / (2.0 * length_breadth_ratio(ws_ms, params))
-    return SpreadSpeeds(u_p=u_p, u_b=u_b, v=v)
-
-
-def ellipse_from_ignition(
-    ignition_xy: tuple[float, float],
-    wind: WindSample,
-    beta_root: float,
-    dt_s: float,
-    t: int,
-    params: SpreadParams = DEFAULT_PARAMS,
-) -> FireEllipse:
-    """Grow the ellipse reached after ``dt_s`` seconds from a point ignition."""
-    if dt_s <= 0:
-        raise ValueError(f"dt_s must be > 0, got {dt_s}")
-    sp = speeds(wind.speed_ms, beta_root, params)
-    dt_km = dt_s / M_PER_KM
-    semi_major = (sp.u_p + sp.u_b) * dt_km / 2.0
-    semi_minor = sp.v * dt_km
-    offset = (sp.u_p - sp.u_b) * dt_km / 2.0
-    cos_t, sin_t = math.cos(wind.theta_rad), math.sin(wind.theta_rad)
-    x0, y0 = ignition_xy
-    return FireEllipse(
-        ignition_xy=(x0, y0),
-        center_xy=(x0 + offset * cos_t, y0 + offset * sin_t),
-        semi_major_km=semi_major,
-        semi_minor_km=semi_minor,
-        theta_rad=wind.theta_rad,
-        t_created=t,
-    )
-
-
-def axis_endpoints(e: FireEllipse) -> np.ndarray:
-    """The four axis endpoints as a (4, 2) array.
-
-    Order: downwind vertex, upwind vertex, then the two minor-axis endpoints.
-    """
-    cos_t, sin_t = math.cos(e.theta_rad), math.sin(e.theta_rad)
-    cx, cy = e.center_xy
-    a, b = e.semi_major_km, e.semi_minor_km
-    return np.array(
-        [
-            [cx + a * cos_t, cy + a * sin_t],
-            [cx - a * cos_t, cy - a * sin_t],
-            [cx - b * sin_t, cy + b * cos_t],
-            [cx + b * sin_t, cy - b * cos_t],
-        ]
-    )
-
-
 def branch_endpoints(
     points: np.ndarray,
     u10: np.ndarray,
@@ -204,8 +110,12 @@ def branch_endpoints(
 ) -> np.ndarray:
     """Axis endpoints of the ellipse grown at every point, shape (n, 4, 2).
 
-    Vector form of ellipse_from_ignition + axis_endpoints; a zero-speed point
-    yields four copies of itself. Calm wind uses theta = 0.
+    Each point is the ignition of its own ellipse: the downwind vertex is
+    u_p * dt ahead of it along the wind and the upwind vertex u_b * dt
+    behind it, so the center leads it by (u_p - u_b) / 2 * dt. Order per
+    point: downwind vertex, upwind vertex, then the two minor-axis
+    endpoints. A zero-speed point yields four copies of itself. Calm wind
+    uses theta = 0.
     """
     if dt_s <= 0:
         raise ValueError(f"dt_s must be > 0, got {dt_s}")

@@ -1,16 +1,16 @@
-"""Season replay, sensor-count sweeps, and their CSV/JSON outputs.
+"""Sensor-count sweeps over a season of incidents, and their CSV/JSON outputs.
 
-A season run simulates every incident of a year against one sensor field
-and totals burned hours, burned area, and carbon cost. A sweep repeats
-that over a grid of sensor counts and deployment trials, against a
-baseline (historical totals from the incident file, or a zero-sensor
-simulation), and emits plot-ready per-trial and per-count CSVs plus a
-JSON manifest of every effective setting and seed.
+A sweep replays every incident of a season against a grid of sensor counts
+and deployment trials, totals burned hours, burned area and carbon cost per
+(count, trial), and measures savings against a baseline: historical totals
+from the incident file, or the same replay against an empty field. It
+emits plot-ready per-trial and per-count CSVs plus a JSON manifest of every
+effective setting and seed.
 
-Incidents x trials are embarrassingly parallel. Fire growth does not
-depend on sensors, so each incident's circle trajectory is computed once
-(optionally across worker processes) and detection is replayed per
-deployment; outputs are reduced in (count, trial, incident) order and are
+Fire growth does not depend on sensors, so each incident's circle
+trajectory is computed once (optionally across worker processes) and
+detection is replayed per deployment, the zero-sensor baseline included;
+outputs are reduced in (count, trial, incident) order and are
 byte-identical for any worker count.
 """
 
@@ -59,16 +59,24 @@ class SweepConfig:
             raise ValidationError(f"sensor_counts must be >= 0, got {counts}")
         if list(counts) != sorted(counts):
             raise ValidationError(f"sensor_counts must be ascending, got {counts}")
-        if self.trials < 1:
+        # negated comparisons, so that NaN fails them too
+        if not self.trials >= 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.base_seed < 0:
+        if not self.base_seed >= 0:
             raise ValidationError(f"base_seed must be >= 0, got {self.base_seed}")
+        if not 0.0 <= self.usd_per_ton < float("inf"):
+            raise ValidationError(
+                f"usd_per_ton must be finite and >= 0, got {self.usd_per_ton}")
         if not self.unit_sensor_cost_usd:
             raise ValidationError("unit_sensor_cost_usd must be non-empty")
+        if not all(0.0 <= c < float("inf") for c in self.unit_sensor_cost_usd):
+            raise ValidationError(
+                f"unit_sensor_cost_usd must be finite and >= 0, "
+                f"got {self.unit_sensor_cost_usd}")
         if self.baseline not in BASELINE_MODES:
             raise ValidationError(
                 f"baseline must be one of {BASELINE_MODES}, got '{self.baseline}'")
-        if self.cap_hours < 0:
+        if not self.cap_hours >= 0:
             raise ValidationError(f"cap_hours must be >= 0, got {self.cap_hours}")
 
 
@@ -117,7 +125,7 @@ def _replay_season(incidents: list[Incident],
     """Replay each incident's trajectory against one field; totals sum in
     incident order."""
     results = [replay_detection(inc, circles, field_, evo)
-               for inc, circles in zip(incidents, trajectories)]
+               for inc, circles in zip(incidents, trajectories, strict=True)]
     hours = 0.0
     area = 0.0
     tons = 0.0
@@ -133,17 +141,8 @@ def _replay_season(incidents: list[Incident],
         n_incidents=len(results), n_detected=detected)
 
 
-def run_season(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
-               field_: SensorField, cfg: EvolutionConfig,
-               usd_per_ton: float = 20.0,
-               ) -> tuple[list[IncidentResult], SeasonTotals]:
-    """Simulate every incident against one field; totals sum in file order."""
-    check_biomass_alignment(bio, env)
-    trajectories = _trajectories(incidents, env, cfg, workers=1)
-    return _replay_season(incidents, trajectories, field_, bio, cfg, usd_per_ton)
-
-
-def baseline_totals(incidents: list[Incident], env: EnvGrid | None,
+def baseline_totals(incidents: list[Incident],
+                    trajectories: list[list[BurnCircle]] | None,
                     bio: BiomassGrid, mode: str, cfg: EvolutionConfig,
                     usd_per_ton: float = 20.0) -> SeasonTotals:
     """Reference totals the sweep savings are measured against.
@@ -151,8 +150,10 @@ def baseline_totals(incidents: list[Incident], env: EnvGrid | None,
     historical            sum the incident file's own duration/area fields;
                           carbon uses the grid-wide mean biomass over the
                           total area (the season-level accounting shortcut);
-                          env is unused and may be None
-    simulated-zero-sensor run the model with no sensors, to the cap
+                          trajectories are unused and may be None
+    simulated-zero-sensor replay each incident's circle trajectory (built
+                          with cfg, one per incident, in order) against an
+                          empty field, to the cap
     """
     if mode == "historical":
         hours = 0.0
@@ -170,10 +171,12 @@ def baseline_totals(incidents: list[Incident], env: EnvGrid | None,
                             carbon_price_usd=carbon_price(tons, usd_per_ton),
                             n_incidents=len(incidents), n_detected=0)
     if mode == "simulated-zero-sensor":
-        if env is None:
-            raise ValidationError("simulated-zero-sensor baseline needs an env grid")
-        empty = SensorField(positions=[])
-        _, totals = run_season(incidents, env, bio, empty, cfg, usd_per_ton)
+        if trajectories is None:
+            raise ValidationError(
+                "simulated-zero-sensor baseline needs the incident trajectories")
+        _, totals = _replay_season(incidents, trajectories,
+                                   SensorField(positions=[]), bio, cfg,
+                                   usd_per_ton)
         return totals
     raise ValidationError(f"baseline must be one of {BASELINE_MODES}, got '{mode}'")
 
@@ -222,14 +225,8 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
     evo = replace(evolution, max_hours=cfg.cap_hours)
     workers = max(1, min(workers, len(incidents), os.cpu_count() or 1))
     trajectories = _trajectories(incidents, env, evo, workers)
-
-    if cfg.baseline == "historical":
-        base = baseline_totals(incidents, None, bio, "historical", evo,
-                               cfg.usd_per_ton)
-    else:
-        _, base = _replay_season(incidents, trajectories,
-                                 SensorField(positions=[]), bio, evo,
-                                 cfg.usd_per_ton)
+    base = baseline_totals(incidents, trajectories, bio, cfg.baseline, evo,
+                           cfg.usd_per_ton)
     rows: list[SweepRow] = []
     for count in cfg.sensor_counts:
         for trial in range(cfg.trials):

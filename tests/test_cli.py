@@ -6,13 +6,18 @@ import json
 
 import pytest
 
-from emberlink.cli import main
+from emberlink.cli import DEFAULT_CONFIG, main
 from emberlink.envdata import load_env_grid
 from emberlink.harness import bundled_scenario_path
 from emberlink.linkbudget import (PERIODIC_REPORT, TABLE1_10DEG,
                                   capacity_report)
 
 BUNDLE = f"paths.scenario_bundle={bundled_scenario_path()}"
+
+
+def on_bundle(*argv: str) -> list[str]:
+    """Command-line arguments that run argv on the bundled season."""
+    return ["--set", BUNDLE, *argv]
 
 
 class TestLinkBudgetCommand:
@@ -127,6 +132,17 @@ class TestSweepCommand:
         # the bundle says 72 h; the recorded config is the horizon that ran
         assert manifest["config"]["evolution"]["max_hours"] == 3
         assert not any(k.startswith("_") for k in manifest["config"])
+        # the model defaults, echoed with the keys and values they always had
+        assert manifest["config"]["spread"] == {
+            "u_max_ms": 0.13, "windless_gain": 0.1, "wetness_cutoff": 0.35,
+            "backspread_ratio": 0.2, "wind_sq_scale": 2500.0,
+            "elongation_gain": 10.0, "elongation_rate": 0.017}
+        assert manifest["config"]["evolution"] == {
+            "dt_s": 3600.0, "snap_km": 0.05, "margin_km": 0.0,
+            "max_hours": 3, "detect_at_ignition": True}
+        assert DEFAULT_CONFIG["evolution"] == {
+            "dt_s": 3600.0, "snap_km": 0.05, "margin_km": 0.0,
+            "max_hours": 168.0, "detect_at_ignition": True}
 
     def test_needs_a_scenario(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "sweep"])
@@ -268,6 +284,58 @@ class TestConfigPlumbing:
         assert code == 1
         err = capsys.readouterr().err
         assert f"paths.scenario_bundle is not used by {argv[0]}" in err
+
+    @pytest.mark.parametrize("argv, key", [
+        (on_bundle("--set", "sweep.trials=2.5", "sweep"), "sweep.trials"),
+        (on_bundle("--set", "sweep.trials=true", "sweep"), "sweep.trials"),
+        (on_bundle("--set", "sweep.trials=null", "sweep"), "sweep.trials"),
+        (on_bundle("--set", "sweep.sensor_counts=10", "sweep"),
+         "sweep.sensor_counts"),
+        (on_bundle("--set", "sweep.sensor_counts=[10, 2.5]", "sweep"),
+         "sweep.sensor_counts"),
+        (on_bundle("--set", 'evolution.snap_km="abc"', "sweep"),
+         "evolution.snap_km"),
+        (on_bundle("--set", "evolution.detect_at_ignition=1", "sweep"),
+         "evolution.detect_at_ignition"),
+        (on_bundle("--set", "spread.u_max_ms=x",
+                   "simulate", "--incident", "syn-001"), "spread.u_max_ms"),
+        (on_bundle("simulate", "--incident", "syn-001", "--deploy", "-5"),
+         "--deploy"),
+        (["--set", "link.system_bw_hz=x", "linkbudget"], "link.system_bw_hz"),
+        (["--set", "link.traffic=5", "linkbudget"], "link.traffic"),
+        (["--set", "out_dir=null", "linkbudget"], "out_dir"),
+    ])
+    def test_wrong_typed_value_is_bad_input(self, tmp_path, capsys, argv, key):
+        code = main(["--out-dir", str(tmp_path)] + argv)
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("assignment, field", [
+        ("evolution.dt_s=NaN", "dt_s"),
+        ("evolution.snap_km=NaN", "snap_km"),
+        ("spread.u_max_ms=-1", "u_max_ms"),
+        ("spread.wind_sq_scale=0", "wind_sq_scale"),
+        ("spread.elongation_rate=Infinity", "elongation_rate"),
+        ("sweep.usd_per_ton=NaN", "usd_per_ton"),
+    ])
+    def test_non_finite_or_negative_constant_is_bad_input(self, tmp_path, capsys,
+                                                          assignment, field):
+        code = main(["--out-dir", str(tmp_path), "--set", BUNDLE,
+                     "--set", "sweep.sensor_counts=[10]",
+                     "--set", "sweep.trials=1", "--set", "sweep.cap_hours=2",
+                     "--set", assignment, "sweep"])
+        assert code == 1
+        assert field in capsys.readouterr().err
+
+    def test_object_set_merges_like_config_file(self, tmp_path):
+        # a JSON object given to --set keeps the keys it does not name
+        code = main(["--out-dir", str(tmp_path),
+                     "--set", 'link.traffic={"reports_per_day": 1440.0}',
+                     "--set", "link.params.elevation_deg=null",
+                     "--set", "link.tbs_csv=null", "linkbudget"])
+        assert code == 0
+        report = json.loads((tmp_path / "capacity_report.json").read_text())
+        assert report["supportable_sensors"] == 32400
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_bad_input(self, tmp_path, capsys, workers):

@@ -11,7 +11,7 @@ from emberlink.envdata import (CALIFORNIA, BiomassGrid, EnvGrid, GeoTransform,
                                Incident, Rect, SynthSpec,
                                check_biomass_alignment, geo_to_planar,
                                load_biomass, load_env_grid, load_incidents,
-                               sample_env, sample_env_many, save_biomass,
+                               sample_env_many, save_biomass,
                                save_env_grid, synth_biomass, synth_env)
 from emberlink.errors import ValidationError
 
@@ -88,54 +88,54 @@ class TestGridValidation:
             BiomassGrid(nx=2, ny=2, spacing_km=1.0, values=np.full((2, 2), -1.0))
 
 
+def sample_one(grid, xy, t):
+    """(u10, v10, swvl1) at one position, through a one-point batch."""
+    u, v, s = sample_env_many(grid, np.array([xy], dtype=float), t)
+    return (u[0], v[0], s[0])
+
+
 class TestSampling:
     def test_cell_lookup(self):
         g = tiny_grid()
         # point well inside cell (ix=1, iy=2) at hour 1
-        got = sample_env(g, (15.0, 25.0), 1)
+        got = sample_one(g, (15.0, 25.0), 1)
         assert got[0] == float(g.u10[1, 2, 1])
         assert got[1] == float(g.v10[1, 2, 1])
 
     def test_shared_edge_resolves_to_lower_cell(self):
         g = tiny_grid()
         # x=10.0 is the edge between ix=0 and ix=1
-        assert sample_env(g, (10.0, 5.0), 0)[0] == float(g.u10[0, 0, 0])
-        assert sample_env(g, (10.0001, 5.0), 0)[0] == float(g.u10[0, 0, 1])
+        assert sample_one(g, (10.0, 5.0), 0)[0] == float(g.u10[0, 0, 0])
+        assert sample_one(g, (10.0001, 5.0), 0)[0] == float(g.u10[0, 0, 1])
 
     def test_origin_cell(self):
         g = tiny_grid(origin=(100.0, 200.0))
-        assert sample_env(g, (100.0, 200.0), 0)[0] == float(g.u10[0, 0, 0])
+        assert sample_one(g, (100.0, 200.0), 0)[0] == float(g.u10[0, 0, 0])
 
     def test_bad_hour(self):
         g = tiny_grid()
         with pytest.raises(ValidationError):
-            sample_env(g, (5.0, 5.0), 2)
+            sample_one(g, (5.0, 5.0), 2)
         with pytest.raises(ValidationError):
-            sample_env(g, (5.0, 5.0), -1)
-
-    def test_outside_rect(self):
-        g = tiny_grid()
-        with pytest.raises(ValidationError):
-            sample_env(g, (40.001, 5.0), 0)
+            sample_one(g, (5.0, 5.0), -1)
 
     def test_many_matches_scalar(self):
+        # a batch answers each point as a one-point call does, from the
+        # cell holding it (random points are off the cell edges)
         g = tiny_grid()
         rng = np.random.default_rng(5)
         pts = rng.uniform([0, 0], [40, 30], size=(64, 2))
         u, v, s = sample_env_many(g, pts, 1)
         for i, xy in enumerate(pts):
-            su, sv, ss = sample_env(g, (float(xy[0]), float(xy[1])), 1)
-            assert (u[i], v[i], s[i]) == (su, sv, ss)
+            ix, iy = int(xy[0] // 10.0), int(xy[1] // 10.0)
+            assert (u[i], v[i], s[i]) == sample_one(g, (xy[0], xy[1]), 1)
+            assert (u[i], v[i], s[i]) == (g.u10[1, iy, ix], g.v10[1, iy, ix],
+                                          g.swvl1[1, iy, ix])
 
     def test_many_clamp_uses_edge_cell(self):
         g = tiny_grid()
-        u, _, _ = sample_env_many(g, np.array([[-5.0, 500.0]]), 0, clamp=True)
+        u, _, _ = sample_env_many(g, np.array([[-5.0, 500.0]]), 0)
         assert u[0] == float(g.u10[0, g.ny - 1, 0])
-
-    def test_many_outside_raises_without_clamp(self):
-        g = tiny_grid()
-        with pytest.raises(ValidationError):
-            sample_env_many(g, np.array([[-5.0, 5.0]]), 0)
 
 
 class TestSynthesis:

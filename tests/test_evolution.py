@@ -17,11 +17,19 @@ from emberlink.evolution import (BurnCircle, EvolutionConfig, Frontier,
                                  burned_circle, circle_trajectory,
                                  incident_cap_hours, prune, replay_detection,
                                  simulate_incident, step, trace_rows)
-from emberlink.firekernel import speeds
+from emberlink.firekernel import length_breadth_ratio, spread_speed
 from emberlink.harness import bundled_scenario_path, load_season_bundle
 from emberlink.sensors import SensorField, deploy_uniform
 
 NO_PRUNE = EvolutionConfig(snap_km=0.0, margin_km=0.0, max_hours=5.0)
+
+
+def speeds(ws_ms: float, beta_root: float) -> tuple[float, float, float]:
+    """Head, back and lateral spread speeds (m/s) of the default model;
+    the lateral speed follows from L_B = (u_p + u_b) / (2 v)."""
+    u_p = spread_speed(ws_ms, beta_root)
+    u_b = 0.2 * u_p
+    return u_p, u_b, (u_p + u_b) / (2.0 * length_breadth_ratio(ws_ms))
 
 
 def constant_env(u10: float, v10: float, swvl1: float, nt: int = 200,
@@ -91,6 +99,20 @@ def circle_bytes(c: BurnCircle) -> bytes:
     return np.array([c.center[0], c.center[1], c.radius_km]).tobytes()
 
 
+class TestEvolutionConfig:
+    @pytest.mark.parametrize("field, bad", [
+        ("dt_s", math.nan), ("dt_s", math.inf), ("dt_s", 0.0), ("dt_s", -1.0),
+        ("snap_km", math.nan), ("margin_km", math.nan), ("margin_km", -0.1),
+        ("max_hours", math.nan), ("max_hours", -1.0),
+    ])
+    def test_out_of_range_rejected(self, field, bad):
+        with pytest.raises(ValidationError, match=field):
+            EvolutionConfig(**{field: bad})
+
+    def test_unbounded_horizon_accepted(self):
+        assert EvolutionConfig(max_hours=math.inf).max_hours == math.inf
+
+
 class TestStep:
     def test_branches_without_pruning(self):
         env = constant_env(12.0, 5.0, 0.0)
@@ -103,15 +125,15 @@ class TestStep:
     def test_endpoint_offsets(self):
         env = constant_env(20.0, 0.0, 0.0)
         f1 = step(Frontier(points=np.array([[500.0, 500.0]]), hour=0), env)
-        sp = speeds(20.0, 0.0)
-        off = (sp.u_p - sp.u_b) * 1.8  # ellipse center leads the ignition
+        u_p, u_b, v = speeds(20.0, 0.0)
+        off = (u_p - u_b) * 1.8  # ellipse center leads the ignition
         got_x = np.sort(f1.points[:, 0] - 500.0)
         # upwind vertex, the two lateral endpoints (at the center), downwind
         np.testing.assert_allclose(
-            got_x, [-sp.u_b * 3.6, off, off, sp.u_p * 3.6], atol=1e-12)
+            got_x, [-u_b * 3.6, off, off, u_p * 3.6], atol=1e-12)
         lat = np.sort(f1.points[:, 1] - 500.0)
-        np.testing.assert_allclose(lat[0], -sp.v * 3.6, atol=1e-12)
-        np.testing.assert_allclose(lat[3], sp.v * 3.6, atol=1e-12)
+        np.testing.assert_allclose(lat[0], -v * 3.6, atol=1e-12)
+        np.testing.assert_allclose(lat[3], v * 3.6, atol=1e-12)
 
     def test_time_range_exhausted(self):
         env = constant_env(10.0, 0.0, 0.0, nt=3)
@@ -438,12 +460,12 @@ class TestSimulate:
         env = constant_env(25.0, 0.0, 0.0)
         inc = mid_incident(env, hist=5.0)
         r = simulate_incident(inc, env, SensorField(positions=[]), NO_PRUNE)
-        sp = speeds(25.0, 0.0)
+        u_p, _, _ = speeds(25.0, 0.0)
         x0 = inc.ignition_xy[0]
         for k, circle in enumerate(r.circle_trace):
             head = circle.center[0] + circle.radius_km - x0
             if k:
-                assert head == pytest.approx(k * sp.u_p * 3.6, abs=1e-9)
+                assert head == pytest.approx(k * u_p * 3.6, abs=1e-9)
 
     def test_wet_soil_never_grows(self):
         env = constant_env(25.0, 0.0, 0.40)  # beyond the wetness cutoff

@@ -1,10 +1,12 @@
-"""Season runs, baselines, sweeps, and their file outputs."""
+"""Sweeps, their baselines, and their file outputs."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ import pytest
 from emberlink.carbon import average_biomass, carbon_price, emission_tons
 from emberlink.envdata import Incident, SynthSpec, synth_biomass, synth_env
 from emberlink.errors import ValidationError
-from emberlink.evolution import EvolutionConfig, simulate_incident
+from emberlink.evolution import (EvolutionConfig, circle_trajectory,
+                                 simulate_incident)
 from emberlink.harness import (SweepConfig, atomic_write_text, baseline_totals,
                                bundled_scenario_path, load_season_bundle,
-                               run_season, sweep, write_manifest,
-                               write_summary_csv, write_sweep_csv)
+                               sweep, write_manifest, write_summary_csv,
+                               write_sweep_csv)
 from emberlink.sensors import SensorField, deploy_uniform
 
 
@@ -38,32 +41,52 @@ def small_scenario():
 EVO = EvolutionConfig(snap_km=0.05, margin_km=0.0, max_hours=12.0)
 
 
+def manual_season(incidents, env, bio, field_):
+    """Season totals of the plain incident-order simulate_incident loop."""
+    hours = 0.0
+    area = 0.0
+    tons = 0.0
+    detected = 0
+    for inc in incidents:
+        r = simulate_incident(inc, env, field_, EVO)
+        hours += r.burned_hours
+        area += r.burned_area_km2
+        tons += emission_tons(r.burned_area_km2, average_biomass(r.circle, bio))
+        detected += int(r.detected)
+    return {"burned_hours": hours, "burned_area_km2": area, "carbon_tons": tons,
+            "carbon_price_usd": carbon_price(tons, 20.0),
+            "n_incidents": len(incidents), "n_detected": detected}
+
+
+def one_row_sweep(incidents, env, bio, count, seed):
+    """sweep at one count and one trial, to EVO's horizon."""
+    cfg = SweepConfig(sensor_counts=(count,), trials=1, base_seed=seed,
+                      cap_hours=EVO.max_hours, usd_per_ton=20.0)
+    rows, _, manifest = sweep(incidents, env, bio, cfg, evolution=EVO)
+    assert len(rows) == 1
+    return rows[0], manifest
+
+
 class TestRunSeason:
+    """A season's totals, as sweep computes them for one (count, trial)."""
+
     def test_totals_match_manual_loop(self):
         incidents, env, bio = small_scenario()
-        field_ = deploy_uniform(300, env.rect, seed=4)
-        results, totals = run_season(incidents, env, bio, field_, EVO,
-                                     usd_per_ton=20.0)
-        assert len(results) == len(incidents)
-        hours = 0.0
-        area = 0.0
-        tons = 0.0
-        for inc in incidents:
-            r = simulate_incident(inc, env, field_, EVO)
-            hours += r.burned_hours
-            area += r.burned_area_km2
-            tons += emission_tons(r.burned_area_km2, average_biomass(r.circle, bio))
-        assert totals.burned_hours == hours
-        assert totals.burned_area_km2 == area
-        assert totals.carbon_tons == tons
-        assert totals.carbon_price_usd == carbon_price(tons, 20.0)
+        row, manifest = one_row_sweep(incidents, env, bio, 20000, seed=4)
+        assert manifest["n_incidents"] == len(incidents)
+        manual = manual_season(incidents, env, bio,
+                               deploy_uniform(20000, env.rect, seed=4))
+        assert manual["n_detected"] > 0
+        assert row.burned_hours == manual["burned_hours"]
+        assert row.burned_area_km2 == manual["burned_area_km2"]
+        assert row.carbon_tons == manual["carbon_tons"]
+        assert row.carbon_price_usd == manual["carbon_price_usd"]
 
     def test_detected_count(self):
         incidents, env, bio = small_scenario()
-        _, none_totals = run_season(incidents, env, bio,
-                                    SensorField(positions=[]), EVO)
-        assert none_totals.n_detected == 0
-        assert none_totals.n_incidents == len(incidents)
+        _, manifest = one_row_sweep(incidents, env, bio, 0, seed=4)
+        assert manifest["baseline"]["n_detected"] == 0
+        assert manifest["baseline"]["n_incidents"] == len(incidents)
 
 
 class TestBaselines:
@@ -89,11 +112,16 @@ class TestBaselines:
 
     def test_zero_sensor_equals_empty_field_season(self):
         incidents, env, bio = small_scenario()
-        totals = baseline_totals(incidents, env, bio, "simulated-zero-sensor", EVO)
-        _, direct = run_season(incidents, env, bio, SensorField(positions=[]), EVO)
-        assert totals == direct
+        direct = manual_season(incidents, env, bio, SensorField(positions=[]))
+        _, manifest = one_row_sweep(incidents, env, bio, 0, seed=4)
+        assert manifest["baseline"] == direct
+        trajectories = [circle_trajectory(inc, env, EVO) for inc in incidents]
+        totals = baseline_totals(incidents, trajectories, bio,
+                                 "simulated-zero-sensor", EVO)
+        assert asdict(totals) == direct
 
     def test_zero_sensor_needs_env(self):
+        # the zero-sensor baseline replays trajectories grown on the env grid
         incidents, _, bio = small_scenario()
         with pytest.raises(ValidationError):
             baseline_totals(incidents, None, bio, "simulated-zero-sensor", EVO)
@@ -158,6 +186,16 @@ class TestSweep:
             SweepConfig(sensor_counts=(50,), baseline="bogus")
         with pytest.raises(ValidationError, match="base_seed"):
             SweepConfig(sensor_counts=(50,), base_seed=-1)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("trials", math.nan), ("base_seed", math.nan), ("cap_hours", math.nan),
+        ("usd_per_ton", math.nan), ("usd_per_ton", math.inf),
+        ("usd_per_ton", -1.0), ("unit_sensor_cost_usd", (10.0, math.nan)),
+        ("unit_sensor_cost_usd", (math.inf,)), ("unit_sensor_cost_usd", (-5.0,)),
+    ])
+    def test_non_finite_config_rejected(self, field, bad):
+        with pytest.raises(ValidationError, match=field):
+            SweepConfig(sensor_counts=(50,), **{field: bad})
 
 
 class TestOutputs:
