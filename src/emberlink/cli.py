@@ -6,128 +6,43 @@ Subcommands:
   linkbudget  evaluate the uplink budget, write a capacity report JSON
   synth-env   synthesize an environment grid from a spec file
 
-Every model constant has a default in DEFAULT_CONFIG. load_config
-resolves the configuration in one layered step, later layers winning:
-defaults < a scenario bundle's sweep and evolution sections (read only
-by the commands that use a bundle) < the JSON file selected with
---config < repeated --set dotted.key=value flags.
-Keys a command would ignore are rejected. The resolved configuration is
-echoed into the run manifest. Exit codes: 0 success, 1 bad input or
-configuration, 2 runtime failure.
+load_config resolves config.DEFAULT_CONFIG in one layered step, later
+layers winning: defaults < a scenario bundle's sweep and evolution
+sections < the --config file < repeated --set dotted.key=value flags <
+the flags that set keys (--out-dir; --seed for sweep; --params, --traffic
+and --system-bw-hz for linkbudget), each laid over by config.merge. A key
+the command does not read is rejected if a layer changed it from the
+defaults plus the bundle. The resolved configuration is echoed into the
+run manifest. Exit codes: 0 success, 1 bad input or configuration, 2
+runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from dataclasses import asdict
+from functools import reduce
 from pathlib import Path
 
 from . import harness, linkbudget
-from .envdata import (CALIFORNIA, GeoTransform, SynthSpec, load_biomass,
-                      load_env_grid, load_incidents, save_env_grid, synth_env)
+from .config import (DEFAULT_CONFIG, bundle_config, evolution_config, merge,
+                     sweep_config)
+from .envdata import (GeoTransform, SynthSpec, load_biomass, load_env_grid,
+                      load_incidents, read_json, save_env_grid, synth_env)
 from .errors import ValidationError
-from .evolution import EvolutionConfig, simulate_incident, trace_rows
-from .firekernel import DEFAULT_PARAMS, SpreadParams
-from .harness import (SweepConfig, atomic_write_text, load_season_bundle,
-                      read_season_bundle, write_manifest, write_summary_csv,
-                      write_sweep_csv)
+from .evolution import simulate_incident, trace_rows
+from .harness import (atomic_write_text, read_season_bundle, season_scenario,
+                      write_manifest, write_summary_csv, write_sweep_csv)
 from .sensors import SensorField, deploy_uniform, load_sensors
 
-DEFAULT_CONFIG: dict = {
-    "paths": {
-        "scenario_bundle": None,
-        "env_manifest": None,
-        "biomass_manifest": None,
-        "incidents_csv": None,
-        "sensors_csv": None,
-    },
-    "geo": {
-        "lat_min": CALIFORNIA.lat_min, "lat_max": CALIFORNIA.lat_max,
-        "lon_min": CALIFORNIA.lon_min, "lon_max": CALIFORNIA.lon_max,
-        "width_km": CALIFORNIA.width_km, "height_km": CALIFORNIA.height_km,
-    },
-    "spread": asdict(DEFAULT_PARAMS),
-    "evolution": {k: v for k, v in asdict(EvolutionConfig()).items()
-                  if k != "params"},
-    "sweep": {
-        "sensor_counts": [100000, 1000000], "trials": 10, "base_seed": 0,
-        "usd_per_ton": 20.0, "unit_sensor_cost_usd": [10.0, 20.0, 50.0, 100.0],
-        "cap_hours": 168.0, "baseline": "simulated-zero-sensor",
-    },
-    "link": {
-        "params": asdict(linkbudget.TABLE1_10DEG),
-        "traffic": {"reports_per_day": 2.0, "payload_bytes": 50.0},
-        "system_bw_hz": 180000.0,
-        "ru_duration_s": 0.032,
-        "tbs_csv": None,
-    },
-    "out_dir": "out",
-}
+_TRAFFIC = {"periodic": linkbudget.PERIODIC_REPORT,
+            "event": linkbudget.EVENT_REPORT}
 
 
-# keys with a non-null default whose dataclass field also takes None
-_NULLABLE = ("link.params.elevation_deg",)
-
-
-def _kind(default) -> str:
-    """Name of the kind of value a key with this default takes."""
-    if default is None:
-        return "a string"
-    if isinstance(default, bool):
-        return "true or false"
-    if isinstance(default, int):
-        return "an integer"
-    if isinstance(default, float):
-        return "a number"
-    if isinstance(default, list):
-        return f"a list of items that are each {_kind(default[0])}"
-    return "a string" if isinstance(default, str) else "an object"
-
-
-def _fits(default, value) -> bool:
-    """Whether value is of its default's kind: a bool is not a number, an
-    integer default takes only integers, a float default any number, a
-    list default a list of its items' kind, a null default (a path) a
-    string."""
-    if isinstance(default, bool) or isinstance(value, bool):
-        return isinstance(default, bool) and isinstance(value, bool)
-    if isinstance(default, int):
-        return isinstance(value, int)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
-    return isinstance(value, str if default is None else type(default))
-
-
-def _merge(base: dict, override: dict, path: str = "",
-           defaults: dict = DEFAULT_CONFIG) -> dict:
-    """base with override laid over it, key by key; every key must exist in
-    defaults (the DEFAULT_CONFIG section at path) and every value must be
-    of its default's kind."""
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ValidationError(f"unknown config key '{where}'")
-        default = defaults[key]
-        if isinstance(default, dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, where, default)
-        elif value is None and (default is None or where in _NULLABLE):
-            out[key] = None
-        elif _fits(default, value):
-            out[key] = copy.deepcopy(value)
-        else:
-            raise ValidationError(
-                f"config key '{where}' must be {_kind(default)}, got {value!r}")
-    return out
-
-
-def _apply_set(config: dict, assignment: str) -> dict:
-    """config with one --set dotted.key=value laid over it by _merge."""
+def _set_layer(assignment: str) -> dict:
+    """One --set dotted.key=value as a nested config layer."""
     key, sep, raw = assignment.partition("=")
     if not sep:
         raise ValidationError(f"--set needs key=value, got '{assignment}'")
@@ -137,104 +52,105 @@ def _apply_set(config: dict, assignment: str) -> dict:
         value = raw  # bare strings pass through
     for part in reversed(key.split(".")):
         value = {part: value}
-    return _merge(config, value)
+    return value
 
 
-def _read_config_file(path: str) -> dict:
-    fpath = Path(path)
-    if not fpath.is_file():
-        raise ValidationError(f"config file missing: {fpath}")
-    try:
-        return json.loads(fpath.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {fpath} is not valid JSON: {exc}") from exc
+def _flag_layers(args: argparse.Namespace) -> list[dict]:
+    """The command-line flags that set config keys, as config layers."""
+    layers: list[dict] = []
+    if args.out_dir:
+        layers.append({"out_dir": args.out_dir})
+    if args.command == "sweep" and args.seed is not None:
+        layers.append({"sweep": {"base_seed": args.seed}})
+    if args.command == "linkbudget":
+        if args.params:
+            layers.append({"link": {"params": read_json(args.params,
+                                                        "link params file")}})
+        if args.traffic:
+            layers.append({"link": {"traffic": asdict(_TRAFFIC[args.traffic])}})
+        if args.system_bw_hz is not None:
+            layers.append({"link": {"system_bw_hz": args.system_bw_hz}})
+    return layers
 
 
-def _apply_layers(base: dict, user: dict, sets: list[str]) -> dict:
-    config = _merge(base, user)
-    for assignment in sets:
-        config = _apply_set(config, assignment)
-    return config
+def _reads(args: argparse.Namespace, bundle: bool) -> tuple[str, ...]:
+    """The config keys and sections the command reads."""
+    if args.command == "linkbudget":
+        return ("link", "out_dir")
+    if args.command == "synth-env":
+        return () if args.out else ("out_dir",)
+    sweep = args.command == "sweep"
+    scenario = (("paths.scenario_bundle",) if bundle else
+                ("paths.env_manifest", "paths.incidents_csv", "geo")
+                + (("paths.biomass_manifest",) if sweep else ()))
+    own = ("sweep",) if sweep else ("paths.sensors_csv",)
+    return scenario + own + ("spread", "evolution", "out_dir")
 
 
-def load_config(path: str | None, sets: list[str], *,
-                read_bundle: bool) -> dict:
-    """Resolve the configuration; later layers win.
+def _changed(config: dict, base: dict, path: str = ""):
+    """Dotted keys whose values differ between config and base."""
+    for key, value in config.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _changed(value, base[key], where)
+        elif value != base[key]:
+            yield where
 
-    defaults < scenario bundle sweep/evolution sections < --config file <
-    --set assignments. The bundle path itself may come from any layer, so
-    the layers are applied once to find it and again on top of it. With
-    read_bundle False the bundle is neither read nor layered in.
+
+def load_config(args: argparse.Namespace) -> tuple[dict, dict | None]:
+    """The resolved configuration of a parsed command line, and the parsed
+    scenario bundle (None unless the command, simulate or sweep, reads one).
+
+    The bundle path itself may come from any layer, so the layers are
+    applied once to find it and again on top of the bundle's sections.
     """
-    user = _read_config_file(path) if path is not None else {}
-    config = _apply_layers(DEFAULT_CONFIG, user, sets)
-    bundle = config["paths"]["scenario_bundle"]
-    if bundle and read_bundle:
-        raw = read_season_bundle(bundle)
-        base = _merge(DEFAULT_CONFIG, {"sweep": raw["sweep"],
-                                       "evolution": raw["evolution"]})
-        config = _apply_layers(base, user, sets)
-    return config
-
-
-def _evolution_config(config: dict) -> EvolutionConfig:
-    return EvolutionConfig(params=SpreadParams(**config["spread"]),
-                           **config["evolution"])
-
-
-def _geo(config: dict) -> GeoTransform:
-    return GeoTransform(**config["geo"])
-
-
-def _check_paths(config: dict, command: str, used: tuple[str, ...] = ()) -> None:
-    """Reject every set paths.* key the command does not read."""
-    for key, value in config["paths"].items():
-        if value and key not in used:
-            reads = ", ".join(f"paths.{k}" for k in used) or "no paths"
+    layers = [read_json(args.config, "config file")] if args.config else []
+    layers += [_set_layer(s) for s in args.set] + _flag_layers(args)
+    config = reduce(merge, layers, DEFAULT_CONFIG)
+    bundle_path = config["paths"]["scenario_bundle"]
+    bundle, base = None, DEFAULT_CONFIG
+    if bundle_path and args.command in ("simulate", "sweep"):
+        bundle = read_season_bundle(bundle_path)
+        base = bundle_config(bundle)
+        config = reduce(merge, layers, base)
+    reads = _reads(args, bool(bundle_path))
+    for key in _changed(config, base):
+        if not any(key == r or key.startswith(r + ".") for r in reads):
             raise ValidationError(
-                f"paths.{key} is not used by {command}, which reads {reads}")
+                f"{key} is not used by {args.command}, which reads "
+                f"{', '.join(reads) or 'no settings'}")
+    return config, bundle
 
 
-def _load_scenario(config: dict, command: str, need_bio: bool,
-                   other_paths: tuple[str, ...] = ()):
-    """Resolve env / biomass / incidents from a scenario bundle or from the
-    explicit per-file paths; a bundle excludes those paths."""
+def _load_scenario(config: dict, bundle: dict | None, need_bio: bool):
+    """Resolve env / biomass / incidents from the parsed scenario bundle or
+    from the explicit per-file paths."""
+    if bundle is not None:
+        return season_scenario(bundle)
     paths = config["paths"]
-    bundle = paths["scenario_bundle"]
-    scenario = (("scenario_bundle",) if bundle else ("env_manifest", "incidents_csv")
-                + (("biomass_manifest",) if need_bio else ()))
-    _check_paths(config, command, scenario + other_paths)
-    if bundle:
-        incidents, env, bio, _, _ = load_season_bundle(bundle)
-        return incidents, env, bio
-    if not paths["env_manifest"]:
-        raise ValidationError(
-            "paths.env_manifest (or paths.scenario_bundle) must be set")
+    for key in ("env_manifest", "incidents_csv") + (("biomass_manifest",)
+                                                    if need_bio else ()):
+        if not paths[key]:
+            raise ValidationError(f"paths.{key} (or paths.scenario_bundle) must be set")
     env = load_env_grid(paths["env_manifest"])
-    bio = None
-    if need_bio:
-        if not paths["biomass_manifest"]:
-            raise ValidationError("paths.biomass_manifest must be set")
-        bio = load_biomass(paths["biomass_manifest"])
-    if not paths["incidents_csv"]:
-        raise ValidationError("paths.incidents_csv must be set")
-    incidents = load_incidents(paths["incidents_csv"], _geo(config), env)
+    bio = load_biomass(paths["biomass_manifest"]) if need_bio else None
+    incidents = load_incidents(paths["incidents_csv"],
+                               GeoTransform(**config["geo"]), env)
     return incidents, env, bio
 
 
-def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
+def cmd_simulate(config: dict, bundle: dict | None,
+                 args: argparse.Namespace) -> int:
     if args.deploy is not None and args.deploy < 0:
         raise ValidationError(f"--deploy must be >= 0, got {args.deploy}")
     sensors_csv = config["paths"]["sensors_csv"]
     if sensors_csv and args.deploy is not None:
         raise ValidationError("--deploy cannot be combined with paths.sensors_csv")
-    evo = _evolution_config(config)
-    incidents, env, _ = _load_scenario(config, "simulate", need_bio=False,
-                                       other_paths=("sensors_csv",))
-    wanted = [inc for inc in incidents if inc.id == args.incident]
-    if not wanted:
+    evo = evolution_config(config)
+    incidents, env, _ = _load_scenario(config, bundle, need_bio=False)
+    incident = next((inc for inc in incidents if inc.id == args.incident), None)
+    if incident is None:
         raise ValidationError(f"incident id '{args.incident}' not found")
-    incident = wanted[0]
     if sensors_csv:
         field_ = load_sensors(sensors_csv)
     elif args.deploy is not None:
@@ -257,14 +173,13 @@ def cmd_simulate(config: dict, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        config["sweep"]["base_seed"] = args.seed
-    swp = SweepConfig(**config["sweep"])
+def cmd_sweep(config: dict, bundle: dict | None,
+              args: argparse.Namespace) -> int:
+    swp = sweep_config(config)
     # every sweep incident runs to sweep.cap_hours; record that horizon
-    config["evolution"]["max_hours"] = swp.cap_hours
-    evo = _evolution_config(config)
-    incidents, env, bio = _load_scenario(config, "sweep", need_bio=True)
+    config = merge(config, {"evolution": {"max_hours": swp.cap_hours}})
+    evo = evolution_config(config)
+    incidents, env, bio = _load_scenario(config, bundle, need_bio=True)
     rows, summary, manifest = harness.sweep(incidents, env, bio, swp,
                                             evolution=evo,
                                             workers=args.workers)
@@ -274,54 +189,38 @@ def cmd_sweep(config: dict, args: argparse.Namespace) -> int:
     write_summary_csv(summary, swp.unit_sensor_cost_usd,
                       out_dir / "sweep_summary.csv")
     write_manifest(manifest, out_dir / "run_manifest.json")
-    print(f"wrote {out_dir / 'sweep_rows.csv'}")
-    print(f"wrote {out_dir / 'sweep_summary.csv'}")
-    print(f"wrote {out_dir / 'run_manifest.json'}")
+    for name in ("sweep_rows.csv", "sweep_summary.csv", "run_manifest.json"):
+        print(f"wrote {out_dir / name}")
     return 0
 
 
-def cmd_linkbudget(config: dict, args: argparse.Namespace) -> int:
-    _check_paths(config, "linkbudget")
+def cmd_linkbudget(config: dict, bundle: dict | None,
+                   args: argparse.Namespace) -> int:
     link = config["link"]
-    if args.params:
-        params = linkbudget.LinkParams.from_json(args.params)
-    else:
-        params = linkbudget.LinkParams(**link["params"])
-    traffic_cfg = link["traffic"]
-    if args.traffic == "periodic":
-        traffic = linkbudget.PERIODIC_REPORT
-    elif args.traffic == "event":
-        traffic = linkbudget.EVENT_REPORT
-    else:
-        traffic = linkbudget.TrafficModel(**traffic_cfg)
     tbs = (linkbudget.TbsMap.from_csv(link["tbs_csv"])
            if link["tbs_csv"] else linkbudget.DEFAULT_TBS)
-    system_bw = (args.system_bw_hz if args.system_bw_hz is not None
-                 else link["system_bw_hz"])
-    report = linkbudget.capacity_report(params, traffic, tbs=tbs,
-                                        system_bw_hz=system_bw,
-                                        ru_duration_s=link["ru_duration_s"])
+    report = linkbudget.capacity_report(
+        linkbudget.LinkParams(**link["params"]),
+        linkbudget.TrafficModel(**link["traffic"]), tbs=tbs,
+        system_bw_hz=link["system_bw_hz"], ru_duration_s=link["ru_duration_s"])
     text = report.to_json()
     atomic_write_text(Path(config["out_dir"]) / "capacity_report.json", text)
     print(text, end="")
     return 0
 
 
-def cmd_synth_env(config: dict, args: argparse.Namespace) -> int:
-    _check_paths(config, "synth-env")
-    spath = Path(args.spec)
-    if not spath.is_file():
-        raise ValidationError(f"spec file missing: {spath}")
-    try:
-        raw = json.loads(spath.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"spec {spath} is not valid JSON: {exc}") from exc
-    spec = SynthSpec.from_dict(raw)
+def cmd_synth_env(config: dict, bundle: dict | None,
+                  args: argparse.Namespace) -> int:
+    spec = SynthSpec.from_dict(read_json(args.spec, "spec file"))
     grid = synth_env(spec, args.seed or 0)
     out = Path(args.out) if args.out else Path(config["out_dir"]) / "env_manifest.json"
     save_env_grid(grid, out)
     print(f"wrote {out}")
     return 0
+
+
+_COMMANDS = {"simulate": cmd_simulate, "sweep": cmd_sweep,
+             "linkbudget": cmd_linkbudget, "synth-env": cmd_synth_env}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -354,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_link = sub.add_parser("linkbudget", help="evaluate the uplink budget")
     p_link.add_argument("--params", help="LinkParams JSON file")
-    p_link.add_argument("--traffic", choices=["periodic", "event"],
+    p_link.add_argument("--traffic", choices=list(_TRAFFIC),
                         help="use a bundled traffic model")
     p_link.add_argument("--system-bw-hz", type=float, default=None,
                         help="override the system bandwidth")
@@ -373,19 +272,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         if args.workers < 1:
             raise ValidationError(f"--workers must be >= 1, got {args.workers}")
-        config = load_config(args.config, args.set,
-                             read_bundle=args.command in ("simulate", "sweep"))
-        if args.out_dir:
-            config["out_dir"] = args.out_dir
-        if args.command == "simulate":
-            return cmd_simulate(config, args)
-        if args.command == "sweep":
-            return cmd_sweep(config, args)
-        if args.command == "linkbudget":
-            return cmd_linkbudget(config, args)
-        if args.command == "synth-env":
-            return cmd_synth_env(config, args)
-        raise ValidationError(f"unknown command '{args.command}'")
+        config, bundle = load_config(args)
+        return _COMMANDS[args.command](config, bundle, args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

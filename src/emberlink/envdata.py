@@ -202,8 +202,27 @@ def sample_env_many(
 
 
 # ---------------------------------------------------------------------------
-# raster IO
+# JSON and raster IO
 # ---------------------------------------------------------------------------
+
+def read_json(path: str | Path, what: str, required: tuple[str, ...] = ()) -> dict:
+    """The JSON object a file holds, checked for the required fields; what
+    names the file in error messages."""
+    fpath = Path(path)
+    if not fpath.is_file():
+        raise ValidationError(f"{what} missing: {fpath}")
+    try:
+        raw = json.loads(fpath.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{what} {fpath} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(
+            f"{what} {fpath} must hold a JSON object, got {type(raw).__name__}")
+    for key in required:
+        if key not in raw:
+            raise ValidationError(f"{what} missing field '{key}'")
+    return raw
+
 
 def _read_raster(path: Path, count: int, what: str) -> np.ndarray:
     if not path.is_file():
@@ -218,15 +237,8 @@ def _read_raster(path: Path, count: int, what: str) -> np.ndarray:
 def load_env_grid(manifest_path: str | Path) -> EnvGrid:
     """Load and validate an environment grid from its JSON manifest."""
     mpath = Path(manifest_path)
-    if not mpath.is_file():
-        raise ValidationError(f"env manifest missing: {mpath}")
-    try:
-        manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"env manifest {mpath} is not valid JSON: {exc}") from exc
-    for key in ("nx", "ny", "nt", "spacing_km", "files"):
-        if key not in manifest:
-            raise ValidationError(f"env manifest missing field '{key}'")
+    manifest = read_json(mpath, "env manifest",
+                         ("nx", "ny", "nt", "spacing_km", "files"))
     nx, ny, nt = int(manifest["nx"]), int(manifest["ny"]), int(manifest["nt"])
     origin = tuple(manifest.get("origin", (0.0, 0.0)))
     count = nx * ny * nt
@@ -260,15 +272,8 @@ def save_env_grid(grid: EnvGrid, manifest_path: str | Path) -> Path:
 def load_biomass(manifest_path: str | Path) -> BiomassGrid:
     """Load and validate a biomass grid from its JSON manifest."""
     mpath = Path(manifest_path)
-    if not mpath.is_file():
-        raise ValidationError(f"biomass manifest missing: {mpath}")
-    try:
-        manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"biomass manifest {mpath} is not valid JSON: {exc}") from exc
-    for key in ("nx", "ny", "spacing_km", "file"):
-        if key not in manifest:
-            raise ValidationError(f"biomass manifest missing field '{key}'")
+    manifest = read_json(mpath, "biomass manifest",
+                         ("nx", "ny", "spacing_km", "file"))
     nx, ny = int(manifest["nx"]), int(manifest["ny"])
     origin = tuple(manifest.get("origin", (0.0, 0.0)))
     values = _read_raster(mpath.parent / manifest["file"], nx * ny, "biomass").reshape(ny, nx)

@@ -11,7 +11,8 @@ Fire growth does not depend on sensors, so each incident's circle
 trajectory is computed once (optionally across worker processes) and
 detection is replayed per deployment, the zero-sensor baseline included;
 outputs are reduced in (count, trial, incident) order and are
-byte-identical for any worker count.
+byte-identical for any worker count. A scenario bundle's sweep and
+evolution sections go through config.merge, as the CLI's do.
 """
 
 from __future__ import annotations
@@ -26,58 +27,15 @@ from pathlib import Path
 
 from . import __version__
 from .carbon import average_biomass, carbon_price, emission_tons, savings
+from .config import (BASELINE_MODES, SweepConfig, bundle_config,
+                     evolution_config, sweep_config)
 from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec,
-                      check_biomass_alignment, synth_biomass, synth_env)
+                      check_biomass_alignment, read_json, synth_biomass,
+                      synth_env)
 from .errors import ValidationError
 from .evolution import (BurnCircle, EvolutionConfig, IncidentResult,
                         circle_trajectory, replay_detection)
 from .sensors import SensorField, deploy_uniform
-
-BASELINE_MODES = ("historical", "simulated-zero-sensor")
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Sweep settings: which counts, how many trials, how to price."""
-
-    sensor_counts: tuple[int, ...]
-    trials: int = 10
-    base_seed: int = 0
-    usd_per_ton: float = 20.0
-    unit_sensor_cost_usd: tuple[float, ...] = (10.0, 20.0, 50.0, 100.0)
-    cap_hours: float = 168.0
-    baseline: str = "simulated-zero-sensor"
-
-    def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.sensor_counts)
-        object.__setattr__(self, "sensor_counts", counts)
-        object.__setattr__(self, "unit_sensor_cost_usd",
-                           tuple(float(c) for c in self.unit_sensor_cost_usd))
-        if not counts:
-            raise ValidationError("sensor_counts must be non-empty")
-        if any(c < 0 for c in counts):
-            raise ValidationError(f"sensor_counts must be >= 0, got {counts}")
-        if list(counts) != sorted(counts):
-            raise ValidationError(f"sensor_counts must be ascending, got {counts}")
-        # negated comparisons, so that NaN fails them too
-        if not self.trials >= 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if not self.base_seed >= 0:
-            raise ValidationError(f"base_seed must be >= 0, got {self.base_seed}")
-        if not 0.0 <= self.usd_per_ton < float("inf"):
-            raise ValidationError(
-                f"usd_per_ton must be finite and >= 0, got {self.usd_per_ton}")
-        if not self.unit_sensor_cost_usd:
-            raise ValidationError("unit_sensor_cost_usd must be non-empty")
-        if not all(0.0 <= c < float("inf") for c in self.unit_sensor_cost_usd):
-            raise ValidationError(
-                f"unit_sensor_cost_usd must be finite and >= 0, "
-                f"got {self.unit_sensor_cost_usd}")
-        if self.baseline not in BASELINE_MODES:
-            raise ValidationError(
-                f"baseline must be one of {BASELINE_MODES}, got '{self.baseline}'")
-        if not self.cap_hours >= 0:
-            raise ValidationError(f"cap_hours must be >= 0, got {self.cap_hours}")
 
 
 @dataclass(frozen=True)
@@ -190,23 +148,20 @@ def _traj_init(env: EnvGrid, cfg: EvolutionConfig) -> None:
     _TRAJ_CTX = (env, cfg)
 
 
-def _traj_task(item: tuple[int, Incident]) -> tuple[int, list[BurnCircle]]:
-    idx, incident = item
+def _traj_task(incident: Incident) -> list[BurnCircle]:
     assert _TRAJ_CTX is not None
     env, cfg = _TRAJ_CTX
-    return idx, circle_trajectory(incident, env, cfg)
+    return circle_trajectory(incident, env, cfg)
 
 
 def _trajectories(incidents: list[Incident], env: EnvGrid,
                   cfg: EvolutionConfig, workers: int) -> list[list[BurnCircle]]:
     if workers <= 1:
         return [circle_trajectory(inc, env, cfg) for inc in incidents]
-    out: list[list[BurnCircle] | None] = [None] * len(incidents)
     with ProcessPoolExecutor(max_workers=workers, initializer=_traj_init,
                              initargs=(env, cfg)) as pool:
-        for idx, circles in pool.map(_traj_task, enumerate(incidents)):
-            out[idx] = circles
-    return out  # type: ignore[return-value]
+        # map yields results in input order
+        return list(pool.map(_traj_task, incidents))
 
 
 def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
@@ -364,28 +319,13 @@ def bundled_scenario_path() -> Path:
 def read_season_bundle(path: str | Path) -> dict:
     """Parsed scenario file, checked for its top-level fields; nothing
     is synthesized."""
-    fpath = Path(path)
-    if not fpath.is_file():
-        raise ValidationError(f"scenario bundle missing: {fpath}")
-    try:
-        raw = json.loads(fpath.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"scenario bundle {fpath} is not valid JSON: {exc}") from exc
-    for key in ("env", "env_seed", "biomass", "incidents", "evolution", "sweep"):
-        if key not in raw:
-            raise ValidationError(f"scenario bundle missing field '{key}'")
-    return raw
+    return read_json(path, "scenario bundle", ("env", "env_seed", "biomass",
+                                               "incidents", "evolution", "sweep"))
 
 
-def load_season_bundle(path: str | Path,
-                       ) -> tuple[list[Incident], EnvGrid, BiomassGrid,
-                                  SweepConfig, EvolutionConfig]:
-    """Materialize a self-contained scenario file.
-
-    The bundle stores synthesis specs and seeds rather than rasters; grids
-    regenerate deterministically on load.
-    """
-    raw = read_season_bundle(path)
+def season_scenario(raw: dict) -> tuple[list[Incident], EnvGrid, BiomassGrid]:
+    """Incidents, environment and biomass of a parsed scenario bundle; its
+    grids regenerate deterministically from the specs and seeds it stores."""
     env = synth_env(SynthSpec.from_dict(raw["env"]), int(raw["env_seed"]))
     b = raw["biomass"]
     for key in ("nx", "ny", "spacing_km", "lo", "hi", "seed"):
@@ -414,7 +354,16 @@ def load_season_bundle(path: str | Path,
                 f"outside [0, {env.nt})")
         incidents.append(Incident(id=str(item["id"]), start_hour=start,
                                   ignition_xy=xy))
-    evo = EvolutionConfig(**raw["evolution"])
-    swp = SweepConfig(**{**raw["sweep"],
-                         "sensor_counts": tuple(raw["sweep"]["sensor_counts"])})
-    return incidents, env, bio, swp, evo
+    return incidents, env, bio
+
+
+def load_season_bundle(path: str | Path,
+                       ) -> tuple[list[Incident], EnvGrid, BiomassGrid,
+                                  SweepConfig, EvolutionConfig]:
+    """Materialize a self-contained scenario file, with the sweep and
+    evolution configs the CLI builds from it: its sections are checked
+    and laid over the default configuration."""
+    raw = read_season_bundle(path)
+    config = bundle_config(raw)
+    swp, evo = sweep_config(config), evolution_config(config)
+    return (*season_scenario(raw), swp, evo)

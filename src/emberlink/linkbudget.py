@@ -47,30 +47,16 @@ class LinkParams:
     elevation_deg: float | None = None
 
     def __post_init__(self) -> None:
+        # negated comparisons, so that NaN fails them too
+        for name in ("eirp_dbm", "g_over_t_db_k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("bandwidth_hz", "freq_mhz", "distance_km"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name in ("pl_atmos_db", "pl_shadow_db", "pl_scint_db", "pl_polar_db"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "LinkParams":
-        fpath = Path(path)
-        if not fpath.is_file():
-            raise ValidationError(f"link params file missing: {fpath}")
-        try:
-            raw = json.loads(fpath.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"link params {fpath} is not valid JSON: {exc}") from exc
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValidationError(f"unknown link param fields: {sorted(unknown)}")
-        missing = {f for f in allowed if f != "elevation_deg"} - set(raw)
-        if missing:
-            raise ValidationError(f"link params missing fields: {sorted(missing)}")
-        return cls(**raw)
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 # worst case: lowest elevation, longest slant range
@@ -94,11 +80,9 @@ class TrafficModel:
     payload_bytes: float
 
     def __post_init__(self) -> None:
-        if self.reports_per_day <= 0:
-            raise ValidationError(
-                f"reports_per_day must be > 0, got {self.reports_per_day}")
-        if self.payload_bytes <= 0:
-            raise ValidationError(f"payload_bytes must be > 0, got {self.payload_bytes}")
+        for name in ("reports_per_day", "payload_bytes"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 PERIODIC_REPORT = TrafficModel(reports_per_day=2.0, payload_bytes=50.0)
@@ -183,8 +167,11 @@ def peak_rate_bps(bits_ru: int, system_bw_hz: float = SYSTEM_BANDWIDTH_HZ,
     """System peak throughput: all subcarriers sending one RU per duration."""
     if bits_ru < 0:
         raise ValidationError(f"bits_ru must be >= 0, got {bits_ru}")
-    if min(system_bw_hz, subcarrier_hz, ru_duration_s) <= 0:
-        raise ValidationError("bandwidths and RU duration must be > 0")
+    for name, value in zip(("system_bw_hz", "subcarrier_hz", "ru_duration_s"),
+                           (system_bw_hz, subcarrier_hz, ru_duration_s)):
+        if not 0 < value < math.inf:
+            raise ValidationError(
+                f"bandwidths and RU duration must be finite and > 0, got {name}={value}")
     n_sub = system_bw_hz / subcarrier_hz
     if abs(n_sub - round(n_sub)) > 1e-9:
         raise ValidationError(

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, replace
 
 import pytest
 
 from emberlink.cli import DEFAULT_CONFIG, main
 from emberlink.envdata import load_env_grid
 from emberlink.harness import bundled_scenario_path
-from emberlink.linkbudget import (PERIODIC_REPORT, TABLE1_10DEG,
+from emberlink.linkbudget import (EVENT_REPORT, PERIODIC_REPORT, TABLE1_10DEG,
                                   capacity_report)
 
 BUNDLE = f"paths.scenario_bundle={bundled_scenario_path()}"
@@ -336,6 +337,90 @@ class TestConfigPlumbing:
         assert code == 0
         report = json.loads((tmp_path / "capacity_report.json").read_text())
         assert report["supportable_sensors"] == 32400
+
+    @pytest.mark.parametrize("argv, field", [
+        (["--set", "link.system_bw_hz=NaN", "linkbudget"], "system_bw_hz"),
+        (["--set", "link.ru_duration_s=NaN", "linkbudget"], "ru_duration_s"),
+        (["--set", "link.params.bandwidth_hz=NaN", "linkbudget"], "bandwidth_hz"),
+        (["linkbudget", "--system-bw-hz", "inf"], "system_bw_hz"),
+        (["--set", "link.params.eirp_dbm=NaN", "linkbudget"], "eirp_dbm"),
+        (["--set", "link.params.g_over_t_db_k=-Infinity", "linkbudget"],
+         "g_over_t_db_k"),
+        (["--set", "link.params.pl_scint_db=NaN", "linkbudget"], "pl_scint_db"),
+        (["--set", "link.traffic.reports_per_day=Infinity", "linkbudget"],
+         "reports_per_day"),
+    ])
+    def test_non_finite_link_setting_is_bad_input(self, tmp_path, capsys, argv,
+                                                  field):
+        code = main(["--out-dir", str(tmp_path)] + argv)
+        assert code == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (on_bundle("--set", "sweep.trials=5",
+                   "simulate", "--incident", "syn-001"), "sweep.trials"),
+        (on_bundle("--set", "geo.width_km=3", "sweep"), "geo.width_km"),
+        (on_bundle("--set", "link.system_bw_hz=3750.0", "sweep"),
+         "link.system_bw_hz"),
+        (["--set", "spread.u_max_ms=0.5", "linkbudget"], "spread.u_max_ms"),
+        (["--set", "evolution.snap_km=0.1",
+          "synth-env", "--spec", "spec.json"], "evolution.snap_km"),
+        (["synth-env", "--spec", "spec.json", "--out", "env.json"], "out_dir"),
+    ])
+    def test_keys_a_command_never_reads_are_rejected(self, tmp_path, capsys,
+                                                     argv, key):
+        code = main(["--out-dir", str(tmp_path)] + argv)
+        assert code == 1
+        assert f"{key} is not used by" in capsys.readouterr().err
+
+    def test_unread_key_left_at_its_bundle_value_is_accepted(self, tmp_path):
+        # the bundle sets sweep.trials to 30, so this layer changes nothing
+        code = main(["--out-dir", str(tmp_path), "--set", BUNDLE,
+                     "--set", "sweep.trials=30", "--set", "paths.sensors_csv=null",
+                     "--set", "evolution.max_hours=1.0",
+                     "simulate", "--incident", "syn-001"])
+        assert code == 0
+
+    @pytest.mark.parametrize("argv, text, field", [
+        (["--config", "{f}", "linkbudget"], "[1, 2]", "config file"),
+        (["synth-env", "--spec", "{f}"], "5", "spec file"),
+        (["linkbudget", "--params", "{f}"], '{"bandwidth_hz": "3750"}',
+         "link.params.bandwidth_hz"),
+        (["linkbudget", "--params", "{f}"], '{"bandwidth_hz": NaN}',
+         "bandwidth_hz"),
+        (["linkbudget", "--params", "{f}"], "{nope", "link params file"),
+    ])
+    def test_bad_json_input_file_is_bad_input(self, tmp_path, capsys, argv,
+                                              text, field):
+        f = tmp_path / "input.json"
+        f.write_text(text)
+        code = main(["--out-dir", str(tmp_path)]
+                     + [a.format(f=f) for a in argv])
+        assert code == 1
+        assert field in capsys.readouterr().err
+
+    def test_partial_params_file_fills_from_defaults(self, tmp_path):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps({"distance_km": 35786.0}))
+        code = main(["--out-dir", str(tmp_path), "linkbudget",
+                     "--params", str(pfile)])
+        assert code == 0
+        report = json.loads((tmp_path / "capacity_report.json").read_text())
+        expected = capacity_report(replace(TABLE1_10DEG, distance_km=35786.0),
+                                   PERIODIC_REPORT)
+        assert report == asdict(expected)
+
+    def test_flags_are_the_last_layers(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": str(tmp_path / "elsewhere"), "link": {
+            "system_bw_hz": 7500.0,
+            "traffic": {"reports_per_day": 1.0, "payload_bytes": 1.0}}}))
+        code = main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                     "--set", "link.system_bw_hz=3750.0", "linkbudget",
+                     "--traffic", "event", "--system-bw-hz", "180000"])
+        assert code == 0
+        report = json.loads((tmp_path / "capacity_report.json").read_text())
+        assert report == asdict(capacity_report(TABLE1_10DEG, EVENT_REPORT))
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_bad_input(self, tmp_path, capsys, workers):

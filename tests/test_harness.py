@@ -5,13 +5,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from emberlink.carbon import average_biomass, carbon_price, emission_tons
+from emberlink.cli import build_parser, load_config, main
+from emberlink.config import evolution_config, sweep_config
 from emberlink.envdata import Incident, SynthSpec, synth_biomass, synth_env
 from emberlink.errors import ValidationError
 from emberlink.evolution import (EvolutionConfig, circle_trajectory,
@@ -288,4 +291,55 @@ class TestBundle:
         p = tmp_path / "bundle.json"
         p.write_text(json.dumps(raw))
         with pytest.raises(ValidationError):
+            load_season_bundle(p)
+
+    @staticmethod
+    def edited_bundle(tmp_path, **sections):
+        """A copy of the bundled season with keys of its sections replaced."""
+        raw = json.loads(bundled_scenario_path().read_text())
+        for section, values in sections.items():
+            raw[section] = ({**raw[section], **values}
+                            if isinstance(values, dict) else values)
+        p = tmp_path / "bundle.json"
+        p.write_text(json.dumps(raw))
+        return p
+
+    @pytest.mark.parametrize("sections", [
+        {},
+        {"sweep": {"trials": 3, "cap_hours": 5.0, "baseline": "historical"}},
+        {"sweep": {"sensor_counts": [7], "usd_per_ton": 35},
+         "evolution": {"snap_km": 0.1, "detect_at_ignition": False}},
+    ])
+    def test_configs_match_the_cli(self, tmp_path, sections):
+        p = self.edited_bundle(tmp_path, **sections)
+        *_, swp, evo = load_season_bundle(p)
+        args = build_parser().parse_args(
+            ["--set", f"paths.scenario_bundle={p}", "sweep"])
+        config, _ = load_config(args)
+        assert swp == sweep_config(config)
+        assert evo == evolution_config(config)
+
+    def test_configs_match_a_cli_run(self, tmp_path):
+        p = self.edited_bundle(tmp_path, sweep={
+            "sensor_counts": [10, 20], "trials": 2, "cap_hours": 2.0},
+            evolution={"snap_km": 0.1})
+        *_, swp, evo = load_season_bundle(p)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "--set", f"paths.scenario_bundle={p}",
+                     "sweep"]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        expected = {"sweep": asdict(swp),
+                    "evolution": asdict(replace(evo, max_hours=swp.cap_hours))}
+        assert {k: manifest[k] for k in expected} == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize("sections, key", [
+        ({"sweep": {"trials": True}}, "sweep.trials"),
+        ({"sweep": {"sensor_counts": [10.7]}}, "sweep.sensor_counts"),
+        ({"evolution": {"params": {"u_max_ms": 0.5}}}, "evolution.params"),
+        ({"sweep": {"bogus": 1}}, "sweep.bogus"),
+        ({"sweep": 5}, "sweep"),
+    ])
+    def test_bad_config_section_rejected(self, tmp_path, sections, key):
+        p = self.edited_bundle(tmp_path, **sections)
+        with pytest.raises(ValidationError, match=re.escape(f"'{key}'")):
             load_season_bundle(p)

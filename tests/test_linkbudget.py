@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
+from emberlink.cli import main
+from emberlink.config import DEFAULT_CONFIG, merge
+from emberlink.envdata import read_json
 from emberlink.errors import ValidationError
 from emberlink.linkbudget import (EVENT_REPORT, PERIODIC_REPORT, TABLE1_10DEG,
                                   TABLE1_90DEG, LinkInfeasibleError,
@@ -127,22 +131,26 @@ class TestParams:
         with pytest.raises(ValidationError):
             dataclasses.replace(TABLE1_10DEG, pl_shadow_db=-0.1)
 
-    def test_bundled_param_files_match_constants(self):
+    def test_bundled_param_files_match_constants(self, tmp_path):
+        # each file reaches the budget as linkbudget --params lays it over
+        # the link.params defaults
         from importlib import resources
         base = resources.files("emberlink").joinpath("data")
-        low = LinkParams.from_json(str(base / "table1-10deg.json"))
-        high = LinkParams.from_json(str(base / "table1-90deg.json"))
-        assert low == TABLE1_10DEG
-        assert high == TABLE1_90DEG
+        for name, expected in (("table1-10deg.json", TABLE1_10DEG),
+                               ("table1-90deg.json", TABLE1_90DEG)):
+            out = tmp_path / name
+            assert main(["--out-dir", str(out), "linkbudget",
+                         "--params", str(base / name)]) == 0
+            report = json.loads((out / "capacity_report.json").read_text())
+            assert report == asdict(capacity_report(expected, PERIODIC_REPORT))
+            layer = {"link": {"params": read_json(base / name, "link params file")}}
+            assert LinkParams(**merge(DEFAULT_CONFIG, layer)["link"]["params"]) == expected
 
-    def test_from_json_rejects_unknown_and_missing(self, tmp_path):
+    def test_params_file_rejects_unknown_fields(self, tmp_path, capsys):
         p = tmp_path / "p.json"
         p.write_text(json.dumps({"eirp_dbm": 23.0, "bogus": 1}))
-        with pytest.raises(ValidationError):
-            LinkParams.from_json(p)
-        p.write_text(json.dumps({"eirp_dbm": 23.0}))
-        with pytest.raises(ValidationError):
-            LinkParams.from_json(p)
+        assert main(["--out-dir", str(tmp_path), "linkbudget", "--params", str(p)]) == 1
+        assert "link.params.bogus" in capsys.readouterr().err
 
 
 class TestReport:
