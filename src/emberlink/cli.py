@@ -12,9 +12,9 @@ sections < the --config file < repeated --set dotted.key=value flags <
 the flags that set keys (--out-dir; --seed for sweep; --params, --traffic
 and --system-bw-hz for linkbudget), each laid over by config.merge. A key
 the command does not read is rejected if a layer changed it from the
-defaults plus the bundle. The resolved configuration is echoed into the
-run manifest. Exit codes: 0 success, 1 bad input or configuration, 2
-runtime failure.
+defaults plus the bundle, as is a --seed or --workers it does not read.
+The resolved configuration is echoed into the run manifest. Exit codes:
+0 success, 1 bad input or configuration, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -83,8 +83,23 @@ def _reads(args: argparse.Namespace, bundle: bool) -> tuple[str, ...]:
     scenario = (("paths.scenario_bundle",) if bundle else
                 ("paths.env_manifest", "paths.incidents_csv", "geo")
                 + (("paths.biomass_manifest",) if sweep else ()))
-    own = ("sweep",) if sweep else ("paths.sensors_csv",)
-    return scenario + own + ("spread", "evolution", "out_dir")
+    # a sweep runs every incident to sweep.cap_hours, never evolution.max_hours
+    own = ("sweep", "evolution.snap_km") if sweep else ("paths.sensors_csv", "evolution")
+    return scenario + own + ("spread", "out_dir")
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject a --seed, --workers or --deploy out of range or not read."""
+    deploy = getattr(args, "deploy", None)  # a simulate flag
+    seeded = args.command in ("sweep", "synth-env") or deploy is not None
+    for flag, value, least, read, readers in (
+            ("--seed", args.seed, 0, seeded, "sweep, synth-env and simulate --deploy"),
+            ("--workers", args.workers, 1, args.command == "sweep", "sweep"),
+            ("--deploy", deploy, 0, True, "simulate")):
+        if value is not None and value < least:
+            raise ValidationError(f"{flag} must be >= {least}, got {value}")
+        if value is not None and not read:
+            raise ValidationError(f"{flag} is not used by {args.command}, only by {readers}")
 
 
 def _changed(config: dict, base: dict, path: str = ""):
@@ -141,8 +156,6 @@ def _load_scenario(config: dict, bundle: dict | None, need_bio: bool):
 
 def cmd_simulate(config: dict, bundle: dict | None,
                  args: argparse.Namespace) -> int:
-    if args.deploy is not None and args.deploy < 0:
-        raise ValidationError(f"--deploy must be >= 0, got {args.deploy}")
     sensors_csv = config["paths"]["sensors_csv"]
     if sensors_csv and args.deploy is not None:
         raise ValidationError("--deploy cannot be combined with paths.sensors_csv")
@@ -180,9 +193,8 @@ def cmd_sweep(config: dict, bundle: dict | None,
     config = merge(config, {"evolution": {"max_hours": swp.cap_hours}})
     evo = evolution_config(config)
     incidents, env, bio = _load_scenario(config, bundle, need_bio=True)
-    rows, summary, manifest = harness.sweep(incidents, env, bio, swp,
-                                            evolution=evo,
-                                            workers=args.workers)
+    rows, summary, manifest = harness.sweep(incidents, env, bio, swp, evolution=evo,
+                                            workers=args.workers or 1)
     manifest["config"] = config
     out_dir = Path(config["out_dir"])
     write_sweep_csv(rows, swp.unit_sensor_cost_usd, out_dir / "sweep_rows.csv")
@@ -234,10 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Wildfire detection and carbon accounting toolkit")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out-dir", help="output directory (overrides config)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for parallel stages")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes for sweep (default 1)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="base seed override")
+                        help="seed for sweep, synth-env and simulate --deploy")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config value (dotted path, JSON value)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -268,10 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.seed is not None and args.seed < 0:
-            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-        if args.workers < 1:
-            raise ValidationError(f"--workers must be >= 1, got {args.workers}")
+        _check_flags(args)
         config, bundle = load_config(args)
         return _COMMANDS[args.command](config, bundle, args)
     except ValidationError as exc:

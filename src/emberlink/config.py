@@ -11,6 +11,7 @@ CLI's --config file, --set assignments and flags, so the library
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import asdict, dataclass
 
 from .envdata import CALIFORNIA
@@ -36,8 +37,17 @@ class SweepConfig:
     baseline: str = "simulated-zero-sensor"
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.sensor_counts)
+        counts = tuple(self.sensor_counts)
+        for name, items in (("sensor_counts", counts), ("trials", (self.trials,)),
+                            ("base_seed", (self.base_seed,))):
+            # Python or numpy integers, never a bool or a float
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                       for v in items):
+                raise ValidationError(f"{name} must be integral, got {getattr(self, name)!r}")
+        counts = tuple(map(int, counts))
         object.__setattr__(self, "sensor_counts", counts)
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "base_seed", int(self.base_seed))
         object.__setattr__(self, "unit_sensor_cost_usd",
                            tuple(float(c) for c in self.unit_sensor_cost_usd))
         if not counts:
@@ -100,8 +110,6 @@ def _kind(default) -> str:
     """Name of the kind of value a key with this default takes."""
     if default is None:
         return "a string"
-    if isinstance(default, bool):
-        return "true or false"
     if isinstance(default, int):
         return "an integer"
     if isinstance(default, float):
@@ -112,12 +120,12 @@ def _kind(default) -> str:
 
 
 def _fits(default, value) -> bool:
-    """Whether value is of its default's kind: a bool is not a number, an
+    """Whether value is of its default's kind: no key takes a bool, an
     integer default takes only integers, a float default any number, a
     list default a list of its items' kind, a null default (a path) a
     string."""
-    if isinstance(default, bool) or isinstance(value, bool):
-        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
     if isinstance(default, int):
         return isinstance(value, int)
     if isinstance(default, float):

@@ -1,18 +1,19 @@
 """Hourly fire-front evolution and sensor detection.
 
-The fire is tracked as a frontier point set. Each hour every frontier
-point grows its own local spread ellipse from the wind and soil wetness
-at that point and hour, and contributes the ellipse's four axis endpoints
-to the next frontier. The burned region at each hour is summarized as a
-circle (mean of the branched points, max distance as radius); detection
-happens when a sensor lies inside that closed disk.
+The fire is tracked as a frontier point set. One step is one hour of the
+env grid: every frontier point grows its own local spread ellipse from
+the wind and soil wetness at that point and hour, and contributes the
+ellipse's four axis endpoints to the next frontier. The burned region at
+each hour is summarized as a circle (mean of the branched points, max
+distance as radius); detection happens when a sensor lies inside that
+closed disk, from the zero-radius ignition circle at hour 0 on.
 
 The 4^t branching blow-up is tamed by prune(): snap the frontier to a
-lattice keeping one representative per cell, and optionally drop points
-well inside the current burned circle. The dedup sorts one int64 key per
-point (lattice cell, then input index), so the kept frontier comes out
-in lattice-cell order, (ki, kj) ascending. Pruning runs after the hour's
-circle and detection check, so it never influences that hour's result.
+lattice keeping one representative per cell. The dedup sorts one int64
+key per point (lattice cell, then input index), so the kept frontier
+comes out in lattice-cell order, (ki, kj) ascending. Pruning runs after
+the hour's circle and detection check, so it never influences that
+hour's result.
 """
 
 from __future__ import annotations
@@ -27,35 +28,27 @@ from .errors import ValidationError
 from .firekernel import DEFAULT_PARAMS, SpreadParams, branch_endpoints
 from .sensors import SensorField, nearest_index_within
 
+STEP_S = 3600.0  # one step is one env hour, the unit of every hour count
+
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Knobs for the hourly evolution loop.
+    """Settings of the hourly evolution loop.
 
     snap_km      lattice pitch for frontier dedup (0 disables snapping)
-    margin_km    interior-drop depth: points deeper than this inside the
-                 current burned circle are dropped (0 keeps every point)
-    max_hours    horizon for incidents without a historical duration;
-                 an incident's own historical_burn_hours takes precedence
+    max_hours    horizon in env hours for incidents without a historical
+                 duration; an incident's own historical_burn_hours wins
     """
 
-    dt_s: float = 3600.0
     snap_km: float = 0.05
-    margin_km: float = 0.0
     max_hours: float = 168.0
-    detect_at_ignition: bool = True
     params: SpreadParams = DEFAULT_PARAMS
 
     def __post_init__(self) -> None:
         # negated comparisons, so that NaN fails them too
-        if not 0 < self.dt_s < math.inf:
-            raise ValidationError(f"dt_s must be finite and > 0, got {self.dt_s}")
-        if not (self.snap_km >= 0 and self.margin_km >= 0):
-            raise ValidationError(
-                f"snap_km and margin_km must be >= 0, got {self.snap_km}, "
-                f"{self.margin_km}")
-        if not self.max_hours >= 0:
-            raise ValidationError(f"max_hours must be >= 0, got {self.max_hours}")
+        for name in ("snap_km", "max_hours"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -102,9 +95,9 @@ class IncidentResult:
         return self.circle_trace[-1]
 
 
-def step(frontier: Frontier, env: EnvGrid, dt_s: float = 3600.0,
+def step(frontier: Frontier, env: EnvGrid,
          params: SpreadParams = DEFAULT_PARAMS) -> Frontier:
-    """Advance one hour: branch every point into its ellipse axis endpoints.
+    """Advance one env hour: branch each point into its ellipse axis endpoints.
 
     No pruning happens here; the result holds up to 4x the input points.
     Wind and wetness are sampled per point at the frontier's hour; points
@@ -115,7 +108,7 @@ def step(frontier: Frontier, env: EnvGrid, dt_s: float = 3600.0,
         raise ValidationError(
             f"cannot step at hour {frontier.hour}: env time range is [0, {env.nt})")
     u10, v10, swvl1 = sample_env_many(env, frontier.points, frontier.hour)
-    branched = branch_endpoints(frontier.points, u10, v10, swvl1, dt_s, params)
+    branched = branch_endpoints(frontier.points, u10, v10, swvl1, STEP_S, params)
     return Frontier(points=branched.reshape(-1, 2), hour=frontier.hour + 1)
 
 
@@ -131,18 +124,13 @@ def burned_circle(points: np.ndarray) -> BurnCircle:
     n = pts.shape[0]
     center = (float(np.cumsum(pts[:, 0])[-1] / n),
               float(np.cumsum(pts[:, 1])[-1] / n))
-    radius = float(np.sqrt(_dist2(pts, center).max()))
-    return BurnCircle(center=center, radius_km=radius)
-
-
-def _dist2(pts: np.ndarray, center: tuple[float, float]) -> np.ndarray:
-    """Squared distance of every point to center, dx*dx + dy*dy."""
+    # squared distances dx*dx + dy*dy, computed in place
     dx = pts[:, 0] - center[0]
     dy = pts[:, 1] - center[1]
     dx *= dx
     dy *= dy
     dx += dy
-    return dx
+    return BurnCircle(center=center, radius_km=float(np.sqrt(dx.max())))
 
 
 def _lattice_cells(pts: np.ndarray, snap_km: float, bits: int) -> np.ndarray:
@@ -182,29 +170,20 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return starts
 
 
-def prune(frontier: Frontier, prev: BurnCircle | None,
-          snap_km: float, margin_km: float) -> Frontier:
-    """Thin a frontier; with snap 0 and margin 0 this is the identity.
+def prune(frontier: Frontier, snap_km: float) -> Frontier:
+    """Thin a frontier by snap dedup; with snap 0 this is the identity.
 
-    Interior drop: with margin_km > 0 and a circle, discard points
-    strictly deeper than margin_km inside it (they cannot extend the
-    burned circle). Snap dedup: with snap_km > 0, bucket points onto the
-    snap lattice, cell (ki, kj) = round((x, y) / snap_km), and keep one
-    point per cell: the lexicographically smallest (x, y), the first in
-    input order among equals (-0.0 ties with 0.0). One value sort of the
-    int64 keys cell << bits | input index groups each cell's points in
-    input order, so the kept frontier comes out in lattice-cell order,
-    (ki, kj) ascending.
+    With snap_km > 0, bucket points onto the snap lattice, cell (ki, kj)
+    = round((x, y) / snap_km), and keep one point per cell: the
+    lexicographically smallest (x, y), the first in input order among
+    equals (-0.0 ties with 0.0). One value sort of the int64 keys
+    cell << bits | input index groups each cell's points in input order,
+    so the kept frontier comes out in lattice-cell order, (ki, kj)
+    ascending.
     """
-    if snap_km < 0 or margin_km < 0:
-        raise ValidationError("snap_km and margin_km must be >= 0")
+    if not snap_km >= 0:
+        raise ValidationError(f"snap_km must be >= 0, got {snap_km}")
     pts = frontier.points
-    if margin_km > 0 and prev is not None:
-        keep_r = prev.radius_km - margin_km
-        if keep_r > 0:
-            # sqrt space, matching burned_circle: the max-distance point
-            # sits exactly at prev.radius_km and always survives
-            pts = pts[np.sqrt(_dist2(pts, prev.center)) >= keep_r]
     n = pts.shape[0]
     if snap_km > 0 and n > 1:
         bits = (n - 1).bit_length()
@@ -255,10 +234,10 @@ def _evolve(incident: Incident, env: EnvGrid, cfg: EvolutionConfig):
     cap = incident_cap_hours(incident, cfg)
     hours = 0
     while hours + 1 <= cap and frontier.hour < env.nt:
-        raw = step(frontier, env, cfg.dt_s, cfg.params)
+        raw = step(frontier, env, cfg.params)
         hours += 1
         circle = burned_circle(raw.points)
-        frontier = prune(raw, circle, cfg.snap_km, cfg.margin_km)
+        frontier = prune(raw, cfg.snap_km)
         yield hours, circle, frontier
 
 
@@ -293,15 +272,14 @@ def replay_detection(incident: Incident,
 
     This is the only hourly detection loop: every caller first builds the
     trajectory with circle_trajectory (same env and cfg), then replays it.
+    Every circle is checked, the hour-0 ignition circle first.
     """
-    start = 0 if cfg.detect_at_ignition else 1
-    for k in range(start, len(circles)):
-        hit = nearest_index_within(sensors, circles[k].center,
-                                   circles[k].radius_km)
+    for k, circle in enumerate(circles):
+        hit = nearest_index_within(sensors, circle.center, circle.radius_km)
         if hit is not None:
             return IncidentResult(
                 incident_id=incident.id, detected=True, detection_hour=float(k),
-                detecting_sensor=hit, burned_area_km2=circles[k].area_km2,
+                detecting_sensor=hit, burned_area_km2=circle.area_km2,
                 circle_trace=tuple(circles[:k + 1]))
     # cap-limited runs report the (possibly fractional) cap; runs cut
     # short by the env horizon report the hours actually burned

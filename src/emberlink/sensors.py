@@ -103,21 +103,27 @@ class SensorField:
                                for i in range(i0, i1 + 1)])
 
 
-def indices_within(field_: SensorField, center: tuple[float, float],
-                   radius: float) -> np.ndarray:
-    """Ascending indices of sensors inside the closed disk of given radius."""
+def _inside(field_: SensorField, center: tuple[float, float],
+            radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unsorted (indices, squared distances) of the sensors in the closed disk."""
     if not 0 <= radius < math.inf:
         raise ValidationError(f"radius must be finite and >= 0, got {radius}")
     if not (math.isfinite(center[0]) and math.isfinite(center[1])):
         raise ValidationError(f"center must be finite, got {tuple(center)}")
-    if len(field_) == 0:
-        return np.empty(0, dtype=np.int64)
-    cand = field_._candidates(center, radius)
+    cand = (field_._candidates(center, radius) if len(field_)
+            else np.empty(0, dtype=np.int64))
     if cand.size == 0:
-        return cand
+        return cand, np.empty(0)
     d = field_.positions[cand] - np.asarray(center, dtype=float)
-    inside = np.einsum("ij,ij->i", d, d) <= radius * radius
-    return np.sort(cand[inside])
+    dist2 = np.einsum("ij,ij->i", d, d)
+    inside = dist2 <= radius * radius
+    return cand[inside], dist2[inside]
+
+
+def indices_within(field_: SensorField, center: tuple[float, float],
+                   radius: float) -> np.ndarray:
+    """Ascending indices of sensors inside the closed disk of given radius."""
+    return np.sort(_inside(field_, center, radius)[0])
 
 
 def nearest_index_within(field_: SensorField, center: tuple[float, float],
@@ -126,12 +132,10 @@ def nearest_index_within(field_: SensorField, center: tuple[float, float],
 
     Distance ties resolve to the lowest index.
     """
-    hits = indices_within(field_, center, radius)
+    hits, dist2 = _inside(field_, center, radius)
     if hits.size == 0:
         return None
-    d = field_.positions[hits] - np.asarray(center, dtype=float)
-    dist2 = np.einsum("ij,ij->i", d, d)
-    return int(hits[np.argmin(dist2)])  # argmin takes the first of equals
+    return int(hits[dist2 == dist2.min()].min())
 
 
 def deploy_uniform(n: int, rect: Rect, seed: int) -> SensorField:

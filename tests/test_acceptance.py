@@ -181,7 +181,7 @@ def test_criterion_07_pruning_soundness():
     # lattice dedup cannot stall the head point (see README limitations)
     rng = np.random.Generator(np.random.Philox(key=20260707))
     defaults = EvolutionConfig(max_hours=7.0)
-    bound = defaults.margin_km + defaults.snap_km * math.sqrt(2.0)
+    bound = defaults.snap_km * math.sqrt(2.0)
     worst = 0.0
     for i in range(100):
         speed = rng.uniform(16.0, 32.0)
@@ -194,8 +194,7 @@ def test_criterion_07_pruning_soundness():
         inc = Incident(id=f"p{i}", start_hour=0, ignition_xy=(60.0, 60.0))
         pruned = circle_trajectory(inc, env, defaults)
         raw = circle_trajectory(inc, env,
-                                EvolutionConfig(snap_km=0.0, margin_km=0.0,
-                                                max_hours=7.0))
+                                EvolutionConfig(snap_km=0.0, max_hours=7.0))
         worst = max(worst, max(abs(p.radius_km - r.radius_km)
                                for p, r in zip(pruned, raw)))
     elapsed = time.perf_counter() - t0

@@ -139,11 +139,9 @@ class TestSweepCommand:
             "backspread_ratio": 0.2, "wind_sq_scale": 2500.0,
             "elongation_gain": 10.0, "elongation_rate": 0.017}
         assert manifest["config"]["evolution"] == {
-            "dt_s": 3600.0, "snap_km": 0.05, "margin_km": 0.0,
-            "max_hours": 3, "detect_at_ignition": True}
+            "snap_km": 0.05, "max_hours": 3}
         assert DEFAULT_CONFIG["evolution"] == {
-            "dt_s": 3600.0, "snap_km": 0.05, "margin_km": 0.0,
-            "max_hours": 168.0, "detect_at_ignition": True}
+            "snap_km": 0.05, "max_hours": 168.0}
 
     def test_needs_a_scenario(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "sweep"])
@@ -190,6 +188,26 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["deployment_seeds"] == [7]
         assert manifest["config"]["sweep"]["base_seed"] == 7
+
+    def test_user_set_max_hours_is_rejected(self, tmp_path, capsys):
+        # a sweep runs every incident to sweep.cap_hours instead
+        code = main(["--out-dir", str(tmp_path), "--set", BUNDLE,
+                     "--set", "evolution.max_hours=5", "sweep"])
+        assert code == 1
+        assert "evolution.max_hours is not used by sweep" in capsys.readouterr().err
+
+    def test_bundle_max_hours_is_accepted(self, tmp_path):
+        raw = json.loads(bundled_scenario_path().read_text())
+        raw["evolution"]["max_hours"] = 5.0
+        raw["sweep"].update(sensor_counts=[10], trials=1, cap_hours=2.0)
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(raw))
+        code = main(["--out-dir", str(tmp_path),
+                     "--set", f"paths.scenario_bundle={bundle}", "sweep"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        # the recorded config is the horizon that ran
+        assert manifest["config"]["evolution"]["max_hours"] == 2.0
 
 
 class TestConfigPlumbing:
@@ -296,8 +314,8 @@ class TestConfigPlumbing:
          "sweep.sensor_counts"),
         (on_bundle("--set", 'evolution.snap_km="abc"', "sweep"),
          "evolution.snap_km"),
-        (on_bundle("--set", "evolution.detect_at_ignition=1", "sweep"),
-         "evolution.detect_at_ignition"),
+        (on_bundle("--set", "evolution.snap_km=true", "sweep"),
+         "evolution.snap_km"),
         (on_bundle("--set", "spread.u_max_ms=x",
                    "simulate", "--incident", "syn-001"), "spread.u_max_ms"),
         (on_bundle("simulate", "--incident", "syn-001", "--deploy", "-5"),
@@ -312,6 +330,7 @@ class TestConfigPlumbing:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("assignment, field", [
+        # not a key (one step is one env hour): exits 1 as unknown
         ("evolution.dt_s=NaN", "dt_s"),
         ("evolution.snap_km=NaN", "snap_km"),
         ("spread.u_max_ms=-1", "u_max_ms"),
@@ -372,6 +391,46 @@ class TestConfigPlumbing:
         code = main(["--out-dir", str(tmp_path)] + argv)
         assert code == 1
         assert f"{key} is not used by" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["bundle", "--config", "--set"])
+    @pytest.mark.parametrize("key, value", [
+        ("dt_s", 3600.0), ("margin_km", 0.0), ("detect_at_ignition", True)])
+    def test_removed_evolution_key_is_rejected(self, tmp_path, capsys, source,
+                                               key, value):
+        # the step length is one env hour, prune only dedups and replay
+        # always starts at hour 0: none of these is a setting
+        bundle = bundled_scenario_path()
+        argv = []
+        if source == "bundle":
+            raw = json.loads(bundle.read_text())
+            raw["evolution"][key] = value
+            bundle = tmp_path / "bundle.json"
+            bundle.write_text(json.dumps(raw))
+        elif source == "--config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"evolution": {key: value}}))
+            argv = ["--config", str(cfg)]
+        else:
+            argv = ["--set", f"evolution.{key}={json.dumps(value)}"]
+        code = main(["--out-dir", str(tmp_path), "--set",
+                     f"paths.scenario_bundle={bundle}", *argv,
+                     "simulate", "--incident", "syn-001"])
+        assert code == 1
+        assert f"unknown config key 'evolution.{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--seed", "3", "linkbudget"], "--seed"),
+        (["--workers", "4", "linkbudget"], "--workers"),
+        (on_bundle("--seed", "3", "simulate", "--incident", "syn-001"), "--seed"),
+        (on_bundle("--workers", "2",
+                   "simulate", "--incident", "syn-001", "--deploy", "10"), "--workers"),
+        (["--workers", "2", "synth-env", "--spec", "spec.json"], "--workers"),
+    ])
+    def test_flag_a_command_does_not_read_is_rejected(self, tmp_path, capsys,
+                                                      argv, flag):
+        code = main(["--out-dir", str(tmp_path)] + argv)
+        assert code == 1
+        assert f"{flag} is not used by" in capsys.readouterr().err
 
     def test_unread_key_left_at_its_bundle_value_is_accepted(self, tmp_path):
         # the bundle sets sweep.trials to 30, so this layer changes nothing

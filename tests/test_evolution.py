@@ -21,7 +21,7 @@ from emberlink.firekernel import length_breadth_ratio, spread_speed
 from emberlink.harness import bundled_scenario_path, load_season_bundle
 from emberlink.sensors import SensorField, deploy_uniform
 
-NO_PRUNE = EvolutionConfig(snap_km=0.0, margin_km=0.0, max_hours=5.0)
+NO_PRUNE = EvolutionConfig(snap_km=0.0, max_hours=5.0)
 
 
 def speeds(ws_ms: float, beta_root: float) -> tuple[float, float, float]:
@@ -46,16 +46,10 @@ def mid_incident(env: EnvGrid, start: int = 0, hist: float | None = None) -> Inc
                     historical_burn_hours=hist)
 
 
-def lexsort_prune(frontier: Frontier, prev: BurnCircle | None,
-                  snap_km: float, margin_km: float) -> Frontier:
+def lexsort_prune(frontier: Frontier, snap_km: float) -> Frontier:
     """Reference prune: the 4-key float lexsort (ki, kj, x, y), first of
     each (ki, kj) run kept."""
     pts = frontier.points
-    if margin_km > 0 and prev is not None:
-        keep_r = prev.radius_km - margin_km
-        if keep_r > 0:
-            d = pts - np.asarray(prev.center, dtype=float)
-            pts = pts[np.sqrt(np.einsum("ij,ij->i", d, d)) >= keep_r]
     if snap_km > 0 and pts.shape[0] > 1:
         scale = float(np.max(np.abs(pts)))
         if scale > 0 and snap_km < scale * 2.0 ** -53:
@@ -71,13 +65,12 @@ def lexsort_prune(frontier: Frontier, prev: BurnCircle | None,
     return Frontier(points=pts, hour=frontier.hour)
 
 
-def assert_prunes_like_lexsort(pts, snap_km: float, margin_km: float = 0.0,
-                               prev: BurnCircle | None = None) -> np.ndarray:
+def assert_prunes_like_lexsort(pts, snap_km: float) -> np.ndarray:
     """prune and lexsort_prune keep the same points, bit for bit, in the
     same order; returns the kept points."""
     f = Frontier(points=np.asarray(pts, dtype=float), hour=0)
-    got = prune(f, prev, snap_km, margin_km).points
-    want = lexsort_prune(f, prev, snap_km, margin_km).points
+    got = prune(f, snap_km).points
+    want = lexsort_prune(f, snap_km).points
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     return got
@@ -101,9 +94,7 @@ def circle_bytes(c: BurnCircle) -> bytes:
 
 class TestEvolutionConfig:
     @pytest.mark.parametrize("field, bad", [
-        ("dt_s", math.nan), ("dt_s", math.inf), ("dt_s", 0.0), ("dt_s", -1.0),
-        ("snap_km", math.nan), ("margin_km", math.nan), ("margin_km", -0.1),
-        ("max_hours", math.nan), ("max_hours", -1.0),
+        ("snap_km", math.nan), ("max_hours", math.nan), ("max_hours", -1.0),
     ])
     def test_out_of_range_rejected(self, field, bad):
         with pytest.raises(ValidationError, match=field):
@@ -193,52 +184,34 @@ class TestPrune:
     def test_identity_when_disabled(self):
         pts = np.random.default_rng(0).normal(size=(40, 2))
         f = Frontier(points=pts, hour=3)
-        g = prune(f, BurnCircle((0.0, 0.0), 1.0), snap_km=0.0, margin_km=0.0)
+        g = prune(f, snap_km=0.0)
         assert g.points is pts and g.hour == 3
 
     def test_snap_keeps_lexicographic_representative(self):
         pts = np.array([[0.26, 0.26], [0.24, 0.27], [0.24, 0.21], [5.0, 5.0]])
-        g = prune(Frontier(points=pts, hour=0), None, snap_km=1.0, margin_km=0.0)
+        g = prune(Frontier(points=pts, hour=0), snap_km=1.0)
         # the first three share the lattice cell at the origin; the
         # smallest (x, y) pair is kept as that cell's representative
         assert sorted(map(tuple, g.points)) == [(0.24, 0.21), (5.0, 5.0)]
 
-    def test_margin_drops_deep_interior_only(self):
-        circle = BurnCircle((0.0, 0.0), 10.0)
-        pts = np.array([[0.0, 0.0],    # deep inside -> dropped
-                        [9.2, 0.0],    # within margin band -> kept
-                        [0.0, 9.0],    # exactly on the shrunk circle -> kept
-                        [10.0, 0.0]])  # rim -> kept
-        g = prune(Frontier(points=pts, hour=1), circle, snap_km=0.0, margin_km=1.0)
-        assert sorted(map(tuple, g.points)) == [(0.0, 9.0), (9.2, 0.0), (10.0, 0.0)]
-
-    def test_zero_margin_keeps_interior(self):
-        circle = BurnCircle((0.0, 0.0), 10.0)
-        pts = np.array([[0.0, 0.0], [10.0, 0.0]])
-        g = prune(Frontier(points=pts, hour=1), circle, snap_km=0.0, margin_km=0.0)
-        assert g.points.shape == (2, 2)
-
     def test_pruned_points_are_a_subset(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(scale=5.0, size=(500, 2))
-        circle = burned_circle(pts)
-        g = prune(Frontier(points=pts, hour=0), circle, snap_km=0.3, margin_km=0.5)
+        g = prune(Frontier(points=pts, hour=0), snap_km=0.3)
         original = {tuple(p) for p in pts}
         assert all(tuple(p) in original for p in g.points)
 
     @settings(max_examples=60)
     @given(st.integers(min_value=2, max_value=200),
            st.integers(min_value=0, max_value=2**31),
-           st.floats(min_value=0.0, max_value=1.0),
-           st.floats(min_value=0.0, max_value=2.0))
-    def test_radius_never_shrinks_past_the_snap_cell(self, n, seed, snap, margin):
-        # the farthest point always survives the margin filter, and snap
-        # dedup can replace it only by a cell-mate within snap * sqrt(2)
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_radius_never_shrinks_past_the_snap_cell(self, n, seed, snap):
+        # snap dedup can replace the farthest point only by a cell-mate
+        # within snap * sqrt(2)
         rng = np.random.default_rng(seed)
         pts = rng.normal(scale=4.0, size=(n, 2))
         circle = burned_circle(pts)
-        g = prune(Frontier(points=pts, hour=0), circle, snap_km=snap,
-                  margin_km=margin)
+        g = prune(Frontier(points=pts, hour=0), snap_km=snap)
         assert g.points.shape[0] >= 1
         d = g.points - np.asarray(circle.center)
         kept_radius = float(np.sqrt(np.einsum("ij,ij->i", d, d).max()))
@@ -247,7 +220,7 @@ class TestPrune:
     def test_negative_knobs_rejected(self):
         f = Frontier(points=np.array([[0.0, 0.0]]), hour=0)
         with pytest.raises(ValidationError):
-            prune(f, None, snap_km=-0.1, margin_km=0.0)
+            prune(f, snap_km=-0.1)
 
 
 class TestPruneMatchesLexsort:
@@ -261,10 +234,9 @@ class TestPruneMatchesLexsort:
            st.sampled_from([0.01, 1.0, 50.0]),
            st.floats(min_value=-1e4, max_value=1e4),
            st.floats(min_value=0.0, max_value=0.9),
-           st.booleans(),
-           st.sampled_from([0.0, 0.1, 1.0]))
+           st.booleans())
     def test_random_clouds(self, n, seed, snap, spread, offset, dup_frac,
-                           half_cells, margin):
+                           half_cells):
         rng = np.random.default_rng(seed)
         pts = offset + rng.normal(scale=spread, size=(n, 2))
         if half_cells:
@@ -273,7 +245,7 @@ class TestPruneMatchesLexsort:
             pts = np.round(pts / (snap / 2)) * (snap / 2)
         dups = rng.integers(0, n, size=int(dup_frac * n))
         pts[rng.integers(0, n, size=dups.size)] = pts[dups]
-        assert_prunes_like_lexsort(pts, snap, margin, burned_circle(pts))
+        assert_prunes_like_lexsort(pts, snap)
 
     @pytest.mark.parametrize("pts", [
         [[3.2, -1.7]],
@@ -364,7 +336,7 @@ class TestPruneMatchesLexsort:
     def test_nan_rejected(self):
         f = Frontier(points=np.array([[0.0, math.nan], [1.0, 1.0]]), hour=0)
         with pytest.raises(ValidationError):
-            prune(f, None, snap_km=0.05, margin_km=0.0)
+            prune(f, snap_km=0.05)
 
 
 class TestBundledFrontiers:
@@ -375,9 +347,9 @@ class TestBundledFrontiers:
         hours = []
         real_prune, real_circle = evolution.prune, evolution.burned_circle
 
-        def checked_prune(frontier, prev, snap_km, margin_km):
-            got = real_prune(frontier, prev, snap_km, margin_km)
-            want = lexsort_prune(frontier, prev, snap_km, margin_km)
+        def checked_prune(frontier, snap_km):
+            got = real_prune(frontier, snap_km)
+            want = lexsort_prune(frontier, snap_km)
             assert got.points.tobytes() == want.points.tobytes()
             hours.append(frontier.points.shape[0])
             return got
@@ -404,14 +376,6 @@ class TestSimulate:
         assert r.detecting_sensor == 0
         assert r.burned_area_km2 == 0.0
         assert len(r.circle_trace) == 1
-
-    def test_ignition_detection_can_be_disabled(self):
-        env = constant_env(15.0, 0.0, 0.0)
-        inc = mid_incident(env)
-        field_ = SensorField(positions=np.array([inc.ignition_xy]))
-        cfg = EvolutionConfig(snap_km=0.0, max_hours=5.0, detect_at_ignition=False)
-        r = simulate_incident(inc, env, field_, cfg)
-        assert r.detected and r.detection_hour == 1.0
 
     def test_cap_reached_reports_cap(self):
         env = constant_env(15.0, 0.0, 0.0)
@@ -500,7 +464,7 @@ class TestTrajectoryReplay:
                          swvl1_range=(0.0, 0.2), coarse_nx=3, coarse_ny=3,
                          coarse_nt=4)
         env = synth_env(spec, 31)
-        cfg = EvolutionConfig(snap_km=0.05, margin_km=0.0, max_hours=20.0)
+        cfg = EvolutionConfig(snap_km=0.05, max_hours=20.0)
         detections = 0
         for trial in range(10):
             inc = Incident(id=f"r{trial}", start_hour=int(rng.integers(0, 15)),

@@ -41,7 +41,7 @@ def small_scenario():
     return incidents, env, bio
 
 
-EVO = EvolutionConfig(snap_km=0.05, margin_km=0.0, max_hours=12.0)
+EVO = EvolutionConfig(snap_km=0.05, max_hours=12.0)
 
 
 def manual_season(incidents, env, bio, field_):
@@ -200,6 +200,24 @@ class TestSweep:
         with pytest.raises(ValidationError, match=field):
             SweepConfig(sensor_counts=(50,), **{field: bad})
 
+    @pytest.mark.parametrize("field, bad", [
+        ("sensor_counts", (10.7,)), ("sensor_counts", (10, 20.0)),
+        ("sensor_counts", (True,)), ("trials", 2.5), ("trials", 2.0),
+        ("trials", True), ("base_seed", 1.5), ("base_seed", False),
+    ])
+    def test_non_integral_count_rejected(self, field, bad):
+        with pytest.raises(ValidationError, match=field):
+            SweepConfig(**{"sensor_counts": (50,), field: bad})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SweepConfig(sensor_counts=np.array([5, 10]), trials=np.int64(3),
+                          base_seed=np.int32(2))
+        assert cfg.sensor_counts == (5, 10)
+        assert (cfg.trials, cfg.base_seed) == (3, 2)
+        assert all(type(v) is int for v in (*cfg.sensor_counts, cfg.trials,
+                                            cfg.base_seed))
+        json.dumps(asdict(cfg))  # the manifest takes it as is
+
 
 class TestOutputs:
     def test_atomic_write(self, tmp_path):
@@ -266,7 +284,7 @@ class TestBundle:
         assert (env.nx, env.ny, env.nt) == (101, 111, 720)
         assert swp.sensor_counts == (10000, 100000, 1000000)
         assert swp.trials == 30
-        assert evo.margin_km == 0.0
+        assert evo == EvolutionConfig(snap_km=0.05, max_hours=72.0)
         for inc in incidents:
             assert env.rect.contains(inc.ignition_xy)
             assert 0 <= inc.start_hour < env.nt
@@ -308,7 +326,7 @@ class TestBundle:
         {},
         {"sweep": {"trials": 3, "cap_hours": 5.0, "baseline": "historical"}},
         {"sweep": {"sensor_counts": [7], "usd_per_ton": 35},
-         "evolution": {"snap_km": 0.1, "detect_at_ignition": False}},
+         "evolution": {"snap_km": 0.1, "max_hours": 5.0}},
     ])
     def test_configs_match_the_cli(self, tmp_path, sections):
         p = self.edited_bundle(tmp_path, **sections)
@@ -338,6 +356,9 @@ class TestBundle:
         ({"evolution": {"params": {"u_max_ms": 0.5}}}, "evolution.params"),
         ({"sweep": {"bogus": 1}}, "sweep.bogus"),
         ({"sweep": 5}, "sweep"),
+        ({"evolution": {"dt_s": 3600.0}}, "evolution.dt_s"),
+        ({"evolution": {"margin_km": 0.0}}, "evolution.margin_km"),
+        ({"evolution": {"detect_at_ignition": True}}, "evolution.detect_at_ignition"),
     ])
     def test_bad_config_section_rejected(self, tmp_path, sections, key):
         p = self.edited_bundle(tmp_path, **sections)

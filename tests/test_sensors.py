@@ -102,6 +102,8 @@ class TestQueries:
             radius = float(rng.uniform(0.0, 40.0))
             got = indices_within(f, center, radius)
             np.testing.assert_array_equal(got, brute_within(f, center, radius))
+            assert (nearest_index_within(f, center, radius)
+                    == brute_nearest(f, center, radius))
 
     def test_large_field_spot_checks(self):
         f = deploy_uniform(200000, RECT, seed=9)
@@ -124,6 +126,15 @@ class TestQueries:
     def test_nearest_breaks_ties_low(self):
         f = SensorField(positions=np.array([[1.0, 0.0], [-1.0, 0.0]]))
         assert nearest_index_within(f, (0.0, 0.0), 2.0) == 0
+
+    def test_nearest_tie_ignores_candidate_order(self):
+        # three sensors at distance 1, in descending x: the grid hands
+        # them back in cell order, highest index first
+        f = SensorField(positions=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
+        assert list(f._candidates((0.0, 0.0), 1.0)) == [2, 1, 0]
+        assert list(indices_within(f, (0.0, 0.0), 1.0)) == [0, 1, 2]
+        assert nearest_index_within(f, (0.0, 0.0), 1.0) == 0
+        assert brute_nearest(f, (0.0, 0.0), 1.0) == 0
 
     def test_nearest_picks_closest(self):
         f = SensorField(positions=np.array([[5.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
