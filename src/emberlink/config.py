@@ -37,19 +37,30 @@ class SweepConfig:
     baseline: str = "simulated-zero-sensor"
 
     def __post_init__(self) -> None:
-        counts = tuple(self.sensor_counts)
-        for name, items in (("sensor_counts", counts), ("trials", (self.trials,)),
-                            ("base_seed", (self.base_seed,))):
-            # Python or numpy integers, never a bool or a float
-            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                       for v in items):
-                raise ValidationError(f"{name} must be integral, got {getattr(self, name)!r}")
+        seqs = []
+        for name in ("sensor_counts", "unit_sensor_cost_usd"):
+            try:
+                seqs.append(tuple(getattr(self, name)))
+            except TypeError:
+                raise ValidationError(
+                    f"{name} must be a sequence, got {getattr(self, name)!r}") from None
+        counts, costs = seqs
+        for name, items, kind in (
+                ("sensor_counts", counts, numbers.Integral),
+                ("trials", (self.trials,), numbers.Integral),
+                ("base_seed", (self.base_seed,), numbers.Integral),
+                ("usd_per_ton", (self.usd_per_ton,), numbers.Real),
+                ("unit_sensor_cost_usd", costs, numbers.Real),
+                ("cap_hours", (self.cap_hours,), numbers.Real)):
+            # Python or numpy numbers, never a bool; counts never a float
+            if not all(isinstance(v, kind) and not isinstance(v, bool) for v in items):
+                what = "integral" if kind is numbers.Integral else "numeric"
+                raise ValidationError(f"{name} must be {what}, got {getattr(self, name)!r}")
         counts = tuple(map(int, counts))
         object.__setattr__(self, "sensor_counts", counts)
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "base_seed", int(self.base_seed))
-        object.__setattr__(self, "unit_sensor_cost_usd",
-                           tuple(float(c) for c in self.unit_sensor_cost_usd))
+        object.__setattr__(self, "unit_sensor_cost_usd", tuple(map(float, costs)))
         if not counts:
             raise ValidationError("sensor_counts must be non-empty")
         if any(c < 0 for c in counts):

@@ -6,7 +6,9 @@ the wind and soil wetness at that point and hour, and contributes the
 ellipse's four axis endpoints to the next frontier. The burned region at
 each hour is summarized as a circle (mean of the branched points, max
 distance as radius); detection happens when a sensor lies inside that
-closed disk, from the zero-radius ignition circle at hour 0 on.
+closed disk, from the zero-radius ignition circle at hour 0 on. A replay
+screens the whole trajectory with one query over a disk enclosing every
+circle and then queries only the hours a sensor in that disk can reach.
 
 The 4^t branching blow-up is tamed by prune(): snap the frontier to a
 lattice keeping one representative per cell. The dedup sorts one int64
@@ -19,6 +21,7 @@ hour's result.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +29,15 @@ import numpy as np
 from .envdata import EnvGrid, Incident, sample_env_many
 from .errors import ValidationError
 from .firekernel import DEFAULT_PARAMS, SpreadParams, branch_endpoints
-from .sensors import SensorField, nearest_index_within
+from .sensors import SensorField, indices_within, nearest_index_within
 
 STEP_S = 3600.0  # one step is one env hour, the unit of every hour count
+
+# the detection screen's slack over a disk query's rounding: relative,
+# and absolute for squares that underflow
+_SLACK = 1e-9
+_TINY = 1e-150
+_BLOCK = 1 << 20  # most hour x sensor distances the screen holds at once
 
 
 @dataclass(frozen=True)
@@ -265,16 +274,58 @@ def trace_rows(incident: Incident, env: EnvGrid,
             for hours, circle, frontier in _evolve(incident, env, cfg)]
 
 
+def _flagged_hours(circles: list[BurnCircle] | tuple[BurnCircle, ...],
+                   sensors: SensorField) -> np.ndarray:
+    """Ascending hours whose disk may hold a sensor: a superset of the
+    hours nearest_index_within finds a sensor at.
+
+    One query over a disk about the last center that encloses every
+    circle screens the trajectory; when it finds a sensor, hour k is
+    flagged if a sensor of that disk lies within r_k widened by the
+    slack, the distances computed as the query computes them.
+    """
+    cx, cy, r = xyr = np.array([(*c.center, c.radius_km) for c in circles]).T
+    if not (np.isfinite(xyr).all() and (r >= 0).all()):
+        raise ValidationError("trajectory circles need finite centers and "
+                              "finite radii >= 0")
+    center = circles[-1].center
+    # overflowing distances become inf, which only widens the screen
+    with np.errstate(over="ignore"):
+        reach = float((np.hypot(cx - center[0], cy - center[1]) + r).max())
+        screen = min(reach * (1.0 + _SLACK) + _TINY, sys.float_info.max)
+        if nearest_index_within(sensors, center, screen) is None:
+            return np.empty(0, dtype=np.int64)
+        near = sensors.positions[indices_within(sensors, center, screen)]
+        limit = r * (1.0 + _SLACK) + _TINY
+        limit *= limit
+        flagged = np.zeros(r.size, dtype=bool)
+        # (hours, sensors) distance blocks of at most _BLOCK values
+        rows = max(_BLOCK // r.size, 1)
+        for s in range(0, near.shape[0], rows):
+            dx = near[s:s + rows, 0] - cx[:, None]
+            dy = near[s:s + rows, 1] - cy[:, None]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            flagged |= (dx <= limit[:, None]).any(axis=1)
+    return np.flatnonzero(flagged)
+
+
 def replay_detection(incident: Incident,
                      circles: list[BurnCircle] | tuple[BurnCircle, ...],
                      sensors: SensorField, cfg: EvolutionConfig) -> IncidentResult:
     """Detection outcome of a precomputed trajectory against one field.
 
-    This is the only hourly detection loop: every caller first builds the
+    This is the only detection path: every caller first builds the
     trajectory with circle_trajectory (same env and cfg), then replays it.
-    Every circle is checked, the hour-0 ignition circle first.
+    The first hour, from the hour-0 ignition circle on, whose closed disk
+    holds a sensor detects, and its closest sensor (lowest index among
+    ties) is the detecting one. The trajectory is screened once (see
+    _flagged_hours); only the flagged hours are queried, in order, so an
+    undetected replay costs one query.
     """
-    for k, circle in enumerate(circles):
+    for k in _flagged_hours(circles, sensors):
+        circle = circles[k]
         hit = nearest_index_within(sensors, circle.center, circle.radius_km)
         if hit is not None:
             return IncidentResult(

@@ -83,24 +83,53 @@ class SensorField:
             flat = i * ny + j
             starts = np.zeros(nx * ny + 1, dtype=np.int64)
             np.cumsum(np.bincount(flat, minlength=nx * ny), out=starts[1:])
-            self._grid = (x0, y0, cell, nx, ny, starts, np.argsort(flat))
+            self._grid = (x0, y0, cell, nx, ny, starts, _cell_order(flat, nx * ny))
         return self._grid
 
     def _candidates(self, center: tuple[float, float], radius: float) -> np.ndarray:
         # indices_within's rounded disk test can accept a sensor up to
         # ~3e-16 * radius + 3e-162 km (rounding, underflow) past the
         # radius; reaching past that margin with the build's monotone
-        # floor formula keeps every such sensor a candidate
+        # floor formula keeps every such sensor a candidate. Once
+        # radius * radius overflows, the test accepts every sensor
+        # (any squared distance <= inf), so the reach covers the grid.
         x0, y0, cell, nx, ny, starts, order = self._index()
-        reach = radius * (1.0 + 1e-12) + 1e-150
-        i0 = max(math.floor((center[0] - reach - x0) / cell), 0)
-        i1 = min(math.floor((center[0] + reach - x0) / cell), nx - 1)
-        j0 = max(math.floor((center[1] - reach - y0) / cell), 0)
-        j1 = min(math.floor((center[1] + reach - y0) / cell), ny - 1)
+        reach = (radius * (1.0 + 1e-12) + 1e-150 if radius * radius < math.inf
+                 else math.inf)
+        i0 = max(_floor_within((center[0] - reach - x0) / cell, nx), 0)
+        i1 = min(_floor_within((center[0] + reach - x0) / cell, nx), nx - 1)
+        j0 = max(_floor_within((center[1] - reach - y0) / cell, ny), 0)
+        j1 = min(_floor_within((center[1] + reach - y0) / cell, ny), ny - 1)
         if i0 > i1 or j0 > j1:
             return np.empty(0, dtype=np.int64)
         return np.concatenate([order[starts[i * ny + j0]:starts[i * ny + j1 + 1]]
                                for i in range(i0, i1 + 1)])
+
+
+def _cell_order(flat: np.ndarray, cells: int) -> np.ndarray:
+    """Indices that sort flat (cell numbers below cells) by cell, each
+    cell's sensors in index order; flat is consumed.
+
+    One value sort of the int64 keys cell << bits | index, as prune does;
+    a grid too large for those keys to fit in int64 takes a stable
+    argsort, which gives the same order.
+    """
+    n = flat.size
+    bits = (n - 1).bit_length()
+    if cells << bits > 2 ** 63:
+        return np.argsort(flat, kind="stable")
+    flat <<= bits
+    flat |= np.arange(n)
+    flat.sort()
+    flat &= (1 << bits) - 1
+    return flat
+
+
+def _floor_within(v: float, cells: int) -> int:
+    """floor(v) for a cell bound, clamped to [-1, cells]: the clamp only
+    moves bounds that lie off the grid, and keeps an infinite bound (an
+    overflowed center +- reach) from raising in math.floor."""
+    return math.floor(min(max(v, -1.0), float(cells)))
 
 
 def _inside(field_: SensorField, center: tuple[float, float],
@@ -110,6 +139,8 @@ def _inside(field_: SensorField, center: tuple[float, float],
         raise ValidationError(f"radius must be finite and >= 0, got {radius}")
     if not (math.isfinite(center[0]) and math.isfinite(center[1])):
         raise ValidationError(f"center must be finite, got {tuple(center)}")
+    # Python floats: numpy scalars would warn where the reach overflows
+    center, radius = (float(center[0]), float(center[1])), float(radius)
     cand = (field_._candidates(center, radius) if len(field_)
             else np.empty(0, dtype=np.int64))
     if cand.size == 0:

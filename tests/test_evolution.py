@@ -456,7 +456,76 @@ def brute_force_detection(circles, positions):
     return None
 
 
+OFFSETS = st.sampled_from([0.0, 0.5, -37.0, 1e3, -1e5, 1e6, -1e6])
+
+
+@st.composite
+def replay_cases(draw):
+    """(circles, sensor positions): moving, non-nested circles with zero
+    and shrinking radii far from the origin, sensors on their boundaries,
+    twinned for ties, or none at all."""
+    x, y = draw(st.tuples(OFFSETS, OFFSETS))
+    circles = []
+    for _ in range(draw(st.integers(1, 8))):
+        move = draw(st.sampled_from(["stay", "drift", "jump"]))
+        if move != "stay":
+            reach = 2.0 if move == "drift" else 60.0
+            x += draw(st.floats(-reach, reach))
+            y += draw(st.floats(-reach, reach))
+        radius = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 8.0))
+        circles.append(BurnCircle(center=(x, y), radius_km=radius))
+    if draw(st.booleans()) and draw(st.booleans()):
+        return circles, []
+    pts = []
+    for _ in range(draw(st.integers(0, 5))):
+        c = draw(st.sampled_from(circles))
+        theta = draw(st.sampled_from([0.0, math.pi / 2, math.pi])
+                     | st.floats(0.0, 2 * math.pi))
+        pts.append((c.center[0] + c.radius_km * math.cos(theta),
+                    c.center[1] + c.radius_km * math.sin(theta)))
+    cx, cy = circles[-1].center
+    for _ in range(draw(st.integers(0, 5))):
+        pts.append((cx + draw(st.floats(-80.0, 80.0)),
+                    cy + draw(st.floats(-80.0, 80.0))))
+    pts = draw(st.permutations(pts))
+    if draw(st.booleans()):
+        pts = pts + pts  # every hit has an equidistant twin at a higher index
+    return circles, pts
+
+
 class TestTrajectoryReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(case=replay_cases())
+    def test_screened_replay_matches_brute_force(self, case):
+        circles, pts = case
+        inc = Incident(id="p", start_hour=0, ignition_xy=circles[0].center)
+        cfg = EvolutionConfig(max_hours=float(len(circles) - 1))
+        r = replay_detection(inc, circles, SensorField(positions=pts), cfg)
+        expected = brute_force_detection(circles, pts)
+        if expected is None:
+            assert not r.detected and r.detecting_sensor is None
+            assert r.detection_hour == float(len(circles) - 1)
+            assert r.circle_trace == tuple(circles)
+        else:
+            k, sensor = expected
+            assert r.detected and r.detecting_sensor == sensor
+            assert r.detection_hour == float(k)
+            assert r.circle_trace == tuple(circles[:k + 1])
+        assert r.burned_area_km2 == r.circle_trace[-1].area_km2
+
+    @pytest.mark.parametrize("bad", [
+        BurnCircle(center=(math.nan, 0.0), radius_km=1.0),
+        BurnCircle(center=(0.0, math.inf), radius_km=1.0),
+        BurnCircle(center=(0.0, 0.0), radius_km=-1.0),
+        BurnCircle(center=(0.0, 0.0), radius_km=math.inf),
+    ])
+    def test_invalid_circle_rejected(self, bad):
+        circles = [BurnCircle(center=(0.0, 0.0), radius_km=0.0), bad]
+        inc = Incident(id="bad", start_hour=0, ignition_xy=(0.0, 0.0))
+        with pytest.raises(ValidationError, match="trajectory circles"):
+            replay_detection(inc, circles, SensorField(positions=[[0.0, 0.0]]),
+                             EvolutionConfig(max_hours=1.0))
+
     def test_replay_matches_brute_force(self):
         rng = np.random.default_rng(8)
         spec = SynthSpec(nx=8, ny=8, nt=40, spacing_km=25.0, mode="random",

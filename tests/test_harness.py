@@ -12,10 +12,11 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from emberlink import evolution, harness
 from emberlink.carbon import average_biomass, carbon_price, emission_tons
 from emberlink.cli import build_parser, load_config, main
 from emberlink.config import evolution_config, sweep_config
-from emberlink.envdata import Incident, SynthSpec, synth_biomass, synth_env
+from emberlink.envdata import Incident, Rect, SynthSpec, synth_biomass, synth_env
 from emberlink.errors import ValidationError
 from emberlink.evolution import (EvolutionConfig, circle_trajectory,
                                  simulate_incident)
@@ -209,6 +210,16 @@ class TestSweep:
         with pytest.raises(ValidationError, match=field):
             SweepConfig(**{"sensor_counts": (50,), field: bad})
 
+    @pytest.mark.parametrize("field, bad", [
+        ("sensor_counts", 5), ("unit_sensor_cost_usd", 5),
+        ("unit_sensor_cost_usd", ("a",)), ("unit_sensor_cost_usd", (True,)),
+        ("cap_hours", "x"), ("cap_hours", None), ("usd_per_ton", "x"),
+        ("usd_per_ton", True), ("trials", "3"),
+    ])
+    def test_wrong_type_rejected(self, field, bad):
+        with pytest.raises(ValidationError, match=field):
+            SweepConfig(**{"sensor_counts": (50,), field: bad})
+
     def test_numpy_integers_accepted(self):
         cfg = SweepConfig(sensor_counts=np.array([5, 10]), trials=np.int64(3),
                           base_seed=np.int32(2))
@@ -364,3 +375,64 @@ class TestBundle:
         p = self.edited_bundle(tmp_path, **sections)
         with pytest.raises(ValidationError, match=re.escape(f"'{key}'")):
             load_season_bundle(p)
+
+
+class TestQueryCount:
+    """How often a replay queries its field, counted through the module
+    global replay_detection looks nearest_index_within up by, as the
+    benchmark's tracer counts it."""
+
+    @pytest.fixture
+    def queried(self, monkeypatch):
+        fields = []
+        real = evolution.nearest_index_within
+
+        def counting(field_, center, radius):
+            fields.append(field_)
+            return real(field_, center, radius)
+
+        monkeypatch.setattr(evolution, "nearest_index_within", counting)
+        return fields
+
+    def test_every_deployed_field_is_queried(self, monkeypatch, queried):
+        deployed = []
+        real = harness.deploy_uniform
+
+        def recording(n, rect, seed):
+            deployed.append(real(n, rect, seed))
+            return deployed[-1]
+
+        monkeypatch.setattr(harness, "deploy_uniform", recording)
+        incidents, env, bio = small_scenario()
+        cfg = SweepConfig(sensor_counts=(0, 50, 500), trials=2, cap_hours=10.0)
+        sweep(incidents, env, bio, cfg, evolution=EVO)
+        assert len(deployed) == 3 * 2
+        # deployed holds every field, so no id is reused
+        seen = {id(f) for f in queried}
+        assert all(id(f) in seen for f in deployed)
+
+    def test_empty_screen_makes_one_query(self, queried):
+        incidents, env, _ = small_scenario()
+        circles = circle_trajectory(incidents[0], env, EVO)
+        far = SensorField(positions=[[1e4, 1e4], [-1e4, 0.0]])
+        r = evolution.replay_detection(incidents[0], circles, far, EVO)
+        assert not r.detected
+        assert len(queried) == 1
+
+    def test_detected_replay_queries_flagged_hours_only(self, queried):
+        incidents, env, _ = small_scenario()
+        detections = 0
+        for inc in incidents:
+            circles = circle_trajectory(inc, env, EVO)
+            x, y = inc.ignition_xy
+            local = deploy_uniform(30, Rect(x - 2.0, y - 2.0, 4.0, 4.0), seed=1)
+            flagged = evolution._flagged_hours(circles, local)
+            queried.clear()
+            r = evolution.replay_detection(inc, circles, local, EVO)
+            assert len(queried) <= 1 + len(flagged)
+            if r.detected:
+                detections += 1
+                assert r.detection_hour in flagged
+                # the screen, then the flagged hours up to the detecting one
+                assert len(queried) == 2 + int(np.searchsorted(flagged, r.detection_hour))
+        assert detections >= 3

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 from emberlink.envdata import Rect
 from emberlink.errors import ValidationError
-from emberlink.sensors import (SensorField, deploy_uniform, indices_within,
-                               load_sensors, nearest_index_within,
-                               save_sensors)
+from emberlink.sensors import (SensorField, _cell_order, deploy_uniform,
+                               indices_within, load_sensors,
+                               nearest_index_within, save_sensors)
 
 RECT = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -186,6 +187,11 @@ DEGENERATE_FIELDS = {
 }
 
 
+EXTREME_COORDS = st.sampled_from([0.0, 1.0, -1e300, 1e308, -1e308,
+                                  sys.float_info.max, -sys.float_info.max])
+EXTREME_RADII = [0.0, 1e300, 1e308, 1.7e308, sys.float_info.max]
+
+
 class TestDegenerateFields:
     @pytest.mark.parametrize("name", list(DEGENERATE_FIELDS))
     @settings(max_examples=60, deadline=None)
@@ -195,7 +201,8 @@ class TestDegenerateFields:
         lo = f.positions.min(axis=0)
         span = f.positions.max(axis=0) - lo
         scale = max(float(span.max()), 1.0)
-        kind = data.draw(st.sampled_from(["on sensor", "off box", "covering", "random"]))
+        kind = data.draw(st.sampled_from(
+            ["on sensor", "off box", "covering", "random", "extreme"]))
         if kind == "on sensor":
             k = data.draw(st.integers(0, len(f) - 1))
             center, radius = tuple(f.positions[k]), 0.0
@@ -210,10 +217,14 @@ class TestDegenerateFields:
             u = data.draw(st.tuples(st.floats(0, 1), st.floats(0, 1)))
             center = tuple(float(v) for v in lo + span * np.array(u))
             radius = 3.0 * scale
-        else:
+        elif kind == "random":
             u = data.draw(st.tuples(st.floats(-1, 2), st.floats(-1, 2)))
             center = tuple(float(v) for v in lo + scale * np.array(u))
             radius = data.draw(st.floats(0.0, 1.5)) * scale
+        else:
+            # magnitudes where center +- reach or radius * radius overflows
+            center = data.draw(st.tuples(EXTREME_COORDS, EXTREME_COORDS))
+            radius = data.draw(st.sampled_from(EXTREME_RADII))
         got = indices_within(f, center, radius)
         np.testing.assert_array_equal(got, brute_within(f, center, radius))
         if kind == "off box":
@@ -225,6 +236,67 @@ class TestDegenerateFields:
         # memory O(n) however far apart the sensors lie
         starts = f._grid[5]
         assert starts.size - 1 <= 3 * len(f) + 1
+
+
+class TestOverflowingReach:
+    @pytest.mark.parametrize("center, radius", [
+        ((0.0, 0.0), 1.7e308), ((0.0, 0.0), sys.float_info.max),
+        ((1e308, 0.0), 1e308), ((-1e308, 1e308), 1e308),
+        ((sys.float_info.max, 0.0), 1.0),
+    ])
+    def test_matches_brute_force(self, center, radius):
+        f = SensorField([[0.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(indices_within(f, center, radius),
+                                      brute_within(f, center, radius))
+        assert nearest_index_within(f, center, radius) == brute_nearest(f, center, radius)
+
+    def test_numpy_scalars(self):
+        f = SensorField([[0.0, 0.0], [1.0, 1.0]])
+        center = (np.float64(1e308), np.float64(0.0))
+        for radius in (np.float64(1e300), np.float64(1e308)):
+            np.testing.assert_array_equal(indices_within(f, center, radius),
+                                          brute_within(f, center, float(radius)))
+            assert (nearest_index_within(f, center, radius)
+                    == brute_nearest(f, center, float(radius)))
+
+
+class TestGridBuild:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 257])
+    @pytest.mark.parametrize("layout", ["uniform", "coincident"])
+    def test_order_is_cell_sorted_permutation(self, n, layout):
+        if layout == "uniform":
+            f = deploy_uniform(n, RECT, seed=n)
+        else:
+            f = SensorField(positions=np.tile([[7.5, -3.0]], (n, 1)))
+        x0, y0, cell, nx, ny, starts, order = f._index()
+        np.testing.assert_array_equal(np.sort(order), np.arange(n))
+        i = np.floor((f.positions[:, 0] - x0) / cell).astype(np.int64)
+        j = np.floor((f.positions[:, 1] - y0) / cell).astype(np.int64)
+        cells = (i * ny + j)[order]
+        assert (np.diff(cells) >= 0).all()
+        # each cell's sensors come in index order
+        assert (np.diff(order)[np.diff(cells) == 0] > 0).all()
+        np.testing.assert_array_equal(np.diff(starts), np.bincount(cells, minlength=nx * ny))
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            center = tuple(rng.uniform(-10.0, 110.0, 2))
+            radius = float(rng.uniform(0.0, 30.0))
+            np.testing.assert_array_equal(indices_within(f, center, radius),
+                                          brute_within(f, center, radius))
+            assert (nearest_index_within(f, center, radius)
+                    == brute_nearest(f, center, radius))
+
+    @pytest.mark.parametrize("n, cells", [
+        (1, 2 ** 63), (2, 2 ** 62), (2, 2 ** 62 + 1), (4, 2 ** 61),
+        (4, 2 ** 61 + 1), (5, 2 ** 60), (5, 2 ** 60 + 1), (257, 2 ** 54 + 1),
+    ])
+    def test_keys_past_int64_stay_exact(self, n, cells):
+        # cell numbers up to cells - 1: where cell << bits | index would
+        # not fit in int64 the order comes from a stable argsort instead
+        flat = np.random.default_rng(n).integers(cells - 3, cells, n, dtype=np.int64)
+        flat[0] = 0
+        expected = np.argsort(flat, kind="stable")
+        np.testing.assert_array_equal(_cell_order(flat.copy(), cells), expected)
 
 
 class TestFieldValidation:
