@@ -17,7 +17,6 @@ import numpy as np
 
 from .envdata import BiomassGrid
 from .errors import ValidationError
-from .evolution import BurnCircle
 
 UNDERGROUND_FACTOR = 1.2   # underground biomass adds 20% of above-ground
 UNIT_FACTOR = 100.0        # Mg/ha over km2 -> tons
@@ -33,14 +32,15 @@ class SavingsReport:
     savings_usd: float
 
 
-def average_biomass(circle: BurnCircle, bio: BiomassGrid) -> float:
-    """Mean biomass (Mg/ha) over grid cells whose centers lie in the circle.
+def average_biomass(circle: tuple[float, float, float] | np.ndarray,
+                    bio: BiomassGrid) -> float:
+    """Mean biomass (Mg/ha) over grid cells whose centers lie in the
+    circle, a (center_x_km, center_y_km, radius_km) row.
 
     A circle too small to capture any cell center falls back to the value
     of the cell containing the circle center.
     """
-    cx, cy = circle.center
-    r = circle.radius_km
+    cx, cy, r = circle
     qx, qy = bio.rect.clamp((cx, cy))
     if (qx - cx) ** 2 + (qy - cy) ** 2 > r * r:
         raise ValidationError(

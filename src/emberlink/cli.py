@@ -32,7 +32,7 @@ from .config import (DEFAULT_CONFIG, bundle_config, evolution_config, merge,
 from .envdata import (GeoTransform, SynthSpec, load_biomass, load_env_grid,
                       load_incidents, read_json, save_env_grid, synth_env)
 from .errors import ValidationError
-from .evolution import simulate_incident, trace_rows
+from .evolution import replay_detection, trace_rows
 from .harness import (atomic_write_text, read_season_bundle, season_scenario,
                       write_manifest, write_summary_csv, write_sweep_csv)
 from .sensors import SensorField, deploy_uniform, load_sensors
@@ -170,16 +170,19 @@ def cmd_simulate(config: dict, bundle: dict | None,
         field_ = deploy_uniform(args.deploy, env.rect, args.seed or 0)
     else:
         field_ = SensorField(positions=[])
-    result = simulate_incident(incident, env, field_, evo)
+    # one evolution feeds the replay and the trace
+    circles, frontier_sizes = trace_rows(incident, env, evo)
+    result = replay_detection(incident, circles, field_, evo)
     out_dir = Path(config["out_dir"])
     payload = asdict(result)
     atomic_write_text(out_dir / f"incident_{incident.id}.json",
                       json.dumps(payload, indent=2) + "\n")
     if args.trace:
         lines = ["t,center_x_km,center_y_km,radius_km,n_frontier"]
-        for hour, c, n_frontier in trace_rows(incident, env, evo):
-            lines.append(f"{hour},{c.center[0]!r},{c.center[1]!r},"
-                         f"{c.radius_km!r},{n_frontier}")
+        # Python floats: numpy scalars would not repr as plain numbers
+        for hour, ((x, y, r), n) in enumerate(zip(circles.tolist(),
+                                                  frontier_sizes.tolist())):
+            lines.append(f"{hour},{x!r},{y!r},{r!r},{n}")
         atomic_write_text(out_dir / f"incident_{incident.id}_trace.csv",
                           "\n".join(lines) + "\n")
     print(json.dumps(payload, indent=2))

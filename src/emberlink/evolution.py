@@ -5,39 +5,40 @@ env grid: every frontier point grows its own local spread ellipse from
 the wind and soil wetness at that point and hour, and contributes the
 ellipse's four axis endpoints to the next frontier. The burned region at
 each hour is summarized as a circle (mean of the branched points, max
-distance as radius); detection happens when a sensor lies inside that
-closed disk, from the zero-radius ignition circle at hour 0 on. A replay
-screens the whole trajectory with one query over a disk enclosing every
-circle and then queries only the hours a sensor in that disk can reach.
+distance as radius), a (cx, cy, r) row of the float64 (hours + 1, 3)
+trajectory array that starts at the zero-radius ignition circle. A
+sensor inside an hour's closed disk detects the fire; a replay takes
+that hour and sensor from one query over a disk enclosing every circle.
 
 The 4^t branching blow-up is tamed by prune(): snap the frontier to a
 lattice keeping one representative per cell. The dedup sorts one int64
 key per point (lattice cell, then input index), so the kept frontier
 comes out in lattice-cell order, (ki, kj) ascending. Pruning runs after
-the hour's circle and detection check, so it never influences that
-hour's result.
+the hour's circle is taken, so it never influences that hour's result.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .envdata import EnvGrid, Incident, sample_env_many
 from .errors import ValidationError
 from .firekernel import DEFAULT_PARAMS, SpreadParams, branch_endpoints
-from .sensors import SensorField, indices_within, nearest_index_within
+from .sensors import (SensorField, indices_within, nearest_index_within,
+                      squared_distances)
 
 STEP_S = 3600.0  # one step is one env hour, the unit of every hour count
+MAX_POINTS = 1 << 22  # most branched points one step may produce
 
 # the detection screen's slack over a disk query's rounding: relative,
 # and absolute for squares that underflow
 _SLACK = 1e-9
 _TINY = 1e-150
-_BLOCK = 1 << 20  # most hour x sensor distances the screen holds at once
+_BLOCK = 1 << 20  # most hour x sensor distances a replay holds at once
 
 
 @dataclass(frozen=True)
@@ -69,23 +70,13 @@ class Frontier:
 
 
 @dataclass(frozen=True)
-class BurnCircle:
-    """Burned-region summary: point-mean center, max point distance."""
-
-    center: tuple[float, float]
-    radius_km: float
-
-    @property
-    def area_km2(self) -> float:
-        return math.pi * self.radius_km * self.radius_km
-
-
-@dataclass(frozen=True)
 class IncidentResult:
     """Outcome of one simulated incident.
 
     detection_hour doubles as the burned-hours figure: hours until a
     sensor saw the fire, or the cap (or the env horizon) if none did.
+    circle is the reported (center_x_km, center_y_km, radius_km): the
+    detecting hour's circle, or the last one if no sensor saw the fire.
     """
 
     incident_id: str
@@ -93,15 +84,11 @@ class IncidentResult:
     detection_hour: float
     detecting_sensor: int | None
     burned_area_km2: float
-    circle_trace: tuple[BurnCircle, ...] = field(repr=False)
+    circle: tuple[float, float, float]
 
     @property
     def burned_hours(self) -> float:
         return self.detection_hour
-
-    @property
-    def circle(self) -> BurnCircle:
-        return self.circle_trace[-1]
 
 
 def step(frontier: Frontier, env: EnvGrid,
@@ -121,8 +108,9 @@ def step(frontier: Frontier, env: EnvGrid,
     return Frontier(points=branched.reshape(-1, 2), hour=frontier.hour + 1)
 
 
-def burned_circle(points: np.ndarray) -> BurnCircle:
-    """Circle over a point set: mean-point center, max distance radius.
+def burned_circle(points: np.ndarray) -> np.ndarray:
+    """(cx, cy, r) row over a point set: mean-point center, max distance
+    radius.
 
     Each coordinate is summed left to right, as mean(axis=0) does on a
     C-ordered (n, 2) array, whatever the input's memory layout.
@@ -139,7 +127,7 @@ def burned_circle(points: np.ndarray) -> BurnCircle:
     dx *= dx
     dy *= dy
     dx += dy
-    return BurnCircle(center=center, radius_km=float(np.sqrt(dx.max())))
+    return np.array([*center, np.sqrt(dx.max())])
 
 
 def _lattice_cells(pts: np.ndarray, snap_km: float, bits: int) -> np.ndarray:
@@ -228,26 +216,44 @@ def incident_cap_hours(incident: Incident, cfg: EvolutionConfig) -> float:
     return cfg.max_hours
 
 
-def _evolve(incident: Incident, env: EnvGrid, cfg: EvolutionConfig):
-    """Yield (hours_since_ignition, circle, active_frontier) per hour.
+def trace_rows(incident: Incident, env: EnvGrid,
+               cfg: EvolutionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(hours + 1, 3) burned circles and (hours + 1,) active frontier sizes.
 
-    Hour 0 yields the zero-radius ignition circle. Each later hour's
-    circle is built from the raw branched points; the yielded frontier is
-    the pruned set the next hour will grow from. Stops at the incident
-    cap or when the env time range ends.
+    Row 0 is the zero-radius ignition circle; each later hour's circle is
+    built from the raw branched points, and its size is that of the
+    pruned set the next hour grows from. Stops at the incident cap or the
+    env horizon; a snap_km too fine to keep a step below MAX_POINTS
+    branched points is rejected before that step.
     """
     frontier = Frontier(points=np.asarray([incident.ignition_xy], dtype=float),
                         hour=incident.start_hour)
-    circle = BurnCircle(center=incident.ignition_xy, radius_km=0.0)
-    yield 0, circle, frontier
+    circles = [np.array([*incident.ignition_xy, 0.0])]
+    sizes = [1]
     cap = incident_cap_hours(incident, cfg)
-    hours = 0
-    while hours + 1 <= cap and frontier.hour < env.nt:
+    while len(circles) <= cap and frontier.hour < env.nt:
+        # each point branches into its ellipse's four axis endpoints
+        if 4 * frontier.points.shape[0] > MAX_POINTS:
+            raise ValidationError(
+                f"incident {incident.id}: hour {len(circles)} would branch "
+                f"past {MAX_POINTS} frontier points; evolution.snap_km="
+                f"{cfg.snap_km} is too fine to bound the frontier")
         raw = step(frontier, env, cfg.params)
-        hours += 1
-        circle = burned_circle(raw.points)
+        circles.append(burned_circle(raw.points))
         frontier = prune(raw, cfg.snap_km)
-        yield hours, circle, frontier
+        sizes.append(frontier.points.shape[0])
+    return np.array(circles), np.array(sizes, dtype=np.int64)
+
+
+def circle_trajectory(incident: Incident, env: EnvGrid,
+                      cfg: EvolutionConfig) -> np.ndarray:
+    """Float64 (hours + 1, 3) array of the burned (cx, cy, r) circles at
+    hours 0..stop, ignoring sensors (see trace_rows).
+
+    Evolution never depends on the sensor field, so one trajectory can be
+    replayed against many deployments (see replay_detection).
+    """
+    return trace_rows(incident, env, cfg)[0]
 
 
 def simulate_incident(incident: Incident, env: EnvGrid, sensors: SensorField,
@@ -257,87 +263,61 @@ def simulate_incident(incident: Incident, env: EnvGrid, sensors: SensorField,
                             sensors, cfg)
 
 
-def circle_trajectory(incident: Incident, env: EnvGrid,
-                      cfg: EvolutionConfig) -> list[BurnCircle]:
-    """Burned circles at hours 0..stop, ignoring sensors.
-
-    Evolution never depends on the sensor field, so one trajectory can be
-    replayed against many deployments (see replay_detection).
-    """
-    return [circle for _, circle, _ in _evolve(incident, env, cfg)]
-
-
-def trace_rows(incident: Incident, env: EnvGrid,
-               cfg: EvolutionConfig) -> list[tuple[int, BurnCircle, int]]:
-    """(hour, circle, active frontier size) rows for trace output."""
-    return [(hours, circle, frontier.points.shape[0])
-            for hours, circle, frontier in _evolve(incident, env, cfg)]
-
-
-def _flagged_hours(circles: list[BurnCircle] | tuple[BurnCircle, ...],
-                   sensors: SensorField) -> np.ndarray:
-    """Ascending hours whose disk may hold a sensor: a superset of the
-    hours nearest_index_within finds a sensor at.
-
-    One query over a disk about the last center that encloses every
-    circle screens the trajectory; when it finds a sensor, hour k is
-    flagged if a sensor of that disk lies within r_k widened by the
-    slack, the distances computed as the query computes them.
-    """
-    cx, cy, r = xyr = np.array([(*c.center, c.radius_km) for c in circles]).T
-    if not (np.isfinite(xyr).all() and (r >= 0).all()):
-        raise ValidationError("trajectory circles need finite centers and "
-                              "finite radii >= 0")
-    center = circles[-1].center
-    # overflowing distances become inf, which only widens the screen
-    with np.errstate(over="ignore"):
-        reach = float((np.hypot(cx - center[0], cy - center[1]) + r).max())
-        screen = min(reach * (1.0 + _SLACK) + _TINY, sys.float_info.max)
-        if nearest_index_within(sensors, center, screen) is None:
-            return np.empty(0, dtype=np.int64)
-        near = sensors.positions[indices_within(sensors, center, screen)]
-        limit = r * (1.0 + _SLACK) + _TINY
-        limit *= limit
-        flagged = np.zeros(r.size, dtype=bool)
-        # (hours, sensors) distance blocks of at most _BLOCK values
-        rows = max(_BLOCK // r.size, 1)
-        for s in range(0, near.shape[0], rows):
-            dx = near[s:s + rows, 0] - cx[:, None]
-            dy = near[s:s + rows, 1] - cy[:, None]
-            dx *= dx
-            dy *= dy
-            dx += dy
-            flagged |= (dx <= limit[:, None]).any(axis=1)
-    return np.flatnonzero(flagged)
-
-
-def replay_detection(incident: Incident,
-                     circles: list[BurnCircle] | tuple[BurnCircle, ...],
+def replay_detection(incident: Incident, circles: np.ndarray,
                      sensors: SensorField, cfg: EvolutionConfig) -> IncidentResult:
-    """Detection outcome of a precomputed trajectory against one field.
+    """Detection outcome of a precomputed (hours + 1, 3) trajectory against
+    one field.
 
     This is the only detection path: every caller first builds the
     trajectory with circle_trajectory (same env and cfg), then replays it.
-    The first hour, from the hour-0 ignition circle on, whose closed disk
-    holds a sensor detects, and its closest sensor (lowest index among
-    ties) is the detecting one. The trajectory is screened once (see
-    _flagged_hours); only the flagged hours are queried, in order, so an
-    undetected replay costs one query.
+    The first hour k, from the hour-0 ignition circle on, with a sensor at
+    dx*dx + dy*dy <= r_k*r_k detects, and its closest such sensor (lowest
+    index among ties) is the detecting one. One query over a disk about
+    the last center that encloses every circle, widened past a disk
+    query's rounding, screens the trajectory; the hour and sensor come
+    from the exact distances of the sensors in that disk, so a replay
+    makes one nearest_index_within call.
     """
-    for k in _flagged_hours(circles, sensors):
-        circle = circles[k]
-        hit = nearest_index_within(sensors, circle.center, circle.radius_km)
-        if hit is not None:
-            return IncidentResult(
-                incident_id=incident.id, detected=True, detection_hour=float(k),
-                detecting_sensor=hit, burned_area_km2=circle.area_km2,
-                circle_trace=tuple(circles[:k + 1]))
-    # cap-limited runs report the (possibly fractional) cap; runs cut
-    # short by the env horizon report the hours actually burned
-    hours_run = len(circles) - 1
-    cap = incident_cap_hours(incident, cfg)
+    xyr = np.asarray(circles, dtype=float)
+    if not (xyr.ndim == 2 and xyr.shape[1:] == (3,) and xyr.size
+            and np.isfinite(xyr).all() and (xyr[:, 2] >= 0).all()):
+        raise ValidationError("trajectory circles must be a non-empty (hours + 1, 3) "
+                              "array of finite centers and finite radii >= 0")
+    cx, cy, r = xyr.T
+    center = (float(cx[-1]), float(cy[-1]))
+    # overflowing distances and squares become inf: that only widens the
+    # screen, and every sensor lies within an infinite r_k*r_k
+    with np.errstate(over="ignore"):
+        reach = float((np.hypot(cx - center[0], cy - center[1]) + r).max())
+        screen = min(reach * (1.0 + _SLACK) + _TINY, sys.float_info.max)
+        r2 = r * r
+    k, sensor = r.size - 1, None
+    if nearest_index_within(sensors, center, screen) is not None:
+        near = indices_within(sensors, center, screen)
+        x, y = sensors.positions[near].T
+        # (hours, sensors) distance blocks of at most _BLOCK values, in
+        # hour order; the first block with a hit holds the detection
+        rows = max(_BLOCK // near.size, 1)
+        for h in range(0, r.size, rows):
+            d2 = squared_distances(x, y, cx[h:h + rows, None], cy[h:h + rows, None])
+            inside = d2 <= r2[h:h + rows, None]
+            hours = np.flatnonzero(inside.any(axis=1))
+            if hours.size:
+                first = int(hours[0])
+                hits = np.flatnonzero(inside[first])
+                # near is ascending, so argmin's first minimum is the
+                # lowest index among the closest
+                k, sensor = h + first, int(near[hits[d2[first, hits].argmin()]])
+                break
+    if sensor is not None:
+        detection_hour = float(k)
+    else:
+        # cap-limited runs report the (possibly fractional) cap; runs cut
+        # short by the env horizon report the hours actually burned
+        cap = incident_cap_hours(incident, cfg)
+        detection_hour = cap if k + 1 > cap else float(k)
+    circle = tuple(xyr[k].tolist())
     return IncidentResult(
-        incident_id=incident.id, detected=False,
-        detection_hour=cap if hours_run + 1 > cap else float(hours_run),
-        detecting_sensor=None, burned_area_km2=circles[-1].area_km2,
-        circle_trace=tuple(circles))
+        incident_id=incident.id, detected=sensor is not None,
+        detection_hour=detection_hour, detecting_sensor=sensor,
+        burned_area_km2=math.pi * circle[2] * circle[2], circle=circle)

@@ -25,6 +25,8 @@ from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .carbon import average_biomass, carbon_price, emission_tons, savings
 from .config import (BASELINE_MODES, SweepConfig, bundle_config,
@@ -33,8 +35,8 @@ from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec,
                       check_biomass_alignment, read_json, synth_biomass,
                       synth_env)
 from .errors import ValidationError
-from .evolution import (BurnCircle, EvolutionConfig, IncidentResult,
-                        circle_trajectory, replay_detection)
+from .evolution import (EvolutionConfig, IncidentResult, circle_trajectory,
+                        replay_detection)
 from .sensors import SensorField, deploy_uniform
 
 
@@ -77,7 +79,7 @@ class SummaryRow:
 
 
 def _replay_season(incidents: list[Incident],
-                   trajectories: list[list[BurnCircle]], field_: SensorField,
+                   trajectories: list[np.ndarray], field_: SensorField,
                    bio: BiomassGrid, evo: EvolutionConfig, usd_per_ton: float,
                    ) -> tuple[list[IncidentResult], SeasonTotals]:
     """Replay each incident's trajectory against one field; totals sum in
@@ -100,7 +102,7 @@ def _replay_season(incidents: list[Incident],
 
 
 def baseline_totals(incidents: list[Incident],
-                    trajectories: list[list[BurnCircle]] | None,
+                    trajectories: list[np.ndarray] | None,
                     bio: BiomassGrid, mode: str, cfg: EvolutionConfig,
                     usd_per_ton: float = 20.0) -> SeasonTotals:
     """Reference totals the sweep savings are measured against.
@@ -148,14 +150,14 @@ def _traj_init(env: EnvGrid, cfg: EvolutionConfig) -> None:
     _TRAJ_CTX = (env, cfg)
 
 
-def _traj_task(incident: Incident) -> list[BurnCircle]:
+def _traj_task(incident: Incident) -> np.ndarray:
     assert _TRAJ_CTX is not None
     env, cfg = _TRAJ_CTX
     return circle_trajectory(incident, env, cfg)
 
 
 def _trajectories(incidents: list[Incident], env: EnvGrid,
-                  cfg: EvolutionConfig, workers: int) -> list[list[BurnCircle]]:
+                  cfg: EvolutionConfig, workers: int) -> list[np.ndarray]:
     if workers <= 1:
         return [circle_trajectory(inc, env, cfg) for inc in incidents]
     with ProcessPoolExecutor(max_workers=workers, initializer=_traj_init,

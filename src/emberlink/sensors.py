@@ -132,6 +132,19 @@ def _floor_within(v: float, cells: int) -> int:
     return math.floor(min(max(v, -1.0), float(cells)))
 
 
+def squared_distances(x: np.ndarray, y: np.ndarray, cx, cy) -> np.ndarray:
+    """dx*dx + dy*dy for dx = x - cx and dy = y - cy, broadcast; the
+    disk test of every query and of the detection replay. A distance or
+    square that overflows is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        dx = x - cx
+        dy = y - cy
+        dx *= dx
+        dy *= dy
+        dx += dy
+    return dx
+
+
 def _inside(field_: SensorField, center: tuple[float, float],
             radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Unsorted (indices, squared distances) of the sensors in the closed disk."""
@@ -145,8 +158,8 @@ def _inside(field_: SensorField, center: tuple[float, float],
             else np.empty(0, dtype=np.int64))
     if cand.size == 0:
         return cand, np.empty(0)
-    d = field_.positions[cand] - np.asarray(center, dtype=float)
-    dist2 = np.einsum("ij,ij->i", d, d)
+    dist2 = squared_distances(field_.positions[cand, 0], field_.positions[cand, 1],
+                              center[0], center[1])
     inside = dist2 <= radius * radius
     return cand[inside], dist2[inside]
 

@@ -9,17 +9,17 @@ from emberlink.carbon import (average_biomass, carbon_price, emission_tons,
                               savings)
 from emberlink.envdata import BiomassGrid
 from emberlink.errors import ValidationError
-from emberlink.evolution import BurnCircle
 
 
-def brute_average(circle: BurnCircle, bio: BiomassGrid) -> float | None:
-    cx, cy = circle.center
+def brute_average(circle: tuple[float, float, float],
+                  bio: BiomassGrid) -> float | None:
+    cx, cy, r = circle
     vals = []
     for j in range(bio.ny):
         for i in range(bio.nx):
             x = bio.origin[0] + (i + 0.5) * bio.spacing_km
             y = bio.origin[1] + (j + 0.5) * bio.spacing_km
-            if (x - cx) ** 2 + (y - cy) ** 2 <= circle.radius_km ** 2:
+            if (x - cx) ** 2 + (y - cy) ** 2 <= r ** 2:
                 vals.append(float(bio.values[j, i]))
     return sum(vals) / len(vals) if vals else None
 
@@ -36,38 +36,39 @@ class TestAverageBiomass:
         bio = random_bio(4)
         rng = np.random.default_rng(11)
         for _ in range(60):
-            c = BurnCircle((float(rng.uniform(0, 30)), float(rng.uniform(0, 24))),
-                           float(rng.uniform(0.1, 12.0)))
+            c = (float(rng.uniform(0, 30)), float(rng.uniform(0, 24)),
+                 float(rng.uniform(0.1, 12.0)))
             expected = brute_average(c, bio)
             got = average_biomass(c, bio)
+            assert average_biomass(np.array(c), bio) == got  # a trajectory row
             if expected is not None:
                 assert got == pytest.approx(expected, rel=1e-12)
 
     def test_tiny_circle_falls_back_to_center_cell(self):
         bio = random_bio(5)
         # circle radius smaller than any center distance, inside cell (3, 2)
-        c = BurnCircle((6.1, 4.1), 0.05)
+        c = (6.1, 4.1, 0.05)
         assert average_biomass(c, bio) == float(bio.values[2, 3])
 
     def test_single_cell_circle(self):
         bio = random_bio(6)
-        c = BurnCircle((3.0, 3.0), 0.1)  # exactly the center of cell (1, 1)
+        c = (3.0, 3.0, 0.1)  # exactly the center of cell (1, 1)
         assert average_biomass(c, bio) == float(bio.values[1, 1])
 
     def test_offset_origin(self):
         bio = random_bio(7, origin=(100.0, -50.0))
-        c = BurnCircle((103.0, -47.0), 0.1)
+        c = (103.0, -47.0, 0.1)
         assert average_biomass(c, bio) == float(bio.values[1, 1])
 
     def test_circle_outside_grid_rejected(self):
         bio = random_bio(8)
         with pytest.raises(ValidationError):
-            average_biomass(BurnCircle((500.0, 500.0), 1.0), bio)
+            average_biomass((500.0, 500.0, 1.0), bio)
 
     def test_circle_touching_grid_from_outside_ok(self):
         bio = random_bio(9)  # rect 30 x 24
         # center beyond the edge but the disk reaches back onto the grid
-        c = BurnCircle((33.0, 12.0), 5.0)
+        c = (33.0, 12.0, 5.0)
         expected = brute_average(c, bio)
         assert expected is not None
         assert average_biomass(c, bio) == pytest.approx(expected, rel=1e-12)

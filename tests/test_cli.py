@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, replace
 
 import pytest
 
+from emberlink import evolution
 from emberlink.cli import DEFAULT_CONFIG, main
 from emberlink.envdata import load_env_grid
 from emberlink.harness import bundled_scenario_path
@@ -96,6 +98,29 @@ class TestSimulateCommand:
         first = trace[1].split(",")
         assert first[0] == "0" and float(first[3]) == 0.0 and first[4] == "1"
 
+    def test_bundled_run_is_pinned(self, tmp_path):
+        # the README's quick-start run
+        code = main(["--out-dir", str(tmp_path), "--seed", "7",
+                     *on_bundle("simulate", "--incident", "syn-001",
+                                "--deploy", "100000", "--trace")])
+        assert code == 0
+        trace = (tmp_path / "incident_syn-001_trace.csv").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == (
+            "49ea05ad3240b15b47ecb829812c09dfc0824c0c569814cee94d03ec2ae29bb3")
+        result = json.loads((tmp_path / "incident_syn-001.json").read_text())
+        assert list(result) == ["incident_id", "detected", "detection_hour",
+                                "detecting_sensor", "burned_area_km2", "circle"]
+        assert result["detected"] is True
+        assert result["detection_hour"] == 12.0
+        assert result["detecting_sensor"] == 57828
+        assert result["burned_area_km2"] == 2.2757455227201797
+        assert result["circle"] == [
+            693.3449206966991, 203.21541636200845, 0.8511123887715015]
+        # the reported circle is the trace's row at the detection hour
+        row = trace.decode().splitlines()[1 + 12].split(",")
+        assert row[0] == "12" and [float(v) for v in row[1:4]] == [
+            693.3449206966991, 203.21541636200845, 0.8511123887715015]
+
     def test_unknown_incident(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "--set", BUNDLE,
                      "simulate", "--incident", "nope"])
@@ -112,6 +137,21 @@ class TestSimulateCommand:
             result = json.loads((tmp_path / "incident_syn-001.json").read_text())
             areas.append(result["burned_area_km2"])
         assert areas[1] > areas[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--set", "evolution.max_hours=8", "simulate", "--incident", "syn-001"],
+    ["--set", "sweep.cap_hours=8", "--set", "sweep.sensor_counts=[10]",
+     "--set", "sweep.trials=1", "sweep"],
+])
+def test_unbounded_frontier_is_rejected(tmp_path, capsys, monkeypatch, argv):
+    # unpruned, the bundle's fires branch 4**k points by hour k; the bound
+    # is lowered so that the run stops within a few hours
+    monkeypatch.setattr(evolution, "MAX_POINTS", 4 ** 5)
+    code = main(["--out-dir", str(tmp_path),
+                 *on_bundle("--set", "evolution.snap_km=0", *argv)])
+    assert code == 1
+    assert "evolution.snap_km=0 is too fine" in capsys.readouterr().err
 
 
 class TestSweepCommand:

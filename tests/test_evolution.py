@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from emberlink import evolution
 from emberlink.envdata import EnvGrid, Incident, Rect, SynthSpec, synth_env
 from emberlink.errors import ValidationError
-from emberlink.evolution import (BurnCircle, EvolutionConfig, Frontier,
-                                 burned_circle, circle_trajectory,
-                                 incident_cap_hours, prune, replay_detection,
-                                 simulate_incident, step, trace_rows)
+from emberlink.evolution import (EvolutionConfig, Frontier, burned_circle,
+                                 circle_trajectory, incident_cap_hours, prune,
+                                 replay_detection, simulate_incident, step,
+                                 trace_rows)
 from emberlink.firekernel import length_breadth_ratio, spread_speed
 from emberlink.harness import bundled_scenario_path, load_season_bundle
 from emberlink.sensors import SensorField, deploy_uniform
@@ -88,8 +88,9 @@ def sequential_circle(pts: np.ndarray) -> bytes:
     return np.array([cx, cy, math.sqrt(r2)]).tobytes()
 
 
-def circle_bytes(c: BurnCircle) -> bytes:
-    return np.array([c.center[0], c.center[1], c.radius_km]).tobytes()
+def circle_bytes(c: np.ndarray) -> bytes:
+    assert c.dtype == np.float64 and c.shape == (3,)
+    return c.tobytes()
 
 
 class TestEvolutionConfig:
@@ -153,14 +154,13 @@ class TestBurnedCircle:
         c = burned_circle(pts)
         center = pts.mean(axis=0)
         radius = float(np.max(np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])))
-        assert c.center[0] == pytest.approx(center[0], rel=1e-12, abs=1e-12)
-        assert c.center[1] == pytest.approx(center[1], rel=1e-12, abs=1e-12)
-        assert c.radius_km == pytest.approx(radius, rel=1e-12, abs=1e-12)
-        assert c.area_km2 == pytest.approx(math.pi * radius * radius, rel=1e-12)
+        assert c[0] == pytest.approx(center[0], rel=1e-12, abs=1e-12)
+        assert c[1] == pytest.approx(center[1], rel=1e-12, abs=1e-12)
+        assert c[2] == pytest.approx(radius, rel=1e-12, abs=1e-12)
 
     def test_single_point(self):
         c = burned_circle(np.array([[2.0, 3.0]]))
-        assert c.center == (2.0, 3.0) and c.radius_km == 0.0 and c.area_km2 == 0.0
+        assert c.tolist() == [2.0, 3.0, 0.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -213,9 +213,9 @@ class TestPrune:
         circle = burned_circle(pts)
         g = prune(Frontier(points=pts, hour=0), snap_km=snap)
         assert g.points.shape[0] >= 1
-        d = g.points - np.asarray(circle.center)
+        d = g.points - circle[:2]
         kept_radius = float(np.sqrt(np.einsum("ij,ij->i", d, d).max()))
-        assert kept_radius >= circle.radius_km - snap * math.sqrt(2.0) - 1e-12
+        assert kept_radius >= circle[2] - snap * math.sqrt(2.0) - 1e-12
 
     def test_negative_knobs_rejected(self):
         f = Frontier(points=np.array([[0.0, 0.0]]), hour=0)
@@ -366,6 +366,26 @@ class TestBundledFrontiers:
         assert len(hours) == 3 * 96 and max(hours) > 10_000
 
 
+class TestFrontierBound:
+    def test_too_fine_snap_rejected_before_the_step(self, monkeypatch):
+        # unpruned, hour k branches 4**(k - 1) points into 4**k
+        monkeypatch.setattr(evolution, "MAX_POINTS", 4 ** 3)
+        env = constant_env(15.0, 0.0, 0.0)
+        inc = mid_incident(env)
+        circles, sizes = trace_rows(inc, env, replace(NO_PRUNE, max_hours=3.0))
+        assert len(circles) == 4 and sizes[-1] == 4 ** 3
+        branched = []
+
+        def counted_step(frontier, *args):
+            branched.append(frontier.hour)
+            return step(frontier, *args)
+
+        monkeypatch.setattr(evolution, "step", counted_step)
+        with pytest.raises(ValidationError, match=r"hour 4 .*evolution\.snap_km=0\.0"):
+            trace_rows(inc, env, NO_PRUNE)
+        assert branched == [0, 1, 2]
+
+
 class TestSimulate:
     def test_detection_at_ignition(self):
         env = constant_env(15.0, 0.0, 0.0)
@@ -375,7 +395,7 @@ class TestSimulate:
         assert r.detected and r.detection_hour == 0.0
         assert r.detecting_sensor == 0
         assert r.burned_area_km2 == 0.0
-        assert len(r.circle_trace) == 1
+        assert r.circle == (*inc.ignition_xy, 0.0)
 
     def test_cap_reached_reports_cap(self):
         env = constant_env(15.0, 0.0, 0.0)
@@ -384,8 +404,10 @@ class TestSimulate:
         assert not r.detected
         assert r.detection_hour == 5.0
         assert r.detecting_sensor is None
-        assert len(r.circle_trace) == 6  # hours 0..5
-        assert r.burned_area_km2 == pytest.approx(r.circle_trace[-1].area_km2)
+        circles = circle_trajectory(inc, env, NO_PRUNE)
+        assert circles.shape == (6, 3)  # hours 0..5
+        assert r.circle == tuple(circles[-1].tolist())
+        assert r.burned_area_km2 == math.pi * r.circle[2] * r.circle[2]
 
     def test_fractional_cap(self):
         env = constant_env(15.0, 0.0, 0.0)
@@ -393,7 +415,7 @@ class TestSimulate:
         cfg = EvolutionConfig(snap_km=0.0, max_hours=50.0)
         r = simulate_incident(inc, env, SensorField(positions=[]), cfg)
         assert r.detection_hour == 3.25  # 3 whole steps, reported at the cap
-        assert len(r.circle_trace) == 4
+        assert len(circle_trajectory(inc, env, cfg)) == 4
 
     def test_historical_cap_beats_config(self):
         env = constant_env(15.0, 0.0, 0.0)
@@ -409,7 +431,7 @@ class TestSimulate:
         r = simulate_incident(inc, env, SensorField(positions=[]), cfg)
         assert not r.detected
         assert r.detection_hour == 2.0
-        assert len(r.circle_trace) == 3
+        assert len(circle_trajectory(inc, env, cfg)) == 3
 
     def test_zero_cap(self):
         env = constant_env(15.0, 0.0, 0.0)
@@ -423,11 +445,11 @@ class TestSimulate:
         # k * u_p * 3600 / 1000 km downwind of the ignition
         env = constant_env(25.0, 0.0, 0.0)
         inc = mid_incident(env, hist=5.0)
-        r = simulate_incident(inc, env, SensorField(positions=[]), NO_PRUNE)
+        circles = circle_trajectory(inc, env, NO_PRUNE)
         u_p, _, _ = speeds(25.0, 0.0)
         x0 = inc.ignition_xy[0]
-        for k, circle in enumerate(r.circle_trace):
-            head = circle.center[0] + circle.radius_km - x0
+        for k, (cx, _, radius) in enumerate(circles):
+            head = cx + radius - x0
             if k:
                 assert head == pytest.approx(k * u_p * 3.6, abs=1e-9)
 
@@ -441,10 +463,9 @@ class TestSimulate:
 def brute_force_detection(circles, positions):
     """(hour, sensor) of the first detection from ignition on, or None:
     every sensor is tested every hour, no spatial hash, closest wins, ties
-    to the lowest index."""
-    for k in range(len(circles)):
-        cx, cy = circles[k].center
-        r = circles[k].radius_km
+    to the lowest index. Python float arithmetic: a square that overflows
+    is inf."""
+    for k, (cx, cy, r) in enumerate(np.asarray(circles, dtype=float).tolist()):
         best = None
         for i, (x, y) in enumerate(positions):
             dx, dy = x - cx, y - cy
@@ -473,24 +494,41 @@ def replay_cases(draw):
             x += draw(st.floats(-reach, reach))
             y += draw(st.floats(-reach, reach))
         radius = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 8.0))
-        circles.append(BurnCircle(center=(x, y), radius_km=radius))
+        circles.append((x, y, radius))
     if draw(st.booleans()) and draw(st.booleans()):
-        return circles, []
+        return np.array(circles), []
     pts = []
     for _ in range(draw(st.integers(0, 5))):
-        c = draw(st.sampled_from(circles))
+        ox, oy, radius = draw(st.sampled_from(circles))
         theta = draw(st.sampled_from([0.0, math.pi / 2, math.pi])
                      | st.floats(0.0, 2 * math.pi))
-        pts.append((c.center[0] + c.radius_km * math.cos(theta),
-                    c.center[1] + c.radius_km * math.sin(theta)))
-    cx, cy = circles[-1].center
+        pts.append((ox + radius * math.cos(theta),
+                    oy + radius * math.sin(theta)))
+    cx, cy, _ = circles[-1]
     for _ in range(draw(st.integers(0, 5))):
         pts.append((cx + draw(st.floats(-80.0, 80.0)),
                     cy + draw(st.floats(-80.0, 80.0))))
     pts = draw(st.permutations(pts))
     if draw(st.booleans()):
         pts = pts + pts  # every hit has an equidistant twin at a higher index
-    return circles, pts
+    return np.array(circles), pts
+
+
+def assert_replays_like_brute_force(r, circles, pts, cap: float) -> bool:
+    """r is the replay brute_force_detection predicts; True if detected."""
+    expected = brute_force_detection(circles, pts)
+    if expected is None:
+        assert not r.detected and r.detecting_sensor is None
+        assert r.detection_hour == cap
+        k = len(circles) - 1
+    else:
+        k, sensor = expected
+        assert r.detected and r.detecting_sensor == sensor
+        assert r.detection_hour == float(k)
+    assert r.circle == tuple(circles[k].tolist())
+    assert all(type(v) is float for v in r.circle)
+    assert r.burned_area_km2 == math.pi * r.circle[2] * r.circle[2]
+    return expected is not None
 
 
 class TestTrajectoryReplay:
@@ -498,32 +536,45 @@ class TestTrajectoryReplay:
     @given(case=replay_cases())
     def test_screened_replay_matches_brute_force(self, case):
         circles, pts = case
-        inc = Incident(id="p", start_hour=0, ignition_xy=circles[0].center)
+        inc = Incident(id="p", start_hour=0, ignition_xy=tuple(circles[0, :2].tolist()))
         cfg = EvolutionConfig(max_hours=float(len(circles) - 1))
         r = replay_detection(inc, circles, SensorField(positions=pts), cfg)
-        expected = brute_force_detection(circles, pts)
-        if expected is None:
-            assert not r.detected and r.detecting_sensor is None
-            assert r.detection_hour == float(len(circles) - 1)
-            assert r.circle_trace == tuple(circles)
-        else:
-            k, sensor = expected
-            assert r.detected and r.detecting_sensor == sensor
-            assert r.detection_hour == float(k)
-            assert r.circle_trace == tuple(circles[:k + 1])
-        assert r.burned_area_km2 == r.circle_trace[-1].area_km2
+        assert_replays_like_brute_force(r, circles, pts, cfg.max_hours)
+
+    @pytest.mark.parametrize("pts", [
+        [[3.0, 4.0], [-1e160, 0.0], [1.0, 1.0]],
+        [[1e160, 0.0], [-1e160, 0.0]],  # every square overflows too
+        [[1.0, 2.0], [1.0, -2.0], [1e6, 0.0]],  # an exact tie
+    ])
+    def test_overflowing_radius_square(self, pts):
+        # r * r overflows to inf at hour 1, so every sensor the screen
+        # finds lies within that circle
+        circles = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1e200]])
+        inc = Incident(id="big", start_hour=0, ignition_xy=(0.0, 0.0))
+        r = replay_detection(inc, circles, SensorField(positions=pts),
+                             EvolutionConfig(max_hours=1.0))
+        assert r.detection_hour == 1.0
+        assert assert_replays_like_brute_force(r, circles, pts, 1.0)
 
     @pytest.mark.parametrize("bad", [
-        BurnCircle(center=(math.nan, 0.0), radius_km=1.0),
-        BurnCircle(center=(0.0, math.inf), radius_km=1.0),
-        BurnCircle(center=(0.0, 0.0), radius_km=-1.0),
-        BurnCircle(center=(0.0, 0.0), radius_km=math.inf),
+        [math.nan, 0.0, 1.0],
+        [0.0, math.inf, 1.0],
+        [0.0, 0.0, -1.0],
+        [0.0, 0.0, math.inf],
     ])
     def test_invalid_circle_rejected(self, bad):
-        circles = [BurnCircle(center=(0.0, 0.0), radius_km=0.0), bad]
+        circles = np.array([[0.0, 0.0, 0.0], bad])
         inc = Incident(id="bad", start_hour=0, ignition_xy=(0.0, 0.0))
         with pytest.raises(ValidationError, match="trajectory circles"):
             replay_detection(inc, circles, SensorField(positions=[[0.0, 0.0]]),
+                             EvolutionConfig(max_hours=1.0))
+
+    @pytest.mark.parametrize("bad", [np.empty((0, 3)), np.zeros((2, 2)),
+                                     np.zeros(3), np.zeros((1, 3, 1))])
+    def test_malformed_trajectory_rejected(self, bad):
+        inc = Incident(id="bad", start_hour=0, ignition_xy=(0.0, 0.0))
+        with pytest.raises(ValidationError, match="trajectory circles"):
+            replay_detection(inc, bad, SensorField(positions=[[0.0, 0.0]]),
                              EvolutionConfig(max_hours=1.0))
 
     def test_replay_matches_brute_force(self):
@@ -552,19 +603,8 @@ class TestTrajectoryReplay:
             twinned = SensorField(positions=np.vstack([local, local]))
             for sensors in (field_, twinned):
                 r = replay_detection(inc, circles, sensors, cfg)
-                expected = brute_force_detection(
-                    circles, sensors.positions.tolist())
-                if expected is None:
-                    assert not r.detected and r.detecting_sensor is None
-                    assert r.detection_hour == cfg.max_hours
-                    assert r.circle_trace == tuple(circles)
-                else:
-                    k, sensor = expected
-                    detections += 1
-                    assert r.detected and r.detecting_sensor == sensor
-                    assert r.detection_hour == float(k)
-                    assert r.circle_trace == tuple(circles[:k + 1])
-                assert r.burned_area_km2 == r.circle_trace[-1].area_km2
+                detections += assert_replays_like_brute_force(
+                    r, circles, sensors.positions.tolist(), cfg.max_hours)
         assert detections >= 5
 
     def test_trajectory_matches_trace(self):
@@ -572,14 +612,15 @@ class TestTrajectoryReplay:
         inc = mid_incident(env, hist=6.0)
         cfg = EvolutionConfig(snap_km=0.05, max_hours=10.0)
         circles = circle_trajectory(inc, env, cfg)
-        rows = trace_rows(inc, env, cfg)
-        assert [c for _, c, _ in rows] == circles
-        assert [h for h, _, _ in rows] == list(range(len(circles)))
-        assert all(n >= 1 for _, _, n in rows)
+        assert circles.dtype == np.float64 and circles.shape == (7, 3)
+        traced, sizes = trace_rows(inc, env, cfg)
+        assert traced.tobytes() == circles.tobytes()
+        assert sizes.dtype == np.int64 and sizes.shape == (7,)
+        assert sizes[0] == 1 and (sizes >= 1).all()
 
     def test_radii_never_decrease(self):
         env = constant_env(22.0, -7.0, 0.02)
         inc = mid_incident(env, hist=24.0)
         circles = circle_trajectory(inc, env, EvolutionConfig(snap_km=0.05))
-        radii = [c.radius_km for c in circles]
+        radii = circles[:, 2].tolist()
         assert all(b >= a for a, b in zip(radii, radii[1:]))

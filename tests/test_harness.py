@@ -419,20 +419,17 @@ class TestQueryCount:
         assert not r.detected
         assert len(queried) == 1
 
-    def test_detected_replay_queries_flagged_hours_only(self, queried):
+    def test_every_replay_makes_one_query(self, queried):
         incidents, env, _ = small_scenario()
         detections = 0
         for inc in incidents:
             circles = circle_trajectory(inc, env, EVO)
             x, y = inc.ignition_xy
             local = deploy_uniform(30, Rect(x - 2.0, y - 2.0, 4.0, 4.0), seed=1)
-            flagged = evolution._flagged_hours(circles, local)
-            queried.clear()
-            r = evolution.replay_detection(inc, circles, local, EVO)
-            assert len(queried) <= 1 + len(flagged)
-            if r.detected:
-                detections += 1
-                assert r.detection_hour in flagged
-                # the screen, then the flagged hours up to the detecting one
-                assert len(queried) == 2 + int(np.searchsorted(flagged, r.detection_hour))
+            for field_ in (local, deploy_uniform(50, env.rect, seed=2),
+                           SensorField(positions=[])):
+                queried.clear()
+                r = evolution.replay_detection(inc, circles, field_, EVO)
+                assert len(queried) == 1 and queried[0] is field_
+                detections += r.detected
         assert detections >= 3
