@@ -11,8 +11,6 @@ carbon-fraction or combustion-completeness factor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .envdata import BiomassGrid
@@ -21,15 +19,6 @@ from .errors import ValidationError
 UNDERGROUND_FACTOR = 1.2   # underground biomass adds 20% of above-ground
 UNIT_FACTOR = 100.0        # Mg/ha over km2 -> tons
 USD_PER_TON = 20.0
-
-
-@dataclass(frozen=True)
-class SavingsReport:
-    baseline_price_usd: float
-    scenario_price_usd: float
-    n_sensors: int
-    unit_cost_usd: float
-    savings_usd: float
 
 
 def average_biomass(circle: tuple[float, float, float] | np.ndarray,
@@ -64,15 +53,13 @@ def average_biomass(circle: tuple[float, float, float] | np.ndarray,
     return float(bio.values[iy, ix])
 
 
-def emission_tons(area_km2: float, b_avg: float,
-                  underground_factor: float = UNDERGROUND_FACTOR,
-                  unit_factor: float = UNIT_FACTOR) -> float:
+def emission_tons(area_km2: float, b_avg: float) -> float:
     """Carbon tonnage for a burned area (km2) at mean biomass b_avg (Mg/ha)."""
     if area_km2 < 0:
         raise ValidationError(f"area_km2 must be >= 0, got {area_km2}")
     if b_avg < 0:
         raise ValidationError(f"b_avg must be >= 0, got {b_avg}")
-    return area_km2 * underground_factor * b_avg * unit_factor
+    return area_km2 * UNDERGROUND_FACTOR * b_avg * UNIT_FACTOR
 
 
 def carbon_price(tons: float, usd_per_ton: float = USD_PER_TON) -> float:
@@ -84,15 +71,9 @@ def carbon_price(tons: float, usd_per_ton: float = USD_PER_TON) -> float:
 
 
 def savings(baseline_usd: float, scenario_usd: float,
-            n_sensors: int, unit_cost_usd: float) -> SavingsReport:
-    """Net savings: baseline cost minus scenario cost minus sensor spend.
-
-    May be negative when the deployment costs more than it prevents.
+            n_sensors: int, unit_cost_usd: float) -> float:
+    """Net savings in USD: baseline cost minus scenario cost minus sensor
+    spend. May be negative when the deployment costs more than it prevents.
     """
-    value = baseline_usd - (scenario_usd + n_sensors * unit_cost_usd)
-    return SavingsReport(baseline_price_usd=baseline_usd,
-                         scenario_price_usd=scenario_usd,
-                         n_sensors=n_sensors,
-                         unit_cost_usd=unit_cost_usd,
-                         savings_usd=value)
+    return baseline_usd - (scenario_usd + n_sensors * unit_cost_usd)
 

@@ -14,7 +14,7 @@ import copy
 import numbers
 from dataclasses import asdict, dataclass
 
-from .envdata import CALIFORNIA
+from .envdata import CALIFORNIA, describe_kind, fits_kind
 from .errors import ValidationError
 from .evolution import EvolutionConfig
 from .firekernel import DEFAULT_PARAMS, SpreadParams
@@ -113,44 +113,11 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-# keys with a non-null default whose dataclass field also takes None
-_NULLABLE = ("link.params.elevation_deg",)
-
-
-def _kind(default) -> str:
-    """Name of the kind of value a key with this default takes."""
-    if default is None:
-        return "a string"
-    if isinstance(default, int):
-        return "an integer"
-    if isinstance(default, float):
-        return "a number"
-    if isinstance(default, list):
-        return f"a list of items that are each {_kind(default[0])}"
-    return "a string" if isinstance(default, str) else "an object"
-
-
-def _fits(default, value) -> bool:
-    """Whether value is of its default's kind: no key takes a bool, an
-    integer default takes only integers, a float default any number, a
-    list default a list of its items' kind, a null default (a path) a
-    string."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(default, int):
-        return isinstance(value, int)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_fits(default[0], v) for v in value)
-    return isinstance(value, str if default is None else type(default))
-
-
 def merge(base: dict, override: dict, path: str = "",
           defaults: dict = DEFAULT_CONFIG) -> dict:
     """base with override laid over it, key by key; every key must exist in
     defaults (the DEFAULT_CONFIG section at path) and every value must be
-    of its default's kind."""
+    of its default's kind (see envdata.fits_kind)."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -159,13 +126,13 @@ def merge(base: dict, override: dict, path: str = "",
         default = defaults[key]
         if isinstance(default, dict) and isinstance(value, dict):
             out[key] = merge(base[key], value, where, default)
-        elif value is None and (default is None or where in _NULLABLE):
+        elif value is None and default is None:
             out[key] = None
-        elif _fits(default, value):
+        elif fits_kind(default, value):
             out[key] = copy.deepcopy(value)
         else:
             raise ValidationError(
-                f"config key '{where}' must be {_kind(default)}, got {value!r}")
+                f"config key '{where}' must be {describe_kind(default)}, got {value!r}")
     return out
 
 

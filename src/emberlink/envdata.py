@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import ValidationError
 
 KM2_PER_ACRE = 0.00404686
+BIOMASS_COARSE = 8  # side of the biomass field's random lattice, in points
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,8 @@ class EnvGrid:
     def __post_init__(self) -> None:
         if min(self.nx, self.ny, self.nt) < 1:
             raise ValidationError(f"grid dims must be >= 1, got {self.nx}x{self.ny}x{self.nt}")
-        if self.spacing_km <= 0:
-            raise ValidationError(f"spacing_km must be > 0, got {self.spacing_km}")
+        if not 0 < self.spacing_km < math.inf:
+            raise ValidationError(f"spacing_km must be finite and > 0, got {self.spacing_km}")
         shape = (self.nt, self.ny, self.nx)
         for name in ("u10", "v10", "swvl1"):
             arr = getattr(self, name)
@@ -140,8 +142,9 @@ class BiomassGrid:
     def __post_init__(self) -> None:
         if min(self.nx, self.ny) < 1:
             raise ValidationError(f"biomass dims must be >= 1, got {self.nx}x{self.ny}")
-        if self.spacing_km <= 0:
-            raise ValidationError(f"biomass spacing_km must be > 0, got {self.spacing_km}")
+        if not 0 < self.spacing_km < math.inf:
+            raise ValidationError(
+                f"biomass spacing_km must be finite and > 0, got {self.spacing_km}")
         if self.values.shape != (self.ny, self.nx):
             raise ValidationError(
                 f"biomass shape {self.values.shape} != declared {(self.ny, self.nx)}")
@@ -163,7 +166,7 @@ def check_biomass_alignment(bio: BiomassGrid, env: EnvGrid) -> None:
     for name, a, b in (("x0", br.x0, er.x0), ("y0", br.y0, er.y0),
                        ("width_km", br.width_km, er.width_km),
                        ("height_km", br.height_km, er.height_km)):
-        if abs(a - b) > tol:
+        if not abs(a - b) <= tol:  # NaN fails too
             raise ValidationError(
                 f"biomass rectangle {name}={a} differs from env {name}={b} "
                 f"by more than one env cell ({tol} km)")
@@ -222,6 +225,54 @@ def read_json(path: str | Path, what: str, required: tuple[str, ...] = ()) -> di
         if key not in raw:
             raise ValidationError(f"{what} missing field '{key}'")
     return raw
+
+
+def fits_kind(example, value) -> bool:
+    """Whether value is of its example's kind. No kind takes a bool; an int
+    takes integers, a float any real, a list a list of its first item's
+    kind, a tuple as many items of its items' kinds, None (a path) a string."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(example, int):
+        return isinstance(value, numbers.Integral)
+    if isinstance(example, float):
+        return isinstance(value, numbers.Real)
+    if isinstance(example, list):
+        return isinstance(value, list) and all(fits_kind(example[0], v) for v in value)
+    if isinstance(example, tuple):
+        return (isinstance(value, (list, tuple)) and len(value) == len(example)
+                and all(map(fits_kind, example, value)))
+    return isinstance(value, str if example is None else type(example))
+
+
+def describe_kind(example) -> str:
+    """Name of the kind of value an example takes (see fits_kind)."""
+    if isinstance(example, int):
+        return "an integer"
+    if isinstance(example, float):
+        return "a number"
+    if isinstance(example, list):
+        return f"a list of items that are each {describe_kind(example[0])}"
+    if isinstance(example, tuple):
+        return f"a list of {len(example)} items: {', '.join(map(describe_kind, example))}"
+    return "an object" if isinstance(example, dict) else "a string"
+
+
+def check_fields(what: str, section, kinds: dict, required: tuple | None = None) -> dict:
+    """section, checked to be an object whose fields are all in kinds and of
+    their example's kind, required ones (default all) present; what names it."""
+    if not isinstance(section, dict):
+        raise ValidationError(f"{what} must be an object, got {section!r}")
+    for key, value in section.items():
+        if key not in kinds:
+            raise ValidationError(f"{what} has unknown field '{key}'")
+        if not fits_kind(kinds[key], value):
+            raise ValidationError(f"{what} field '{key}' must be "
+                                  f"{describe_kind(kinds[key])}, got {value!r}")
+    for key in kinds if required is None else required:
+        if key not in section:
+            raise ValidationError(f"{what} missing field '{key}'")
+    return section
 
 
 def _read_raster(path: Path, count: int, what: str) -> np.ndarray:
@@ -296,13 +347,22 @@ def save_biomass(bio: BiomassGrid, manifest_path: str | Path) -> Path:
 # synthetic grids
 # ---------------------------------------------------------------------------
 
+# an example value of every SynthSpec field, for its kind (see fits_kind)
+_SPEC_KINDS = {"nx": 0, "ny": 0, "nt": 0, "spacing_km": 0.0, "origin": (0.0, 0.0),
+               "mode": "", "u10": 0.0, "v10": 0.0, "swvl1": 0.0,
+               "schedule": [(0, 0.0, 0.0, 0.0)], "u10_range": (0.0, 0.0),
+               "v10_range": (0.0, 0.0), "swvl1_range": (0.0, 0.0),
+               "coarse_nx": 0, "coarse_ny": 0, "coarse_nt": 0}
+
+
 @dataclass
 class SynthSpec:
-    """Descriptor for a synthesized environment grid.
+    """Descriptor for a synthesized environment grid, checked when built.
 
     mode "constant"  : uniform u10 / v10 / swvl1 everywhere
     mode "schedule"  : piecewise-constant in time (entries of
-                       (start_hour, u10, v10, swvl1)), uniform in space
+                       (start_hour, u10, v10, swvl1), the first at hour
+                       0), uniform in space
     mode "random"    : smooth random fields, linearly upsampled from a
                        coarse lattice of seeded uniform draws, scaled into
                        the given (lo, hi) ranges
@@ -325,19 +385,34 @@ class SynthSpec:
     coarse_ny: int = 6
     coarse_nt: int = 12
 
+    def __post_init__(self) -> None:
+        check_fields("synth spec", vars(self), _SPEC_KINDS)
+        for name in ("nx", "ny", "nt", "coarse_nx", "coarse_ny", "coarse_nt"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"synth spec {name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.spacing_km < math.inf:  # NaN fails too
+            raise ValidationError(
+                f"synth spec spacing_km must be finite and > 0, got {self.spacing_km}")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValidationError(f"synth spec origin must be finite, got {self.origin}")
+        for name in ("u10_range", "v10_range", "swvl1_range"):
+            lo, hi = getattr(self, name)
+            if not lo <= hi:
+                raise ValidationError(f"synth spec {name} must have lo <= hi, got ({lo}, {hi})")
+        if not 0 <= self.swvl1_range[0] <= self.swvl1_range[1] <= 1:
+            raise ValidationError(f"synth spec swvl1_range outside [0, 1]: {self.swvl1_range}")
+        if self.mode not in ("constant", "schedule", "random"):
+            raise ValidationError(f"synth spec mode '{self.mode}' is unknown")
+        if self.mode == "schedule" and min((e[0] for e in self.schedule), default=1) != 0:
+            raise ValidationError("synth spec schedule must be non-empty and start at hour 0")
+        self.schedule = [tuple(e) for e in self.schedule]  # type: ignore[misc]
+        for name in ("origin", "u10_range", "v10_range", "swvl1_range"):
+            setattr(self, name, tuple(getattr(self, name)))
+
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValidationError(f"unknown synth spec fields: {sorted(unknown)}")
-        spec = cls(**{k: v for k, v in d.items()})
-        spec.origin = tuple(spec.origin)  # type: ignore[assignment]
-        spec.schedule = [tuple(e) for e in spec.schedule]  # type: ignore[misc]
-        spec.u10_range = tuple(spec.u10_range)  # type: ignore[assignment]
-        spec.v10_range = tuple(spec.v10_range)  # type: ignore[assignment]
-        spec.swvl1_range = tuple(spec.swvl1_range)  # type: ignore[assignment]
-        return spec
+        """The spec a JSON object describes: no unknown or missing fields."""
+        return cls(**check_fields("synth spec", d, _SPEC_KINDS, ("nx", "ny", "nt", "spacing_km")))
 
 
 def _lin_resample(a: np.ndarray, n_new: int, axis: int) -> np.ndarray:
@@ -370,19 +445,13 @@ def _smooth_field(rng: np.random.Generator, spec: SynthSpec,
 
 def synth_env(spec: SynthSpec, seed: int) -> EnvGrid:
     """Deterministically synthesize an EnvGrid from (spec, seed)."""
-    if min(spec.nx, spec.ny, spec.nt) < 1 or spec.spacing_km <= 0:
-        raise ValidationError("synth spec dims must be >= 1 and spacing_km > 0")
     shape = (spec.nt, spec.ny, spec.nx)
     if spec.mode == "constant":
         u = np.full(shape, spec.u10, dtype=np.float32)
         v = np.full(shape, spec.v10, dtype=np.float32)
         s = np.full(shape, spec.swvl1, dtype=np.float32)
     elif spec.mode == "schedule":
-        if not spec.schedule:
-            raise ValidationError("schedule mode needs a non-empty schedule")
         entries = sorted(spec.schedule)
-        if entries[0][0] != 0:
-            raise ValidationError("schedule must start at hour 0")
         u = np.empty(shape, dtype=np.float32)
         v = np.empty(shape, dtype=np.float32)
         s = np.empty(shape, dtype=np.float32)
@@ -391,33 +460,25 @@ def synth_env(spec: SynthSpec, seed: int) -> EnvGrid:
             u[h0:h1] = uu
             v[h0:h1] = vv
             s[h0:h1] = ss
-    elif spec.mode == "random":
-        for name, (lo, hi) in (("u10_range", spec.u10_range),
-                               ("v10_range", spec.v10_range),
-                               ("swvl1_range", spec.swvl1_range)):
-            if lo > hi:
-                raise ValidationError(f"{name} has lo > hi: ({lo}, {hi})")
-        if spec.swvl1_range[0] < 0 or spec.swvl1_range[1] > 1:
-            raise ValidationError(f"swvl1_range outside [0, 1]: {spec.swvl1_range}")
+    else:  # random
         rng = np.random.Generator(np.random.Philox(key=seed))
         u = _smooth_field(rng, spec, *spec.u10_range)
         v = _smooth_field(rng, spec, *spec.v10_range)
         s = _smooth_field(rng, spec, *spec.swvl1_range)
-    else:
-        raise ValidationError(f"unknown synth mode '{spec.mode}'")
     return EnvGrid(nx=spec.nx, ny=spec.ny, nt=spec.nt, spacing_km=spec.spacing_km,
                    origin=spec.origin, u10=u, v10=v, swvl1=s)
 
 
 def synth_biomass(nx: int, ny: int, spacing_km: float,
                   lo: float, hi: float, seed: int,
-                  origin: tuple[float, float] = (0.0, 0.0),
-                  coarse: int = 8) -> BiomassGrid:
+                  origin: tuple[float, float] = (0.0, 0.0)) -> BiomassGrid:
     """Deterministic smooth random biomass field in [lo, hi] Mg/ha."""
-    if lo < 0 or lo > hi:
-        raise ValidationError(f"biomass range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+    if min(nx, ny) < 1:
+        raise ValidationError(f"biomass dims must be >= 1, got {nx}x{ny}")
+    if not 0 <= lo <= hi < math.inf:
+        raise ValidationError(f"biomass range must satisfy 0 <= lo <= hi < inf, got ({lo}, {hi})")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    c = rng.random((min(coarse, ny), min(coarse, nx)))
+    c = rng.random((min(BIOMASS_COARSE, ny), min(BIOMASS_COARSE, nx)))
     f = _lin_resample(c, ny, axis=0)
     f = _lin_resample(f, nx, axis=1)
     values = (lo + (hi - lo) * f).astype(np.float32)

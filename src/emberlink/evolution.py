@@ -73,7 +73,7 @@ class Frontier:
 class IncidentResult:
     """Outcome of one simulated incident.
 
-    detection_hour doubles as the burned-hours figure: hours until a
+    detection_hour is also the burned-hours figure: hours until a
     sensor saw the fire, or the cap (or the env horizon) if none did.
     circle is the reported (center_x_km, center_y_km, radius_km): the
     detecting hour's circle, or the last one if no sensor saw the fire.
@@ -85,10 +85,6 @@ class IncidentResult:
     detecting_sensor: int | None
     burned_area_km2: float
     circle: tuple[float, float, float]
-
-    @property
-    def burned_hours(self) -> float:
-        return self.detection_hour
 
 
 def step(frontier: Frontier, env: EnvGrid,
@@ -254,13 +250,6 @@ def circle_trajectory(incident: Incident, env: EnvGrid,
     replayed against many deployments (see replay_detection).
     """
     return trace_rows(incident, env, cfg)[0]
-
-
-def simulate_incident(incident: Incident, env: EnvGrid, sensors: SensorField,
-                      cfg: EvolutionConfig) -> IncidentResult:
-    """Outcome of one incident: its full trajectory replayed against the field."""
-    return replay_detection(incident, circle_trajectory(incident, env, cfg),
-                            sensors, cfg)
 
 
 def replay_detection(incident: Incident, circles: np.ndarray,

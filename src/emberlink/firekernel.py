@@ -7,9 +7,9 @@ speed is a fixed fraction of the head speed. All speeds are m/s; geometry is
 km; wind angles are radians from the +x axis.
 
 The field functions (``wind_factor``, ``moisture_factor``, ``spread_speed``,
-``length_breadth_ratio``) take scalars or numpy arrays; ``branch_endpoints``
-grows one ellipse per point of a whole frontier at once and returns its
-four axis endpoints.
+``length_breadth_ratio``) evaluate elementwise over numpy arrays (a scalar
+input gives a numpy scalar); ``branch_endpoints`` grows one ellipse per
+point of a whole frontier at once and returns its four axis endpoints.
 """
 
 from __future__ import annotations
@@ -71,8 +71,7 @@ def wind_factor(ws_ms, params: SpreadParams = DEFAULT_PARAMS):
     if np.any(ws < 0):
         raise ValueError("wind speed must be >= 0")
     g0 = params.windless_gain
-    out = g0 + (1.0 - g0) * -np.expm1(-(ws * ws) / params.wind_sq_scale)
-    return float(out) if np.isscalar(ws_ms) else out
+    return g0 + (1.0 - g0) * -np.expm1(-(ws * ws) / params.wind_sq_scale)
 
 
 def moisture_factor(beta_root, params: SpreadParams = DEFAULT_PARAMS):
@@ -81,14 +80,12 @@ def moisture_factor(beta_root, params: SpreadParams = DEFAULT_PARAMS):
     if np.any(beta < 0):
         raise ValueError("soil wetness must be >= 0")
     beta_m = np.minimum(beta / params.wetness_cutoff, 1.0)
-    out = (1.0 - beta_m) ** 2
-    return float(out) if np.isscalar(beta_root) else out
+    return (1.0 - beta_m) ** 2
 
 
 def spread_speed(ws_ms, beta_root, params: SpreadParams = DEFAULT_PARAMS):
     """Head spread speed u_p = u_max * wind_factor * moisture_factor (m/s)."""
-    out = params.u_max_ms * wind_factor(ws_ms, params) * moisture_factor(beta_root, params)
-    return float(out) if np.isscalar(ws_ms) and np.isscalar(beta_root) else out
+    return params.u_max_ms * wind_factor(ws_ms, params) * moisture_factor(beta_root, params)
 
 
 def length_breadth_ratio(ws_ms, params: SpreadParams = DEFAULT_PARAMS):
@@ -96,8 +93,7 @@ def length_breadth_ratio(ws_ms, params: SpreadParams = DEFAULT_PARAMS):
     ws = np.asarray(ws_ms, dtype=float)
     if np.any(ws < 0):
         raise ValueError("wind speed must be >= 0")
-    out = 1.0 + params.elongation_gain * (1.0 - np.exp(-params.elongation_rate * ws))
-    return float(out) if np.isscalar(ws_ms) else out
+    return 1.0 + params.elongation_gain * (1.0 - np.exp(-params.elongation_rate * ws))
 
 
 def branch_endpoints(

@@ -32,11 +32,10 @@ from .carbon import average_biomass, carbon_price, emission_tons, savings
 from .config import (BASELINE_MODES, SweepConfig, bundle_config,
                      evolution_config, sweep_config)
 from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec,
-                      check_biomass_alignment, read_json, synth_biomass,
-                      synth_env)
+                      check_biomass_alignment, check_fields, read_json,
+                      synth_biomass, synth_env)
 from .errors import ValidationError
-from .evolution import (EvolutionConfig, IncidentResult, circle_trajectory,
-                        replay_detection)
+from .evolution import EvolutionConfig, circle_trajectory, replay_detection
 from .sensors import SensorField, deploy_uniform
 
 
@@ -81,24 +80,21 @@ class SummaryRow:
 def _replay_season(incidents: list[Incident],
                    trajectories: list[np.ndarray], field_: SensorField,
                    bio: BiomassGrid, evo: EvolutionConfig, usd_per_ton: float,
-                   ) -> tuple[list[IncidentResult], SeasonTotals]:
+                   ) -> SeasonTotals:
     """Replay each incident's trajectory against one field; totals sum in
     incident order."""
-    results = [replay_detection(inc, circles, field_, evo)
-               for inc, circles in zip(incidents, trajectories, strict=True)]
-    hours = 0.0
-    area = 0.0
-    tons = 0.0
+    hours = area = tons = 0.0
     detected = 0
-    for r in results:
-        hours += r.burned_hours
+    for inc, circles in zip(incidents, trajectories, strict=True):
+        r = replay_detection(inc, circles, field_, evo)
+        hours += r.detection_hour
         area += r.burned_area_km2
         tons += emission_tons(r.burned_area_km2, average_biomass(r.circle, bio))
         detected += int(r.detected)
-    return results, SeasonTotals(
+    return SeasonTotals(
         burned_hours=hours, burned_area_km2=area, carbon_tons=tons,
         carbon_price_usd=carbon_price(tons, usd_per_ton),
-        n_incidents=len(results), n_detected=detected)
+        n_incidents=len(incidents), n_detected=detected)
 
 
 def baseline_totals(incidents: list[Incident],
@@ -116,8 +112,7 @@ def baseline_totals(incidents: list[Incident],
                           empty field, to the cap
     """
     if mode == "historical":
-        hours = 0.0
-        area = 0.0
+        hours = area = 0.0
         for inc in incidents:
             if inc.historical_burn_hours is None or inc.historical_area_km2 is None:
                 raise ValidationError(
@@ -134,10 +129,8 @@ def baseline_totals(incidents: list[Incident],
         if trajectories is None:
             raise ValidationError(
                 "simulated-zero-sensor baseline needs the incident trajectories")
-        _, totals = _replay_season(incidents, trajectories,
-                                   SensorField(positions=[]), bio, cfg,
-                                   usd_per_ton)
-        return totals
+        return _replay_season(incidents, trajectories, SensorField(positions=[]),
+                              bio, cfg, usd_per_ton)
     raise ValidationError(f"baseline must be one of {BASELINE_MODES}, got '{mode}'")
 
 
@@ -188,8 +181,8 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
     for count in cfg.sensor_counts:
         for trial in range(cfg.trials):
             field_ = deploy_uniform(count, env.rect, cfg.base_seed + trial)
-            _, totals = _replay_season(incidents, trajectories, field_, bio,
-                                       evo, cfg.usd_per_ton)
+            totals = _replay_season(incidents, trajectories, field_, bio, evo,
+                                    cfg.usd_per_ton)
             rows.append(SweepRow(
                 n_sensors=count, trial=trial,
                 burned_hours=totals.burned_hours,
@@ -197,8 +190,7 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
                 carbon_tons=totals.carbon_tons,
                 carbon_price_usd=totals.carbon_price_usd,
                 savings_usd=tuple(
-                    savings(base.carbon_price_usd, totals.carbon_price_usd,
-                            count, c).savings_usd
+                    savings(base.carbon_price_usd, totals.carbon_price_usd, count, c)
                     for c in cfg.unit_sensor_cost_usd)))
 
     summary: list[SummaryRow] = []
@@ -318,43 +310,51 @@ def bundled_scenario_path() -> Path:
         "data/synthetic_season.json")))
 
 
+# example values of the bundle's own fields (see envdata.fits_kind)
+_BUNDLE_KINDS = {"env": {}, "env_seed": 0, "biomass": {}, "incidents": [{}],
+                 "evolution": {}, "sweep": {}}
+_BIOMASS_KINDS = {"nx": 0, "ny": 0, "spacing_km": 0.0, "lo": 0.0, "hi": 0.0,
+                  "seed": 0, "origin": (0.0, 0.0)}
+_INCIDENT_KINDS = {"id": "", "start_hour": 0, "x_km": 0.0, "y_km": 0.0}
+
+
 def read_season_bundle(path: str | Path) -> dict:
     """Parsed scenario file, checked for its top-level fields; nothing
     is synthesized."""
-    return read_json(path, "scenario bundle", ("env", "env_seed", "biomass",
-                                               "incidents", "evolution", "sweep"))
+    return check_fields("scenario bundle", read_json(path, "scenario bundle"),
+                        _BUNDLE_KINDS)
 
 
 def season_scenario(raw: dict) -> tuple[list[Incident], EnvGrid, BiomassGrid]:
     """Incidents, environment and biomass of a parsed scenario bundle; its
     grids regenerate deterministically from the specs and seeds it stores."""
-    env = synth_env(SynthSpec.from_dict(raw["env"]), int(raw["env_seed"]))
-    b = raw["biomass"]
-    for key in ("nx", "ny", "spacing_km", "lo", "hi", "seed"):
-        if key not in b:
-            raise ValidationError(f"scenario bundle biomass missing field '{key}'")
-    bio = synth_biomass(nx=int(b["nx"]), ny=int(b["ny"]),
-                        spacing_km=float(b["spacing_km"]),
-                        lo=float(b["lo"]), hi=float(b["hi"]),
-                        seed=int(b["seed"]),
+    try:
+        spec = SynthSpec.from_dict(raw["env"])
+    except ValidationError as exc:
+        raise ValidationError(f"scenario bundle env: {exc}") from exc
+    b = check_fields("scenario bundle biomass", raw["biomass"], _BIOMASS_KINDS,
+                     ("nx", "ny", "spacing_km", "lo", "hi", "seed"))
+    for name, seed in (("env_seed", raw["env_seed"]), ("biomass seed", b["seed"])):
+        if not 0 <= seed < 2 ** 128:  # the Philox key range
+            raise ValidationError(f"scenario bundle {name} must be in [0, 2**128), got {seed}")
+    env = synth_env(spec, raw["env_seed"])
+    bio = synth_biomass(nx=b["nx"], ny=b["ny"], spacing_km=float(b["spacing_km"]),
+                        lo=float(b["lo"]), hi=float(b["hi"]), seed=b["seed"],
                         origin=tuple(b.get("origin", (0.0, 0.0))))
     incidents = []
     for n, item in enumerate(raw["incidents"]):
-        for key in ("id", "start_hour", "x_km", "y_km"):
-            if key not in item:
-                raise ValidationError(
-                    f"scenario bundle incident #{n} missing field '{key}'")
+        check_fields(f"scenario bundle incident #{n}", item, _INCIDENT_KINDS)
         xy = (float(item["x_km"]), float(item["y_km"]))
         if not env.rect.contains(xy):
             raise ValidationError(
                 f"scenario bundle incident {item['id']}: ignition {xy} "
                 f"outside the grid rectangle")
-        start = int(item["start_hour"])
+        start = item["start_hour"]
         if not 0 <= start < env.nt:
             raise ValidationError(
                 f"scenario bundle incident {item['id']}: start hour {start} "
                 f"outside [0, {env.nt})")
-        incidents.append(Incident(id=str(item["id"]), start_hour=start,
+        incidents.append(Incident(id=item["id"], start_hour=start,
                                   ignition_xy=xy))
     return incidents, env, bio
 

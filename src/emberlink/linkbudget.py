@@ -33,7 +33,7 @@ class LinkInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinkParams:
-    """Uplink budget inputs. elevation_deg is a label, not an input."""
+    """Uplink budget inputs."""
 
     eirp_dbm: float
     g_over_t_db_k: float
@@ -44,7 +44,6 @@ class LinkParams:
     pl_shadow_db: float
     pl_scint_db: float
     pl_polar_db: float
-    elevation_deg: float | None = None
 
     def __post_init__(self) -> None:
         # negated comparisons, so that NaN fails them too
@@ -63,13 +62,13 @@ class LinkParams:
 TABLE1_10DEG = LinkParams(
     eirp_dbm=23.0, g_over_t_db_k=19.0, bandwidth_hz=3750.0, freq_mhz=1500.0,
     distance_km=40581.0, pl_atmos_db=0.16, pl_shadow_db=3.0,
-    pl_scint_db=2.2, pl_polar_db=3.0, elevation_deg=10.0)
+    pl_scint_db=2.2, pl_polar_db=3.0)
 
 # best case: satellite overhead
 TABLE1_90DEG = LinkParams(
     eirp_dbm=23.0, g_over_t_db_k=19.0, bandwidth_hz=3750.0, freq_mhz=1500.0,
     distance_km=35786.0, pl_atmos_db=0.16, pl_shadow_db=3.0,
-    pl_scint_db=2.2, pl_polar_db=3.0, elevation_deg=90.0)
+    pl_scint_db=2.2, pl_polar_db=3.0)
 
 
 @dataclass(frozen=True)

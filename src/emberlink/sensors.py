@@ -8,7 +8,8 @@ cell-sorted sensor order. The cell side is at least sqrt(area / n) and
 span / n, so the grid has at most 3n + 1 cells: memory stays O(n)
 however far apart the sensors lie, and a query touches only the cells
 its disk overlaps. Results are always exact; the grid only narrows the
-candidate set.
+candidate set. A field whose extent overflows a float has no grid, and
+its first query raises.
 """
 
 from __future__ import annotations
@@ -74,9 +75,13 @@ class SensorField:
             # an order of magnitude slower
             n = len(self)
             x, y = self.positions[:, 0], self.positions[:, 1]
-            x0, y0 = float(x.min()), float(y.min())
-            wx, wy = float(x.max()) - x0, float(y.max()) - y0
-            cell = max(math.sqrt(wx * wy / n), max(wx, wy) / n, MIN_CELL_KM)
+            x0, y0, x1, y1 = float(x.min()), float(y.min()), float(x.max()), float(y.max())
+            wx, wy = x1 - x0, y1 - y0
+            if not wx + wy < math.inf:
+                raise ValidationError(f"sensor positions span x {x0} to {x1} and "
+                                      f"y {y0} to {y1} km, an extent past any float")
+            # sqrt(wx * wy / n) <= max(wx, wy) unless wx * wy overflows
+            cell = max(min(math.sqrt(wx * wy / n), max(wx, wy)), max(wx, wy) / n, MIN_CELL_KM)
             i = np.floor((x - x0) / cell).astype(np.int64)
             j = np.floor((y - y0) / cell).astype(np.int64)
             nx, ny = int(i.max()) + 1, int(j.max()) + 1
@@ -270,10 +275,9 @@ def load_sensors(path: str | Path) -> SensorField:
     pos = np.asarray(rows, dtype=float).reshape(len(rows), 2)
     region = _parse_region(meta["region"], fpath) if "region" in meta else None
     if region is None and rows:
-        lo = pos.min(axis=0)
-        span = pos.max(axis=0) - lo
-        region = Rect(x0=float(lo[0]), y0=float(lo[1]),
-                      width_km=float(span[0]), height_km=float(span[1]))
+        # Python floats: an extent that overflows is inf, without a warning
+        (x0, y0), (x1, y1) = pos.min(axis=0).tolist(), pos.max(axis=0).tolist()
+        region = Rect(x0=x0, y0=y0, width_km=x1 - x0, height_km=y1 - y0)
     seed: int | None = None
     if "seed" in meta:
         try:

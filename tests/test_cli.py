@@ -121,6 +121,17 @@ class TestSimulateCommand:
         assert row[0] == "12" and [float(v) for v in row[1:4]] == [
             693.3449206966991, 203.21541636200845, 0.8511123887715015]
 
+    def test_overflowing_sensor_extent_is_bad_input(self, tmp_path, capsys):
+        # the x extent, 3.4e308 km, is past any float
+        sensors = tmp_path / "sensors.csv"
+        sensors.write_text("x_km,y_km\n1.7e308,0\n-1.7e308,0\n500,500\n")
+        code = main(["--out-dir", str(tmp_path),
+                     *on_bundle("--set", f"paths.sensors_csv={sensors}",
+                                "simulate", "--incident", "syn-001")])
+        assert code == 1
+        assert ("sensor positions span x -1.7e+308 to 1.7e+308"
+                in capsys.readouterr().err)
+
     def test_unknown_incident(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "--set", BUNDLE,
                      "simulate", "--incident", "nope"])
@@ -248,6 +259,82 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         # the recorded config is the horizon that ran
         assert manifest["config"]["evolution"]["max_hours"] == 2.0
+
+
+_REMOVED = object()  # a bundle edit that deletes the key
+
+
+class TestScenarioInputs:
+    """Every scenario bundle and synth spec field is read or rejected, and a
+    bad value exits 1 naming its field."""
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("notes", "x", "'notes'"),
+        ("biomass.coarse", 3, "'coarse'"),
+        ("biomass.colour", "green", "'colour'"),
+        ("incidents.0.historical_burn_hours", 5, "'historical_burn_hours'"),
+        ("biomass.origin", [0, 0, 0], "'origin'"),
+        ("incidents.0.start_hour", 9.7, "'start_hour'"),
+        ("env_seed", "x", "'env_seed'"),
+        ("env_seed", -1, "env_seed"),
+        ("biomass.seed", 2 ** 128, "biomass seed"),
+        ("biomass.nx", "abc", "'nx'"),
+        ("incidents.0.x_km", "abc", "'x_km'"),
+        ("incidents.0.id", 5, "'id'"),
+        ("env.nx", "abc", "env: synth spec field 'nx'"),
+        ("env.nx", 10.5, "env: synth spec field 'nx'"),
+        ("env.u10_range", "ab", "env: synth spec field 'u10_range'"),
+        ("env.coarse_nx", 0, "env: synth spec coarse_nx"),
+        ("biomass.spacing_km", float("nan"), "spacing_km"),
+        ("sweep", [1], "'sweep'"),
+        ("biomass.lo", _REMOVED, "missing field 'lo'"),
+    ])
+    def test_bad_bundle_field_is_bad_input(self, tmp_path, capsys, key, value, field):
+        raw = json.loads(bundled_scenario_path().read_text())
+        *parents, last = key.split(".")
+        section = raw
+        for part in parents:
+            section = section[int(part) if part.isdigit() else part]
+        if value is _REMOVED:
+            del section[last]
+        else:
+            section[last] = value
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(raw))
+        code = main(["--out-dir", str(tmp_path / "out"),
+                     "--set", f"paths.scenario_bundle={bundle}",
+                     "--set", "sweep.sensor_counts=[10]", "--set", "sweep.trials=1",
+                     "--set", "sweep.cap_hours=1", "sweep"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"nx": "abc"}, "'nx'"),
+        ({"nx": 10.5}, "'nx'"),
+        ({"u10_range": "ab"}, "'u10_range'"),
+        ({"coarse_nx": 0}, "coarse_nx"),
+        ({"mode": "schedule", "schedule": [[0, 1]]}, "'schedule'"),
+        ({"mode": "schedule", "schedule": [[1, 5.0, 0.0, 0.1]]}, "schedule"),
+        ({"spacing_km": float("nan")}, "spacing_km"),
+        ({"origin": [float("inf"), 0.0]}, "origin"),
+        ({"swvl1_range": [0.0, 2.0]}, "swvl1_range"),
+        ({"v10_range": [3.0, 1.0]}, "v10_range"),
+        ({"mode": "windy"}, "mode"),
+        ({"bogus": 1}, "'bogus'"),
+    ])
+    def test_bad_synth_spec_field_is_bad_input(self, tmp_path, capsys, edit, field):
+        spec = {"nx": 6, "ny": 5, "nt": 4, "spacing_km": 10.0, "mode": "random",
+                "coarse_nx": 2, "coarse_ny": 2, "coarse_nt": 2}
+        sfile = tmp_path / "spec.json"
+        sfile.write_text(json.dumps({**spec, **edit}))
+        out = tmp_path / "env.json"
+        code = main(["synth-env", "--spec", str(sfile), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
 
 
 class TestConfigPlumbing:
@@ -391,11 +478,26 @@ class TestConfigPlumbing:
         # a JSON object given to --set keeps the keys it does not name
         code = main(["--out-dir", str(tmp_path),
                      "--set", 'link.traffic={"reports_per_day": 1440.0}',
-                     "--set", "link.params.elevation_deg=null",
                      "--set", "link.tbs_csv=null", "linkbudget"])
         assert code == 0
         report = json.loads((tmp_path / "capacity_report.json").read_text())
         assert report["supportable_sensors"] == 32400
+
+    @pytest.mark.parametrize("source", ["--params", "--set", "--set null"])
+    def test_removed_elevation_label_is_rejected(self, tmp_path, capsys, source):
+        # the elevation named a Table 1 column and changed no output
+        if source == "--params":
+            pfile = tmp_path / "p.json"
+            pfile.write_text(json.dumps({**asdict(TABLE1_10DEG),
+                                         "elevation_deg": 10.0}))
+            argv = ["linkbudget", "--params", str(pfile)]
+        else:
+            value = "null" if source == "--set null" else "10.0"
+            argv = ["--set", f"link.params.elevation_deg={value}", "linkbudget"]
+        code = main(["--out-dir", str(tmp_path), *argv])
+        assert code == 1
+        assert ("unknown config key 'link.params.elevation_deg'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv, field", [
         (["--set", "link.system_bw_hz=NaN", "linkbudget"], "system_bw_hz"),

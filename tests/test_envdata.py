@@ -170,16 +170,31 @@ class TestSynthesis:
         assert np.all(g.v10[4:] == 2.0)
 
     def test_env_schedule_must_start_at_zero(self):
-        spec = SynthSpec(nx=2, ny=2, nt=6, spacing_km=5.0, mode="schedule",
-                         schedule=[(1, 5.0, 0.0, 0.1)])
-        with pytest.raises(ValidationError):
-            synth_env(spec, 0)
+        # the spec checks its own fields when it is built
+        with pytest.raises(ValidationError, match="start at hour 0"):
+            SynthSpec(nx=2, ny=2, nt=6, spacing_km=5.0, mode="schedule",
+                      schedule=[(1, 5.0, 0.0, 0.1)])
 
     def test_biomass_deterministic_and_in_range(self):
         a = synth_biomass(nx=8, ny=6, spacing_km=5.0, lo=20.0, hi=80.0, seed=9)
         b = synth_biomass(nx=8, ny=6, spacing_km=5.0, lo=20.0, hi=80.0, seed=9)
         np.testing.assert_array_equal(a.values, b.values)
         assert a.values.min() >= 20.0 and a.values.max() <= 80.0
+
+    @pytest.mark.parametrize("bad", [
+        {"nx": True}, {"nt": 0}, {"spacing_km": float("inf")}, {"coarse_ny": -1},
+        {"origin": (0.0,)}, {"u10": "calm"}, {"schedule": [(0, 1.0, 2.0)]},
+        {"swvl1_range": (0.5, 0.4)},
+    ])
+    def test_spec_checks_its_fields_when_built(self, bad):
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            SynthSpec(**{"nx": 3, "ny": 3, "nt": 2, "spacing_km": 5.0, **bad})
+
+    def test_spec_takes_sequences_and_numpy_numbers(self):
+        spec = SynthSpec(nx=np.int64(3), ny=3, nt=2, spacing_km=np.float32(5.0),
+                         origin=[1.0, 2.0], mode="schedule", schedule=[[0, 1.0, 2.0, 0.1]])
+        assert spec.origin == (1.0, 2.0) and spec.schedule == [(0, 1.0, 2.0, 0.1)]
+        assert np.all(synth_env(spec, 0).v10 == 2.0)
 
     def test_spec_from_dict_rejects_unknown(self):
         with pytest.raises(ValidationError):

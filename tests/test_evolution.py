@@ -15,7 +15,7 @@ from emberlink.envdata import EnvGrid, Incident, Rect, SynthSpec, synth_env
 from emberlink.errors import ValidationError
 from emberlink.evolution import (EvolutionConfig, Frontier, burned_circle,
                                  circle_trajectory, incident_cap_hours, prune,
-                                 replay_detection, simulate_incident, step,
+                                 replay_detection, step,
                                  trace_rows)
 from emberlink.firekernel import length_breadth_ratio, spread_speed
 from emberlink.harness import bundled_scenario_path, load_season_bundle
@@ -391,7 +391,8 @@ class TestSimulate:
         env = constant_env(15.0, 0.0, 0.0)
         inc = mid_incident(env)
         field_ = SensorField(positions=np.array([inc.ignition_xy]))
-        r = simulate_incident(inc, env, field_, NO_PRUNE)
+        r = replay_detection(inc, circle_trajectory(inc, env, NO_PRUNE),
+                             field_, NO_PRUNE)
         assert r.detected and r.detection_hour == 0.0
         assert r.detecting_sensor == 0
         assert r.burned_area_km2 == 0.0
@@ -400,7 +401,8 @@ class TestSimulate:
     def test_cap_reached_reports_cap(self):
         env = constant_env(15.0, 0.0, 0.0)
         inc = mid_incident(env)
-        r = simulate_incident(inc, env, SensorField(positions=[]), NO_PRUNE)
+        r = replay_detection(inc, circle_trajectory(inc, env, NO_PRUNE),
+                             SensorField(positions=[]), NO_PRUNE)
         assert not r.detected
         assert r.detection_hour == 5.0
         assert r.detecting_sensor is None
@@ -413,7 +415,8 @@ class TestSimulate:
         env = constant_env(15.0, 0.0, 0.0)
         inc = mid_incident(env, hist=3.25)
         cfg = EvolutionConfig(snap_km=0.0, max_hours=50.0)
-        r = simulate_incident(inc, env, SensorField(positions=[]), cfg)
+        r = replay_detection(inc, circle_trajectory(inc, env, cfg),
+                             SensorField(positions=[]), cfg)
         assert r.detection_hour == 3.25  # 3 whole steps, reported at the cap
         assert len(circle_trajectory(inc, env, cfg)) == 4
 
@@ -428,7 +431,8 @@ class TestSimulate:
         env = constant_env(15.0, 0.0, 0.0, nt=4)
         inc = mid_incident(env, start=2)  # only hours 2->3, 3->4 exist
         cfg = EvolutionConfig(snap_km=0.0, max_hours=50.0)
-        r = simulate_incident(inc, env, SensorField(positions=[]), cfg)
+        r = replay_detection(inc, circle_trajectory(inc, env, cfg),
+                             SensorField(positions=[]), cfg)
         assert not r.detected
         assert r.detection_hour == 2.0
         assert len(circle_trajectory(inc, env, cfg)) == 3
@@ -436,8 +440,9 @@ class TestSimulate:
     def test_zero_cap(self):
         env = constant_env(15.0, 0.0, 0.0)
         inc = mid_incident(env, hist=0.0)
-        r = simulate_incident(inc, env, SensorField(positions=[]),
-                              EvolutionConfig())
+        cfg = EvolutionConfig()
+        r = replay_detection(inc, circle_trajectory(inc, env, cfg),
+                             SensorField(positions=[]), cfg)
         assert r.detection_hour == 0.0 and r.burned_area_km2 == 0.0
 
     def test_downwind_extreme_identity(self):
@@ -456,7 +461,8 @@ class TestSimulate:
     def test_wet_soil_never_grows(self):
         env = constant_env(25.0, 0.0, 0.40)  # beyond the wetness cutoff
         inc = mid_incident(env, hist=4.0)
-        r = simulate_incident(inc, env, SensorField(positions=[]), NO_PRUNE)
+        r = replay_detection(inc, circle_trajectory(inc, env, NO_PRUNE),
+                             SensorField(positions=[]), NO_PRUNE)
         assert r.burned_area_km2 == 0.0
 
 

@@ -19,7 +19,7 @@ from emberlink.config import evolution_config, sweep_config
 from emberlink.envdata import Incident, Rect, SynthSpec, synth_biomass, synth_env
 from emberlink.errors import ValidationError
 from emberlink.evolution import (EvolutionConfig, circle_trajectory,
-                                 simulate_incident)
+                                 replay_detection)
 from emberlink.harness import (SweepConfig, atomic_write_text, baseline_totals,
                                bundled_scenario_path, load_season_bundle,
                                sweep, write_manifest, write_summary_csv,
@@ -46,14 +46,14 @@ EVO = EvolutionConfig(snap_km=0.05, max_hours=12.0)
 
 
 def manual_season(incidents, env, bio, field_):
-    """Season totals of the plain incident-order simulate_incident loop."""
+    """Season totals of the plain incident-order evolve-then-replay loop."""
     hours = 0.0
     area = 0.0
     tons = 0.0
     detected = 0
     for inc in incidents:
-        r = simulate_incident(inc, env, field_, EVO)
-        hours += r.burned_hours
+        r = replay_detection(inc, circle_trajectory(inc, env, EVO), field_, EVO)
+        hours += r.detection_hour
         area += r.burned_area_km2
         tons += emission_tons(r.burned_area_km2, average_biomass(r.circle, bio))
         detected += int(r.detected)

@@ -260,6 +260,36 @@ class TestOverflowingReach:
                     == brute_nearest(f, center, float(radius)))
 
 
+def python_brute_force(field_: SensorField, center, radius):
+    """(indices, nearest) of the closed disk in Python floats, where a
+    square that overflows is inf without a warning."""
+    cx, cy = center
+    d2 = [(x - cx) * (x - cx) + (y - cy) * (y - cy)
+          for x, y in field_.positions.tolist()]
+    hits = [i for i, d in enumerate(d2) if d <= radius * radius]
+    return hits, min(hits, key=lambda i: (d2[i], i), default=None)
+
+
+class TestOverflowingExtent:
+    @pytest.mark.parametrize("center, radius", [
+        ((0.0, 0.0), 1e200), ((0.0, 0.0), 1.5e160), ((0.0, 0.0), 1e150),
+        ((1e160, 1e160), 0.0), ((-1e160, 1e160), 1e308), ((3e159, -2e159), 9e159),
+    ])
+    def test_overflowing_area_matches_brute_force(self, center, radius):
+        # the extent fits a float but its area, the cell side's input, does not
+        f = SensorField([[1e160, 1e160], [-1e160, -1e160]])
+        hits, nearest = python_brute_force(f, center, radius)
+        assert indices_within(f, center, radius).tolist() == hits
+        assert nearest_index_within(f, center, radius) == nearest
+
+    @pytest.mark.parametrize("query", [indices_within, nearest_index_within])
+    def test_overflowing_extent_is_rejected(self, query):
+        f = SensorField([[1.7e308, 0.0], [-1.7e308, 0.0], [500.0, 500.0]])
+        with pytest.raises(ValidationError,
+                           match=r"sensor positions span x -1\.7e\+308 to 1\.7e\+308"):
+            query(f, (0.0, 0.0), 1.0)
+
+
 class TestGridBuild:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 257])
     @pytest.mark.parametrize("layout", ["uniform", "coincident"])
