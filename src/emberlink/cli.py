@@ -29,8 +29,9 @@ from pathlib import Path
 from . import harness, linkbudget
 from .config import (DEFAULT_CONFIG, bundle_config, evolution_config, merge,
                      sweep_config)
-from .envdata import (GeoTransform, SynthSpec, load_biomass, load_env_grid,
-                      load_incidents, read_json, save_env_grid, synth_env)
+from .envdata import (SEED_LIMIT, GeoTransform, SynthSpec, load_biomass,
+                      load_env_grid, load_incidents, read_json, save_env_grid,
+                      synth_env)
 from .errors import ValidationError
 from .evolution import replay_detection, trace_rows
 from .harness import (atomic_write_text, read_season_bundle, season_scenario,
@@ -100,6 +101,8 @@ def _check_flags(args: argparse.Namespace) -> None:
             raise ValidationError(f"{flag} must be >= {least}, got {value}")
         if value is not None and not read:
             raise ValidationError(f"{flag} is not used by {args.command}, only by {readers}")
+    if args.seed is not None and args.seed >= SEED_LIMIT:
+        raise ValidationError(f"--seed must be < 2**128, got {args.seed}")
 
 
 def _changed(config: dict, base: dict, path: str = ""):

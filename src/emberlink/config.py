@@ -14,7 +14,7 @@ import copy
 import numbers
 from dataclasses import asdict, dataclass
 
-from .envdata import CALIFORNIA, describe_kind, fits_kind
+from .envdata import CALIFORNIA, SEED_LIMIT, describe_kind, fits_kind
 from .errors import ValidationError
 from .evolution import EvolutionConfig
 from .firekernel import DEFAULT_PARAMS, SpreadParams
@@ -72,6 +72,11 @@ class SweepConfig:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if not self.base_seed >= 0:
             raise ValidationError(f"base_seed must be >= 0, got {self.base_seed}")
+        # trial t deploys with seed base_seed + t
+        if not self.base_seed + self.trials - 1 < SEED_LIMIT:
+            raise ValidationError(
+                f"base_seed + trials - 1 must be < 2**128, got "
+                f"{self.base_seed} + {self.trials} - 1")
         if not 0.0 <= self.usd_per_ton < float("inf"):
             raise ValidationError(
                 f"usd_per_ton must be finite and >= 0, got {self.usd_per_ton}")

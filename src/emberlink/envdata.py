@@ -32,6 +32,7 @@ from .errors import ValidationError
 
 KM2_PER_ACRE = 0.00404686
 BIOMASS_COARSE = 8  # side of the biomass field's random lattice, in points
+SEED_LIMIT = 2 ** 128  # seeds are Philox keys, which lie in [0, 2**128)
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,8 @@ class EnvGrid:
             raise ValidationError(f"grid dims must be >= 1, got {self.nx}x{self.ny}x{self.nt}")
         if not 0 < self.spacing_km < math.inf:
             raise ValidationError(f"spacing_km must be finite and > 0, got {self.spacing_km}")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValidationError(f"origin must be finite, got {self.origin}")
         shape = (self.nt, self.ny, self.nx)
         for name in ("u10", "v10", "swvl1"):
             arr = getattr(self, name)
@@ -145,6 +148,8 @@ class BiomassGrid:
         if not 0 < self.spacing_km < math.inf:
             raise ValidationError(
                 f"biomass spacing_km must be finite and > 0, got {self.spacing_km}")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValidationError(f"biomass origin must be finite, got {self.origin}")
         if self.values.shape != (self.ny, self.nx):
             raise ValidationError(
                 f"biomass shape {self.values.shape} != declared {(self.ny, self.nx)}")
@@ -208,9 +213,8 @@ def sample_env_many(
 # JSON and raster IO
 # ---------------------------------------------------------------------------
 
-def read_json(path: str | Path, what: str, required: tuple[str, ...] = ()) -> dict:
-    """The JSON object a file holds, checked for the required fields; what
-    names the file in error messages."""
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object a file holds; what names the file in error messages."""
     fpath = Path(path)
     if not fpath.is_file():
         raise ValidationError(f"{what} missing: {fpath}")
@@ -221,9 +225,6 @@ def read_json(path: str | Path, what: str, required: tuple[str, ...] = ()) -> di
     if not isinstance(raw, dict):
         raise ValidationError(
             f"{what} {fpath} must hold a JSON object, got {type(raw).__name__}")
-    for key in required:
-        if key not in raw:
-            raise ValidationError(f"{what} missing field '{key}'")
     return raw
 
 
@@ -285,20 +286,27 @@ def _read_raster(path: Path, count: int, what: str) -> np.ndarray:
     return data
 
 
+# example values of the manifests' fields (see fits_kind)
+_ENV_MANIFEST_KINDS = {"nx": 0, "ny": 0, "nt": 0, "spacing_km": 0.0,
+                       "origin": (0.0, 0.0), "files": {}}
+_ENV_FILES_KINDS = {"u10": "", "v10": "", "swvl1": ""}
+_BIOMASS_MANIFEST_KINDS = {"nx": 0, "ny": 0, "spacing_km": 0.0,
+                           "origin": (0.0, 0.0), "file": ""}
+
+
 def load_env_grid(manifest_path: str | Path) -> EnvGrid:
     """Load and validate an environment grid from its JSON manifest."""
     mpath = Path(manifest_path)
-    manifest = read_json(mpath, "env manifest",
-                         ("nx", "ny", "nt", "spacing_km", "files"))
+    manifest = check_fields("env manifest", read_json(mpath, "env manifest"),
+                            _ENV_MANIFEST_KINDS, ("nx", "ny", "nt", "spacing_km", "files"))
+    files = check_fields("env manifest files", manifest["files"], _ENV_FILES_KINDS)
     nx, ny, nt = int(manifest["nx"]), int(manifest["ny"]), int(manifest["nt"])
-    origin = tuple(manifest.get("origin", (0.0, 0.0)))
-    count = nx * ny * nt
-    rasters = {}
-    for name in ("u10", "v10", "swvl1"):
-        if name not in manifest["files"]:
-            raise ValidationError(f"env manifest files missing '{name}'")
-        rpath = mpath.parent / manifest["files"][name]
-        rasters[name] = _read_raster(rpath, count, name).reshape(nt, ny, nx)
+    if min(nx, ny, nt) < 1:  # before the dims size the rasters
+        raise ValidationError(f"env manifest dims must be >= 1, got {nx}x{ny}x{nt}")
+    origin = manifest.get("origin", (0.0, 0.0))
+    rasters = {name: _read_raster(mpath.parent / files[name], nx * ny * nt,
+                                  name).reshape(nt, ny, nx)
+               for name in _ENV_FILES_KINDS}
     return EnvGrid(nx=nx, ny=ny, nt=nt, spacing_km=float(manifest["spacing_km"]),
                    origin=(float(origin[0]), float(origin[1])), **rasters)
 
@@ -323,10 +331,12 @@ def save_env_grid(grid: EnvGrid, manifest_path: str | Path) -> Path:
 def load_biomass(manifest_path: str | Path) -> BiomassGrid:
     """Load and validate a biomass grid from its JSON manifest."""
     mpath = Path(manifest_path)
-    manifest = read_json(mpath, "biomass manifest",
-                         ("nx", "ny", "spacing_km", "file"))
+    manifest = check_fields("biomass manifest", read_json(mpath, "biomass manifest"),
+                            _BIOMASS_MANIFEST_KINDS, ("nx", "ny", "spacing_km", "file"))
     nx, ny = int(manifest["nx"]), int(manifest["ny"])
-    origin = tuple(manifest.get("origin", (0.0, 0.0)))
+    if min(nx, ny) < 1:  # before the dims size the raster
+        raise ValidationError(f"biomass manifest dims must be >= 1, got {nx}x{ny}")
+    origin = manifest.get("origin", (0.0, 0.0))
     values = _read_raster(mpath.parent / manifest["file"], nx * ny, "biomass").reshape(ny, nx)
     return BiomassGrid(nx=nx, ny=ny, spacing_km=float(manifest["spacing_km"]),
                        values=values, origin=(float(origin[0]), float(origin[1])))
@@ -416,6 +426,8 @@ class SynthSpec:
 
 
 def _lin_resample(a: np.ndarray, n_new: int, axis: int) -> np.ndarray:
+    """a linearly resampled to n_new points along axis, in a new array (or
+    a itself when the size is unchanged); a is never written."""
     n_old = a.shape[axis]
     if n_old == n_new:
         return a
@@ -427,20 +439,38 @@ def _lin_resample(a: np.ndarray, n_new: int, axis: int) -> np.ndarray:
     shape = [1] * a.ndim
     shape[axis] = n_new
     w = w.reshape(shape)
-    lo = np.take(a, i0, axis=axis)
-    hi = np.take(a, i0 + 1, axis=axis)
-    return lo * (1.0 - w) + hi * w
+    # i0 ascends, so repeating each index's slice gathers as np.take(a, i0)
+    # does, in one copy
+    reps = np.bincount(i0, minlength=n_old - 1)
+    head, tail = [slice(None)] * a.ndim, [slice(None)] * a.ndim
+    head[axis], tail[axis] = slice(0, n_old - 1), slice(1, n_old)
+    lo = np.repeat(a[tuple(head)], reps, axis=axis)
+    hi = np.repeat(a[tuple(tail)], reps, axis=axis)
+    lo *= 1.0 - w
+    hi *= w
+    lo += hi
+    return lo
+
+
+# hours resampled at once: each block's float64 scratch stays near L2 size
+SYNTH_BLOCK_HOURS = 2
 
 
 def _smooth_field(rng: np.random.Generator, spec: SynthSpec,
                   lo: float, hi: float) -> np.ndarray:
+    """One random field: the coarse draw resampled in time, then block by
+    block of hours in y and x, scaled into [lo, hi] and stored as float32.
+    Every element sees the same float64 operations as a whole-grid pass."""
     coarse = rng.random((min(spec.coarse_nt, spec.nt),
                          min(spec.coarse_ny, spec.ny),
                          min(spec.coarse_nx, spec.nx)))
     f = _lin_resample(coarse, spec.nt, axis=0)
-    f = _lin_resample(f, spec.ny, axis=1)
-    f = _lin_resample(f, spec.nx, axis=2)
-    return (lo + (hi - lo) * f).astype(np.float32)
+    out = np.empty((spec.nt, spec.ny, spec.nx), dtype=np.float32)
+    for t in range(0, spec.nt, SYNTH_BLOCK_HOURS):
+        block = _lin_resample(f[t:t + SYNTH_BLOCK_HOURS], spec.ny, axis=1)
+        block = _lin_resample(block, spec.nx, axis=2)
+        out[t:t + SYNTH_BLOCK_HOURS] = lo + (hi - lo) * block
+    return out
 
 
 def synth_env(spec: SynthSpec, seed: int) -> EnvGrid:

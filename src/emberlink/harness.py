@@ -31,7 +31,7 @@ from . import __version__
 from .carbon import average_biomass, carbon_price, emission_tons, savings
 from .config import (BASELINE_MODES, SweepConfig, bundle_config,
                      evolution_config, sweep_config)
-from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec,
+from .envdata import (SEED_LIMIT, BiomassGrid, EnvGrid, Incident, SynthSpec,
                       check_biomass_alignment, check_fields, read_json,
                       synth_biomass, synth_env)
 from .errors import ValidationError
@@ -180,9 +180,11 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
     rows: list[SweepRow] = []
     for count in cfg.sensor_counts:
         for trial in range(cfg.trials):
-            field_ = deploy_uniform(count, env.rect, cfg.base_seed + trial)
-            totals = _replay_season(incidents, trajectories, field_, bio, evo,
-                                    cfg.usd_per_ton)
+            # no name holds the field, so it is freed before the next deploy
+            totals = _replay_season(
+                incidents, trajectories,
+                deploy_uniform(count, env.rect, cfg.base_seed + trial),
+                bio, evo, cfg.usd_per_ton)
             rows.append(SweepRow(
                 n_sensors=count, trial=trial,
                 burned_hours=totals.burned_hours,
@@ -335,7 +337,7 @@ def season_scenario(raw: dict) -> tuple[list[Incident], EnvGrid, BiomassGrid]:
     b = check_fields("scenario bundle biomass", raw["biomass"], _BIOMASS_KINDS,
                      ("nx", "ny", "spacing_km", "lo", "hi", "seed"))
     for name, seed in (("env_seed", raw["env_seed"]), ("biomass seed", b["seed"])):
-        if not 0 <= seed < 2 ** 128:  # the Philox key range
+        if not 0 <= seed < SEED_LIMIT:
             raise ValidationError(f"scenario bundle {name} must be in [0, 2**128), got {seed}")
     env = synth_env(spec, raw["env_seed"])
     bio = synth_biomass(nx=b["nx"], ny=b["ny"], spacing_km=float(b["spacing_km"]),

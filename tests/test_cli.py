@@ -383,6 +383,43 @@ class TestConfigPlumbing:
         assert code == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--seed", str(2 ** 128), "simulate", "--incident", "syn-001",
+          "--deploy", "10"], "--seed"),
+        (["--seed", str(2 ** 128), "sweep"], "--seed"),
+        (["--seed", str(2 ** 128 - 1), "sweep"], "base_seed + trials - 1"),
+        (["--set", f"sweep.base_seed={2 ** 128 - 1}", "--set", "sweep.trials=2",
+          "sweep"], "base_seed + trials - 1"),
+    ])
+    def test_seed_past_philox_keys_is_bad_input(self, tmp_path, capsys, argv, field):
+        code = main(["--out-dir", str(tmp_path), "--set", BUNDLE] + argv)
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed, code", [(2 ** 128 - 1, 0), (2 ** 128, 1)])
+    def test_synth_env_seed_range(self, tmp_path, capsys, seed, code):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"nx": 3, "ny": 2, "nt": 2, "spacing_km": 1.0,
+                                    "mode": "random"}))
+        out = tmp_path / "out" / "env.json"
+        assert main(["--seed", str(seed), "synth-env", "--spec", str(spec),
+                     "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "--seed must be < 2**128" in capsys.readouterr().err
+
+    def test_bad_env_manifest_field_is_bad_input(self, tmp_path, capsys):
+        man = tmp_path / "env.json"
+        man.write_text(json.dumps({"nx": "abc", "ny": 2, "nt": 2, "spacing_km": 1.0,
+                                   "files": {"u10": "u", "v10": "v", "swvl1": "s"}}))
+        code = main(["--out-dir", str(tmp_path / "out"),
+                     "--set", f"paths.env_manifest={man}",
+                     "--set", f"paths.incidents_csv={tmp_path / 'i.csv'}",
+                     "simulate", "--incident", "syn-001"])
+        assert code == 1
+        assert "env manifest field 'nx' must be an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, key", [
         (["--set", "paths.sensors_csv=s.csv", "sweep"], "paths.sensors_csv"),
         (["--set", "paths.env_manifest=e.json", "sweep"], "paths.env_manifest"),

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from emberlink import envdata
 from emberlink.envdata import (CALIFORNIA, BiomassGrid, EnvGrid, GeoTransform,
                                Incident, Rect, SynthSpec,
                                check_biomass_alignment, geo_to_planar,
@@ -14,6 +17,7 @@ from emberlink.envdata import (CALIFORNIA, BiomassGrid, EnvGrid, GeoTransform,
                                sample_env_many, save_biomass,
                                save_env_grid, synth_biomass, synth_env)
 from emberlink.errors import ValidationError
+from emberlink.harness import bundled_scenario_path, load_season_bundle
 
 
 def tiny_grid(nx=4, ny=3, nt=2, spacing=10.0, origin=(0.0, 0.0)) -> EnvGrid:
@@ -202,6 +206,127 @@ class TestSynthesis:
                                  "mode": "random", "bogus": 1})
 
 
+def _whole_grid_resample(a, n_new, axis):
+    """Linear resampling as synthesis first did it: np.take gathers and
+    fresh temporaries, over the whole array."""
+    n_old = a.shape[axis]
+    if n_old == n_new:
+        return a
+    if n_old == 1:
+        return np.repeat(a, n_new, axis=axis)
+    pos = np.linspace(0.0, n_old - 1.0, n_new)
+    i0 = np.minimum(np.floor(pos).astype(int), n_old - 2)
+    shape = [1] * a.ndim
+    shape[axis] = n_new
+    w = (pos - i0).reshape(shape)
+    return np.take(a, i0, axis=axis) * (1.0 - w) + np.take(a, i0 + 1, axis=axis) * w
+
+
+def _whole_grid_field(rng, spec, lo, hi):
+    """A random env field by the whole-grid three-pass formula (time, then
+    y, then x over every hour at once in float64), the reference for the
+    blocked synthesis."""
+    coarse = rng.random((min(spec.coarse_nt, spec.nt), min(spec.coarse_ny, spec.ny),
+                         min(spec.coarse_nx, spec.nx)))
+    f = _whole_grid_resample(coarse, spec.nt, axis=0)
+    f = _whole_grid_resample(f, spec.ny, axis=1)
+    f = _whole_grid_resample(f, spec.nx, axis=2)
+    return (lo + (hi - lo) * f).astype(np.float32)
+
+
+class _KeptDraws:
+    """A Generator stand-in that keeps every array it hands out, with a
+    copy, so a test can see whether synthesis wrote into its draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.Philox(key=seed))
+        self.draws = []
+
+    def random(self, shape):
+        a = self.rng.random(shape)
+        self.draws.append((a, a.copy()))
+        return a
+
+
+class TestSynthesisIsPinned:
+    def test_bundled_grids_are_pinned(self):
+        _, env, bio, _, _ = load_season_bundle(bundled_scenario_path())
+        digests = {name: hashlib.sha256(getattr(env, name).astype("<f4").tobytes()).hexdigest()
+                   for name in ("u10", "v10", "swvl1")}
+        digests["biomass"] = hashlib.sha256(bio.values.astype("<f4").tobytes()).hexdigest()
+        assert (env.u10.shape, bio.values.shape) == ((720, 111, 101), (222, 202))
+        assert digests == {
+            "u10": "cb0227e1755a93bd5b27e9d9d392aed63000a7a2b986873790629a16460b5453",
+            "v10": "f594d3821065a8316de780bfb9040cda79f2d3049eac69a972e548b90bbc93be",
+            "swvl1": "e9d8476839b931e6e0bd2ef567881707956fdb4bd7483da45787b5368afd832f",
+            "biomass": "0dece6b258a7454837f12bdb4ba8f2dff3fdd43c81d83500eb57cac5f6eeafa5"}
+
+    @pytest.mark.parametrize("dims", [
+        dict(nx=11, ny=9, nt=7, coarse_nt=3),     # odd nt
+        dict(nx=11, ny=9, nt=1),                  # one hour
+        dict(nx=13, ny=10, nt=3, coarse_nt=2),    # fewer hours than one block
+        dict(nx=6, ny=9, nt=25),                  # nx == coarse_nx
+        dict(nx=11, ny=6, nt=25),                 # ny == coarse_ny
+        dict(nx=11, ny=9, nt=12),                 # nt == coarse_nt
+        dict(nx=6, ny=6, nt=12),                  # every axis at its coarse size
+        dict(nx=2, ny=3, nt=5, coarse_nt=1),      # coarse sizes clamped; one coarse hour
+        dict(nx=101, ny=111, nt=50),
+    ])
+    def test_blocked_synthesis_matches_whole_grid_formula(self, dims):
+        spec = SynthSpec(spacing_km=10.0, mode="random", u10_range=(16.0, 32.0),
+                         v10_range=(-12.0, 12.0), swvl1_range=(0.0, 0.06), **dims)
+        grid = synth_env(spec, 7151)
+        rng = np.random.Generator(np.random.Philox(key=7151))
+        for name in ("u10", "v10", "swvl1"):
+            expected = _whole_grid_field(rng, spec, *getattr(spec, f"{name}_range"))
+            assert getattr(grid, name).dtype == np.float32
+            assert getattr(grid, name).tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("dims", [dict(nx=6, ny=6, nt=12), dict(nx=11, ny=9, nt=7)])
+    def test_synthesis_leaves_its_draws_untouched(self, dims):
+        kept = _KeptDraws(3)
+        envdata._smooth_field(kept, SynthSpec(spacing_km=1.0, mode="random", **dims), -5.0, 5.0)
+        assert len(kept.draws) == 1
+        for drawn, copy in kept.draws:
+            assert drawn.tobytes() == copy.tobytes()
+
+    @pytest.mark.parametrize("n_old, n_new", [(1, 4), (2, 2), (3, 3), (3, 8), (6, 101)])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_resample_matches_take_formula_and_keeps_its_input(self, n_old, n_new, axis):
+        shape = [4, 3, 5]
+        shape[axis] = n_old
+        a = np.random.Generator(np.random.Philox(key=n_old * 7 + axis)).random(shape)
+        before = a.copy()
+        got = envdata._lin_resample(a, n_new, axis)
+        assert got.tobytes() == _whole_grid_resample(before, n_new, axis).tobytes()
+        assert a.tobytes() == before.tobytes()
+        if n_old == n_new:
+            assert got is a
+
+    @pytest.mark.parametrize("nx, ny", [(202, 222), (8, 8), (8, 3), (1, 1), (9, 8)])
+    def test_biomass_matches_whole_grid_formula(self, nx, ny):
+        bio = synth_biomass(nx=nx, ny=ny, spacing_km=5.0, lo=20.0, hi=80.0, seed=4641)
+        rng = np.random.Generator(np.random.Philox(key=4641))
+        c = rng.random((min(envdata.BIOMASS_COARSE, ny), min(envdata.BIOMASS_COARSE, nx)))
+        f = _whole_grid_resample(_whole_grid_resample(c, ny, axis=0), nx, axis=1)
+        assert bio.values.tobytes() == (20.0 + 60.0 * f).astype(np.float32).tobytes()
+
+    def test_random_synthesis_peaks_near_its_output(self):
+        # the three float32 fields plus block-sized scratch: a whole-grid
+        # float64 pass would hold several times one field
+        spec = SynthSpec(nx=101, ny=111, nt=96, spacing_km=10.0, mode="random")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            grid = synth_env(spec, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fields = sum(getattr(grid, name).nbytes for name in ("u10", "v10", "swvl1"))
+        assert fields == 3 * 96 * 111 * 101 * 4
+        assert peak <= 1.25 * fields, peak / fields
+
+
 class TestRasterIO:
     def test_env_round_trip(self, tmp_path):
         g = synth_env(SynthSpec(nx=5, ny=4, nt=3, spacing_km=2.0, mode="random",
@@ -218,6 +343,42 @@ class TestRasterIO:
         man = save_biomass(b, tmp_path / "bio.json")
         b2 = load_biomass(man)
         np.testing.assert_array_equal(b.values, b2.values)
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"nx": "abc"}, "env manifest field 'nx' must be an integer"),
+        ({"nt": 2.5}, "env manifest field 'nt'"),
+        ({"spacing_km": "10"}, "env manifest field 'spacing_km' must be a number"),
+        ({"origin": [0.0, 0.0, 0.0]}, "env manifest field 'origin'"),
+        ({"files": ["u10"]}, "env manifest field 'files' must be an object"),
+        ({"notes": "x"}, "env manifest has unknown field 'notes'"),
+        ({"files": {"u10": "a", "v10": "b"}}, "env manifest files missing field 'swvl1'"),
+        ({"files": {"u10": "a", "v10": "b", "swvl1": "c", "t2m": "d"}},
+         "env manifest files has unknown field 't2m'"),
+        ({"files": {"u10": 1, "v10": "b", "swvl1": "c"}}, "env manifest files field 'u10'"),
+        ({"nx": -5, "ny": -1}, "env manifest dims must be >= 1"),
+        ({"origin": [float("nan"), 0.0]}, "origin must be finite"),
+    ])
+    def test_env_manifest_fields_are_checked(self, tmp_path, edit, field):
+        g = synth_env(SynthSpec(nx=5, ny=4, nt=3, spacing_km=2.0, mode="constant"), 0)
+        man = save_env_grid(g, tmp_path / "env.json")
+        man.write_text(json.dumps({**json.loads(man.read_text()), **edit}))
+        with pytest.raises(ValidationError, match=field):
+            load_env_grid(man)
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"ny": "abc"}, "biomass manifest field 'ny'"),
+        ({"file": 3}, "biomass manifest field 'file' must be a string"),
+        ({"origin": "0,0"}, "biomass manifest field 'origin'"),
+        ({"seed": 3}, "biomass manifest has unknown field 'seed'"),
+        ({"nx": -5, "ny": -1}, "biomass manifest dims must be >= 1"),
+        ({"origin": [0.0, float("inf")]}, "biomass origin must be finite"),
+    ])
+    def test_biomass_manifest_fields_are_checked(self, tmp_path, edit, field):
+        man = save_biomass(synth_biomass(nx=6, ny=5, spacing_km=3.0, lo=10.0, hi=30.0,
+                                         seed=3), tmp_path / "bio.json")
+        man.write_text(json.dumps({**json.loads(man.read_text()), **edit}))
+        with pytest.raises(ValidationError, match=field):
+            load_biomass(man)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ValidationError):

@@ -88,6 +88,19 @@ class TestDeploy:
         med = float(np.median(dists))
         assert abs(med - expected) / expected < 0.10
 
+    @pytest.mark.parametrize("n", [0, 1, 100_000])
+    @pytest.mark.parametrize("rect", [Rect(-50.0, 10.0, 30.0, 40.0),
+                                      Rect(0.0, 0.0, 1010.0, 1110.0)])
+    def test_positions_are_bitwise_the_affine_formula(self, n, rect):
+        # the positions deploy_uniform has always produced: x0 + width * u
+        # per column of one (n, 2) Philox draw
+        u = np.random.Generator(np.random.Philox(key=9)).random((n, 2))
+        expected = np.column_stack((rect.x0 + rect.width_km * u[:, 0],
+                                    rect.y0 + rect.height_km * u[:, 1]))
+        got = deploy_uniform(n, rect, seed=9).positions
+        assert got.shape == (n, 2) and got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
     def test_zero_and_negative(self):
         assert len(deploy_uniform(0, RECT, seed=0)) == 0
         with pytest.raises(ValidationError):
