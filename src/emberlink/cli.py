@@ -175,7 +175,7 @@ def cmd_simulate(config: dict, bundle: dict | None,
         field_ = SensorField(positions=[])
     # one evolution feeds the replay and the trace
     circles, frontier_sizes = trace_rows(incident, env, evo)
-    result = replay_detection(incident, circles, field_, evo)
+    [result] = replay_detection(incident, circles, field_, evo, (len(field_),))
     out_dir = Path(config["out_dir"])
     payload = asdict(result)
     atomic_write_text(out_dir / f"incident_{incident.id}.json",

@@ -8,7 +8,8 @@ each hour is summarized as a circle (mean of the branched points, max
 distance as radius), a (cx, cy, r) row of the float64 (hours + 1, 3)
 trajectory array that starts at the zero-radius ignition circle. A
 sensor inside an hour's closed disk detects the fire; a replay takes
-that hour and sensor from one query over a disk enclosing every circle.
+that hour and sensor from one query over a disk enclosing every circle,
+for every prefix of one field's sensors it is asked about at once.
 
 The 4^t branching blow-up is tamed by prune(): snap the frontier to a
 lattice keeping one representative per cell. The dedup sorts one int64
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,25 +255,35 @@ def circle_trajectory(incident: Incident, env: EnvGrid,
 
 
 def replay_detection(incident: Incident, circles: np.ndarray,
-                     sensors: SensorField, cfg: EvolutionConfig) -> IncidentResult:
-    """Detection outcome of a precomputed (hours + 1, 3) trajectory against
-    one field.
+                     sensors: SensorField, cfg: EvolutionConfig,
+                     counts: Sequence[int]) -> list[IncidentResult]:
+    """Detection outcomes of a precomputed (hours + 1, 3) trajectory, one
+    per count n in counts (ascending, at most len(sensors)), against the
+    first n sensors of one field.
 
     This is the only detection path: every caller first builds the
     trajectory with circle_trajectory (same env and cfg), then replays it.
-    The first hour k, from the hour-0 ignition circle on, with a sensor at
-    dx*dx + dy*dy <= r_k*r_k detects, and its closest such sensor (lowest
-    index among ties) is the detecting one. One query over a disk about
-    the last center that encloses every circle, widened past a disk
-    query's rounding, screens the trajectory; the hour and sensor come
-    from the exact distances of the sensors in that disk, so a replay
-    makes one nearest_index_within call.
+    For n sensors, the first hour k, from the hour-0 ignition circle on,
+    with a sensor at dx*dx + dy*dy <= r_k*r_k detects, and its closest
+    such sensor (lowest index among ties) is the detecting one. One query
+    over a disk about the last center that encloses every circle, widened
+    past a disk query's rounding, screens the trajectory, so a replay
+    makes one nearest_index_within call whatever the counts. Each
+    screened sensor's first hit hour comes from its exact distances, in
+    hour order until the smallest count is decided; n sensors take the
+    earliest among the screened indices below n. Deployments from one
+    seed nest (see sensors), so against deploy_uniform(max(counts)) each
+    outcome is bitwise the one against deploy_uniform(n).
     """
     xyr = np.asarray(circles, dtype=float)
     if not (xyr.ndim == 2 and xyr.shape[1:] == (3,) and xyr.size
             and np.isfinite(xyr).all() and (xyr[:, 2] >= 0).all()):
         raise ValidationError("trajectory circles must be a non-empty (hours + 1, 3) "
                               "array of finite centers and finite radii >= 0")
+    if not (len(counts) and 0 <= counts[0] and counts[-1] <= len(sensors)
+            and all(a <= b for a, b in zip(counts, counts[1:]))):
+        raise ValidationError(f"counts must be ascending sensor counts in "
+                              f"[0, {len(sensors)}], got {tuple(counts)}")
     cx, cy, r = xyr.T
     center = (float(cx[-1]), float(cy[-1]))
     # overflowing distances and squares become inf: that only widens the
@@ -280,33 +292,50 @@ def replay_detection(incident: Incident, circles: np.ndarray,
         reach = float((np.hypot(cx - center[0], cy - center[1]) + r).max())
         screen = min(reach * (1.0 + _SLACK) + _TINY, sys.float_info.max)
         r2 = r * r
-    k, sensor = r.size - 1, None
+    near = np.empty(0, dtype=np.int64)
     if nearest_index_within(sensors, center, screen) is not None:
         near = indices_within(sensors, center, screen)
-        x, y = sensors.positions[near].T
+    # count n's screened sensors are near[:m], near being ascending
+    ends = np.searchsorted(near, counts).tolist()
+    hours = r.size
+    # each screened sensor's first hit hour (hours if none yet) and its
+    # squared distance then
+    first = np.full(ends[-1], hours)
+    first_d2 = np.empty(ends[-1])
+    smallest = next((m for m in ends if m), 0)  # that of the smallest count screening any
+    if smallest:
+        x, y = sensors.positions[near[:ends[-1]]].T
         # (hours, sensors) distance blocks of at most _BLOCK values, in
-        # hour order; the first block with a hit holds the detection
-        rows = max(_BLOCK // near.size, 1)
-        for h in range(0, r.size, rows):
+        # hour order
+        rows = max(_BLOCK // x.size, 1)
+        for h in range(0, hours, rows):
             d2 = squared_distances(x, y, cx[h:h + rows, None], cy[h:h + rows, None])
             inside = d2 <= r2[h:h + rows, None]
-            hours = np.flatnonzero(inside.any(axis=1))
-            if hours.size:
-                first = int(hours[0])
-                hits = np.flatnonzero(inside[first])
-                # near is ascending, so argmin's first minimum is the
-                # lowest index among the closest
-                k, sensor = h + first, int(near[hits[d2[first, hits].argmin()]])
+            new = np.flatnonzero(inside.any(axis=0) & (first == hours))
+            at = inside[:, new].argmax(axis=0)
+            first[new] = h + at
+            first_d2[new] = d2[at, new]
+            # every larger count screens a superset, so is decided too
+            if (first[:smallest] < hours).any():
                 break
-    if sensor is not None:
-        detection_hour = float(k)
-    else:
-        # cap-limited runs report the (possibly fractional) cap; runs cut
-        # short by the env horizon report the hours actually burned
-        cap = incident_cap_hours(incident, cfg)
-        detection_hour = cap if k + 1 > cap else float(k)
-    circle = tuple(xyr[k].tolist())
-    return IncidentResult(
-        incident_id=incident.id, detected=sensor is not None,
-        detection_hour=detection_hour, detecting_sensor=sensor,
-        burned_area_km2=math.pi * circle[2] * circle[2], circle=circle)
+    cap = incident_cap_hours(incident, cfg)
+    results = []
+    for m in ends:
+        k, sensor = hours - 1, None
+        if m and (hit := int(first[:m].min())) < hours:
+            ties = np.flatnonzero(first[:m] == hit)
+            # ties is ascending, so argmin's first minimum is the lowest
+            # index among the closest
+            k, sensor = hit, int(near[ties[first_d2[ties].argmin()]])
+        if sensor is not None:
+            detection_hour = float(k)
+        else:
+            # cap-limited runs report the (possibly fractional) cap; runs
+            # cut short by the env horizon report the hours actually burned
+            detection_hour = cap if k + 1 > cap else float(k)
+        circle = tuple(xyr[k].tolist())
+        results.append(IncidentResult(
+            incident_id=incident.id, detected=sensor is not None,
+            detection_hour=detection_hour, detecting_sensor=sensor,
+            burned_area_km2=math.pi * circle[2] * circle[2], circle=circle))
+    return results

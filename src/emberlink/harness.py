@@ -9,10 +9,13 @@ effective setting and seed.
 
 Fire growth does not depend on sensors, so each incident's circle
 trajectory is computed once (optionally across worker processes) and
-detection is replayed per deployment, the zero-sensor baseline included;
-outputs are reduced in (count, trial, incident) order and are
-byte-identical for any worker count. A scenario bundle's sweep and
-evolution sections go through config.merge, as the CLI's do.
+detection is replayed per deployment, the zero-sensor baseline included.
+Deployments from one seed nest, so a trial deploys once, at the largest
+count, and each incident's one replay against that field answers every
+count from its first n sensors; each distinct reported circle's biomass
+is looked up once. Outputs are reduced in (count, trial, incident) order
+and are byte-identical for any worker count. A scenario bundle's sweep
+and evolution sections go through config.merge, as the CLI's do.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
@@ -79,22 +83,32 @@ class SummaryRow:
 
 def _replay_season(incidents: list[Incident],
                    trajectories: list[np.ndarray], field_: SensorField,
-                   bio: BiomassGrid, evo: EvolutionConfig, usd_per_ton: float,
-                   ) -> SeasonTotals:
-    """Replay each incident's trajectory against one field; totals sum in
-    incident order."""
-    hours = area = tons = 0.0
-    detected = 0
-    for inc, circles in zip(incidents, trajectories, strict=True):
-        r = replay_detection(inc, circles, field_, evo)
-        hours += r.detection_hour
-        area += r.burned_area_km2
-        tons += emission_tons(r.burned_area_km2, average_biomass(r.circle, bio))
-        detected += int(r.detected)
-    return SeasonTotals(
-        burned_hours=hours, burned_area_km2=area, carbon_tons=tons,
-        carbon_price_usd=carbon_price(tons, usd_per_ton),
-        n_incidents=len(incidents), n_detected=detected)
+                   counts: Sequence[int], bio: BiomassGrid, evo: EvolutionConfig,
+                   usd_per_ton: float, biomass: dict[tuple, float],
+                   ) -> list[SeasonTotals]:
+    """Totals of each incident's trajectory replayed against the first n
+    sensors of one field, for each n in counts; totals sum in incident
+    order. biomass maps each reported circle priced so far to its mean
+    biomass, a function of the circle alone, and gains the new ones."""
+    replays = [replay_detection(inc, circles, field_, evo, counts)
+               for inc, circles in zip(incidents, trajectories, strict=True)]
+    seasons = []
+    for j in range(len(counts)):
+        hours = area = tons = 0.0
+        detected = 0
+        for results in replays:
+            r = results[j]
+            if r.circle not in biomass:
+                biomass[r.circle] = average_biomass(r.circle, bio)
+            hours += r.detection_hour
+            area += r.burned_area_km2
+            tons += emission_tons(r.burned_area_km2, biomass[r.circle])
+            detected += int(r.detected)
+        seasons.append(SeasonTotals(
+            burned_hours=hours, burned_area_km2=area, carbon_tons=tons,
+            carbon_price_usd=carbon_price(tons, usd_per_ton),
+            n_incidents=len(incidents), n_detected=detected))
+    return seasons
 
 
 def baseline_totals(incidents: list[Incident],
@@ -130,7 +144,7 @@ def baseline_totals(incidents: list[Incident],
             raise ValidationError(
                 "simulated-zero-sensor baseline needs the incident trajectories")
         return _replay_season(incidents, trajectories, SensorField(positions=[]),
-                              bio, cfg, usd_per_ton)
+                              (0,), bio, cfg, usd_per_ton, {})[0]
     raise ValidationError(f"baseline must be one of {BASELINE_MODES}, got '{mode}'")
 
 
@@ -165,8 +179,10 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
           ) -> tuple[list[SweepRow], list[SummaryRow], dict]:
     """Season outcomes across sensor counts and deployment trials.
 
-    Trial t of every count deploys with seed base_seed + t, so counts are
-    compared on common random numbers; results and CSVs are deterministic
+    Trial t deploys max(sensor_counts) sensors once, with seed
+    base_seed + t, and count n takes its first n: each count's field is
+    bitwise deploy_uniform(n) with that seed, so counts are compared on
+    common random numbers. Results and CSVs are deterministic
     for a fixed config, independent of the worker count. At most one
     worker process runs per incident and per CPU; manifest["workers"]
     records the count used.
@@ -177,14 +193,17 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
     trajectories = _trajectories(incidents, env, evo, workers)
     base = baseline_totals(incidents, trajectories, bio, cfg.baseline, evo,
                            cfg.usd_per_ton)
+    biomass: dict[tuple, float] = {}
+    seasons = [
+        # no name holds the field, so it is freed before the next deploy
+        _replay_season(incidents, trajectories,
+                       deploy_uniform(cfg.sensor_counts[-1], env.rect,
+                                      cfg.base_seed + trial),
+                       cfg.sensor_counts, bio, evo, cfg.usd_per_ton, biomass)
+        for trial in range(cfg.trials)]
     rows: list[SweepRow] = []
-    for count in cfg.sensor_counts:
-        for trial in range(cfg.trials):
-            # no name holds the field, so it is freed before the next deploy
-            totals = _replay_season(
-                incidents, trajectories,
-                deploy_uniform(count, env.rect, cfg.base_seed + trial),
-                bio, evo, cfg.usd_per_ton)
+    for j, count in enumerate(cfg.sensor_counts):
+        for trial, totals in enumerate(s[j] for s in seasons):
             rows.append(SweepRow(
                 n_sensors=count, trial=trial,
                 burned_hours=totals.burned_hours,

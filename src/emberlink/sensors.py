@@ -2,14 +2,21 @@
 
 A field is a flat (n, 2) array of planar sensor positions (km), plus the
 deployment provenance needed to regenerate it: the RNG seed and the
-region rectangle. Proximity queries run against a lazily built cell
-grid over the field's bounding box, stored as CSR offsets into a
-cell-sorted sensor order. The cell side is at least sqrt(area / n) and
-span / n, so the grid has at most 3n + 1 cells: memory stays O(n)
-however far apart the sensors lie, and a query touches only the cells
-its disk overlaps. Results are always exact; the grid only narrows the
-candidate set. A field whose extent overflows a float has no grid, and
-its first query raises.
+region rectangle. A field is checked, and its bounding box kept, from
+four column reductions. Proximity queries run against a lazily built
+cell grid over that box, stored as CSR offsets into a cell-sorted
+sensor order. The cell side is sqrt(CELL_SENSORS * area / n), capped
+at the larger span and at least that span / n, so a spread-out field
+has about n / CELL_SENSORS cells and any field at most
+2n + n / CELL_SENSORS + 1: memory stays O(n) however far apart the
+sensors lie, and a query touches only the cells its disk overlaps.
+Results are always exact; the grid only narrows the candidate set. A
+field whose extent overflows a float has no grid, and its first query
+raises.
+
+Deployments from one seed nest: deploy_uniform(n) is a bitwise prefix
+of deploy_uniform(N) for n <= N, so the first n sensors of one deployed
+field stand for the n-sensor deployment (see evolution.replay_detection).
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ from .errors import ValidationError
 # smallest grid cell (km); keeps cells positive for coincident or
 # collinear sensors
 MIN_CELL_KM = 0.25
+# sensors per grid cell of a spread-out field: fewer, larger cells make
+# a smaller and faster build, and a screen's disk still spans few cells
+CELL_SENSORS = 64
 
 _Grid = tuple[float, float, float, int, int, np.ndarray, np.ndarray]
 
@@ -44,6 +54,9 @@ class SensorField:
     seed: int | None = None
     region: Rect | None = None
     _grid: _Grid | None = field(default=None, repr=False, compare=False)
+    # (x min, y min, x max, y max) of a non-empty field
+    _box: tuple[float, float, float, float] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=float)
@@ -51,17 +64,24 @@ class SensorField:
             pos = pos.reshape(0, 2)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValidationError(f"positions must be (n, 2), got {pos.shape}")
-        if pos.size and not np.isfinite(pos).all():
-            raise ValidationError("sensor positions contain non-finite values")
-        if self.region is not None and pos.size:
+        if pos.size:
+            # per-column reductions: axis=0 ones on an (n, 2) array are an
+            # order of magnitude slower. min and max propagate NaN and
+            # show +-inf, and a box inside the region holds every sensor
+            x, y = pos[:, 0], pos[:, 1]
+            box = (float(x.min()), float(y.min()), float(x.max()), float(y.max()))
+            if not all(map(math.isfinite, box)):
+                raise ValidationError("sensor positions contain non-finite values")
             r = self.region
-            ok = ((pos[:, 0] >= r.x0) & (pos[:, 0] <= r.x0 + r.width_km)
-                  & (pos[:, 1] >= r.y0) & (pos[:, 1] <= r.y0 + r.height_km))
-            if not ok.all():
+            if r is not None and not (r.x0 <= box[0] and box[2] <= r.x0 + r.width_km
+                                      and r.y0 <= box[1] and box[3] <= r.y0 + r.height_km):
+                ok = ((x >= r.x0) & (x <= r.x0 + r.width_km)
+                      & (y >= r.y0) & (y <= r.y0 + r.height_km))
                 bad = int(np.flatnonzero(~ok)[0])
                 raise ValidationError(
                     f"sensor {bad} at ({pos[bad, 0]}, {pos[bad, 1]}) lies outside "
                     f"the field region {r}")
+            self._box = box
         self.positions = pos
 
     def __len__(self) -> int:
@@ -71,21 +91,32 @@ class SensorField:
         """(x0, y0, cell, nx, ny, starts, order): sensors of grid cell
         (i, j) are order[starts[i * ny + j]:starts[i * ny + j + 1]]."""
         if self._grid is None:
-            # per-column reductions: axis=0 ones on an (n, 2) array are
-            # an order of magnitude slower
             n = len(self)
             x, y = self.positions[:, 0], self.positions[:, 1]
-            x0, y0, x1, y1 = float(x.min()), float(y.min()), float(x.max()), float(y.max())
+            x0, y0, x1, y1 = self._box
             wx, wy = x1 - x0, y1 - y0
             if not wx + wy < math.inf:
                 raise ValidationError(f"sensor positions span x {x0} to {x1} and "
                                       f"y {y0} to {y1} km, an extent past any float")
-            # sqrt(wx * wy / n) <= max(wx, wy) unless wx * wy overflows
-            cell = max(min(math.sqrt(wx * wy / n), max(wx, wy)), max(wx, wy) / n, MIN_CELL_KM)
-            i = np.floor((x - x0) / cell).astype(np.int64)
-            j = np.floor((y - y0) / cell).astype(np.int64)
-            nx, ny = int(i.max()) + 1, int(j.max()) + 1
-            flat = i * ny + j
+            # an overflowing CELL_SENSORS * wx * wy takes the whole span
+            span = max(wx, wy)
+            cell = max(min(math.sqrt(CELL_SENSORS * wx * wy / n), span), span / n,
+                       MIN_CELL_KM)
+            # floor((v - v0) / cell) is monotone in v, so the box's far
+            # corner is in the last cell of each axis
+            nx, ny = math.floor(wx / cell) + 1, math.floor(wy / cell) + 1
+            # cell numbers i * ny + j, exact in float64 below 2**53,
+            # built in one float scratch array and the int64 result
+            f = y - y0
+            f /= cell
+            np.floor(f, out=f)
+            flat = f.astype(np.int64)
+            np.subtract(x, x0, out=f)
+            f /= cell
+            np.floor(f, out=f)
+            f *= ny
+            np.add(flat, f, out=flat, casting="unsafe")
+            del f
             starts = np.zeros(nx * ny + 1, dtype=np.int64)
             np.cumsum(np.bincount(flat, minlength=nx * ny), out=starts[1:])
             self._grid = (x0, y0, cell, nx, ny, starts, _cell_order(flat, nx * ny))

@@ -51,7 +51,7 @@ def test_replay_digest(season):
         for trial in range(TRIALS):
             field_ = deploy_uniform(count, env.rect, swp.base_seed + trial)
             for inc, (circles, _) in zip(incidents, traces, strict=True):
-                r = replay_detection(inc, circles, field_, evo)
+                [r] = replay_detection(inc, circles, field_, evo, (count,))
                 sensor = -1 if r.detecting_sensor is None else r.detecting_sensor
                 h.update(struct.pack("<?dqd3d", r.detected, r.detection_hour,
                                      sensor, r.burned_area_km2, *r.circle))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -391,8 +392,8 @@ class TestSimulate:
         env = constant_env(15.0, 0.0, 0.0)
         inc = mid_incident(env)
         field_ = SensorField(positions=np.array([inc.ignition_xy]))
-        r = replay_detection(inc, circle_trajectory(inc, env, NO_PRUNE),
-                             field_, NO_PRUNE)
+        [r] = replay_detection(inc, circle_trajectory(inc, env, NO_PRUNE),
+                               field_, NO_PRUNE, (len(field_),))
         assert r.detected and r.detection_hour == 0.0
         assert r.detecting_sensor == 0
         assert r.burned_area_km2 == 0.0
@@ -401,8 +402,8 @@ class TestSimulate:
     def test_cap_reached_reports_cap(self):
         env = constant_env(15.0, 0.0, 0.0)
         inc = mid_incident(env)
-        r = replay_detection(inc, circle_trajectory(inc, env, NO_PRUNE),
-                             SensorField(positions=[]), NO_PRUNE)
+        [r] = replay_detection(inc, circle_trajectory(inc, env, NO_PRUNE),
+                               SensorField(positions=[]), NO_PRUNE, (0,))
         assert not r.detected
         assert r.detection_hour == 5.0
         assert r.detecting_sensor is None
@@ -415,8 +416,8 @@ class TestSimulate:
         env = constant_env(15.0, 0.0, 0.0)
         inc = mid_incident(env, hist=3.25)
         cfg = EvolutionConfig(snap_km=0.0, max_hours=50.0)
-        r = replay_detection(inc, circle_trajectory(inc, env, cfg),
-                             SensorField(positions=[]), cfg)
+        [r] = replay_detection(inc, circle_trajectory(inc, env, cfg),
+                               SensorField(positions=[]), cfg, (0,))
         assert r.detection_hour == 3.25  # 3 whole steps, reported at the cap
         assert len(circle_trajectory(inc, env, cfg)) == 4
 
@@ -431,8 +432,8 @@ class TestSimulate:
         env = constant_env(15.0, 0.0, 0.0, nt=4)
         inc = mid_incident(env, start=2)  # only hours 2->3, 3->4 exist
         cfg = EvolutionConfig(snap_km=0.0, max_hours=50.0)
-        r = replay_detection(inc, circle_trajectory(inc, env, cfg),
-                             SensorField(positions=[]), cfg)
+        [r] = replay_detection(inc, circle_trajectory(inc, env, cfg),
+                               SensorField(positions=[]), cfg, (0,))
         assert not r.detected
         assert r.detection_hour == 2.0
         assert len(circle_trajectory(inc, env, cfg)) == 3
@@ -441,8 +442,8 @@ class TestSimulate:
         env = constant_env(15.0, 0.0, 0.0)
         inc = mid_incident(env, hist=0.0)
         cfg = EvolutionConfig()
-        r = replay_detection(inc, circle_trajectory(inc, env, cfg),
-                             SensorField(positions=[]), cfg)
+        [r] = replay_detection(inc, circle_trajectory(inc, env, cfg),
+                               SensorField(positions=[]), cfg, (0,))
         assert r.detection_hour == 0.0 and r.burned_area_km2 == 0.0
 
     def test_downwind_extreme_identity(self):
@@ -461,8 +462,8 @@ class TestSimulate:
     def test_wet_soil_never_grows(self):
         env = constant_env(25.0, 0.0, 0.40)  # beyond the wetness cutoff
         inc = mid_incident(env, hist=4.0)
-        r = replay_detection(inc, circle_trajectory(inc, env, NO_PRUNE),
-                             SensorField(positions=[]), NO_PRUNE)
+        [r] = replay_detection(inc, circle_trajectory(inc, env, NO_PRUNE),
+                               SensorField(positions=[]), NO_PRUNE, (0,))
         assert r.burned_area_km2 == 0.0
 
 
@@ -539,13 +540,31 @@ def assert_replays_like_brute_force(r, circles, pts, cap: float) -> bool:
 
 class TestTrajectoryReplay:
     @settings(max_examples=300, deadline=None)
-    @given(case=replay_cases())
-    def test_screened_replay_matches_brute_force(self, case):
+    @given(case=replay_cases(), data=st.data())
+    def test_screened_replay_matches_brute_force(self, case, data):
+        # counts n are prefixes: each result is the replay against pts[:n]
         circles, pts = case
+        counts = sorted(data.draw(st.lists(st.integers(0, len(pts)), min_size=1,
+                                           max_size=5), label="counts"))
+        # small blocks take the hours a few at a time, so the replay stops
+        # early once the smallest count is decided
+        block = data.draw(st.sampled_from([1, 3, evolution._BLOCK]), label="block")
         inc = Incident(id="p", start_hour=0, ignition_xy=tuple(circles[0, :2].tolist()))
         cfg = EvolutionConfig(max_hours=float(len(circles) - 1))
-        r = replay_detection(inc, circles, SensorField(positions=pts), cfg)
-        assert_replays_like_brute_force(r, circles, pts, cfg.max_hours)
+        with mock.patch.object(evolution, "_BLOCK", block):
+            results = replay_detection(inc, circles, SensorField(positions=pts), cfg,
+                                       counts)
+        assert len(results) == len(counts)
+        for n, r in zip(counts, results):
+            assert_replays_like_brute_force(r, circles, pts[:n], cfg.max_hours)
+
+    @pytest.mark.parametrize("counts", [(), (2, 1), (0, 3, 2), (-1, 1), (4,), (0, 1, 4)])
+    def test_bad_counts_rejected(self, counts):
+        circles = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        inc = Incident(id="c", start_hour=0, ignition_xy=(0.0, 0.0))
+        field_ = SensorField(positions=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match="counts"):
+            replay_detection(inc, circles, field_, EvolutionConfig(max_hours=1.0), counts)
 
     @pytest.mark.parametrize("pts", [
         [[3.0, 4.0], [-1e160, 0.0], [1.0, 1.0]],
@@ -557,8 +576,8 @@ class TestTrajectoryReplay:
         # finds lies within that circle
         circles = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1e200]])
         inc = Incident(id="big", start_hour=0, ignition_xy=(0.0, 0.0))
-        r = replay_detection(inc, circles, SensorField(positions=pts),
-                             EvolutionConfig(max_hours=1.0))
+        [r] = replay_detection(inc, circles, SensorField(positions=pts),
+                               EvolutionConfig(max_hours=1.0), (len(pts),))
         assert r.detection_hour == 1.0
         assert assert_replays_like_brute_force(r, circles, pts, 1.0)
 
@@ -573,7 +592,7 @@ class TestTrajectoryReplay:
         inc = Incident(id="bad", start_hour=0, ignition_xy=(0.0, 0.0))
         with pytest.raises(ValidationError, match="trajectory circles"):
             replay_detection(inc, circles, SensorField(positions=[[0.0, 0.0]]),
-                             EvolutionConfig(max_hours=1.0))
+                             EvolutionConfig(max_hours=1.0), (1,))
 
     @pytest.mark.parametrize("bad", [np.empty((0, 3)), np.zeros((2, 2)),
                                      np.zeros(3), np.zeros((1, 3, 1))])
@@ -581,7 +600,7 @@ class TestTrajectoryReplay:
         inc = Incident(id="bad", start_hour=0, ignition_xy=(0.0, 0.0))
         with pytest.raises(ValidationError, match="trajectory circles"):
             replay_detection(inc, bad, SensorField(positions=[[0.0, 0.0]]),
-                             EvolutionConfig(max_hours=1.0))
+                             EvolutionConfig(max_hours=1.0), (1,))
 
     def test_replay_matches_brute_force(self):
         rng = np.random.default_rng(8)
@@ -608,7 +627,7 @@ class TestTrajectoryReplay:
                                    seed=trial).positions
             twinned = SensorField(positions=np.vstack([local, local]))
             for sensors in (field_, twinned):
-                r = replay_detection(inc, circles, sensors, cfg)
+                [r] = replay_detection(inc, circles, sensors, cfg, (len(sensors),))
                 detections += assert_replays_like_brute_force(
                     r, circles, sensors.positions.tolist(), cfg.max_hours)
         assert detections >= 5

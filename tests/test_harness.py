@@ -52,7 +52,8 @@ def manual_season(incidents, env, bio, field_):
     tons = 0.0
     detected = 0
     for inc in incidents:
-        r = replay_detection(inc, circle_trajectory(inc, env, EVO), field_, EVO)
+        [r] = replay_detection(inc, circle_trajectory(inc, env, EVO), field_, EVO,
+                               (len(field_),))
         hours += r.detection_hour
         area += r.burned_area_km2
         tons += emission_tons(r.burned_area_km2, average_biomass(r.circle, bio))
@@ -395,27 +396,48 @@ class TestQueryCount:
         return fields
 
     def test_every_deployed_field_is_queried(self, monkeypatch, queried):
-        deployed = []
-        real = harness.deploy_uniform
+        # one deploy per trial, at the largest count, and one replay per
+        # trial and incident plus one per incident for the baseline
+        deployed, replays = [], []
+        real_deploy, real_replay = harness.deploy_uniform, harness.replay_detection
 
         def recording(n, rect, seed):
-            deployed.append(real(n, rect, seed))
+            deployed.append(real_deploy(n, rect, seed))
             return deployed[-1]
 
+        def replaying(*args):
+            replays.append(args[4])
+            return real_replay(*args)
+
+        priced, real_biomass = [], harness.average_biomass
+
+        def pricing(circle, bio):
+            priced.append(circle)
+            return real_biomass(circle, bio)
+
         monkeypatch.setattr(harness, "deploy_uniform", recording)
+        monkeypatch.setattr(harness, "replay_detection", replaying)
+        monkeypatch.setattr(harness, "average_biomass", pricing)
         incidents, env, bio = small_scenario()
         cfg = SweepConfig(sensor_counts=(0, 50, 500), trials=2, cap_hours=10.0)
         sweep(incidents, env, bio, cfg, evolution=EVO)
-        assert len(deployed) == 3 * 2
+        # the baseline prices its circles, then the sweep each distinct one once
+        swept = priced[len(incidents):]
+        assert len(set(swept)) == len(swept) and swept
+        assert [len(f) for f in deployed] == [500] * cfg.trials
+        assert [f.seed for f in deployed] == [0, 1]
+        assert len(replays) == cfg.trials * len(incidents) + len(incidents)
+        assert replays.count(cfg.sensor_counts) == cfg.trials * len(incidents)
         # deployed holds every field, so no id is reused
         seen = {id(f) for f in queried}
         assert all(id(f) in seen for f in deployed)
+        assert len(queried) == len(replays)
 
     def test_empty_screen_makes_one_query(self, queried):
         incidents, env, _ = small_scenario()
         circles = circle_trajectory(incidents[0], env, EVO)
         far = SensorField(positions=[[1e4, 1e4], [-1e4, 0.0]])
-        r = evolution.replay_detection(incidents[0], circles, far, EVO)
+        [r] = evolution.replay_detection(incidents[0], circles, far, EVO, (len(far),))
         assert not r.detected
         assert len(queried) == 1
 
@@ -429,7 +451,8 @@ class TestQueryCount:
             for field_ in (local, deploy_uniform(50, env.rect, seed=2),
                            SensorField(positions=[])):
                 queried.clear()
-                r = evolution.replay_detection(inc, circles, field_, EVO)
+                [r] = evolution.replay_detection(inc, circles, field_, EVO,
+                                                 (len(field_),))
                 assert len(queried) == 1 and queried[0] is field_
                 detections += r.detected
         assert detections >= 3

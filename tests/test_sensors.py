@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emberlink.envdata import Rect
@@ -49,12 +50,23 @@ class TestDeploy:
         c = deploy_uniform(500, RECT, seed=12)
         assert not np.array_equal(a.positions, c.positions)
 
-    def test_counts_share_a_prefix(self):
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.tuples(st.integers(0, 5000), st.integers(0, 5000)).map(sorted),
+           seed=st.sampled_from([0, 2 ** 128 - 1]) | st.integers(0, 2 ** 128 - 1),
+           rect=st.sampled_from([RECT, Rect(-50.0, 10.0, 30.0, 40.0),
+                                 Rect(-1e3, -2e3, 1010.0, 1110.0),
+                                 Rect(0.5, -0.25, 1.0, 2.0)]))
+    @example(sizes=[0, 5000], seed=0, rect=RECT)
+    @example(sizes=[4999, 5000], seed=2 ** 128 - 1, rect=Rect(-50.0, 10.0, 30.0, 40.0))
+    def test_counts_share_a_prefix(self, sizes, seed, rect):
         # the counter-based stream makes smaller deployments prefixes of
         # larger ones, which is what makes count sweeps paired comparisons
-        small = deploy_uniform(100, RECT, seed=3)
-        big = deploy_uniform(1000, RECT, seed=3)
-        np.testing.assert_array_equal(big.positions[:100], small.positions)
+        # and lets a sweep deploy each trial once, at its largest count
+        n, big_n = sizes
+        small = deploy_uniform(n, rect, seed=seed)
+        big = deploy_uniform(big_n, rect, seed=seed)
+        assert big.positions[:n].tobytes() == small.positions.tobytes()
+        assert (small.seed, small.region) == (big.seed, big.region) == (seed, rect)
 
     def test_inside_rect(self):
         f = deploy_uniform(2000, Rect(-50.0, 10.0, 30.0, 40.0), seed=0)
@@ -142,11 +154,13 @@ class TestQueries:
         assert nearest_index_within(f, (0.0, 0.0), 2.0) == 0
 
     def test_nearest_tie_ignores_candidate_order(self):
-        # three sensors at distance 1, in descending x: the grid hands
-        # them back in cell order, highest index first
-        f = SensorField(positions=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
-        assert list(f._candidates((0.0, 0.0), 1.0)) == [2, 1, 0]
-        assert list(indices_within(f, (0.0, 0.0), 1.0)) == [0, 1, 2]
+        # four sensors at distance 1, counterclockwise from +x, span 2 x 2
+        # cells: the grid hands them back in cell order, the lowest
+        # index last
+        f = SensorField(positions=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                                            [0.0, -1.0]]))
+        assert list(f._candidates((0.0, 0.0), 1.0)) == [2, 3, 1, 0]
+        assert list(indices_within(f, (0.0, 0.0), 1.0)) == [0, 1, 2, 3]
         assert nearest_index_within(f, (0.0, 0.0), 1.0) == 0
         assert brute_nearest(f, (0.0, 0.0), 1.0) == 0
 
@@ -355,6 +369,42 @@ class TestFieldValidation:
         with pytest.raises(ValidationError):
             SensorField(positions=np.array([[5.0, 5.0], [200.0, 5.0]]),
                         region=RECT)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("region", [None, RECT])
+    def test_non_finite_message(self, bad, at, region):
+        pos = np.array([[5.0, 5.0], [60.0, 70.0], [80.0, 90.0]])
+        pos[at] = bad
+        with pytest.raises(ValidationError,
+                           match="^sensor positions contain non-finite values$"):
+            SensorField(positions=pos, region=region)
+
+    @pytest.mark.parametrize("region", [RECT, Rect(-50.0, 10.0, 30.0, 40.0)])
+    @pytest.mark.parametrize("edge", ["left", "right", "bottom", "top"])
+    def test_sensor_just_past_an_edge_is_named(self, region, edge):
+        x0, x1 = region.x0, region.x0 + region.width_km
+        y0, y1 = region.y0, region.y0 + region.height_km
+        mx, my = (x0 + x1) / 2, (y0 + y1) / 2
+        past = {"left": (np.nextafter(x0, -math.inf), my),
+                "right": (np.nextafter(x1, math.inf), my),
+                "bottom": (mx, np.nextafter(y0, -math.inf)),
+                "top": (mx, np.nextafter(y1, math.inf))}[edge]
+        # a second sensor outside further on: the first one is named
+        pos = np.array([[x0, y0], [x1, y1], past, [mx, my], [x1 + 1.0, y1 + 1.0]])
+        expected = (f"sensor 2 at ({pos[2, 0]}, {pos[2, 1]}) lies outside "
+                    f"the field region {region}")
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+            SensorField(positions=pos, region=region)
+
+    @pytest.mark.parametrize("region", [RECT, Rect(-50.0, 10.0, 30.0, 40.0)])
+    def test_sensors_on_the_edges_accepted(self, region):
+        x0, x1 = region.x0, region.x0 + region.width_km
+        y0, y1 = region.y0, region.y0 + region.height_km
+        pos = np.array([[x0, y0], [x1, y1], [x0, y1], [x1, y0],
+                        [x0, (y0 + y1) / 2], [(x0 + x1) / 2, y1]])
+        f = SensorField(positions=pos, region=region)
+        assert f.positions.tobytes() == pos.tobytes()
 
 
 class TestPersistence:
