@@ -29,7 +29,7 @@ from pathlib import Path
 from . import harness, linkbudget
 from .config import (DEFAULT_CONFIG, bundle_config, evolution_config, merge,
                      sweep_config)
-from .envdata import (SEED_LIMIT, GeoTransform, SynthSpec, load_biomass,
+from .envdata import (GeoTransform, SynthSpec, check_seed, load_biomass,
                       load_env_grid, load_incidents, read_json, save_env_grid,
                       synth_env)
 from .errors import ValidationError
@@ -94,15 +94,15 @@ def _check_flags(args: argparse.Namespace) -> None:
     deploy = getattr(args, "deploy", None)  # a simulate flag
     seeded = args.command in ("sweep", "synth-env") or deploy is not None
     for flag, value, least, read, readers in (
-            ("--seed", args.seed, 0, seeded, "sweep, synth-env and simulate --deploy"),
+            ("--seed", args.seed, None, seeded, "sweep, synth-env and simulate --deploy"),
             ("--workers", args.workers, 1, args.command == "sweep", "sweep"),
             ("--deploy", deploy, 0, True, "simulate")):
-        if value is not None and value < least:
+        if value is not None and least is None:  # a seed: its own range
+            check_seed(flag, value)
+        elif value is not None and value < least:
             raise ValidationError(f"{flag} must be >= {least}, got {value}")
         if value is not None and not read:
             raise ValidationError(f"{flag} is not used by {args.command}, only by {readers}")
-    if args.seed is not None and args.seed >= SEED_LIMIT:
-        raise ValidationError(f"--seed must be < 2**128, got {args.seed}")
 
 
 def _changed(config: dict, base: dict, path: str = ""):

@@ -11,10 +11,10 @@ CLI's --config file, --set assignments and flags, so the library
 from __future__ import annotations
 
 import copy
-import numbers
 from dataclasses import asdict, dataclass
 
-from .envdata import CALIFORNIA, SEED_LIMIT, describe_kind, fits_kind
+from .envdata import (CALIFORNIA, check_fields, check_seed, describe_kind,
+                      fits_kind)
 from .errors import ValidationError
 from .evolution import EvolutionConfig
 from .firekernel import DEFAULT_PARAMS, SpreadParams
@@ -22,6 +22,9 @@ from .linkbudget import (PERIODIC_REPORT, RU_DURATION_S, SYSTEM_BANDWIDTH_HZ,
                          TABLE1_10DEG)
 
 BASELINE_MODES = ("historical", "simulated-zero-sensor")
+# an example value of every SweepConfig field, for its kind (see fits_kind)
+_SWEEP_KINDS = {"sensor_counts": [0], "trials": 0, "base_seed": 0, "usd_per_ton": 0.0,
+                "unit_sensor_cost_usd": [0.0], "cap_hours": 0.0, "baseline": ""}
 
 
 @dataclass(frozen=True)
@@ -37,46 +40,31 @@ class SweepConfig:
     baseline: str = "simulated-zero-sensor"
 
     def __post_init__(self) -> None:
-        seqs = []
+        fields = dict(vars(self))
         for name in ("sensor_counts", "unit_sensor_cost_usd"):
-            try:
-                seqs.append(tuple(getattr(self, name)))
+            try:  # a tuple or numpy array is checked as the list it holds
+                fields[name] = list(fields[name])
             except TypeError:
-                raise ValidationError(
-                    f"{name} must be a sequence, got {getattr(self, name)!r}") from None
-        counts, costs = seqs
-        for name, items, kind in (
-                ("sensor_counts", counts, numbers.Integral),
-                ("trials", (self.trials,), numbers.Integral),
-                ("base_seed", (self.base_seed,), numbers.Integral),
-                ("usd_per_ton", (self.usd_per_ton,), numbers.Real),
-                ("unit_sensor_cost_usd", costs, numbers.Real),
-                ("cap_hours", (self.cap_hours,), numbers.Real)):
-            # Python or numpy numbers, never a bool; counts never a float
-            if not all(isinstance(v, kind) and not isinstance(v, bool) for v in items):
-                what = "integral" if kind is numbers.Integral else "numeric"
-                raise ValidationError(f"{name} must be {what}, got {getattr(self, name)!r}")
-        counts = tuple(map(int, counts))
+                pass  # not a sequence: check_fields names the field
+        check_fields("sweep config", fields, _SWEEP_KINDS)
+        counts = tuple(map(int, fields["sensor_counts"]))
         object.__setattr__(self, "sensor_counts", counts)
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "base_seed", int(self.base_seed))
-        object.__setattr__(self, "unit_sensor_cost_usd", tuple(map(float, costs)))
+        object.__setattr__(self, "unit_sensor_cost_usd",
+                           tuple(map(float, fields["unit_sensor_cost_usd"])))
         if not counts:
             raise ValidationError("sensor_counts must be non-empty")
         if any(c < 0 for c in counts):
             raise ValidationError(f"sensor_counts must be >= 0, got {counts}")
         if list(counts) != sorted(counts):
             raise ValidationError(f"sensor_counts must be ascending, got {counts}")
-        # negated comparisons, so that NaN fails them too
-        if not self.trials >= 1:
+        if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if not self.base_seed >= 0:
-            raise ValidationError(f"base_seed must be >= 0, got {self.base_seed}")
         # trial t deploys with seed base_seed + t
-        if not self.base_seed + self.trials - 1 < SEED_LIMIT:
-            raise ValidationError(
-                f"base_seed + trials - 1 must be < 2**128, got "
-                f"{self.base_seed} + {self.trials} - 1")
+        check_seed("base_seed", self.base_seed)
+        check_seed("base_seed + trials - 1", self.base_seed + self.trials - 1)
+        # negated comparisons, so that NaN fails them too
         if not 0.0 <= self.usd_per_ton < float("inf"):
             raise ValidationError(
                 f"usd_per_ton must be finite and >= 0, got {self.usd_per_ton}")

@@ -95,6 +95,25 @@ def geo_to_planar(gt: GeoTransform, lat: float, lon: float) -> tuple[float, floa
     return (x, y)
 
 
+def check_grid(what: str, spacing_km: float, origin, **dims: int) -> None:
+    """Reject a grid (what names it) whose dims are below 1, whose spacing
+    is not finite and > 0, or whose origin is not finite; callers check
+    before anything is sized from the dims."""
+    for name, n in dims.items():
+        if not n >= 1:  # negated comparisons, so that NaN fails them too
+            raise ValidationError(f"{what} {name} must be >= 1, got {n}")
+    if not 0 < spacing_km < math.inf:
+        raise ValidationError(f"{what} spacing_km must be finite and > 0, got {spacing_km}")
+    if not all(map(math.isfinite, origin)):
+        raise ValidationError(f"{what} origin must be finite, got {origin}")
+
+
+def check_seed(what: str, seed: int) -> None:
+    """Reject a seed (what names it) outside [0, SEED_LIMIT)."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValidationError(f"{what} must be in [0, 2**128), got {seed}")
+
+
 @dataclass
 class EnvGrid:
     """Hourly wind and soil-wetness rasters on the simulation rectangle."""
@@ -109,12 +128,8 @@ class EnvGrid:
     swvl1: np.ndarray
 
     def __post_init__(self) -> None:
-        if min(self.nx, self.ny, self.nt) < 1:
-            raise ValidationError(f"grid dims must be >= 1, got {self.nx}x{self.ny}x{self.nt}")
-        if not 0 < self.spacing_km < math.inf:
-            raise ValidationError(f"spacing_km must be finite and > 0, got {self.spacing_km}")
-        if not all(map(math.isfinite, self.origin)):
-            raise ValidationError(f"origin must be finite, got {self.origin}")
+        check_grid("env grid", self.spacing_km, self.origin,
+                   nx=self.nx, ny=self.ny, nt=self.nt)
         shape = (self.nt, self.ny, self.nx)
         for name in ("u10", "v10", "swvl1"):
             arr = getattr(self, name)
@@ -143,13 +158,7 @@ class BiomassGrid:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if min(self.nx, self.ny) < 1:
-            raise ValidationError(f"biomass dims must be >= 1, got {self.nx}x{self.ny}")
-        if not 0 < self.spacing_km < math.inf:
-            raise ValidationError(
-                f"biomass spacing_km must be finite and > 0, got {self.spacing_km}")
-        if not all(map(math.isfinite, self.origin)):
-            raise ValidationError(f"biomass origin must be finite, got {self.origin}")
+        check_grid("biomass", self.spacing_km, self.origin, nx=self.nx, ny=self.ny)
         if self.values.shape != (self.ny, self.nx):
             raise ValidationError(
                 f"biomass shape {self.values.shape} != declared {(self.ny, self.nx)}")
@@ -186,6 +195,16 @@ class Incident:
     ignition_xy: tuple[float, float]
     historical_burn_hours: float | None = None
     historical_area_km2: float | None = None
+
+
+def check_placement(what: str, xy: tuple[float, float], start_hour: int,
+                    grid: EnvGrid) -> None:
+    """Reject an incident (what names it) that ignites outside the grid
+    rectangle or starts outside its hours."""
+    if not grid.rect.contains(xy):
+        raise ValidationError(f"{what}: ignition {xy} outside the grid rectangle")
+    if not 0 <= start_hour < grid.nt:
+        raise ValidationError(f"{what}: start hour {start_hour} outside [0, {grid.nt})")
 
 
 def sample_env_many(
@@ -301,9 +320,8 @@ def load_env_grid(manifest_path: str | Path) -> EnvGrid:
                             _ENV_MANIFEST_KINDS, ("nx", "ny", "nt", "spacing_km", "files"))
     files = check_fields("env manifest files", manifest["files"], _ENV_FILES_KINDS)
     nx, ny, nt = int(manifest["nx"]), int(manifest["ny"]), int(manifest["nt"])
-    if min(nx, ny, nt) < 1:  # before the dims size the rasters
-        raise ValidationError(f"env manifest dims must be >= 1, got {nx}x{ny}x{nt}")
     origin = manifest.get("origin", (0.0, 0.0))
+    check_grid("env manifest", manifest["spacing_km"], origin, nx=nx, ny=ny, nt=nt)
     rasters = {name: _read_raster(mpath.parent / files[name], nx * ny * nt,
                                   name).reshape(nt, ny, nx)
                for name in _ENV_FILES_KINDS}
@@ -334,9 +352,8 @@ def load_biomass(manifest_path: str | Path) -> BiomassGrid:
     manifest = check_fields("biomass manifest", read_json(mpath, "biomass manifest"),
                             _BIOMASS_MANIFEST_KINDS, ("nx", "ny", "spacing_km", "file"))
     nx, ny = int(manifest["nx"]), int(manifest["ny"])
-    if min(nx, ny) < 1:  # before the dims size the raster
-        raise ValidationError(f"biomass manifest dims must be >= 1, got {nx}x{ny}")
     origin = manifest.get("origin", (0.0, 0.0))
+    check_grid("biomass manifest", manifest["spacing_km"], origin, nx=nx, ny=ny)
     values = _read_raster(mpath.parent / manifest["file"], nx * ny, "biomass").reshape(ny, nx)
     return BiomassGrid(nx=nx, ny=ny, spacing_km=float(manifest["spacing_km"]),
                        values=values, origin=(float(origin[0]), float(origin[1])))
@@ -397,14 +414,9 @@ class SynthSpec:
 
     def __post_init__(self) -> None:
         check_fields("synth spec", vars(self), _SPEC_KINDS)
-        for name in ("nx", "ny", "nt", "coarse_nx", "coarse_ny", "coarse_nt"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"synth spec {name} must be >= 1, got {getattr(self, name)}")
-        if not 0 < self.spacing_km < math.inf:  # NaN fails too
-            raise ValidationError(
-                f"synth spec spacing_km must be finite and > 0, got {self.spacing_km}")
-        if not all(map(math.isfinite, self.origin)):
-            raise ValidationError(f"synth spec origin must be finite, got {self.origin}")
+        check_grid("synth spec", self.spacing_km, self.origin, **{
+            name: getattr(self, name)
+            for name in ("nx", "ny", "nt", "coarse_nx", "coarse_ny", "coarse_nt")})
         for name in ("u10_range", "v10_range", "swvl1_range"):
             lo, hi = getattr(self, name)
             if not lo <= hi:
@@ -503,8 +515,7 @@ def synth_biomass(nx: int, ny: int, spacing_km: float,
                   lo: float, hi: float, seed: int,
                   origin: tuple[float, float] = (0.0, 0.0)) -> BiomassGrid:
     """Deterministic smooth random biomass field in [lo, hi] Mg/ha."""
-    if min(nx, ny) < 1:
-        raise ValidationError(f"biomass dims must be >= 1, got {nx}x{ny}")
+    check_grid("biomass", spacing_km, origin, nx=nx, ny=ny)
     if not 0 <= lo <= hi < math.inf:
         raise ValidationError(f"biomass range must satisfy 0 <= lo <= hi < inf, got ({lo}, {hi})")
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -567,13 +578,8 @@ def load_incidents(
                 xy = geo_to_planar(gt, lat, lon)
             except ValidationError as exc:
                 raise ValidationError(f"incident row {n} ({rid}): {exc}") from exc
-            if not grid.rect.contains(xy):
-                raise ValidationError(
-                    f"incident row {n} ({rid}): ignition {xy} outside the grid rectangle")
             start_hour = math.floor((start - epoch).total_seconds() / 3600.0)
-            if not 0 <= start_hour < grid.nt:
-                raise ValidationError(
-                    f"incident row {n} ({rid}): start hour {start_hour} outside [0, {grid.nt})")
+            check_placement(f"incident row {n} ({rid})", xy, start_hour, grid)
             burn_hours = None
             contained_text = (row.get("contained_iso8601") or "").strip()
             if contained_text:

@@ -119,13 +119,8 @@ def burned_circle(points: np.ndarray) -> np.ndarray:
     n = pts.shape[0]
     center = (float(np.cumsum(pts[:, 0])[-1] / n),
               float(np.cumsum(pts[:, 1])[-1] / n))
-    # squared distances dx*dx + dy*dy, computed in place
-    dx = pts[:, 0] - center[0]
-    dy = pts[:, 1] - center[1]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.array([*center, np.sqrt(dx.max())])
+    d2 = squared_distances(pts[:, 0], pts[:, 1], *center)
+    return np.array([*center, np.sqrt(d2.max())])
 
 
 def _lattice_cells(pts: np.ndarray, snap_km: float, bits: int) -> np.ndarray:
@@ -269,11 +264,11 @@ def replay_detection(incident: Incident, circles: np.ndarray,
     over a disk about the last center that encloses every circle, widened
     past a disk query's rounding, screens the trajectory, so a replay
     makes one nearest_index_within call whatever the counts. Each
-    screened sensor's first hit hour comes from its exact distances, in
-    hour order until the smallest count is decided; n sensors take the
-    earliest among the screened indices below n. Deployments from one
-    seed nest (see sensors), so against deploy_uniform(max(counts)) each
-    outcome is bitwise the one against deploy_uniform(n).
+    screened sensor's first hit hour comes from its exact distances; n
+    sensors take the earliest among the screened indices below n.
+    Deployments from one seed nest (see sensors), so against
+    deploy_uniform(max(counts)) each outcome is bitwise the one against
+    deploy_uniform(n).
     """
     xyr = np.asarray(circles, dtype=float)
     if not (xyr.ndim == 2 and xyr.shape[1:] == (3,) and xyr.size
@@ -302,8 +297,7 @@ def replay_detection(incident: Incident, circles: np.ndarray,
     # squared distance then
     first = np.full(ends[-1], hours)
     first_d2 = np.empty(ends[-1])
-    smallest = next((m for m in ends if m), 0)  # that of the smallest count screening any
-    if smallest:
+    if ends[-1]:
         x, y = sensors.positions[near[:ends[-1]]].T
         # (hours, sensors) distance blocks of at most _BLOCK values, in
         # hour order
@@ -315,9 +309,6 @@ def replay_detection(incident: Incident, circles: np.ndarray,
             at = inside[:, new].argmax(axis=0)
             first[new] = h + at
             first_d2[new] = d2[at, new]
-            # every larger count screens a superset, so is decided too
-            if (first[:smallest] < hours).any():
-                break
     cap = incident_cap_hours(incident, cfg)
     results = []
     for m in ends:

@@ -35,9 +35,9 @@ from . import __version__
 from .carbon import average_biomass, carbon_price, emission_tons, savings
 from .config import (BASELINE_MODES, SweepConfig, bundle_config,
                      evolution_config, sweep_config)
-from .envdata import (SEED_LIMIT, BiomassGrid, EnvGrid, Incident, SynthSpec,
-                      check_biomass_alignment, check_fields, read_json,
-                      synth_biomass, synth_env)
+from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec,
+                      check_biomass_alignment, check_fields, check_placement,
+                      check_seed, read_json, synth_biomass, synth_env)
 from .errors import ValidationError
 from .evolution import EvolutionConfig, circle_trajectory, replay_detection
 from .sensors import SensorField, deploy_uniform
@@ -355,9 +355,8 @@ def season_scenario(raw: dict) -> tuple[list[Incident], EnvGrid, BiomassGrid]:
         raise ValidationError(f"scenario bundle env: {exc}") from exc
     b = check_fields("scenario bundle biomass", raw["biomass"], _BIOMASS_KINDS,
                      ("nx", "ny", "spacing_km", "lo", "hi", "seed"))
-    for name, seed in (("env_seed", raw["env_seed"]), ("biomass seed", b["seed"])):
-        if not 0 <= seed < SEED_LIMIT:
-            raise ValidationError(f"scenario bundle {name} must be in [0, 2**128), got {seed}")
+    check_seed("scenario bundle env_seed", raw["env_seed"])
+    check_seed("scenario bundle biomass seed", b["seed"])
     env = synth_env(spec, raw["env_seed"])
     bio = synth_biomass(nx=b["nx"], ny=b["ny"], spacing_km=float(b["spacing_km"]),
                         lo=float(b["lo"]), hi=float(b["hi"]), seed=b["seed"],
@@ -366,16 +365,9 @@ def season_scenario(raw: dict) -> tuple[list[Incident], EnvGrid, BiomassGrid]:
     for n, item in enumerate(raw["incidents"]):
         check_fields(f"scenario bundle incident #{n}", item, _INCIDENT_KINDS)
         xy = (float(item["x_km"]), float(item["y_km"]))
-        if not env.rect.contains(xy):
-            raise ValidationError(
-                f"scenario bundle incident {item['id']}: ignition {xy} "
-                f"outside the grid rectangle")
-        start = item["start_hour"]
-        if not 0 <= start < env.nt:
-            raise ValidationError(
-                f"scenario bundle incident {item['id']}: start hour {start} "
-                f"outside [0, {env.nt})")
-        incidents.append(Incident(id=item["id"], start_hour=start,
+        check_placement(f"scenario bundle incident {item['id']}", xy,
+                        item["start_hour"], env)
+        incidents.append(Incident(id=item["id"], start_hour=item["start_hour"],
                                   ignition_xy=xy))
     return incidents, env, bio
 

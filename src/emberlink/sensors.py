@@ -41,19 +41,20 @@ CELL_SENSORS = 64
 _Grid = tuple[float, float, float, int, int, np.ndarray, np.ndarray]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensorField:
     """Sensor positions with their deployment seed and region.
 
     seed and region are optional provenance: a field deployed by
     deploy_uniform carries both and can be regenerated bit-for-bit from
     (count, region, seed); hand-built or loaded fields may lack them.
+    The field is frozen, as its box and grid are taken from its positions.
     """
 
     positions: np.ndarray
     seed: int | None = None
     region: Rect | None = None
-    _grid: _Grid | None = field(default=None, repr=False, compare=False)
+    _grid: _Grid | None = field(default=None, init=False, repr=False, compare=False)
     # (x min, y min, x max, y max) of a non-empty field
     _box: tuple[float, float, float, float] | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -81,8 +82,8 @@ class SensorField:
                 raise ValidationError(
                     f"sensor {bad} at ({pos[bad, 0]}, {pos[bad, 1]}) lies outside "
                     f"the field region {r}")
-            self._box = box
-        self.positions = pos
+            object.__setattr__(self, "_box", box)
+        object.__setattr__(self, "positions", pos)
 
     def __len__(self) -> int:
         return self.positions.shape[0]
@@ -119,7 +120,8 @@ class SensorField:
             del f
             starts = np.zeros(nx * ny + 1, dtype=np.int64)
             np.cumsum(np.bincount(flat, minlength=nx * ny), out=starts[1:])
-            self._grid = (x0, y0, cell, nx, ny, starts, _cell_order(flat, nx * ny))
+            object.__setattr__(self, "_grid", (x0, y0, cell, nx, ny, starts,
+                                               _cell_order(flat, nx * ny)))
         return self._grid
 
     def _candidates(self, center: tuple[float, float], radius: float) -> np.ndarray:

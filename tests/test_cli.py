@@ -407,7 +407,7 @@ class TestConfigPlumbing:
                      "--out", str(out)]) == code
         assert out.exists() == (code == 0)
         if code:
-            assert "--seed must be < 2**128" in capsys.readouterr().err
+            assert "--seed must be in [0, 2**128)" in capsys.readouterr().err
 
     def test_bad_env_manifest_field_is_bad_input(self, tmp_path, capsys):
         man = tmp_path / "env.json"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,8 @@ from emberlink.envdata import (CALIFORNIA, BiomassGrid, EnvGrid, GeoTransform,
                                sample_env_many, save_biomass,
                                save_env_grid, synth_biomass, synth_env)
 from emberlink.errors import ValidationError
-from emberlink.harness import bundled_scenario_path, load_season_bundle
+from emberlink.harness import (bundled_scenario_path, load_season_bundle,
+                               season_scenario)
 
 
 def tiny_grid(nx=4, ny=3, nt=2, spacing=10.0, origin=(0.0, 0.0)) -> EnvGrid:
@@ -90,6 +92,48 @@ class TestGridValidation:
     def test_negative_biomass_rejected(self):
         with pytest.raises(ValidationError):
             BiomassGrid(nx=2, ny=2, spacing_km=1.0, values=np.full((2, 2), -1.0))
+
+
+def _edited_manifest(save, grid, tmp_path, edit):
+    man = save(grid, tmp_path / "grid.json")
+    man.write_text(json.dumps({**json.loads(man.read_text()), **edit}))
+    return man
+
+
+# every site that takes a grid's geometry, built from a valid one with edit
+# laid over it, and the name its messages give the grid
+GEOMETRY_SITES = {
+    "env grid": lambda edit, tmp_path: EnvGrid(**{
+        "nx": 1, "ny": 1, "nt": 1, "spacing_km": 1.0, "origin": (0.0, 0.0),
+        "u10": np.zeros((1, 1, 1)), "v10": np.zeros((1, 1, 1)),
+        "swvl1": np.zeros((1, 1, 1)), **edit}),
+    "biomass": lambda edit, tmp_path: BiomassGrid(**{
+        "nx": 1, "ny": 1, "spacing_km": 1.0, "values": np.zeros((1, 1)), **edit}),
+    "synth spec": lambda edit, tmp_path: SynthSpec(**{
+        "nx": 1, "ny": 1, "nt": 1, "spacing_km": 1.0, **edit}),
+    "env manifest": lambda edit, tmp_path: load_env_grid(_edited_manifest(
+        save_env_grid, tiny_grid(), tmp_path, edit)),
+    "biomass manifest": lambda edit, tmp_path: load_biomass(_edited_manifest(
+        save_biomass, synth_biomass(4, 3, 10.0, 1.0, 2.0, seed=0), tmp_path, edit)),
+    "biomass (synthesized)": lambda edit, tmp_path: synth_biomass(**{
+        "nx": 4, "ny": 3, "spacing_km": 10.0, "lo": 1.0, "hi": 2.0, "seed": 0, **edit}),
+}
+
+
+class TestOneGeometryCheck:
+    @pytest.mark.parametrize("site", GEOMETRY_SITES)
+    @pytest.mark.parametrize("edit, message", [
+        ({"ny": 0}, "ny must be >= 1, got 0"),
+        ({"nx": -5, "ny": -1}, "nx must be >= 1, got -5"),
+        ({"spacing_km": float("nan")}, "spacing_km must be finite and > 0, got nan"),
+        ({"spacing_km": 0.0}, "spacing_km must be finite and > 0, got 0.0"),
+        ({"spacing_km": float("inf")}, "spacing_km must be finite and > 0, got inf"),
+        ({"origin": (float("inf"), 0.0)}, "origin must be finite, got "),
+    ])
+    def test_every_site_words_it_alike(self, tmp_path, site, edit, message):
+        what = site.split(" (")[0]
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{what} {message}")):
+            GEOMETRY_SITES[site](edit, tmp_path)
 
 
 def sample_one(grid, xy, t):
@@ -355,7 +399,7 @@ class TestRasterIO:
         ({"files": {"u10": "a", "v10": "b", "swvl1": "c", "t2m": "d"}},
          "env manifest files has unknown field 't2m'"),
         ({"files": {"u10": 1, "v10": "b", "swvl1": "c"}}, "env manifest files field 'u10'"),
-        ({"nx": -5, "ny": -1}, "env manifest dims must be >= 1"),
+        ({"nx": -5, "ny": -1}, "env manifest nx must be >= 1"),
         ({"origin": [float("nan"), 0.0]}, "origin must be finite"),
     ])
     def test_env_manifest_fields_are_checked(self, tmp_path, edit, field):
@@ -370,8 +414,8 @@ class TestRasterIO:
         ({"file": 3}, "biomass manifest field 'file' must be a string"),
         ({"origin": "0,0"}, "biomass manifest field 'origin'"),
         ({"seed": 3}, "biomass manifest has unknown field 'seed'"),
-        ({"nx": -5, "ny": -1}, "biomass manifest dims must be >= 1"),
-        ({"origin": [0.0, float("inf")]}, "biomass origin must be finite"),
+        ({"nx": -5, "ny": -1}, "biomass manifest nx must be >= 1"),
+        ({"origin": [0.0, float("inf")]}, "biomass manifest origin must be finite"),
     ])
     def test_biomass_manifest_fields_are_checked(self, tmp_path, edit, field):
         man = save_biomass(synth_biomass(nx=6, ny=5, spacing_km=3.0, lo=10.0, hi=30.0,
@@ -468,6 +512,34 @@ class TestIncidents:
         p.write_text("id,start_iso8601,lat_deg\nf1,2020-01-01T00:00:00,36.0\n")
         with pytest.raises(ValidationError):
             load_incidents(p, CALIFORNIA, self.big_grid())
+
+    @pytest.mark.parametrize("row, message", [
+        ("f1,2020-01-03T00:00:00,,33.0,-124.0,",
+         "incident row 2 (f1): start hour 48 outside [0, 48)"),
+        ("f1,2020-01-01T00:00:00,,41.0,-115.0,",
+         f"incident row 2 (f1): ignition {geo_to_planar(CALIFORNIA, 41.0, -115.0)} "
+         f"outside the grid rectangle"),
+    ])
+    def test_csv_placement_message(self, tmp_path, row, message):
+        shape = (48, 4, 4)  # a 400 x 400 km grid in California's south-west
+        grid = EnvGrid(nx=4, ny=4, nt=48, spacing_km=100.0, origin=(0.0, 0.0),
+                       u10=np.zeros(shape), v10=np.zeros(shape), swvl1=np.zeros(shape))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_incidents(self.write(tmp_path, row + "\n"), CALIFORNIA, grid)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"start_hour": 24}, "scenario bundle incident syn-001: start hour 24 "
+                             "outside [0, 24)"),
+        ({"x_km": 5000.0}, "scenario bundle incident syn-001: ignition "
+                           "(5000.0, 203.108) outside the grid rectangle"),
+    ])
+    def test_bundle_placement_message(self, edit, message):
+        # the bundle's incidents go through the CSV loader's check
+        raw = json.loads(bundled_scenario_path().read_text())
+        raw["env"]["nt"] = 24
+        raw["incidents"][0].update(edit)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            season_scenario(raw)
 
     def test_incident_is_frozen(self):
         inc = Incident(id="x", start_hour=0, ignition_xy=(1.0, 2.0))

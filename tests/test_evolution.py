@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,8 @@ from emberlink.evolution import (EvolutionConfig, Frontier, burned_circle,
                                  trace_rows)
 from emberlink.firekernel import length_breadth_ratio, spread_speed
 from emberlink.harness import bundled_scenario_path, load_season_bundle
-from emberlink.sensors import SensorField, deploy_uniform
+from emberlink.sensors import (SensorField, deploy_uniform, load_sensors,
+                               save_sensors)
 
 NO_PRUNE = EvolutionConfig(snap_km=0.0, max_hours=5.0)
 
@@ -222,6 +225,34 @@ class TestPrune:
         f = Frontier(points=np.array([[0.0, 0.0]]), hour=0)
         with pytest.raises(ValidationError):
             prune(f, snap_km=-0.1)
+
+
+# hours whose branched frontier stays under MAX_POINTS with dedup off:
+# hour k branches 4**k points
+UNPRUNED_HOURS = max(k for k in range(32) if 4 ** k < evolution.MAX_POINTS)
+
+
+class TestSlowSpreadDedupLag:
+    """Pins the measured lag of the default 0.05 km dedup where the head
+    advances less than snap_km an hour (README Limitations): the unpruned
+    radius minus the pruned one, hours 1..10, against snap_km 0."""
+
+    @pytest.mark.parametrize("u10, v10, swvl1, lag_km", [
+        # the frontier collapses to one point each hour and the pruned
+        # radius stalls at its hour-1 value while the unpruned one grows
+        (2.0, 0.0, 0.2, [0.0, 0.005232, 0.010464, 0.015695, 0.020927,
+                         0.026159, 0.031391, 0.036622, 0.041854, 0.047086]),
+        # the pruned frontier escapes its cell at hour 7, then lags again
+        (3.0, 1.0, 0.1, [0.0, 0.014841, 0.029683, 0.044524, 0.059365,
+                         0.074206, 0.081100, 0.095941, 0.110783, 0.118730]),
+    ])
+    def test_lag_against_unpruned_radius(self, u10, v10, swvl1, lag_km):
+        assert UNPRUNED_HOURS == len(lag_km) == 10
+        env = constant_env(u10, v10, swvl1)
+        inc = mid_incident(env, hist=float(UNPRUNED_HOURS))
+        pruned = circle_trajectory(inc, env, EvolutionConfig(snap_km=0.05))[1:, 2]
+        unpruned = circle_trajectory(inc, env, EvolutionConfig(snap_km=0.0))[1:, 2]
+        np.testing.assert_allclose(unpruned - pruned, lag_km, rtol=0, atol=1e-6)
 
 
 class TestPruneMatchesLexsort:
@@ -538,6 +569,43 @@ def assert_replays_like_brute_force(r, circles, pts, cap: float) -> bool:
     return expected is not None
 
 
+# (a, b) with a*a + b*b == r*r for each radius r: integer offsets that put
+# a sensor exactly on a circle, where the closed disk test is an equality
+ON_CIRCLE = {0: [(0, 0)], 1: [(1, 0)], 5: [(3, 4), (5, 0)], 10: [(6, 8)],
+             13: [(5, 12), (13, 0)]}
+
+
+@st.composite
+def lattice_replay_cases(draw):
+    """(circles, sensor positions) in integer km: sensors exactly on a
+    circle, others near the last center, and copies of earlier sensors
+    (coincident sensors) at random places in the order."""
+    x, y = draw(st.tuples(*[st.sampled_from([0, -37, 1000, -100000, 1000000])] * 2))
+    circles = []
+    for _ in range(draw(st.integers(1, 6))):
+        x, y = x + draw(st.integers(-3, 3)), y + draw(st.integers(-3, 3))
+        circles.append((x, y, draw(st.sampled_from(sorted(ON_CIRCLE)))))
+    pts = []
+    for _ in range(draw(st.integers(0, 6))):
+        cx, cy, r = draw(st.sampled_from(circles))
+        a, b = draw(st.sampled_from(ON_CIRCLE[r]))
+        if draw(st.booleans()):
+            a, b = b, a
+        pts.append((cx + a * draw(st.sampled_from([1, -1])),
+                    cy + b * draw(st.sampled_from([1, -1]))))
+    for _ in range(draw(st.integers(0, 4))):
+        pts.append((x + draw(st.integers(-20, 20)), y + draw(st.integers(-20, 20))))
+    for _ in range(draw(st.integers(0, 3)) if pts else 0):
+        pts.insert(draw(st.integers(0, len(pts))), draw(st.sampled_from(pts)))
+    return np.array(circles, dtype=float), [(float(a), float(b)) for a, b in pts]
+
+
+def csv_round_trip(field_: SensorField) -> SensorField:
+    """field_ written by save_sensors and read back by load_sensors."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return load_sensors(save_sensors(field_, Path(tmp) / "sensors.csv"))
+
+
 class TestTrajectoryReplay:
     @settings(max_examples=300, deadline=None)
     @given(case=replay_cases(), data=st.data())
@@ -546,8 +614,7 @@ class TestTrajectoryReplay:
         circles, pts = case
         counts = sorted(data.draw(st.lists(st.integers(0, len(pts)), min_size=1,
                                            max_size=5), label="counts"))
-        # small blocks take the hours a few at a time, so the replay stops
-        # early once the smallest count is decided
+        # small blocks take the hours a few at a time
         block = data.draw(st.sampled_from([1, 3, evolution._BLOCK]), label="block")
         inc = Incident(id="p", start_hour=0, ignition_xy=tuple(circles[0, :2].tolist()))
         cfg = EvolutionConfig(max_hours=float(len(circles) - 1))
@@ -555,6 +622,50 @@ class TestTrajectoryReplay:
             results = replay_detection(inc, circles, SensorField(positions=pts), cfg,
                                        counts)
         assert len(results) == len(counts)
+        for n, r in zip(counts, results):
+            assert_replays_like_brute_force(r, circles, pts[:n], cfg.max_hours)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=lattice_replay_cases(), declared=st.booleans(), data=st.data())
+    def test_sensor_csv_fields_replay_like_brute_force(self, case, declared, data):
+        # a field read from a sensor CSV, its region declared in the header
+        # or inferred as the sensors' bounding box, replays every prefix
+        # count as brute force does
+        circles, pts = case
+        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        bbox = (Rect(min(xs), min(ys), max(xs) - min(xs), max(ys) - min(ys))
+                if pts else None)
+        region = None
+        if declared and pts:
+            margin = data.draw(st.sampled_from([0.0, 0.5, 7.0]), label="margin")
+            region = Rect(bbox.x0 - margin, bbox.y0 - margin,
+                          bbox.width_km + 2 * margin, bbox.height_km + 2 * margin)
+        field_ = csv_round_trip(SensorField(positions=pts, region=region))
+        assert field_.positions.tolist() == [list(p) for p in pts]
+        assert field_.region == (region if declared else bbox)
+        counts = sorted(data.draw(st.lists(st.integers(0, len(pts)), min_size=1,
+                                           max_size=5), label="counts"))
+        inc = Incident(id="csv", start_hour=0, ignition_xy=tuple(circles[0, :2].tolist()))
+        cfg = EvolutionConfig(max_hours=float(len(circles) - 1))
+        results = replay_detection(inc, circles, field_, cfg, counts)
+        for n, r in zip(counts, results):
+            assert_replays_like_brute_force(r, circles, pts[:n], cfg.max_hours)
+
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_sensor_csv_ties_on_a_circle(self, declared):
+        # sensors 1 and 2 coincide and, with 3, lie exactly on the hour-2
+        # circle: the lowest index among them detects, until sensor 4,
+        # closer to the center, joins
+        circles = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 5.0]])
+        pts = [[9.0, 9.0], [4.0, 5.0], [4.0, 5.0], [-2.0, -3.0], [1.0, 2.0]]
+        region = Rect(-5.0, -5.0, 20.0, 20.0) if declared else None
+        field_ = csv_round_trip(SensorField(positions=pts, region=region))
+        assert field_.region == (region if declared else Rect(-2.0, -3.0, 11.0, 12.0))
+        inc = Incident(id="tie", start_hour=0, ignition_xy=(0.0, 0.0))
+        cfg = EvolutionConfig(max_hours=2.0)
+        counts = (1, 2, 3, 4, 5)
+        results = replay_detection(inc, circles, field_, cfg, counts)
+        assert [r.detecting_sensor for r in results] == [None, 1, 1, 1, 4]
         for n, r in zip(counts, results):
             assert_replays_like_brute_force(r, circles, pts[:n], cfg.max_hours)
 

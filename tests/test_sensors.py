@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import sys
@@ -405,6 +406,22 @@ class TestFieldValidation:
                         [x0, (y0 + y1) / 2], [(x0 + x1) / 2, y1]])
         f = SensorField(positions=pos, region=region)
         assert f.positions.tobytes() == pos.tobytes()
+
+    @pytest.mark.parametrize("name, value", [
+        ("positions", np.array([[5.0, 5.0], [np.nan, 0.0]])),
+        ("region", Rect(4.0, 4.0, 2.0, 2.0)), ("seed", 3)])
+    def test_field_is_frozen_after_a_query(self, name, value):
+        # the box and grid a query uses are taken from the positions at
+        # construction, so no field of a built field can change
+        f = SensorField([[0.0, 0.0], [1.0, 1.0]])
+        assert indices_within(f, (0.0, 0.0), 0.5).tolist() == [0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, value)
+        assert indices_within(f, (1.0, 1.0), 0.5).tolist() == [1]
+
+    def test_float_positions_are_not_copied(self):
+        pos = np.array([[0.0, 0.0], [1.0, 1.0]])
+        assert SensorField(pos).positions is pos
 
 
 class TestPersistence:
