@@ -3,7 +3,10 @@
 Grids live on a planar simulation rectangle in km. The hourly environment
 grid holds eastward/northward 10 m wind (m/s) and volumetric soil water
 (fraction of 1) on a coarse grid indexed [t][y][x]; above-ground live
-biomass (Mg/ha) sits on its own finer static grid indexed [y][x].
+biomass (Mg/ha) sits on its own finer static grid indexed [y][x]. A
+synthesized environment grid is held as the lattice its cells are
+computed from (0.6 MB for the bundled season, whose rasters would take
+97 MB), and evaluated only at the cells a lookup asks for.
 
 File formats:
   env manifest      JSON {nx, ny, nt, spacing_km, origin, files: {u10, v10, swvl1}}
@@ -114,32 +117,118 @@ def check_seed(what: str, seed: int) -> None:
         raise ValidationError(f"{what} must be in [0, 2**128), got {seed}")
 
 
-@dataclass
+ENV_FIELDS = ("u10", "v10", "swvl1")
+
+
 class EnvGrid:
-    """Hourly wind and soil-wetness rasters on the simulation rectangle."""
+    """Hourly wind and soil-wetness fields on the simulation rectangle.
 
-    nx: int
-    ny: int
-    nt: int
-    spacing_km: float
-    origin: tuple[float, float]
-    u10: np.ndarray
-    v10: np.ndarray
-    swvl1: np.ndarray
+    A loaded or hand-built grid holds its three (nt, ny, nx) rasters and
+    samples them by gather. A synthesized grid holds what synthesis
+    computes them from, one (3, nt, cy, cx) lattice for the three fields:
+    for mode "random" the coarse draws resampled in time, which a cell
+    reads by linear upsampling in y, then x, then scaling into its range
+    (0.6 MB for the bundle, whose rasters would take 97 MB); for modes
+    "constant" and "schedule" one value per hour (cy = cx = 1). Its
+    `u10`, `v10` and `swvl1` compute a full read-only raster on each
+    access; sampling evaluates only the cells the points fall in.
+    """
 
-    def __post_init__(self) -> None:
-        check_grid("env grid", self.spacing_km, self.origin,
-                   nx=self.nx, ny=self.ny, nt=self.nt)
-        shape = (self.nt, self.ny, self.nx)
-        for name in ("u10", "v10", "swvl1"):
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValidationError(f"{name} shape {arr.shape} != declared {shape}")
-            if not np.isfinite(arr).all():
+    def __init__(self, nx: int, ny: int, nt: int, spacing_km: float,
+                 origin: tuple[float, float], u10: np.ndarray, v10: np.ndarray,
+                 swvl1: np.ndarray) -> None:
+        check_grid("env grid", spacing_km, origin, nx=nx, ny=ny, nt=nt)
+        for name, arr in zip(ENV_FIELDS, (u10, v10, swvl1)):
+            if arr.shape != (nt, ny, nx):
+                raise ValidationError(
+                    f"{name} shape {arr.shape} != declared {(nt, ny, nx)}")
+        self._hold(nx, ny, nt, spacing_km, origin, (u10, v10, swvl1), None)
+
+    @classmethod
+    def _of_lattice(cls, spec: SynthSpec, lattice: np.ndarray,
+                    ranges: list | None = None) -> EnvGrid:
+        """The grid of spec whose fields a (3, nt, cy, cx) lattice gives,
+        scaled into their (lo, hi) ranges, or taken as they are without."""
+        grid = cls.__new__(cls)
+        grid._hold(spec.nx, spec.ny, spec.nt, spec.spacing_km, spec.origin,
+                   None, lattice, ranges)
+        return grid
+
+    def _hold(self, nx, ny, nt, spacing_km, origin, rasters, lattice,
+              ranges=None) -> None:
+        """Keep the geometry and the fields, then check the fields' values."""
+        self.nx, self.ny, self.nt = nx, ny, nt
+        self.spacing_km, self.origin = spacing_km, origin
+        self._rasters, self._lattice = rasters, lattice
+        if lattice is not None:
+            _, _, cy, cx = lattice.shape
+            self._flat = lattice.reshape(-1)
+            self._base = (np.arange(3) * lattice[0].size)[:, None]  # each field's start
+            self._hour = cy * cx
+            rows, self._wy = _taps(cy, ny)
+            self._cols, self._wx = _taps(cx, nx)
+            self._rows = rows * cx
+            # the lattice points a cell reads, [column][row] from its lowest
+            self._corners = np.add.outer([0, 1] if self._wx is not None else [0],
+                                         [0, cx] if self._wy is not None else [0])
+            self._lo = self._scale = None
+            if ranges is not None:
+                # IEEE doubles of lo and hi - lo, as Python rounds them
+                self._lo = np.array([[float(lo)] for lo, _ in ranges])
+                self._scale = np.array([[float(hi - lo)] for lo, hi in ranges])
+        for k, name in enumerate(ENV_FIELDS):
+            lo, hi = self._extremes(k)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValidationError(f"{name} contains non-finite values")
-        smin, smax = float(self.swvl1.min()), float(self.swvl1.max())
+        smin, smax = self._extremes(2)
         if smin < 0.0 or smax > 1.0:
             raise ValidationError(f"swvl1 out of [0, 1]: range [{smin}, {smax}]")
+
+    def _extremes(self, k: int) -> tuple[float, float]:
+        """Least and greatest value of field k (NaN if it holds one): a
+        lattice's scaled extremes, as the scaling is monotone."""
+        values = self._rasters[k] if self._lattice is None else self._lattice[k]
+        ends = np.array([values.min(), values.max()])
+        if self._lattice is not None and self._scale is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ends = (self._lo[k] + self._scale[k] * ends).astype(np.float32)
+        return float(ends[0]), float(ends[1])
+
+    def _at(self, t: int, iy: np.ndarray, ix: np.ndarray,
+            fields: slice = slice(None)) -> list | np.ndarray:
+        """The selected fields' values at the cells (t, iy[i], ix[i]), one
+        row per field.
+
+        A lattice is read as synthesis has always computed its rasters:
+        lo * (1 - w) + hi * w in float64 along y, then along x, then
+        lo + (hi - lo) * v, stored as float32."""
+        if self._lattice is None:
+            return [r[t, iy, ix] for r in self._rasters[fields]]
+        first = self._base[fields] + (self._rows[iy] + self._cols[ix] + t * self._hour)
+        v = self._flat[first[:, :, None, None] + self._corners]
+        w = None if self._wy is None else self._wy[iy][:, None]
+        v = v[..., 0] if w is None else v[..., 0] * (1.0 - w) + v[..., 1] * w
+        w = None if self._wx is None else self._wx[ix]
+        v = v[..., 0] if w is None else v[..., 0] * (1.0 - w) + v[..., 1] * w
+        if self._scale is None:
+            return v
+        return (self._lo[fields] + self._scale[fields] * v).astype(np.float32)
+
+    def _raster(self, k: int) -> np.ndarray:
+        """Field k's (nt, ny, nx) raster; a lattice's is computed hour by
+        hour into a new read-only array."""
+        if self._lattice is None:
+            return self._rasters[k]
+        out = np.empty((self.nt, self.ny, self.nx), dtype=np.float32)
+        iy, ix = np.divmod(np.arange(self.ny * self.nx), self.nx)
+        for t in range(self.nt):
+            out[t] = self._at(t, iy, ix, slice(k, k + 1)).reshape(self.ny, self.nx)
+        out.flags.writeable = False
+        return out
+
+    u10 = property(lambda self: self._raster(0), doc="eastward 10 m wind, m/s")
+    v10 = property(lambda self: self._raster(1), doc="northward 10 m wind, m/s")
+    swvl1 = property(lambda self: self._raster(2), doc="volumetric soil water, 0-1")
 
     @property
     def rect(self) -> Rect:
@@ -214,7 +303,8 @@ def sample_env_many(
     array, hour t.
 
     A position on a shared cell edge resolves to the lower-index cell;
-    positions outside the rectangle sample the nearest edge cell.
+    positions outside the rectangle sample the nearest edge cell. Each
+    distinct cell the points fall in is looked up once.
     """
     if not 0 <= t < grid.nt:
         raise ValidationError(f"hour {t} outside [0, {grid.nt})")
@@ -223,9 +313,19 @@ def sample_env_many(
     ly = np.clip(pts[:, 1] - grid.origin[1], 0.0, grid.ny * grid.spacing_km)
     ix = np.clip(np.ceil(lx / grid.spacing_km).astype(np.int64) - 1, 0, grid.nx - 1)
     iy = np.clip(np.ceil(ly / grid.spacing_km).astype(np.int64) - 1, 0, grid.ny - 1)
-    return (grid.u10[t, iy, ix].astype(float),
-            grid.v10[t, iy, ix].astype(float),
-            grid.swvl1[t, iy, ix].astype(float))
+    # each distinct cell once, from a presence table spanning the call's cells
+    # (the initial values only serve a call without points)
+    cells = iy * grid.nx + ix
+    first = cells.min(initial=grid.ny * grid.nx)
+    cells -= first
+    seen = np.zeros(cells.max(initial=-1) + 1, dtype=bool)
+    seen[cells] = True
+    distinct = np.flatnonzero(seen)
+    slot = np.searchsorted(distinct, cells)  # each point's place among them
+    distinct += first
+    values = grid._at(t, distinct // grid.nx, distinct % grid.nx)
+    u, v, s = np.asarray(values, dtype=float).take(slot, axis=1)
+    return u, v, s
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +435,9 @@ def save_env_grid(grid: EnvGrid, manifest_path: str | Path) -> Path:
     mpath.parent.mkdir(parents=True, exist_ok=True)
     stem = mpath.stem
     files = {}
-    for name in ("u10", "v10", "swvl1"):
+    for name in ENV_FIELDS:
         fname = f"{stem}_{name}.f32"
-        getattr(grid, name).astype("<f4").tofile(mpath.parent / fname)
+        np.asarray(getattr(grid, name), dtype="<f4").tofile(mpath.parent / fname)
         files[name] = fname
     manifest = {"nx": grid.nx, "ny": grid.ny, "nt": grid.nt,
                 "spacing_km": grid.spacing_km, "origin": list(grid.origin),
@@ -437,17 +537,26 @@ class SynthSpec:
         return cls(**check_fields("synth spec", d, _SPEC_KINDS, ("nx", "ny", "nt", "spacing_km")))
 
 
+def _taps(n_old: int, n_new: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Linear resampling of n_old points to n_new along one axis: each new
+    point's lower source index and the upper one's weight, or no weights
+    where each new point copies its source (equal sizes, or one source)."""
+    if n_old == n_new:
+        return np.arange(n_new), None
+    if n_old == 1:
+        return np.zeros(n_new, dtype=int), None
+    pos = np.linspace(0.0, n_old - 1.0, n_new)
+    i0 = np.minimum(np.floor(pos).astype(int), n_old - 2)
+    return i0, pos - i0
+
+
 def _lin_resample(a: np.ndarray, n_new: int, axis: int) -> np.ndarray:
     """a linearly resampled to n_new points along axis, in a new array (or
     a itself when the size is unchanged); a is never written."""
     n_old = a.shape[axis]
-    if n_old == n_new:
-        return a
-    if n_old == 1:
-        return np.repeat(a, n_new, axis=axis)
-    pos = np.linspace(0.0, n_old - 1.0, n_new)
-    i0 = np.minimum(np.floor(pos).astype(int), n_old - 2)
-    w = pos - i0
+    i0, w = _taps(n_old, n_new)
+    if w is None:
+        return a if n_old == n_new else np.repeat(a, n_new, axis=axis)
     shape = [1] * a.ndim
     shape[axis] = n_new
     w = w.reshape(shape)
@@ -464,51 +573,33 @@ def _lin_resample(a: np.ndarray, n_new: int, axis: int) -> np.ndarray:
     return lo
 
 
-# hours resampled at once: each block's float64 scratch stays near L2 size
-SYNTH_BLOCK_HOURS = 2
-
-
-def _smooth_field(rng: np.random.Generator, spec: SynthSpec,
-                  lo: float, hi: float) -> np.ndarray:
-    """One random field: the coarse draw resampled in time, then block by
-    block of hours in y and x, scaled into [lo, hi] and stored as float32.
-    Every element sees the same float64 operations as a whole-grid pass."""
+def _time_lattice(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
+    """One random field's coarse draw, resampled to every hour: the
+    (nt, cy, cx) lattice its cells are upsampled from."""
     coarse = rng.random((min(spec.coarse_nt, spec.nt),
                          min(spec.coarse_ny, spec.ny),
                          min(spec.coarse_nx, spec.nx)))
-    f = _lin_resample(coarse, spec.nt, axis=0)
-    out = np.empty((spec.nt, spec.ny, spec.nx), dtype=np.float32)
-    for t in range(0, spec.nt, SYNTH_BLOCK_HOURS):
-        block = _lin_resample(f[t:t + SYNTH_BLOCK_HOURS], spec.ny, axis=1)
-        block = _lin_resample(block, spec.nx, axis=2)
-        out[t:t + SYNTH_BLOCK_HOURS] = lo + (hi - lo) * block
-    return out
+    return _lin_resample(coarse, spec.nt, axis=0)
 
 
 def synth_env(spec: SynthSpec, seed: int) -> EnvGrid:
-    """Deterministically synthesize an EnvGrid from (spec, seed)."""
-    shape = (spec.nt, spec.ny, spec.nx)
-    if spec.mode == "constant":
-        u = np.full(shape, spec.u10, dtype=np.float32)
-        v = np.full(shape, spec.v10, dtype=np.float32)
-        s = np.full(shape, spec.swvl1, dtype=np.float32)
-    elif spec.mode == "schedule":
-        entries = sorted(spec.schedule)
-        u = np.empty(shape, dtype=np.float32)
-        v = np.empty(shape, dtype=np.float32)
-        s = np.empty(shape, dtype=np.float32)
-        starts = [e[0] for e in entries] + [spec.nt]
-        for (h0, uu, vv, ss), h1 in zip(entries, starts[1:]):
-            u[h0:h1] = uu
-            v[h0:h1] = vv
-            s[h0:h1] = ss
-    else:  # random
+    """Deterministically synthesize an EnvGrid from (spec, seed); it holds
+    its fields as a lattice (see EnvGrid), never as rasters."""
+    check_seed("synth_env seed", seed)
+    if spec.mode == "random":
         rng = np.random.Generator(np.random.Philox(key=seed))
-        u = _smooth_field(rng, spec, *spec.u10_range)
-        v = _smooth_field(rng, spec, *spec.v10_range)
-        s = _smooth_field(rng, spec, *spec.swvl1_range)
-    return EnvGrid(nx=spec.nx, ny=spec.ny, nt=spec.nt, spacing_km=spec.spacing_km,
-                   origin=spec.origin, u10=u, v10=v, swvl1=s)
+        lattice = np.stack([_time_lattice(rng, spec) for _ in ENV_FIELDS])
+        return EnvGrid._of_lattice(spec, lattice, [
+            getattr(spec, f"{name}_range") for name in ENV_FIELDS])
+    entries = sorted(spec.schedule) if spec.mode == "schedule" else [
+        (0, spec.u10, spec.v10, spec.swvl1)]
+    hourly = np.empty((3, spec.nt, 1, 1), dtype=np.float32)
+    starts = [e[0] for e in entries] + [spec.nt]
+    with np.errstate(over="ignore"):  # EnvGrid rejects what overflows float32
+        for (h0, *values), h1 in zip(entries, starts[1:]):
+            for k, value in enumerate(values):
+                hourly[k, h0:h1] = value
+    return EnvGrid._of_lattice(spec, hourly)
 
 
 def synth_biomass(nx: int, ny: int, spacing_km: float,
@@ -516,6 +607,7 @@ def synth_biomass(nx: int, ny: int, spacing_km: float,
                   origin: tuple[float, float] = (0.0, 0.0)) -> BiomassGrid:
     """Deterministic smooth random biomass field in [lo, hi] Mg/ha."""
     check_grid("biomass", spacing_km, origin, nx=nx, ny=ny)
+    check_seed("synth_biomass seed", seed)
     if not 0 <= lo <= hi < math.inf:
         raise ValidationError(f"biomass range must satisfy 0 <= lo <= hi < inf, got ({lo}, {hi})")
     rng = np.random.Generator(np.random.Philox(key=seed))

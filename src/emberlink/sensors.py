@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envdata import Rect
+from .envdata import Rect, check_seed
 from .errors import ValidationError
 
 # smallest grid cell (km); keeps cells positive for coincident or
@@ -230,6 +230,7 @@ def deploy_uniform(n: int, rect: Rect, seed: int) -> SensorField:
     """
     if n < 0:
         raise ValidationError(f"sensor count must be >= 0, got {n}")
+    check_seed("deploy_uniform seed", seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     # in place, bitwise x0 + width * u (IEEE * and + commute); one column
     # at a time, as broadcasting a pair over (n, 2) runs a length-2 inner loop

@@ -6,11 +6,12 @@ import hashlib
 import json
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from emberlink import evolution
 from emberlink.cli import DEFAULT_CONFIG, main
-from emberlink.envdata import load_env_grid
+from emberlink.envdata import SynthSpec, load_env_grid, save_env_grid, synth_env
 from emberlink.harness import bundled_scenario_path
 from emberlink.linkbudget import (EVENT_REPORT, PERIODIC_REPORT, TABLE1_10DEG,
                                   capacity_report)
@@ -288,6 +289,7 @@ class TestScenarioInputs:
         ("biomass.spacing_km", float("nan"), "spacing_km"),
         ("sweep", [1], "'sweep'"),
         ("biomass.lo", _REMOVED, "missing field 'lo'"),
+        ("env.u10_range", [-1e39, 1e39], "u10 contains non-finite values"),
     ])
     def test_bad_bundle_field_is_bad_input(self, tmp_path, capsys, key, value, field):
         raw = json.loads(bundled_scenario_path().read_text())
@@ -323,6 +325,7 @@ class TestScenarioInputs:
         ({"v10_range": [3.0, 1.0]}, "v10_range"),
         ({"mode": "windy"}, "mode"),
         ({"bogus": 1}, "'bogus'"),
+        ({"v10_range": [-1e39, 1e39]}, "v10 contains non-finite values"),
     ])
     def test_bad_synth_spec_field_is_bad_input(self, tmp_path, capsys, edit, field):
         spec = {"nx": 6, "ny": 5, "nt": 4, "spacing_km": 10.0, "mode": "random",
@@ -419,6 +422,21 @@ class TestConfigPlumbing:
                      "simulate", "--incident", "syn-001"])
         assert code == 1
         assert "env manifest field 'nx' must be an integer" in capsys.readouterr().err
+
+    def test_nan_in_env_manifest_raster_is_bad_input(self, tmp_path, capsys):
+        grid = synth_env(SynthSpec(nx=3, ny=2, nt=2, spacing_km=1.0, mode="random"), 0)
+        man = save_env_grid(grid, tmp_path / "env.json")
+        raster = tmp_path / json.loads(man.read_text())["files"]["swvl1"]
+        values = np.fromfile(raster, dtype="<f4")
+        values[5] = np.nan
+        values.tofile(raster)
+        code = main(["--out-dir", str(tmp_path / "out"),
+                     "--set", f"paths.env_manifest={man}",
+                     "--set", f"paths.incidents_csv={tmp_path / 'i.csv'}",
+                     "simulate", "--incident", "syn-001"])
+        assert code == 1
+        assert "swvl1 contains non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, key", [
         (["--set", "paths.sensors_csv=s.csv", "sweep"], "paths.sensors_csv"),

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emberlink import envdata
-from emberlink.envdata import (CALIFORNIA, BiomassGrid, EnvGrid, GeoTransform,
+from emberlink.envdata import (CALIFORNIA, ENV_FIELDS, BiomassGrid, EnvGrid, GeoTransform,
                                Incident, Rect, SynthSpec,
                                check_biomass_alignment, geo_to_planar,
                                load_biomass, load_env_grid, load_incidents,
@@ -84,6 +87,20 @@ class TestGridValidation:
         with pytest.raises(ValidationError):
             EnvGrid(nx=2, ny=2, nt=1, spacing_km=1.0, origin=(0, 0),
                     u10=u, v10=np.zeros((1, 2, 2)), swvl1=np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("edit, name", [
+        ({"mode": "random", "u10_range": (-1e39, 1e39)}, "u10"),
+        ({"mode": "random", "v10_range": (0.0, 1e39)}, "v10"),
+        ({"mode": "random", "u10_range": (-1e308, 1e308)}, "u10"),  # hi - lo is inf
+        ({"mode": "constant", "v10": 1e39}, "v10"),
+        ({"mode": "schedule", "schedule": [(0, 1.0, 2.0, 0.1), (2, -1e39, 0.0, 0.1)]},
+         "u10"),
+    ])
+    def test_synthesized_overflow_rejected(self, edit, name):
+        # a synthesized grid is checked on its lattice, without rasters
+        spec = SynthSpec(nx=5, ny=4, nt=3, spacing_km=2.0, **edit)
+        with pytest.raises(ValidationError, match=f"^{name} contains non-finite values$"):
+            synth_env(spec, 0)
 
     def test_rect(self):
         g = tiny_grid()
@@ -186,6 +203,153 @@ class TestSampling:
         assert u[0] == float(g.u10[0, g.ny - 1, 0])
 
 
+def gathered(grid, pts, t):
+    """(u10, v10, swvl1) rows at each (x, y) of pts, hour t, gathered from
+    the full rasters: the nearest cell, the lower one on a shared edge,
+    the nearest edge cell off the rectangle."""
+    rasters = (grid.u10, grid.v10, grid.swvl1)
+    rows = []
+    for x, y in pts:
+        cell = []
+        for c, o, n in ((y, grid.origin[1], grid.ny), (x, grid.origin[0], grid.nx)):
+            offset = min(max(c - o, 0.0), n * grid.spacing_km)
+            cell.append(min(max(math.ceil(offset / grid.spacing_km) - 1, 0), n - 1))
+        rows.append([float(r[t, cell[0], cell[1]]) for r in rasters])
+    return np.array(rows, dtype=float).reshape(-1, 3).T
+
+
+def _coords(origin, n, spacing):
+    """Positions along one axis: cell edges, shared ones included, and
+    anywhere from two cells before the rectangle to two cells past it."""
+    return (st.integers(-2, n + 2).map(lambda k: origin + k * spacing)
+            | st.floats(origin - 2 * spacing, origin + (n + 2) * spacing))
+
+
+_GEOMETRY = dict(spacing_km=st.sampled_from([0.5, 1.0, 2.5, 10.0]),
+                 origin=st.tuples(st.sampled_from([0.0, -7.5, 120.0]),
+                                  st.sampled_from([0.0, 3.25])))
+
+
+@st.composite
+def _random_specs(draw):
+    """Random-mode specs: axes of size 1, at their coarse size, below it
+    (the coarse size is clamped) and above it; odd and even nt."""
+    coarse = {f"coarse_{axis}": draw(st.integers(1, 5)) for axis in ("nx", "ny", "nt")}
+    dims = {axis: draw(st.sampled_from([1, coarse[f"coarse_{axis}"]]) | st.integers(1, top))
+            for axis, top in (("nx", 13), ("ny", 13), ("nt", 9))}
+    ranges = {f"{name}_range": tuple(sorted(draw(st.floats(lo, hi)) for _ in range(2)))
+              for name, lo, hi in (("u10", -40.0, 40.0), ("v10", -40.0, 40.0),
+                                   ("swvl1", 0.0, 1.0))}
+    geometry = {key: draw(value) for key, value in _GEOMETRY.items()}
+    return SynthSpec(mode="random", **coarse, **dims, **ranges, **geometry)
+
+
+@st.composite
+def _uniform_specs(draw):
+    """Constant- and schedule-mode specs, -0.0 among their values."""
+    nt = draw(st.integers(1, 9))
+    common = dict(nx=draw(st.integers(1, 7)), ny=draw(st.integers(1, 7)), nt=nt,
+                  **{key: draw(value) for key, value in _GEOMETRY.items()})
+
+    def values():
+        return (draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)),
+                draw(st.floats(0.0, 1.0)))
+
+    if draw(st.booleans()):
+        u, v, s = values()
+        return SynthSpec(mode="constant", u10=u, v10=v, swvl1=s, **common)
+    starts = [0] + draw(st.lists(st.integers(0, nt + 2), max_size=4))
+    return SynthSpec(mode="schedule", schedule=[(h, *values()) for h in starts], **common)
+
+
+def _uniform_fields(spec):
+    """Constant or schedule fields as synthesis first filled them: float32
+    rasters, hour range by hour range."""
+    shape = (spec.nt, spec.ny, spec.nx)
+    if spec.mode == "constant":
+        return [np.full(shape, value, dtype=np.float32)
+                for value in (spec.u10, spec.v10, spec.swvl1)]
+    entries = sorted(spec.schedule)
+    starts = [e[0] for e in entries] + [spec.nt]
+    fields = [np.empty(shape, dtype=np.float32) for _ in ENV_FIELDS]
+    for (h0, *values), h1 in zip(entries, starts[1:]):
+        for f, value in zip(fields, values):
+            f[h0:h1] = value
+    return fields
+
+
+class TestLatticeSampling:
+    """A synthesized grid samples by evaluating its lattice: bit for bit a
+    gather from its full rasters, which hold what synthesis always wrote."""
+
+    @staticmethod
+    def check_sampling(grid, data):
+        pts = data.draw(st.lists(st.tuples(
+            _coords(grid.origin[0], grid.nx, grid.spacing_km),
+            _coords(grid.origin[1], grid.ny, grid.spacing_km)), max_size=40))
+        t = data.draw(st.integers(0, grid.nt - 1))
+        got = np.array(sample_env_many(grid, np.array(pts, dtype=float).reshape(-1, 2), t))
+        assert got.tobytes() == gathered(grid, pts, t).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_random_specs(), seed=st.integers(0, 2 ** 128 - 1), data=st.data())
+    def test_random_specs(self, spec, seed, data):
+        grid = synth_env(spec, seed)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        for name in ENV_FIELDS:
+            expected = _whole_grid_field(rng, spec, *getattr(spec, f"{name}_range"))
+            assert getattr(grid, name).tobytes() == expected.tobytes(), name
+        self.check_sampling(grid, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_uniform_specs(), data=st.data())
+    def test_constant_and_schedule_specs(self, spec, data):
+        grid = synth_env(spec, 0)
+        for name, expected in zip(ENV_FIELDS, _uniform_fields(spec)):
+            assert getattr(grid, name).tobytes() == expected.tobytes(), name
+        self.check_sampling(grid, data)
+
+    def test_computed_rasters_are_read_only(self):
+        grid = synth_env(SynthSpec(nx=3, ny=2, nt=2, spacing_km=1.0, mode="random"), 1)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.u10[0, 0, 0] = 20.0
+        assert grid.u10 is not grid.u10
+
+    def test_negative_zero_survives_sampling_and_round_trip(self, tmp_path):
+        shape = (2, 2, 3)
+        u = np.full(shape, -0.0, dtype=np.float32)
+        u[1, 0, 0] = 1.5
+        grid = EnvGrid(nx=3, ny=2, nt=2, spacing_km=1.0, origin=(0.0, 0.0),
+                       u10=u, v10=-u, swvl1=np.full(shape, -0.0))
+        pts = np.array([[0.5, 0.5], [2.5, 1.5], [1.0, 1.0], [-3.0, 9.0]])
+        u_got, _, s_got = sample_env_many(grid, pts, 0)
+        assert np.all(u_got == 0.0) and np.all(np.signbit(u_got))
+        assert np.all(np.signbit(s_got))
+        first = save_env_grid(grid, tmp_path / "a" / "env.json")
+        second = save_env_grid(load_env_grid(first), tmp_path / "b" / "env.json")
+        for name in ENV_FIELDS:
+            a, b = (m.parent / f"env_{name}.f32" for m in (first, second))
+            assert a.read_bytes() == b.read_bytes(), name
+        assert np.signbit(np.fromfile(second.parent / "env_u10.f32", dtype="<f4")[0])
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    @pytest.mark.parametrize("mode", ["constant", "schedule", "random"])
+    def test_synth_env(self, mode, seed):
+        spec = SynthSpec(nx=2, ny=2, nt=2, spacing_km=1.0, mode=mode,
+                         schedule=[(0, 1.0, 0.0, 0.1)])
+        with pytest.raises(ValidationError, match=re.escape(
+                f"synth_env seed must be in [0, 2**128), got {seed}")):
+            synth_env(spec, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_synth_biomass(self, seed):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"synth_biomass seed must be in [0, 2**128), got {seed}")):
+            synth_biomass(4, 4, 1.0, 1.0, 2.0, seed=seed)
+
+
 class TestSynthesis:
     def test_env_deterministic_and_in_range(self):
         spec = SynthSpec(nx=11, ny=9, nt=6, spacing_km=10.0, mode="random",
@@ -268,8 +432,8 @@ def _whole_grid_resample(a, n_new, axis):
 
 def _whole_grid_field(rng, spec, lo, hi):
     """A random env field by the whole-grid three-pass formula (time, then
-    y, then x over every hour at once in float64), the reference for the
-    blocked synthesis."""
+    y, then x over every hour at once in float64), the reference for a
+    synthesized grid's rasters."""
     coarse = rng.random((min(spec.coarse_nt, spec.nt), min(spec.coarse_ny, spec.ny),
                          min(spec.coarse_nx, spec.nx)))
     f = _whole_grid_resample(coarse, spec.nt, axis=0)
@@ -329,7 +493,7 @@ class TestSynthesisIsPinned:
     @pytest.mark.parametrize("dims", [dict(nx=6, ny=6, nt=12), dict(nx=11, ny=9, nt=7)])
     def test_synthesis_leaves_its_draws_untouched(self, dims):
         kept = _KeptDraws(3)
-        envdata._smooth_field(kept, SynthSpec(spacing_km=1.0, mode="random", **dims), -5.0, 5.0)
+        envdata._time_lattice(kept, SynthSpec(spacing_km=1.0, mode="random", **dims))
         assert len(kept.draws) == 1
         for drawn, copy in kept.draws:
             assert drawn.tobytes() == copy.tobytes()
@@ -356,8 +520,9 @@ class TestSynthesisIsPinned:
         assert bio.values.tobytes() == (20.0 + 60.0 * f).astype(np.float32).tobytes()
 
     def test_random_synthesis_peaks_near_its_output(self):
-        # the three float32 fields plus block-sized scratch: a whole-grid
-        # float64 pass would hold several times one field
+        # synthesis holds the lattice, far less than the three float32
+        # fields it yields on request; a whole-grid float64 pass would hold
+        # several times one field
         spec = SynthSpec(nx=101, ny=111, nt=96, spacing_km=10.0, mode="random")
         tracemalloc.start()
         try:
@@ -369,6 +534,32 @@ class TestSynthesisIsPinned:
         fields = sum(getattr(grid, name).nbytes for name in ("u10", "v10", "swvl1"))
         assert fields == 3 * 96 * 111 * 101 * 4
         assert peak <= 1.25 * fields, peak / fields
+
+
+def _peak_bytes(fn) -> int:
+    """Peak of the memory numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLatticeMemory:
+    def test_bundle_loads_small(self):
+        # its env rasters would take 97 MB
+        peak = _peak_bytes(lambda: load_season_bundle(bundled_scenario_path()))
+        assert peak < 8 * 10 ** 6, peak
+
+    def test_year_of_kilometre_cells_synthesizes_and_samples_small(self):
+        # 8760 hours of 1110 x 1010 cells: about 118 GB as float32 rasters
+        spec = SynthSpec(nx=1010, ny=1110, nt=8760, spacing_km=1.0, mode="random")
+        pts = np.random.default_rng(2).uniform((-5.0, -5.0), (1015.0, 1115.0),
+                                               size=(10_000, 2))
+        peak = _peak_bytes(lambda: sample_env_many(synth_env(spec, 3), pts, 8759))
+        assert peak < 32 * 10 ** 6, peak
 
 
 class TestRasterIO:

@@ -139,10 +139,12 @@ class TestStep:
 
     def test_wind_sampled_per_point_and_hour(self):
         # two cells with opposite winds push their points apart
-        spec = SynthSpec(nx=2, ny=1, nt=2, spacing_km=100.0, mode="constant")
-        env = synth_env(spec, 0)
-        env.u10[:, 0, 0] = 20.0
-        env.u10[:, 0, 1] = -20.0
+        u10 = np.zeros((2, 1, 2), dtype=np.float32)
+        u10[:, 0, 0] = 20.0
+        u10[:, 0, 1] = -20.0
+        calm = np.zeros_like(u10)
+        env = EnvGrid(nx=2, ny=1, nt=2, spacing_km=100.0, origin=(0.0, 0.0),
+                      u10=u10, v10=calm, swvl1=calm)
         f = Frontier(points=np.array([[50.0, 50.0], [150.0, 50.0]]), hour=0)
         out = step(f, env).points.reshape(2, 4, 2)
         assert out[0, 0, 0] > 50.0   # first point heads +x

@@ -119,6 +119,12 @@ class TestDeploy:
         with pytest.raises(ValidationError):
             deploy_uniform(-1, RECT, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128])
+    def test_seed_outside_philox_keys(self, seed):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"deploy_uniform seed must be in [0, 2**128), got {seed}")):
+            deploy_uniform(10, Rect(0, 0, 1, 1), seed)
+
 
 class TestQueries:
     def test_matches_brute_force(self):
