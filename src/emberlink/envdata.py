@@ -3,10 +3,10 @@
 Grids live on a planar simulation rectangle in km. The hourly environment
 grid holds eastward/northward 10 m wind (m/s) and volumetric soil water
 (fraction of 1) on a coarse grid indexed [t][y][x]; above-ground live
-biomass (Mg/ha) sits on its own finer static grid indexed [y][x]. A
-synthesized environment grid is held as the lattice its cells are
-computed from (0.6 MB for the bundled season, whose rasters would take
-97 MB), and evaluated only at the cells a lookup asks for.
+biomass (Mg/ha) sits on its own finer static grid indexed [y][x]. An
+environment grid is held as the lattice its cells are computed from (its
+rasters if loaded; 0.6 MB if synthesized for the bundled season, whose
+rasters take 97 MB), and evaluated only at the cells a lookup asks for.
 
 File formats:
   env manifest      JSON {nx, ny, nt, spacing_km, origin, files: {u10, v10, swvl1}}
@@ -123,59 +123,63 @@ ENV_FIELDS = ("u10", "v10", "swvl1")
 class EnvGrid:
     """Hourly wind and soil-wetness fields on the simulation rectangle.
 
-    A loaded or hand-built grid holds its three (nt, ny, nx) rasters and
-    samples them by gather. A synthesized grid holds what synthesis
-    computes them from, one (3, nt, cy, cx) lattice for the three fields:
-    for mode "random" the coarse draws resampled in time, which a cell
-    reads by linear upsampling in y, then x, then scaling into its range
-    (0.6 MB for the bundle, whose rasters would take 97 MB); for modes
-    "constant" and "schedule" one value per hour (cy = cx = 1). Its
-    `u10`, `v10` and `swvl1` compute a full read-only raster on each
+    A grid owns one read-only (3, nt, cy, cx) lattice for its three
+    fields, which a cell reads by linear upsampling in y, then x, then an
+    optional scaling into the field's (lo, hi) range. A hand-built or
+    loaded grid's lattice is its rasters, copied or read in (cy = ny,
+    cx = nx, unscaled); a synthesized grid's is the coarse draws
+    resampled in time for mode "random" (0.6 MB for the bundle, whose
+    rasters would take 97 MB), one value per hour otherwise (cy = cx = 1).
+    `u10`, `v10` and `swvl1` compute a new read-only raster on each
     access; sampling evaluates only the cells the points fall in.
     """
 
     def __init__(self, nx: int, ny: int, nt: int, spacing_km: float,
-                 origin: tuple[float, float], u10: np.ndarray, v10: np.ndarray,
-                 swvl1: np.ndarray) -> None:
+                 origin: tuple[float, float], u10, v10, swvl1) -> None:
         check_grid("env grid", spacing_km, origin, nx=nx, ny=ny, nt=nt)
+        fields = []
         for name, arr in zip(ENV_FIELDS, (u10, v10, swvl1)):
+            try:
+                arr = np.asarray(arr)
+            except ValueError:  # a ragged nesting, refused below as not numeric
+                arr = np.array(None)
+            if arr.dtype.kind not in "biuf":
+                raise ValidationError(f"{name} must be an array of real numbers")
             if arr.shape != (nt, ny, nx):
                 raise ValidationError(
                     f"{name} shape {arr.shape} != declared {(nt, ny, nx)}")
-        self._hold(nx, ny, nt, spacing_km, origin, (u10, v10, swvl1), None)
+            fields.append(arr)
+        self._hold(nx, ny, nt, spacing_km, origin, np.stack(fields))
 
     @classmethod
-    def _of_lattice(cls, spec: SynthSpec, lattice: np.ndarray,
+    def _of_lattice(cls, geometry: tuple, lattice: np.ndarray,
                     ranges: list | None = None) -> EnvGrid:
-        """The grid of spec whose fields a (3, nt, cy, cx) lattice gives,
-        scaled into their (lo, hi) ranges, or taken as they are without."""
+        """The grid of geometry (nx, ny, nt, spacing_km, origin) that takes
+        over a (3, nt, cy, cx) lattice, scaled into (lo, hi) ranges if given."""
         grid = cls.__new__(cls)
-        grid._hold(spec.nx, spec.ny, spec.nt, spec.spacing_km, spec.origin,
-                   None, lattice, ranges)
+        grid._hold(*geometry, lattice, ranges)
         return grid
 
-    def _hold(self, nx, ny, nt, spacing_km, origin, rasters, lattice,
-              ranges=None) -> None:
-        """Keep the geometry and the fields, then check the fields' values."""
+    def _hold(self, nx, ny, nt, spacing_km, origin, lattice, ranges=None) -> None:
+        """Keep the geometry and the lattice, then check the fields' values."""
         self.nx, self.ny, self.nt = nx, ny, nt
         self.spacing_km, self.origin = spacing_km, origin
-        self._rasters, self._lattice = rasters, lattice
-        if lattice is not None:
-            _, _, cy, cx = lattice.shape
-            self._flat = lattice.reshape(-1)
-            self._base = (np.arange(3) * lattice[0].size)[:, None]  # each field's start
-            self._hour = cy * cx
-            rows, self._wy = _taps(cy, ny)
-            self._cols, self._wx = _taps(cx, nx)
-            self._rows = rows * cx
-            # the lattice points a cell reads, [column][row] from its lowest
-            self._corners = np.add.outer([0, 1] if self._wx is not None else [0],
-                                         [0, cx] if self._wy is not None else [0])
-            self._lo = self._scale = None
-            if ranges is not None:
-                # IEEE doubles of lo and hi - lo, as Python rounds them
-                self._lo = np.array([[float(lo)] for lo, _ in ranges])
-                self._scale = np.array([[float(hi - lo)] for lo, hi in ranges])
+        lattice.flags.writeable = False
+        self._lattice = lattice
+        _, _, cy, cx = lattice.shape
+        self._base = (np.arange(3) * lattice[0].size)[:, None]  # each field's start
+        self._hour = cy * cx
+        rows, self._wy = _taps(cy, ny)
+        self._cols, self._wx = _taps(cx, nx)
+        self._rows = rows * cx
+        # the lattice points a cell reads, [column][row] from its lowest
+        self._corners = np.add.outer([0, 1] if self._wx is not None else [0],
+                                     [0, cx] if self._wy is not None else [0])
+        self._lo = self._scale = None
+        if ranges is not None:
+            # IEEE doubles of lo and hi - lo, as Python rounds them
+            self._lo = np.array([[float(lo)] for lo, _ in ranges])
+            self._scale = np.array([[float(hi - lo)] for lo, hi in ranges])
         for k, name in enumerate(ENV_FIELDS):
             lo, hi = self._extremes(k)
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -184,45 +188,43 @@ class EnvGrid:
         if smin < 0.0 or smax > 1.0:
             raise ValidationError(f"swvl1 out of [0, 1]: range [{smin}, {smax}]")
 
+    def _scaled(self, k: int, v: np.ndarray) -> np.ndarray:
+        """Field k's upsampled values v, scaled into its range as float32 if it has one."""
+        if self._scale is None:
+            return v
+        return (self._lo[k] + self._scale[k] * v).astype(np.float32)
+
     def _extremes(self, k: int) -> tuple[float, float]:
-        """Least and greatest value of field k (NaN if it holds one): a
-        lattice's scaled extremes, as the scaling is monotone."""
-        values = self._rasters[k] if self._lattice is None else self._lattice[k]
-        ends = np.array([values.min(), values.max()])
-        if self._lattice is not None and self._scale is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                ends = (self._lo[k] + self._scale[k] * ends).astype(np.float32)
+        """Least and greatest value of field k (NaN if it holds one): the
+        lattice's, scaled, as upsampling and scaling are monotone."""
+        ends = np.array([self._lattice[k].min(), self._lattice[k].max()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = self._scaled(k, ends)
         return float(ends[0]), float(ends[1])
 
-    def _at(self, t: int, iy: np.ndarray, ix: np.ndarray,
-            fields: slice = slice(None)) -> list | np.ndarray:
-        """The selected fields' values at the cells (t, iy[i], ix[i]), one
-        row per field.
-
-        A lattice is read as synthesis has always computed its rasters:
-        lo * (1 - w) + hi * w in float64 along y, then along x, then
-        lo + (hi - lo) * v, stored as float32."""
-        if self._lattice is None:
-            return [r[t, iy, ix] for r in self._rasters[fields]]
-        first = self._base[fields] + (self._rows[iy] + self._cols[ix] + t * self._hour)
-        v = self._flat[first[:, :, None, None] + self._corners]
+    def _at(self, t: int, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
+        """The three fields' values at the cells (t, iy[i], ix[i]), one row per
+        field, as synthesis has always computed them: lo * (1 - w) + hi * w in
+        float64 along y, then x, then lo + (hi - lo) * v stored as float32."""
+        first = self._base + (self._rows[iy] + self._cols[ix] + t * self._hour)
+        v = self._lattice.take(first[:, :, None, None] + self._corners)
         w = None if self._wy is None else self._wy[iy][:, None]
         v = v[..., 0] if w is None else v[..., 0] * (1.0 - w) + v[..., 1] * w
         w = None if self._wx is None else self._wx[ix]
         v = v[..., 0] if w is None else v[..., 0] * (1.0 - w) + v[..., 1] * w
-        if self._scale is None:
-            return v
-        return (self._lo[fields] + self._scale[fields] * v).astype(np.float32)
+        return self._scaled(slice(None), v)
+
+    def _hours(self, k: int):
+        """Field k's (ny, nx) raster of each hour in turn: the values _at reads."""
+        for hour in self._lattice[k]:
+            yield self._scaled(k, _lin_resample(_lin_resample(hour, self.ny, 0), self.nx, 1))
 
     def _raster(self, k: int) -> np.ndarray:
-        """Field k's (nt, ny, nx) raster; a lattice's is computed hour by
-        hour into a new read-only array."""
-        if self._lattice is None:
-            return self._rasters[k]
-        out = np.empty((self.nt, self.ny, self.nx), dtype=np.float32)
-        iy, ix = np.divmod(np.arange(self.ny * self.nx), self.nx)
-        for t in range(self.nt):
-            out[t] = self._at(t, iy, ix, slice(k, k + 1)).reshape(self.ny, self.nx)
+        """Field k's (nt, ny, nx) raster, filled hour by hour into a new read-only array."""
+        dtype = self._lattice.dtype if self._scale is None else np.float32
+        out = np.empty((self.nt, self.ny, self.nx), dtype=dtype)
+        for t, values in enumerate(self._hours(k)):
+            out[t] = values
         out.flags.writeable = False
         return out
 
@@ -395,14 +397,14 @@ def check_fields(what: str, section, kinds: dict, required: tuple | None = None)
     return section
 
 
-def _read_raster(path: Path, count: int, what: str) -> np.ndarray:
+def _raster_file(path: Path, count: int, what: str) -> Path:
+    """path, checked to be a file of count float32 values; what names it."""
     if not path.is_file():
         raise ValidationError(f"{what} raster file missing: {path}")
-    data = np.fromfile(path, dtype="<f4")
-    if data.size != count:
-        raise ValidationError(
-            f"{what} raster {path} holds {data.size} values, expected {count}")
-    return data
+    if path.stat().st_size != 4 * count:
+        raise ValidationError(f"{what} raster {path} holds {path.stat().st_size} "
+                              f"bytes, expected {4 * count} ({count} float32 values)")
+    return path
 
 
 # example values of the manifests' fields (see fits_kind)
@@ -422,22 +424,29 @@ def load_env_grid(manifest_path: str | Path) -> EnvGrid:
     nx, ny, nt = int(manifest["nx"]), int(manifest["ny"]), int(manifest["nt"])
     origin = manifest.get("origin", (0.0, 0.0))
     check_grid("env manifest", manifest["spacing_km"], origin, nx=nx, ny=ny, nt=nt)
-    rasters = {name: _read_raster(mpath.parent / files[name], nx * ny * nt,
-                                  name).reshape(nt, ny, nx)
-               for name in _ENV_FILES_KINDS}
-    return EnvGrid(nx=nx, ny=ny, nt=nt, spacing_km=float(manifest["spacing_km"]),
-                   origin=(float(origin[0]), float(origin[1])), **rasters)
+    paths = [_raster_file(mpath.parent / files[name], nx * ny * nt, name)
+             for name in ENV_FIELDS]
+    lattice = np.empty((3, nt, ny, nx), dtype="<f4")  # sized once every file is checked
+    for path, out in zip(paths, lattice):
+        with path.open("rb") as fh:
+            if fh.readinto(out) != out.nbytes:
+                raise ValidationError(f"raster {path} changed while it was read")
+    return EnvGrid._of_lattice((nx, ny, nt, float(manifest["spacing_km"]),
+                                (float(origin[0]), float(origin[1]))), lattice)
 
 
 def save_env_grid(grid: EnvGrid, manifest_path: str | Path) -> Path:
-    """Write the grid's rasters next to a JSON manifest; returns the manifest path."""
+    """Write the grid's rasters next to a JSON manifest, hour by hour;
+    returns the manifest path."""
     mpath = Path(manifest_path)
     mpath.parent.mkdir(parents=True, exist_ok=True)
     stem = mpath.stem
     files = {}
-    for name in ENV_FIELDS:
+    for k, name in enumerate(ENV_FIELDS):
         fname = f"{stem}_{name}.f32"
-        np.asarray(getattr(grid, name), dtype="<f4").tofile(mpath.parent / fname)
+        with (mpath.parent / fname).open("wb") as fh:
+            for values in grid._hours(k):
+                np.asarray(values, dtype="<f4").tofile(fh)
         files[name] = fname
     manifest = {"nx": grid.nx, "ny": grid.ny, "nt": grid.nt,
                 "spacing_km": grid.spacing_km, "origin": list(grid.origin),
@@ -454,7 +463,8 @@ def load_biomass(manifest_path: str | Path) -> BiomassGrid:
     nx, ny = int(manifest["nx"]), int(manifest["ny"])
     origin = manifest.get("origin", (0.0, 0.0))
     check_grid("biomass manifest", manifest["spacing_km"], origin, nx=nx, ny=ny)
-    values = _read_raster(mpath.parent / manifest["file"], nx * ny, "biomass").reshape(ny, nx)
+    values = np.fromfile(_raster_file(mpath.parent / manifest["file"], nx * ny, "biomass"),
+                         dtype="<f4").reshape(ny, nx)
     return BiomassGrid(nx=nx, ny=ny, spacing_km=float(manifest["spacing_km"]),
                        values=values, origin=(float(origin[0]), float(origin[1])))
 
@@ -584,12 +594,13 @@ def _time_lattice(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
 
 def synth_env(spec: SynthSpec, seed: int) -> EnvGrid:
     """Deterministically synthesize an EnvGrid from (spec, seed); it holds
-    its fields as a lattice (see EnvGrid), never as rasters."""
+    its fields as the lattice they are computed from (see EnvGrid)."""
     check_seed("synth_env seed", seed)
+    geometry = (spec.nx, spec.ny, spec.nt, spec.spacing_km, spec.origin)
     if spec.mode == "random":
         rng = np.random.Generator(np.random.Philox(key=seed))
         lattice = np.stack([_time_lattice(rng, spec) for _ in ENV_FIELDS])
-        return EnvGrid._of_lattice(spec, lattice, [
+        return EnvGrid._of_lattice(geometry, lattice, [
             getattr(spec, f"{name}_range") for name in ENV_FIELDS])
     entries = sorted(spec.schedule) if spec.mode == "schedule" else [
         (0, spec.u10, spec.v10, spec.swvl1)]
@@ -599,7 +610,7 @@ def synth_env(spec: SynthSpec, seed: int) -> EnvGrid:
         for (h0, *values), h1 in zip(entries, starts[1:]):
             for k, value in enumerate(values):
                 hourly[k, h0:h1] = value
-    return EnvGrid._of_lattice(spec, hourly)
+    return EnvGrid._of_lattice(geometry, hourly)
 
 
 def synth_biomass(nx: int, ny: int, spacing_km: float,

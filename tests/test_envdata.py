@@ -6,7 +6,9 @@ import hashlib
 import json
 import math
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,10 +311,17 @@ class TestLatticeSampling:
             assert getattr(grid, name).tobytes() == expected.tobytes(), name
         self.check_sampling(grid, data)
 
-    def test_computed_rasters_are_read_only(self):
-        grid = synth_env(SynthSpec(nx=3, ny=2, nt=2, spacing_km=1.0, mode="random"), 1)
-        with pytest.raises(ValueError, match="read-only"):
-            grid.u10[0, 0, 0] = 20.0
+    @pytest.mark.parametrize("make", [
+        lambda tmp_path: tiny_grid(),
+        lambda tmp_path: load_env_grid(save_env_grid(tiny_grid(), tmp_path / "env.json")),
+        lambda tmp_path: synth_env(SynthSpec(nx=3, ny=2, nt=2, spacing_km=1.0,
+                                             mode="random"), 1),
+    ], ids=["hand-built", "loaded", "synthesized"])
+    def test_computed_rasters_are_read_only(self, tmp_path, make):
+        grid = make(tmp_path)
+        for name in ENV_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid, name)[0, 0, 0] = 0.5
         assert grid.u10 is not grid.u10
 
     def test_negative_zero_survives_sampling_and_round_trip(self, tmp_path):
@@ -331,6 +340,76 @@ class TestLatticeSampling:
             a, b = (m.parent / f"env_{name}.f32" for m in (first, second))
             assert a.read_bytes() == b.read_bytes(), name
         assert np.signbit(np.fromfile(second.parent / "env_u10.f32", dtype="<f4")[0])
+
+
+class TestRoundTrip:
+    """save -> load keeps a synthesized grid: the loaded grid's full-size
+    lattice samples and rasterizes as the coarse lattice it was written from."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(spec=_random_specs() | _uniform_specs(), seed=st.integers(0, 2 ** 128 - 1),
+           data=st.data())
+    def test_loaded_grid_is_the_synthesized_one(self, spec, seed, data):
+        grid = synth_env(spec, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_env_grid(save_env_grid(grid, Path(tmp) / "env.json"))
+        for name in ENV_FIELDS:
+            assert getattr(loaded, name).tobytes() == getattr(grid, name).tobytes(), name
+        pts = np.array(data.draw(st.lists(st.tuples(
+            _coords(grid.origin[0], grid.nx, grid.spacing_km),
+            _coords(grid.origin[1], grid.ny, grid.spacing_km)), max_size=40)),
+            dtype=float).reshape(-1, 2)
+        t = data.draw(st.integers(0, grid.nt - 1))
+        assert (np.array(sample_env_many(loaded, pts, t)).tobytes()
+                == np.array(sample_env_many(grid, pts, t)).tobytes())
+
+
+class TestGridOwnsItsValues:
+    def test_writes_to_the_given_arrays_change_nothing(self):
+        shape = (2, 3, 4)
+        u, v, s = np.zeros(shape), np.ones(shape), np.full(shape, 0.25)
+        grid = EnvGrid(nx=4, ny=3, nt=2, spacing_km=1.0, origin=(0.0, 0.0),
+                       u10=u, v10=v, swvl1=s)
+        pts = np.array([[0.5, 0.5], [3.5, 2.5]])
+        before = np.array(sample_env_many(grid, pts, 0))
+        u[...], v[...], s[...] = np.nan, -7.0, 5.0  # NaN and swvl1 = 5 fail the checks
+        assert np.array(sample_env_many(grid, pts, 0)).tobytes() == before.tobytes()
+        assert np.all(grid.u10 == 0.0) and np.all(grid.v10 == 1.0)
+        assert np.all(grid.swvl1 == 0.25)
+
+    def test_arrays_of_different_dtypes_are_held_in_their_common_one(self):
+        shape = (1, 2, 2)
+        grid = EnvGrid(nx=2, ny=2, nt=1, spacing_km=1.0, origin=(0.0, 0.0),
+                       u10=np.full(shape, 1.5, dtype=np.float32),
+                       v10=np.full(shape, 2, dtype=np.int32), swvl1=np.full(shape, 0.1))
+        assert {getattr(grid, name).dtype for name in ENV_FIELDS} == {np.dtype(float)}
+        assert sample_one(grid, (0.5, 0.5), 0) == (1.5, 2.0, 0.1)
+
+    def test_takes_nested_lists(self):
+        u = np.arange(12, dtype=float).reshape(2, 2, 3)
+        listed = EnvGrid(nx=3, ny=2, nt=2, spacing_km=1.0, origin=(0.0, 0.0),
+                         u10=u.tolist(), v10=(-u).tolist(), swvl1=[[[0.5] * 3] * 2] * 2)
+        arrays = EnvGrid(nx=3, ny=2, nt=2, spacing_km=1.0, origin=(0.0, 0.0),
+                         u10=u, v10=-u, swvl1=np.full((2, 2, 3), 0.5))
+        pts = np.array([[0.5, 0.5], [2.5, 1.5], [1.0, 2.0]])
+        for t in range(2):
+            assert (np.array(sample_env_many(listed, pts, t)).tobytes()
+                    == np.array(sample_env_many(arrays, pts, t)).tobytes())
+        for name in ENV_FIELDS:
+            assert getattr(listed, name).tobytes() == getattr(arrays, name).tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        np.full((1, 1, 1), "calm"),        # strings
+        [[[1.0, 2.0]], [[3.0]]],           # a ragged nesting
+        np.full((1, 1, 1), 1 + 2j),        # complex
+    ], ids=["strings", "ragged", "complex"])
+    @pytest.mark.parametrize("name", ENV_FIELDS)
+    def test_non_numeric_raster_is_named(self, name, bad):
+        fields = {field: np.zeros((1, 1, 1)) for field in ENV_FIELDS}
+        fields[name] = bad
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be an array of real numbers$"):
+            EnvGrid(nx=1, ny=1, nt=1, spacing_km=1.0, origin=(0.0, 0.0), **fields)
 
 
 class TestSeedRange:
@@ -562,6 +641,28 @@ class TestLatticeMemory:
         assert peak < 32 * 10 ** 6, peak
 
 
+class TestRasterMemory:
+    def test_saving_writes_hour_by_hour(self, tmp_path):
+        # whole (nt, ny, nx) rasters of this spec would peak near 31 MB
+        spec = SynthSpec(nx=400, ny=400, nt=24, spacing_km=1.0, mode="random")
+        grid = synth_env(spec, 11)
+        peak = _peak_bytes(lambda: save_env_grid(grid, tmp_path / "env.json"))
+        assert peak < 8 * 10 ** 6, peak
+        rng = np.random.Generator(np.random.Philox(key=11))
+        for name in ENV_FIELDS:
+            expected = _whole_grid_field(rng, spec, *getattr(spec, f"{name}_range"))
+            assert (tmp_path / f"env_{name}.f32").read_bytes() == expected.tobytes(), name
+
+    def test_loading_reads_into_the_lattice(self, tmp_path):
+        # each file is read into its slice of the grid's one lattice, with
+        # no second copy of the rasters
+        spec = SynthSpec(nx=200, ny=150, nt=40, spacing_km=1.0, mode="random")
+        man = save_env_grid(synth_env(spec, 2), tmp_path / "env.json")
+        peak = _peak_bytes(lambda: load_env_grid(man))
+        rasters = 3 * 40 * 150 * 200 * 4
+        assert peak <= 1.4 * rasters, peak / rasters
+
+
 class TestRasterIO:
     def test_env_round_trip(self, tmp_path):
         g = synth_env(SynthSpec(nx=5, ny=4, nt=3, spacing_km=2.0, mode="random",
@@ -618,6 +719,16 @@ class TestRasterIO:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ValidationError):
             load_env_grid(tmp_path / "nope.json")
+
+    def test_raster_sizes_are_checked_before_the_grid_is_sized(self, tmp_path):
+        # a manifest claiming 10**13 cells is refused on its files' sizes,
+        # before a lattice of 120 TB would be asked for
+        man = save_env_grid(tiny_grid(), tmp_path / "env.json")
+        man.write_text(json.dumps({**json.loads(man.read_text()), "nt": 10 ** 12}))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"u10 raster {tmp_path / 'env_u10.f32'} holds 96 bytes, expected "
+                f"{48 * 10 ** 12} ({12 * 10 ** 12} float32 values)")):
+            load_env_grid(man)
 
     def test_truncated_raster_rejected(self, tmp_path):
         g = synth_env(SynthSpec(nx=5, ny=4, nt=3, spacing_km=2.0,
