@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .envdata import BiomassGrid
-from .errors import ValidationError
+from .envdata import BiomassGrid, nearest_cells
+from .errors import ValidationError, check_range
 
 UNDERGROUND_FACTOR = 1.2   # underground biomass adds 20% of above-ground
 UNIT_FACTOR = 100.0        # Mg/ha over km2 -> tons
@@ -27,7 +27,8 @@ def average_biomass(circle: tuple[float, float, float] | np.ndarray,
     circle, a (center_x_km, center_y_km, radius_km) row.
 
     A circle too small to capture any cell center falls back to the value
-    of the cell containing the circle center.
+    of the cell holding the circle center (see envdata.nearest_cells: a
+    center on a shared cell edge reads the lower-index cell).
     """
     cx, cy, r = circle
     qx, qy = bio.rect.clamp((cx, cy))
@@ -47,26 +48,20 @@ def average_biomass(circle: tuple[float, float, float] | np.ndarray,
         inside = dy2[:, None] + dx2[None, :] <= r * r
         if inside.any():
             return float(bio.values[j0:j1 + 1, i0:i1 + 1][inside].mean())
-    # tiny circle: nearest cell to the (clamped) center
-    ix = min(max(int(np.floor((qx - bio.origin[0]) / sp)), 0), bio.nx - 1)
-    iy = min(max(int(np.floor((qy - bio.origin[1]) / sp)), 0), bio.ny - 1)
+    ix, iy = nearest_cells(bio, cx, cy)  # tiny circle
     return float(bio.values[iy, ix])
 
 
 def emission_tons(area_km2: float, b_avg: float) -> float:
     """Carbon tonnage for a burned area (km2) at mean biomass b_avg (Mg/ha)."""
-    if area_km2 < 0:
-        raise ValidationError(f"area_km2 must be >= 0, got {area_km2}")
-    if b_avg < 0:
-        raise ValidationError(f"b_avg must be >= 0, got {b_avg}")
+    check_range("area_km2", area_km2)
+    check_range("b_avg", b_avg)
     return area_km2 * UNDERGROUND_FACTOR * b_avg * UNIT_FACTOR
 
 
 def carbon_price(tons: float, usd_per_ton: float = USD_PER_TON) -> float:
-    if tons < 0:
-        raise ValidationError(f"tons must be >= 0, got {tons}")
-    if usd_per_ton < 0:
-        raise ValidationError(f"usd_per_ton must be >= 0, got {usd_per_ton}")
+    check_range("tons", tons)
+    check_range("usd_per_ton", usd_per_ton)
     return tons * usd_per_ton
 
 

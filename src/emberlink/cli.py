@@ -32,7 +32,7 @@ from .config import (DEFAULT_CONFIG, bundle_config, evolution_config, merge,
 from .envdata import (GeoTransform, SynthSpec, check_seed, load_biomass,
                       load_env_grid, load_incidents, read_json, save_env_grid,
                       synth_env)
-from .errors import ValidationError
+from .errors import ValidationError, check_range
 from .evolution import replay_detection, trace_rows
 from .harness import (atomic_write_text, read_season_bundle, season_scenario,
                       write_manifest, write_summary_csv, write_sweep_csv)
@@ -97,11 +97,13 @@ def _check_flags(args: argparse.Namespace) -> None:
             ("--seed", args.seed, None, seeded, "sweep, synth-env and simulate --deploy"),
             ("--workers", args.workers, 1, args.command == "sweep", "sweep"),
             ("--deploy", deploy, 0, True, "simulate")):
-        if value is not None and least is None:  # a seed: its own range
+        if value is None:
+            continue
+        if least is None:  # a seed: its own range
             check_seed(flag, value)
-        elif value is not None and value < least:
-            raise ValidationError(f"{flag} must be >= {least}, got {value}")
-        if value is not None and not read:
+        else:
+            check_range(flag, value, least, finite=False)
+        if not read:
             raise ValidationError(f"{flag} is not used by {args.command}, only by {readers}")
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 from .envdata import (CALIFORNIA, check_fields, check_seed, describe_kind,
                       fits_kind)
-from .errors import ValidationError
+from .errors import ValidationError, check_range
 from .evolution import EvolutionConfig
 from .firekernel import DEFAULT_PARAMS, SpreadParams
 from .linkbudget import (PERIODIC_REPORT, RU_DURATION_S, SYSTEM_BANDWIDTH_HZ,
@@ -55,30 +55,23 @@ class SweepConfig:
                            tuple(map(float, fields["unit_sensor_cost_usd"])))
         if not counts:
             raise ValidationError("sensor_counts must be non-empty")
-        if any(c < 0 for c in counts):
-            raise ValidationError(f"sensor_counts must be >= 0, got {counts}")
+        for c in counts:
+            check_range("sensor_counts", c, finite=False)
         if list(counts) != sorted(counts):
             raise ValidationError(f"sensor_counts must be ascending, got {counts}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        check_range("trials", self.trials, 1, finite=False)
         # trial t deploys with seed base_seed + t
         check_seed("base_seed", self.base_seed)
         check_seed("base_seed + trials - 1", self.base_seed + self.trials - 1)
-        # negated comparisons, so that NaN fails them too
-        if not 0.0 <= self.usd_per_ton < float("inf"):
-            raise ValidationError(
-                f"usd_per_ton must be finite and >= 0, got {self.usd_per_ton}")
+        check_range("usd_per_ton", self.usd_per_ton)
         if not self.unit_sensor_cost_usd:
             raise ValidationError("unit_sensor_cost_usd must be non-empty")
-        if not all(0.0 <= c < float("inf") for c in self.unit_sensor_cost_usd):
-            raise ValidationError(
-                f"unit_sensor_cost_usd must be finite and >= 0, "
-                f"got {self.unit_sensor_cost_usd}")
+        for c in self.unit_sensor_cost_usd:
+            check_range("unit_sensor_cost_usd", c)
         if self.baseline not in BASELINE_MODES:
             raise ValidationError(
                 f"baseline must be one of {BASELINE_MODES}, got '{self.baseline}'")
-        if not self.cap_hours >= 0:
-            raise ValidationError(f"cap_hours must be >= 0, got {self.cap_hours}")
+        check_range("cap_hours", self.cap_hours, finite=False)
 
 
 DEFAULT_CONFIG: dict = {

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_range
 
 KM2_PER_ACRE = 0.00404686
 BIOMASS_COARSE = 8  # side of the biomass field's random lattice, in points
@@ -70,12 +70,14 @@ class GeoTransform:
     height_km: float
 
     def __post_init__(self) -> None:
+        for name in ("lat_min", "lat_max", "lon_min", "lon_max"):
+            check_range(name, getattr(self, name), -math.inf)
         if not self.lat_min < self.lat_max:
             raise ValidationError(f"lat_min must be < lat_max ({self.lat_min} vs {self.lat_max})")
         if not self.lon_min < self.lon_max:
             raise ValidationError(f"lon_min must be < lon_max ({self.lon_min} vs {self.lon_max})")
-        if self.width_km <= 0 or self.height_km <= 0:
-            raise ValidationError("geo transform extents must be > 0")
+        for name in ("width_km", "height_km"):
+            check_range(name, getattr(self, name), above=True)
 
 
 # California approximated by a 1000 x 1100 km rectangle (32 deg 32' N - 42 N,
@@ -103,18 +105,30 @@ def check_grid(what: str, spacing_km: float, origin, **dims: int) -> None:
     is not finite and > 0, or whose origin is not finite; callers check
     before anything is sized from the dims."""
     for name, n in dims.items():
-        if not n >= 1:  # negated comparisons, so that NaN fails them too
-            raise ValidationError(f"{what} {name} must be >= 1, got {n}")
-    if not 0 < spacing_km < math.inf:
-        raise ValidationError(f"{what} spacing_km must be finite and > 0, got {spacing_km}")
-    if not all(map(math.isfinite, origin)):
-        raise ValidationError(f"{what} origin must be finite, got {origin}")
+        check_range(f"{what} {name}", n, 1, finite=False)
+    check_range(f"{what} spacing_km", spacing_km, above=True)
+    for v in origin:
+        check_range(f"{what} origin", v, -math.inf)
 
 
 def check_seed(what: str, seed: int) -> None:
     """Reject a seed (what names it) outside [0, SEED_LIMIT)."""
     if not 0 <= seed < SEED_LIMIT:
         raise ValidationError(f"{what} must be in [0, 2**128), got {seed}")
+
+
+def _real_array(name: str, arr, shape: tuple) -> np.ndarray:
+    """arr as an array, checked to hold real numbers in the given shape;
+    name names it in error messages."""
+    try:
+        arr = np.asarray(arr)
+    except ValueError:  # a ragged nesting, refused below as not numeric
+        arr = np.array(None)
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be an array of real numbers")
+    if arr.shape != shape:
+        raise ValidationError(f"{name} shape {arr.shape} != declared {shape}")
+    return arr
 
 
 ENV_FIELDS = ("u10", "v10", "swvl1")
@@ -137,18 +151,8 @@ class EnvGrid:
     def __init__(self, nx: int, ny: int, nt: int, spacing_km: float,
                  origin: tuple[float, float], u10, v10, swvl1) -> None:
         check_grid("env grid", spacing_km, origin, nx=nx, ny=ny, nt=nt)
-        fields = []
-        for name, arr in zip(ENV_FIELDS, (u10, v10, swvl1)):
-            try:
-                arr = np.asarray(arr)
-            except ValueError:  # a ragged nesting, refused below as not numeric
-                arr = np.array(None)
-            if arr.dtype.kind not in "biuf":
-                raise ValidationError(f"{name} must be an array of real numbers")
-            if arr.shape != (nt, ny, nx):
-                raise ValidationError(
-                    f"{name} shape {arr.shape} != declared {(nt, ny, nx)}")
-            fields.append(arr)
+        fields = [_real_array(name, arr, (nt, ny, nx))
+                  for name, arr in zip(ENV_FIELDS, (u10, v10, swvl1))]
         self._hold(nx, ny, nt, spacing_km, origin, np.stack(fields))
 
     @classmethod
@@ -240,7 +244,11 @@ class EnvGrid:
 
 @dataclass
 class BiomassGrid:
-    """Static above-ground live biomass raster (Mg/ha), indexed [y][x]."""
+    """Static above-ground live biomass raster (Mg/ha), indexed [y][x].
+
+    The grid owns a read-only copy of the values it was given, as an
+    EnvGrid does, so writing to the passed array afterwards changes nothing.
+    """
 
     nx: int
     ny: int
@@ -250,9 +258,8 @@ class BiomassGrid:
 
     def __post_init__(self) -> None:
         check_grid("biomass", self.spacing_km, self.origin, nx=self.nx, ny=self.ny)
-        if self.values.shape != (self.ny, self.nx):
-            raise ValidationError(
-                f"biomass shape {self.values.shape} != declared {(self.ny, self.nx)}")
+        self.values = np.array(_real_array("biomass", self.values, (self.ny, self.nx)))
+        self.values.flags.writeable = False
         if not np.isfinite(self.values).all():
             raise ValidationError("biomass contains non-finite values")
         if float(self.values.min()) < 0.0:
@@ -298,23 +305,30 @@ def check_placement(what: str, xy: tuple[float, float], start_hour: int,
         raise ValidationError(f"{what}: start hour {start_hour} outside [0, {grid.nt})")
 
 
+def nearest_cells(grid: EnvGrid | BiomassGrid, x, y) -> tuple:
+    """Column and row indices of the grid cells holding the positions
+    (x, y), arrays or scalars: a position on a shared cell edge resolves to
+    the lower-index cell, and one off the rectangle to the nearest edge cell."""
+    lx = np.clip(x - grid.origin[0], 0.0, grid.nx * grid.spacing_km)
+    ly = np.clip(y - grid.origin[1], 0.0, grid.ny * grid.spacing_km)
+    ix = np.clip(np.ceil(lx / grid.spacing_km).astype(np.int64) - 1, 0, grid.nx - 1)
+    iy = np.clip(np.ceil(ly / grid.spacing_km).astype(np.int64) - 1, 0, grid.ny - 1)
+    return ix, iy
+
+
 def sample_env_many(
     grid: EnvGrid, points: np.ndarray, t: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest-cell lookup of (u10, v10, swvl1) at every point of an (n, 2)
     array, hour t.
 
-    A position on a shared cell edge resolves to the lower-index cell;
-    positions outside the rectangle sample the nearest edge cell. Each
-    distinct cell the points fall in is looked up once.
+    Each point samples the cell nearest_cells gives it; each distinct cell
+    the points fall in is looked up once.
     """
     if not 0 <= t < grid.nt:
         raise ValidationError(f"hour {t} outside [0, {grid.nt})")
     pts = np.asarray(points, dtype=float)
-    lx = np.clip(pts[:, 0] - grid.origin[0], 0.0, grid.nx * grid.spacing_km)
-    ly = np.clip(pts[:, 1] - grid.origin[1], 0.0, grid.ny * grid.spacing_km)
-    ix = np.clip(np.ceil(lx / grid.spacing_km).astype(np.int64) - 1, 0, grid.nx - 1)
-    iy = np.clip(np.ceil(ly / grid.spacing_km).astype(np.int64) - 1, 0, grid.ny - 1)
+    ix, iy = nearest_cells(grid, pts[:, 0], pts[:, 1])
     # each distinct cell once, from a presence table spanning the call's cells
     # (the initial values only serve a call without points)
     cells = iy * grid.nx + ix
@@ -619,8 +633,8 @@ def synth_biomass(nx: int, ny: int, spacing_km: float,
     """Deterministic smooth random biomass field in [lo, hi] Mg/ha."""
     check_grid("biomass", spacing_km, origin, nx=nx, ny=ny)
     check_seed("synth_biomass seed", seed)
-    if not 0 <= lo <= hi < math.inf:
-        raise ValidationError(f"biomass range must satisfy 0 <= lo <= hi < inf, got ({lo}, {hi})")
+    check_range("biomass lo", lo)
+    check_range("biomass hi", hi, lo)
     rng = np.random.Generator(np.random.Philox(key=seed))
     c = rng.random((min(BIOMASS_COARSE, ny), min(BIOMASS_COARSE, nx)))
     f = _lin_resample(c, ny, axis=0)
@@ -687,10 +701,10 @@ def load_incidents(
             contained_text = (row.get("contained_iso8601") or "").strip()
             if contained_text:
                 contained = _parse_when(contained_text, n, "contained")
-                burn_hours = (contained - start).total_seconds() / 3600.0
-                if burn_hours < 0:
+                if contained < start:
                     raise ValidationError(
                         f"incident row {n} ({rid}): contained before start")
+                burn_hours = (contained - start).total_seconds() / 3600.0
             area_km2 = None
             area_text = (row.get("area_acre") or "").strip()
             if area_text:
@@ -699,8 +713,7 @@ def load_incidents(
                 except ValueError as exc:
                     raise ValidationError(
                         f"incident row {n} ({rid}): bad area_acre '{area_text}'") from exc
-                if acres < 0:
-                    raise ValidationError(f"incident row {n} ({rid}): negative area")
+                check_range(f"incident row {n} ({rid}): area_acre", acres)
                 area_km2 = acres * KM2_PER_ACRE
             incidents.append(Incident(id=rid, start_hour=start_hour, ignition_xy=xy,
                                       historical_burn_hours=burn_hours,

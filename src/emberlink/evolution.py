@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envdata import EnvGrid, Incident, sample_env_many
-from .errors import ValidationError
+from .errors import ValidationError, check_range
 from .firekernel import DEFAULT_PARAMS, SpreadParams, branch_endpoints
 from .sensors import (SensorField, indices_within, nearest_index_within,
                       squared_distances)
@@ -57,10 +57,8 @@ class EvolutionConfig:
     params: SpreadParams = DEFAULT_PARAMS
 
     def __post_init__(self) -> None:
-        # negated comparisons, so that NaN fails them too
-        for name in ("snap_km", "max_hours"):
-            if not getattr(self, name) >= 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_range("snap_km", self.snap_km)
+        check_range("max_hours", self.max_hours, finite=False)
 
 
 @dataclass(frozen=True)
@@ -98,9 +96,6 @@ def step(frontier: Frontier, env: EnvGrid,
     that drifted off the grid sample the nearest edge cell. Stepping past
     the grid's last hour raises (the time range is exhausted).
     """
-    if not 0 <= frontier.hour < env.nt:
-        raise ValidationError(
-            f"cannot step at hour {frontier.hour}: env time range is [0, {env.nt})")
     u10, v10, swvl1 = sample_env_many(env, frontier.points, frontier.hour)
     branched = branch_endpoints(frontier.points, u10, v10, swvl1, STEP_S, params)
     return Frontier(points=branched.reshape(-1, 2), hour=frontier.hour + 1)
@@ -171,8 +166,7 @@ def prune(frontier: Frontier, snap_km: float) -> Frontier:
     so the kept frontier comes out in lattice-cell order, (ki, kj)
     ascending.
     """
-    if not snap_km >= 0:
-        raise ValidationError(f"snap_km must be >= 0, got {snap_km}")
+    check_range("snap_km", snap_km)
     pts = frontier.points
     n = pts.shape[0]
     if snap_km > 0 and n > 1:

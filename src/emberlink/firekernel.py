@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import check_range
 
 M_PER_KM = 1000.0
 
@@ -49,13 +49,8 @@ class SpreadParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0.0 <= value < float("inf"):
-                raise ValidationError(
-                    f"{f.name} must be finite and >= 0, got {value}")
-        for name in ("wetness_cutoff", "wind_sq_scale"):  # divisors
-            if getattr(self, name) == 0.0:
-                raise ValidationError(f"{name} must be > 0")
+            check_range(f.name, getattr(self, f.name),
+                        above=f.name in ("wetness_cutoff", "wind_sq_scale"))
 
 
 DEFAULT_PARAMS = SpreadParams()
@@ -113,8 +108,7 @@ def branch_endpoints(
     endpoints. A zero-speed point yields four copies of itself. Calm wind
     uses theta = 0.
     """
-    if dt_s <= 0:
-        raise ValueError(f"dt_s must be > 0, got {dt_s}")
+    check_range("dt_s", dt_s, above=True)
     pts = np.asarray(points, dtype=float)
     u = np.asarray(u10, dtype=float)
     v = np.asarray(v10, dtype=float)

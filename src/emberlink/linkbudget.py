@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, check_range
 
 BOLTZMANN_DBW_K_HZ = -228.6
 SYSTEM_BANDWIDTH_HZ = 180000.0
@@ -46,16 +46,12 @@ class LinkParams:
     pl_polar_db: float
 
     def __post_init__(self) -> None:
-        # negated comparisons, so that NaN fails them too
         for name in ("eirp_dbm", "g_over_t_db_k"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+            check_range(name, getattr(self, name), -math.inf)
         for name in ("bandwidth_hz", "freq_mhz", "distance_km"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+            check_range(name, getattr(self, name), above=True)
         for name in ("pl_atmos_db", "pl_shadow_db", "pl_scint_db", "pl_polar_db"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+            check_range(name, getattr(self, name))
 
 
 # worst case: lowest elevation, longest slant range
@@ -80,8 +76,7 @@ class TrafficModel:
 
     def __post_init__(self) -> None:
         for name in ("reports_per_day", "payload_bytes"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+            check_range(name, getattr(self, name), above=True)
 
 
 PERIODIC_REPORT = TrafficModel(reports_per_day=2.0, payload_bytes=50.0)
@@ -132,10 +127,8 @@ class CapacityReport:
 
 def fspl_db(distance_km: float, freq_mhz: float) -> float:
     """Free-space path loss, km/MHz form: 32.45 + 20 log10 d + 20 log10 f."""
-    if distance_km <= 0:
-        raise ValidationError(f"distance_km must be > 0, got {distance_km}")
-    if freq_mhz <= 0:
-        raise ValidationError(f"freq_mhz must be > 0, got {freq_mhz}")
+    check_range("distance_km", distance_km, above=True)
+    check_range("freq_mhz", freq_mhz, above=True)
     return 32.45 + 20.0 * math.log10(distance_km) + 20.0 * math.log10(freq_mhz)
 
 
@@ -164,13 +157,10 @@ def peak_rate_bps(bits_ru: int, system_bw_hz: float = SYSTEM_BANDWIDTH_HZ,
                   subcarrier_hz: float = 3750.0,
                   ru_duration_s: float = RU_DURATION_S) -> float:
     """System peak throughput: all subcarriers sending one RU per duration."""
-    if bits_ru < 0:
-        raise ValidationError(f"bits_ru must be >= 0, got {bits_ru}")
+    check_range("bits_ru", bits_ru, finite=False)
     for name, value in zip(("system_bw_hz", "subcarrier_hz", "ru_duration_s"),
                            (system_bw_hz, subcarrier_hz, ru_duration_s)):
-        if not 0 < value < math.inf:
-            raise ValidationError(
-                f"bandwidths and RU duration must be finite and > 0, got {name}={value}")
+        check_range(name, value, above=True)
     n_sub = system_bw_hz / subcarrier_hz
     if abs(n_sub - round(n_sub)) > 1e-9:
         raise ValidationError(
@@ -186,10 +176,8 @@ def per_sensor_bps(t: TrafficModel) -> float:
 
 def supportable_sensors(peak_bps: float, per_sensor: float) -> int:
     """How many sensors the peak throughput carries at the given demand."""
-    if per_sensor <= 0:
-        raise ValidationError(f"per_sensor must be > 0, got {per_sensor}")
-    if peak_bps < 0:
-        raise ValidationError(f"peak_bps must be >= 0, got {peak_bps}")
+    check_range("per_sensor", per_sensor, above=True)
+    check_range("peak_bps", peak_bps)
     return math.floor(peak_bps / per_sensor)
 
 

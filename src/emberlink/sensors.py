@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .envdata import Rect, check_seed
-from .errors import ValidationError
+from .errors import ValidationError, check_range
 
 # smallest grid cell (km); keeps cells positive for coincident or
 # collinear sensors
@@ -186,10 +186,9 @@ def squared_distances(x: np.ndarray, y: np.ndarray, cx, cy) -> np.ndarray:
 def _inside(field_: SensorField, center: tuple[float, float],
             radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Unsorted (indices, squared distances) of the sensors in the closed disk."""
-    if not 0 <= radius < math.inf:
-        raise ValidationError(f"radius must be finite and >= 0, got {radius}")
-    if not (math.isfinite(center[0]) and math.isfinite(center[1])):
-        raise ValidationError(f"center must be finite, got {tuple(center)}")
+    check_range("radius", radius)
+    for v in center:
+        check_range("center", v, -math.inf)
     # Python floats: numpy scalars would warn where the reach overflows
     center, radius = (float(center[0]), float(center[1])), float(radius)
     cand = (field_._candidates(center, radius) if len(field_)
@@ -228,8 +227,7 @@ def deploy_uniform(n: int, rect: Rect, seed: int) -> SensorField:
     sizes from one seed share a common prefix and never depend on call
     order.
     """
-    if n < 0:
-        raise ValidationError(f"sensor count must be >= 0, got {n}")
+    check_range("sensor count", n, finite=False)
     check_seed("deploy_uniform seed", seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     # in place, bitwise x0 + width * u (IEEE * and + commute); one column

@@ -7,7 +7,7 @@ import pytest
 
 from emberlink.carbon import (average_biomass, carbon_price, emission_tons,
                               savings)
-from emberlink.envdata import BiomassGrid
+from emberlink.envdata import BiomassGrid, EnvGrid, sample_env_many
 from emberlink.errors import ValidationError
 
 
@@ -72,6 +72,28 @@ class TestAverageBiomass:
         expected = brute_average(c, bio)
         assert expected is not None
         assert average_biomass(c, bio) == pytest.approx(expected, rel=1e-12)
+
+
+class TestNearestCellRule:
+    def test_center_on_a_shared_edge_reads_the_lower_cell(self):
+        bio = BiomassGrid(nx=2, ny=1, spacing_km=1.0, values=np.array([[10.0, 20.0]]))
+        assert average_biomass((1.0, 0.5, 0.0), bio) == 10.0
+        assert average_biomass((np.nextafter(1.0, 2.0), 0.5, 0.0), bio) == 20.0
+
+    def test_tiny_circles_read_the_cell_env_sampling_reads(self):
+        # the same geometry for both grids: every cell edge and corner, and
+        # the rectangle's own edges, resolve to one cell
+        nx, ny, sp, origin = 4, 3, 2.0, (1.0, -3.0)
+        values = np.arange(nx * ny, dtype=float).reshape(ny, nx) + 1.0
+        bio = BiomassGrid(nx=nx, ny=ny, spacing_km=sp, values=values, origin=origin)
+        env = EnvGrid(nx=nx, ny=ny, nt=1, spacing_km=sp, origin=origin,
+                      u10=values[None], v10=values[None], swvl1=np.zeros((1, ny, nx)))
+        xs = origin[0] + sp * np.arange(nx + 1)
+        ys = origin[1] + sp * np.arange(ny + 1)
+        for x in xs:
+            for y in ys:
+                u = sample_env_many(env, np.array([[x, y]]), 0)[0][0]
+                assert average_biomass((x, y, 0.0), bio) == u
 
 
 class TestEmission:

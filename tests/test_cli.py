@@ -11,7 +11,8 @@ import pytest
 
 from emberlink import evolution
 from emberlink.cli import DEFAULT_CONFIG, main
-from emberlink.envdata import SynthSpec, load_env_grid, save_env_grid, synth_env
+from emberlink.envdata import (SynthSpec, load_env_grid, save_biomass, save_env_grid,
+                               synth_biomass, synth_env)
 from emberlink.harness import bundled_scenario_path
 from emberlink.linkbudget import (EVENT_REPORT, PERIODIC_REPORT, TABLE1_10DEG,
                                   capacity_report)
@@ -56,7 +57,7 @@ class TestLinkBudgetCommand:
         code = main(["--out-dir", str(tmp_path), "linkbudget",
                      "--system-bw-hz", "0"])
         assert code == 1
-        assert "bandwidth" in capsys.readouterr().err
+        assert "system_bw_hz" in capsys.readouterr().err
 
     def test_infeasible_link_is_runtime_error(self, tmp_path):
         code = main(["--out-dir", str(tmp_path),
@@ -338,6 +339,50 @@ class TestScenarioInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not out.exists()
+
+
+def _file_scenario(tmp_path, area_acre) -> list[str]:
+    """Arguments that sweep one CSV incident of the given area_acre on a
+    small all-California grid, two hours and ten sensors."""
+    env = synth_env(SynthSpec(nx=10, ny=11, nt=24, spacing_km=100.0, u10=3.0,
+                              swvl1=0.1), 0)
+    bio = synth_biomass(10, 11, 100.0, 20.0, 80.0, seed=0)
+    fires = tmp_path / "fires.csv"
+    fires.write_text("id,start_iso8601,contained_iso8601,lat_deg,lon_deg,area_acre\n"
+                     f"f1,2020-01-01T00:00:00,2020-01-01T05:00:00,36.0,-120.0,{area_acre}\n")
+    return ["--out-dir", str(tmp_path / "out"),
+            "--set", f"paths.env_manifest={save_env_grid(env, tmp_path / 'env.json')}",
+            "--set", f"paths.biomass_manifest={save_biomass(bio, tmp_path / 'bio.json')}",
+            "--set", f"paths.incidents_csv={fires}", "--set", "sweep.sensor_counts=[10]",
+            "--set", "sweep.trials=1", "--set", "sweep.cap_hours=2"]
+
+
+class TestBoundsOnFileInputs:
+    @pytest.mark.parametrize("baseline", ["historical", "simulated-zero-sensor"])
+    def test_finite_area_sweeps(self, tmp_path, baseline):
+        assert main(_file_scenario(tmp_path, "100")
+                    + ["--set", f"sweep.baseline={baseline}", "sweep"]) == 0
+        rows = (tmp_path / "out" / "sweep_rows.csv").read_text()
+        assert "nan" not in rows and "inf" not in rows
+
+    @pytest.mark.parametrize("baseline", ["historical", "simulated-zero-sensor"])
+    @pytest.mark.parametrize("area", ["nan", "inf", "-inf"])
+    def test_non_finite_area_acre_is_bad_input(self, tmp_path, capsys, baseline, area):
+        code = main(_file_scenario(tmp_path, area)
+                    + ["--set", f"sweep.baseline={baseline}", "sweep"])
+        assert code == 1
+        assert (f"error: incident row 2 (f1): area_acre must be finite and >= 0, "
+                f"got {float(area)}" in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "0.0"])
+    @pytest.mark.parametrize("key", ["width_km", "height_km"])
+    def test_bad_geo_extent_is_named(self, tmp_path, capsys, key, value):
+        code = main(_file_scenario(tmp_path, "100")
+                    + ["--set", f"geo.{key}={value}", "sweep"])
+        assert code == 1
+        assert f"error: {key} must be finite and > 0, got " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigPlumbing:

@@ -412,6 +412,40 @@ class TestGridOwnsItsValues:
             EnvGrid(nx=1, ny=1, nt=1, spacing_km=1.0, origin=(0.0, 0.0), **fields)
 
 
+class TestBiomassOwnsItsValues:
+    def test_writes_to_the_given_array_change_nothing(self):
+        v = np.full((2, 3), 7.0)
+        bio = BiomassGrid(nx=3, ny=2, spacing_km=1.0, values=v)
+        v[0, 0] = np.nan
+        assert bio.values is not v
+        assert np.all(bio.values == 7.0)
+        with pytest.raises(ValueError, match="read-only"):
+            bio.values[0, 0] = -1.0
+
+    def test_keeps_the_dtype(self):
+        v = np.full((1, 2), 3.5, dtype=np.float32)
+        assert BiomassGrid(nx=2, ny=1, spacing_km=1.0, values=v).values.dtype == np.float32
+
+    def test_takes_nested_lists(self):
+        bio = BiomassGrid(nx=3, ny=2, spacing_km=1.0, values=[[1.0, 2.0, 3.0], [4, 5, 6]])
+        assert bio.values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+    @pytest.mark.parametrize("bad", [
+        np.full((1, 1), "dense"),   # strings
+        [[1.0, 2.0], [3.0]],        # a ragged nesting
+        np.full((1, 1), 1 + 2j),    # complex
+    ], ids=["strings", "ragged", "complex"])
+    def test_non_numeric_values_are_named(self, bad):
+        with pytest.raises(ValidationError,
+                           match="^biomass must be an array of real numbers$"):
+            BiomassGrid(nx=1, ny=1, spacing_km=1.0, values=bad)
+
+    def test_shape_is_checked(self):
+        with pytest.raises(ValidationError, match=re.escape(
+                "biomass shape (2, 2) != declared (3, 2)")):
+            BiomassGrid(nx=2, ny=3, spacing_km=1.0, values=np.zeros((2, 2)))
+
+
 class TestSeedRange:
     @pytest.mark.parametrize("seed", [-1, 2 ** 128])
     @pytest.mark.parametrize("mode", ["constant", "schedule", "random"])
