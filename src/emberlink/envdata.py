@@ -220,8 +220,10 @@ class EnvGrid:
 
     def _hours(self, k: int):
         """Field k's (ny, nx) raster of each hour in turn: the values _at reads."""
+        _, _, cy, cx = self._lattice.shape
+        along_y, along_x = _resampler(cy, self.ny, 0, 2), _resampler(cx, self.nx, 1, 2)
         for hour in self._lattice[k]:
-            yield self._scaled(k, _lin_resample(_lin_resample(hour, self.ny, 0), self.nx, 1))
+            yield self._scaled(k, along_x(along_y(hour)))
 
     def _raster(self, k: int) -> np.ndarray:
         """Field k's (nt, ny, nx) raster, filled hour by hour into a new read-only array."""
@@ -574,27 +576,39 @@ def _taps(n_old: int, n_new: int) -> tuple[np.ndarray, np.ndarray | None]:
     return i0, pos - i0
 
 
-def _lin_resample(a: np.ndarray, n_new: int, axis: int) -> np.ndarray:
-    """a linearly resampled to n_new points along axis, in a new array (or
-    a itself when the size is unchanged); a is never written."""
-    n_old = a.shape[axis]
+def _resampler(n_old: int, n_new: int, axis: int, ndim: int):
+    """The function that linearly resamples an ndim-dimensional array of
+    n_old points along axis to n_new points, in a new array (or the array
+    itself when the size is unchanged); its argument is never written.
+    The taps are computed once, however many arrays it resamples."""
     i0, w = _taps(n_old, n_new)
     if w is None:
-        return a if n_old == n_new else np.repeat(a, n_new, axis=axis)
-    shape = [1] * a.ndim
+        return (lambda a: a) if n_old == n_new else (
+            lambda a: np.repeat(a, n_new, axis=axis))
+    shape = [1] * ndim
     shape[axis] = n_new
     w = w.reshape(shape)
+    w_lo = 1.0 - w
     # i0 ascends, so repeating each index's slice gathers as np.take(a, i0)
     # does, in one copy
     reps = np.bincount(i0, minlength=n_old - 1)
-    head, tail = [slice(None)] * a.ndim, [slice(None)] * a.ndim
+    head, tail = [slice(None)] * ndim, [slice(None)] * ndim
     head[axis], tail[axis] = slice(0, n_old - 1), slice(1, n_old)
-    lo = np.repeat(a[tuple(head)], reps, axis=axis)
-    hi = np.repeat(a[tuple(tail)], reps, axis=axis)
-    lo *= 1.0 - w
-    hi *= w
-    lo += hi
-    return lo
+    head, tail = tuple(head), tuple(tail)
+
+    def resample(a: np.ndarray) -> np.ndarray:
+        lo = np.repeat(a[head], reps, axis=axis)
+        hi = np.repeat(a[tail], reps, axis=axis)
+        lo *= w_lo
+        hi *= w
+        lo += hi
+        return lo
+    return resample
+
+
+def _lin_resample(a: np.ndarray, n_new: int, axis: int) -> np.ndarray:
+    """a linearly resampled to n_new points along axis (see _resampler)."""
+    return _resampler(a.shape[axis], n_new, axis, a.ndim)(a)
 
 
 def _time_lattice(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:

@@ -243,49 +243,60 @@ def circle_trajectory(incident: Incident, env: EnvGrid,
     return trace_rows(incident, env, cfg)[0]
 
 
+def screen_disk(circles: np.ndarray) -> tuple[tuple[float, float], float]:
+    """(center, radius) of a trajectory's detection screen: the disk about
+    its last center that encloses every circle, widened past a disk
+    query's rounding and capped at the largest float. Overflowing
+    distances become inf, which only widens the screen."""
+    cx, cy, r = np.asarray(circles, dtype=float).T
+    center = (float(cx[-1]), float(cy[-1]))
+    with np.errstate(over="ignore"):
+        reach = float((np.hypot(cx - center[0], cy - center[1]) + r).max())
+    return center, min(reach * (1.0 + _SLACK) + _TINY, sys.float_info.max)
+
+
 def replay_detection(incident: Incident, circles: np.ndarray,
                      sensors: SensorField, cfg: EvolutionConfig,
                      counts: Sequence[int]) -> list[IncidentResult]:
     """Detection outcomes of a precomputed (hours + 1, 3) trajectory, one
-    per count n in counts (ascending, at most len(sensors)), against the
-    first n sensors of one field.
+    per count n in counts (ascending, at most sensors.drawn), against the
+    first n sensors of one field's draw.
 
     This is the only detection path: every caller first builds the
     trajectory with circle_trajectory (same env and cfg), then replays it.
     For n sensors, the first hour k, from the hour-0 ignition circle on,
     with a sensor at dx*dx + dy*dy <= r_k*r_k detects, and its closest
     such sensor (lowest index among ties) is the detecting one. One query
-    over a disk about the last center that encloses every circle, widened
-    past a disk query's rounding, screens the trajectory, so a replay
-    makes one nearest_index_within call whatever the counts. Each
-    screened sensor's first hit hour comes from its exact distances; n
-    sensors take the earliest among the screened indices below n.
-    Deployments from one seed nest (see sensors), so against
-    deploy_uniform(max(counts)) each outcome is bitwise the one against
-    deploy_uniform(n).
+    over the trajectory's screen_disk screens it, so a replay makes one
+    nearest_index_within call whatever the counts. Each screened
+    sensor's first hit hour comes from its exact distances; n sensors
+    take the earliest among the screened draw indices below n, and the
+    detecting sensor is reported as its draw index. Deployments from one
+    seed nest (see sensors), so against deploy_uniform(max(counts)), or
+    that deployment screened with this trajectory's screen_disk, each
+    outcome is bitwise the one against deploy_uniform(n).
     """
     xyr = np.asarray(circles, dtype=float)
     if not (xyr.ndim == 2 and xyr.shape[1:] == (3,) and xyr.size
             and np.isfinite(xyr).all() and (xyr[:, 2] >= 0).all()):
         raise ValidationError("trajectory circles must be a non-empty (hours + 1, 3) "
                               "array of finite centers and finite radii >= 0")
-    if not (len(counts) and 0 <= counts[0] and counts[-1] <= len(sensors)
+    if not (len(counts) and 0 <= counts[0] and counts[-1] <= sensors.drawn
             and all(a <= b for a, b in zip(counts, counts[1:]))):
         raise ValidationError(f"counts must be ascending sensor counts in "
-                              f"[0, {len(sensors)}], got {tuple(counts)}")
+                              f"[0, {sensors.drawn}], got {tuple(counts)}")
     cx, cy, r = xyr.T
-    center = (float(cx[-1]), float(cy[-1]))
-    # overflowing distances and squares become inf: that only widens the
-    # screen, and every sensor lies within an infinite r_k*r_k
+    center, screen = screen_disk(xyr)
+    # a square that overflows is inf, and every sensor lies within it
     with np.errstate(over="ignore"):
-        reach = float((np.hypot(cx - center[0], cy - center[1]) + r).max())
-        screen = min(reach * (1.0 + _SLACK) + _TINY, sys.float_info.max)
         r2 = r * r
     near = np.empty(0, dtype=np.int64)
     if nearest_index_within(sensors, center, screen) is not None:
         near = indices_within(sensors, center, screen)
-    # count n's screened sensors are near[:m], near being ascending
-    ends = np.searchsorted(near, counts).tolist()
+    # the screened sensors' draw indices, ascending as near is: count n's
+    # screened sensors are near[:m]
+    ids = near if sensors.ids is None else sensors.ids[near]
+    ends = np.searchsorted(ids, counts).tolist()
     hours = r.size
     # each screened sensor's first hit hour (hours if none yet) and its
     # squared distance then
@@ -311,7 +322,7 @@ def replay_detection(incident: Incident, circles: np.ndarray,
             ties = np.flatnonzero(first[:m] == hit)
             # ties is ascending, so argmin's first minimum is the lowest
             # index among the closest
-            k, sensor = hit, int(near[ties[first_d2[ties].argmin()]])
+            k, sensor = hit, int(ids[ties[first_d2[ties].argmin()]])
         if sensor is not None:
             detection_hour = float(k)
         else:

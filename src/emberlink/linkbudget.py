@@ -190,6 +190,12 @@ def capacity_report(p: LinkParams, traffic: TrafficModel,
     bits = bits_per_ru(cnr, tbs)
     peak = peak_rate_bps(bits, system_bw_hz, p.bandwidth_hz, ru_duration_s)
     per = per_sensor_bps(traffic)
+    # a demand whose rate underflows to 0, or whose count overflows
+    if not (per > 0 and peak / per < math.inf):
+        raise ValidationError(
+            f"traffic payload_bytes={traffic.payload_bytes!r} at reports_per_day="
+            f"{traffic.reports_per_day!r} is {per!r} bps per sensor, too small a "
+            f"demand to count sensors against the {peak!r} bps peak")
     return CapacityReport(cnr_db=cnr, bits_per_ru=bits, peak_rate_bps=peak,
                           per_sensor_bps=per,
                           supportable_sensors=supportable_sensors(peak, per))

@@ -17,12 +17,20 @@ raises.
 Deployments from one seed nest: deploy_uniform(n) is a bitwise prefix
 of deploy_uniform(N) for n <= N, so the first n sensors of one deployed
 field stand for the n-sensor deployment (see evolution.replay_detection).
+The draw runs in blocks of at most BLOCK_ROWS sensors. Given disks, a
+deployment is screened: it keeps only the sensors that a disk query
+could find in some disk, and the field records their draw indices (ids)
+and how many were drawn, so a replay against it answers for the whole
+draw while the whole draw is never held.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
+import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,8 +45,14 @@ MIN_CELL_KM = 0.25
 # sensors per grid cell of a spread-out field: fewer, larger cells make
 # a smaller and faster build, and a screen's disk still spans few cells
 CELL_SENSORS = 64
+# most sensors one deploy_uniform draw makes at a time
+BLOCK_ROWS = 1 << 16
+# cells per side of the raster a screened deployment marks its disks on,
+# whatever the region's size
+RASTER_CELLS = 512
 
 _Grid = tuple[float, float, float, int, int, np.ndarray, np.ndarray]
+_Disk = tuple[tuple[float, float], float]  # (center, radius)
 
 
 @dataclass(frozen=True)
@@ -48,12 +62,17 @@ class SensorField:
     seed and region are optional provenance: a field deployed by
     deploy_uniform carries both and can be regenerated bit-for-bit from
     (count, region, seed); hand-built or loaded fields may lack them.
-    The field is frozen, as its box and grid are taken from its positions.
+    A screened field (see deploy_uniform) holds part of a draw of drawn
+    sensors: sensor i is draw ids[i], ids ascending. A field without
+    ids is its own draw, and its drawn is its length. The field is
+    frozen, as its box and grid are taken from its positions.
     """
 
     positions: np.ndarray
     seed: int | None = None
     region: Rect | None = None
+    ids: np.ndarray | None = None
+    drawn: int | None = None
     _grid: _Grid | None = field(default=None, init=False, repr=False, compare=False)
     # (x min, y min, x max, y max) of a non-empty field
     _box: tuple[float, float, float, float] | None = field(
@@ -84,6 +103,23 @@ class SensorField:
                     f"the field region {r}")
             object.__setattr__(self, "_box", box)
         object.__setattr__(self, "positions", pos)
+        n = len(pos)
+        if (self.ids is None) != (self.drawn is None):
+            raise ValidationError("sensor field ids and drawn go together: "
+                                  f"got ids {self.ids!r} and drawn {self.drawn!r}")
+        if self.ids is None:
+            object.__setattr__(self, "drawn", n)
+            return
+        check_range("sensor field drawn", self.drawn, n, finite=False)
+        if not isinstance(self.drawn, numbers.Integral):
+            raise ValidationError(f"sensor field drawn must be an integer, got {self.drawn!r}")
+        ids = np.asarray(self.ids)
+        if not (ids.shape == (n,) and ids.dtype.kind in "iu"
+                and (ids[:1] >= 0).all() and (ids[-1:] < self.drawn).all()
+                and (ids[1:] > ids[:-1]).all()):
+            raise ValidationError(f"sensor field ids must be {n} ascending integer "
+                                  f"draw indices in [0, {self.drawn}), got {ids!r}")
+        object.__setattr__(self, "ids", ids)
 
     def __len__(self) -> int:
         return self.positions.shape[0]
@@ -125,15 +161,10 @@ class SensorField:
         return self._grid
 
     def _candidates(self, center: tuple[float, float], radius: float) -> np.ndarray:
-        # indices_within's rounded disk test can accept a sensor up to
-        # ~3e-16 * radius + 3e-162 km (rounding, underflow) past the
-        # radius; reaching past that margin with the build's monotone
-        # floor formula keeps every such sensor a candidate. Once
-        # radius * radius overflows, the test accepts every sensor
-        # (any squared distance <= inf), so the reach covers the grid.
+        # reaching _reach(radius) past the center with the build's monotone
+        # floor formula keeps every sensor the disk test accepts a candidate
         x0, y0, cell, nx, ny, starts, order = self._index()
-        reach = (radius * (1.0 + 1e-12) + 1e-150 if radius * radius < math.inf
-                 else math.inf)
+        reach = _reach(radius)
         i0 = max(_floor_within((center[0] - reach - x0) / cell, nx), 0)
         i1 = min(_floor_within((center[0] + reach - x0) / cell, nx), nx - 1)
         j0 = max(_floor_within((center[1] - reach - y0) / cell, ny), 0)
@@ -161,6 +192,15 @@ def _cell_order(flat: np.ndarray, cells: int) -> np.ndarray:
     flat.sort()
     flat &= (1 << bits) - 1
     return flat
+
+
+def _reach(radius: float) -> float:
+    """How far from a disk query's center, along either axis, its rounded
+    test can accept a sensor: the test can accept one up to ~3e-16 *
+    radius + 3e-162 km (rounding, underflow) past the radius, and this
+    reaches past that margin. Once radius * radius overflows, the test
+    accepts every sensor (any squared distance <= inf): the reach is inf."""
+    return radius * (1.0 + 1e-12) + 1e-150 if radius * radius < math.inf else math.inf
 
 
 def _floor_within(v: float, cells: int) -> int:
@@ -219,29 +259,106 @@ def nearest_index_within(field_: SensorField, center: tuple[float, float],
     return int(hits[dist2 == dist2.min()].min())
 
 
-def deploy_uniform(n: int, rect: Rect, seed: int) -> SensorField:
+def _screen(rect: Rect, disks: Iterable[_Disk]) -> Callable[[np.ndarray], np.ndarray]:
+    """keep(positions): the ascending indices of the (k, 2) positions that a
+    disk query (indices_within) could find in some (center, radius) disk.
+
+    A RASTER_CELLS-square raster over rect marks the cells of each disk's
+    bounding box, widened by the query's _reach. A position's cell and a
+    box's bounds come from one formula, floor((v - origin) / side) clamped
+    onto the raster, which is monotone in v: any position the query
+    accepts lies in a marked cell. A disk whose reach overflows marks
+    every cell, and positions off rect fall in its edge cells.
+    """
+    origin = (rect.x0, rect.y0)
+    # a zero span still has positive cells, all positions in the first
+    sides = [max(span / RASTER_CELLS, sys.float_info.min)
+             for span in (rect.width_km, rect.height_km)]
+
+    def cell(v: float, k: int) -> int:
+        return min(max(_floor_within((v - origin[k]) / sides[k], RASTER_CELLS), 0),
+                   RASTER_CELLS - 1)
+
+    marked = np.zeros((RASTER_CELLS, RASTER_CELLS), dtype=bool)
+    # a bound that overflows is inf, without a warning, and lands in an
+    # edge cell
+    with np.errstate(over="ignore"):
+        for (cx, cy), radius in disks:
+            reach = _reach(radius)
+            marked[cell(cx - reach, 0):cell(cx + reach, 0) + 1,
+                   cell(cy - reach, 1):cell(cy + reach, 1) + 1] = True
+    marked = marked.ravel()
+
+    def column(pos: np.ndarray, k: int) -> np.ndarray:
+        # cell() of each position: truncating a value clamped onto
+        # [0, RASTER_CELLS - 1] is clamping its floor
+        c = pos[:, k] - origin[k]
+        c /= sides[k]
+        np.maximum(c, 0, out=c)
+        np.minimum(c, RASTER_CELLS - 1, out=c)
+        return c.astype(np.intp)
+
+    def keep(pos: np.ndarray) -> np.ndarray:
+        flat = column(pos, 0)
+        flat *= RASTER_CELLS
+        flat += column(pos, 1)
+        return np.flatnonzero(marked.take(flat))
+
+    return keep
+
+
+def deploy_uniform(n: int, rect: Rect, seed: int,
+                   disks: Iterable[_Disk] | None = None) -> SensorField:
     """Drop n sensors i.i.d. uniform over the rectangle, reproducibly.
 
     The same (n, rect, seed) always yields the same field, on any
     platform; the stream is counter-based, so deployments of different
     sizes from one seed share a common prefix and never depend on call
-    order.
+    order. Given (center, radius) disks, the field is screened: it keeps,
+    with their draw indices as ids, the sensors a disk query could find
+    in some disk (every one it does find, and a few more), so any query
+    inside those disks answers as against the whole field.
     """
     check_range("sensor count", n, finite=False)
     check_seed("deploy_uniform seed", seed)
+    for name, lo in (("x0", -math.inf), ("y0", -math.inf), ("width_km", 0),
+                     ("height_km", 0)):
+        check_range(f"deploy region {name}", getattr(rect, name), lo)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    # in place, bitwise x0 + width * u (IEEE * and + commute); one column
-    # at a time, as broadcasting a pair over (n, 2) runs a length-2 inner loop
-    pos = rng.random((n, 2))
-    pos[:, 0] *= rect.width_km
-    pos[:, 0] += rect.x0
-    pos[:, 1] *= rect.height_km
-    pos[:, 1] += rect.y0
-    return SensorField(positions=pos, seed=seed, region=rect)
+    keep = None if disks is None else _screen(rect, disks)
+    pos = np.empty((n if keep is None else min(n, BLOCK_ROWS), 2))
+    kept, ids = [np.empty((0, 2))], [np.empty(0, dtype=np.int64)]
+    for start in range(0, n, BLOCK_ROWS):
+        # the stream fills in C order, so the blocks are bitwise one
+        # (n, 2) draw
+        block = (pos[start:start + BLOCK_ROWS] if keep is None
+                 else pos[:min(n - start, BLOCK_ROWS)])
+        rng.random(out=block)
+        # in place, bitwise x0 + width * u (IEEE * and + commute); one
+        # column at a time, as broadcasting a pair over (k, 2) runs a
+        # length-2 inner loop
+        block[:, 0] *= rect.width_km
+        block[:, 0] += rect.x0
+        block[:, 1] *= rect.height_km
+        block[:, 1] += rect.y0
+        if keep is not None:
+            at = keep(block)
+            kept.append(block[at])
+            ids.append(at + start)
+    if keep is None:
+        return SensorField(positions=pos, seed=seed, region=rect)
+    return SensorField(positions=np.concatenate(kept), seed=seed, region=rect,
+                       ids=np.concatenate(ids), drawn=n)
 
 
 def save_sensors(field_: SensorField, path: str | Path) -> Path:
-    """Write a sensor CSV: '#' provenance lines, then x_km,y_km rows."""
+    """Write a sensor CSV: '#' provenance lines, then x_km,y_km rows.
+
+    A screened field is refused: its file would read back as a whole
+    field that its seed and region do not regenerate."""
+    if field_.ids is not None:
+        raise ValidationError(f"a screened sensor field keeps {len(field_)} of its "
+                              f"{field_.drawn} draws; save the whole deployment")
     fpath = Path(path)
     fpath.parent.mkdir(parents=True, exist_ok=True)
     with fpath.open("w", newline="") as fh:

@@ -18,12 +18,12 @@ from emberlink.envdata import EnvGrid, Incident, Rect, SynthSpec, synth_env
 from emberlink.errors import ValidationError
 from emberlink.evolution import (EvolutionConfig, Frontier, burned_circle,
                                  circle_trajectory, incident_cap_hours, prune,
-                                 replay_detection, step,
+                                 replay_detection, screen_disk, step,
                                  trace_rows)
 from emberlink.firekernel import length_breadth_ratio, spread_speed
 from emberlink.harness import bundled_scenario_path, load_season_bundle
-from emberlink.sensors import (SensorField, deploy_uniform, load_sensors,
-                               save_sensors)
+from emberlink.sensors import (RASTER_CELLS, SensorField, _screen, deploy_uniform,
+                               load_sensors, save_sensors)
 
 NO_PRUNE = EvolutionConfig(snap_km=0.0, max_hours=5.0)
 
@@ -670,6 +670,62 @@ class TestTrajectoryReplay:
         assert [r.detecting_sensor for r in results] == [None, 1, 1, 1, 4]
         for n, r in zip(counts, results):
             assert_replays_like_brute_force(r, circles, pts[:n], cfg.max_hours)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=replay_cases(), data=st.data())
+    def test_screened_field_replays_like_its_draw(self, case, data):
+        # a field screened with the trajectory's screen disk (and other
+        # disks, as a sweep's other incidents add) reports every count's
+        # outcome, its detecting sensor as a draw index, as the whole draw
+        circles, pts = case
+        if data.draw(st.booleans(), label="overflow"):
+            # a circle so large that the screen's radius is capped
+            x, y, _ = circles[-1]
+            big = data.draw(st.sampled_from([1e200, 1e308]), label="radius")
+            circles = np.vstack([circles, [x, y, big]])
+        pts = list(pts) or [tuple(circles[0, :2])]
+        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        margin = data.draw(st.sampled_from([0.0, 1.0, 300.0]), label="margin")
+        rect = Rect(min(xs) - margin, min(ys) - margin,
+                    max(xs) - min(xs) + 2 * margin, max(ys) - min(ys) + 2 * margin)
+        # sensors on raster cell edges, and on the region's far edges
+        sides = (rect.width_km / RASTER_CELLS, rect.height_km / RASTER_CELLS)
+        for _ in range(data.draw(st.integers(0, 6), label="edges")):
+            i, j = data.draw(st.tuples(*[st.integers(0, RASTER_CELLS)] * 2), label="cell")
+            pts.append((min(rect.x0 + i * sides[0], rect.x0 + rect.width_km),
+                        min(rect.y0 + j * sides[1], rect.y0 + rect.height_km)))
+        pts.append((rect.x0 + rect.width_km, rect.y0 + rect.height_km))
+        pts = np.array(data.draw(st.permutations(pts), label="order"))
+        disks = [screen_disk(circles)] + data.draw(st.lists(st.tuples(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+            st.floats(0.0, 50.0)), max_size=2), label="disks")
+        ids = _screen(rect, disks)(pts)
+        # (min + (max - min) can round below max, so rect is no region)
+        screened = SensorField(pts[ids], ids=ids, drawn=len(pts))
+        whole = SensorField(pts)
+        counts = sorted(data.draw(st.lists(st.integers(0, len(pts)), min_size=1,
+                                           max_size=5), label="counts"))
+        inc = Incident(id="s", start_hour=0, ignition_xy=tuple(circles[0, :2].tolist()))
+        cfg = EvolutionConfig(max_hours=float(len(circles) - 1))
+        assert (replay_detection(inc, circles, screened, cfg, counts)
+                == replay_detection(inc, circles, whole, cfg, counts))
+
+    def test_screened_deploy_replays_like_the_whole_draw(self):
+        # deployed fields: the sweep's screened deploy and the whole one
+        env = constant_env(20.0, 5.0, 0.05, nx=8, ny=8, spacing=2.0)
+        inc = mid_incident(env)
+        cfg = EvolutionConfig(snap_km=0.05, max_hours=12.0)
+        circles = circle_trajectory(inc, env, cfg)
+        counts = (0, 10, 300, 3000, 20000)
+        detected = 0
+        for seed in range(4):
+            whole = deploy_uniform(counts[-1], env.rect, seed)
+            screened = deploy_uniform(counts[-1], env.rect, seed, [screen_disk(circles)])
+            assert len(screened) < len(whole)
+            results = replay_detection(inc, circles, screened, cfg, counts)
+            assert results == replay_detection(inc, circles, whole, cfg, counts)
+            detected += sum(r.detected for r in results)
+        assert detected >= 8
 
     @pytest.mark.parametrize("counts", [(), (2, 1), (0, 3, 2), (-1, 1), (4,), (0, 1, 4)])
     def test_bad_counts_rejected(self, counts):

@@ -401,8 +401,8 @@ class TestQueryCount:
         deployed, replays = [], []
         real_deploy, real_replay = harness.deploy_uniform, harness.replay_detection
 
-        def recording(n, rect, seed):
-            deployed.append(real_deploy(n, rect, seed))
+        def recording(*args):
+            deployed.append(real_deploy(*args))
             return deployed[-1]
 
         def replaying(*args):
@@ -424,7 +424,7 @@ class TestQueryCount:
         # the baseline prices its circles, then the sweep each distinct one once
         swept = priced[len(incidents):]
         assert len(set(swept)) == len(swept) and swept
-        assert [len(f) for f in deployed] == [500] * cfg.trials
+        assert [f.drawn for f in deployed] == [500] * cfg.trials
         assert [f.seed for f in deployed] == [0, 1]
         assert len(replays) == cfg.trials * len(incidents) + len(incidents)
         assert replays.count(cfg.sensor_counts) == cfg.trials * len(incidents)

@@ -175,3 +175,20 @@ class TestReport:
             TrafficModel(reports_per_day=0.0, payload_bytes=50.0)
         with pytest.raises(ValidationError):
             TrafficModel(reports_per_day=2.0, payload_bytes=-1.0)
+
+    @pytest.mark.parametrize("payload", ["1e-300", "1e-320"])
+    def test_demand_too_small_to_count_against(self, tmp_path, capsys, payload):
+        # 1e-300 bytes makes the count overflow; at 1e-320 the rate underflows
+        code = main(["--out-dir", str(tmp_path), "--set",
+                     f"link.traffic.payload_bytes={payload}", "linkbudget"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: traffic payload_bytes=") and "runtime" not in err
+        assert not (tmp_path / "capacity_report.json").exists()
+
+    def test_smallest_countable_demand(self):
+        # a tiny demand that still counts keeps its exact floor
+        traffic = TrafficModel(reports_per_day=1.0, payload_bytes=1e-290)
+        rep = capacity_report(TABLE1_10DEG, traffic)
+        assert rep.supportable_sensors == math.floor(
+            rep.peak_rate_bps / per_sensor_bps(traffic))

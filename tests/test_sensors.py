@@ -6,6 +6,7 @@ import dataclasses
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from emberlink.envdata import Rect
 from emberlink.errors import ValidationError
-from emberlink.sensors import (SensorField, _cell_order, deploy_uniform,
-                               indices_within, load_sensors,
+from emberlink.sensors import (RASTER_CELLS, SensorField, _cell_order, _screen,
+                               deploy_uniform, indices_within, load_sensors,
                                nearest_index_within, save_sensors)
 
 RECT = Rect(0.0, 0.0, 100.0, 100.0)
@@ -124,6 +125,106 @@ class TestDeploy:
         with pytest.raises(ValidationError, match=re.escape(
                 f"deploy_uniform seed must be in [0, 2**128), got {seed}")):
             deploy_uniform(10, Rect(0, 0, 1, 1), seed)
+
+
+class TestScreenedDeploy:
+    """deploy_uniform with disks: one blocked draw, screened."""
+
+    @pytest.mark.parametrize("n", [65_535, 65_536, 65_537, 131_075])
+    def test_blocks_are_one_draw(self, n):
+        # over the unit square x0 + width * u is u itself; a disk covering
+        # the square keeps every sensor of every block
+        u = np.random.Generator(np.random.Philox(key=3)).random((n, 2))
+        square = Rect(0.0, 0.0, 1.0, 1.0)
+        full = deploy_uniform(n, square, seed=3)
+        screened = deploy_uniform(n, square, seed=3, disks=[((0.5, 0.5), 1.0)])
+        assert full.positions.tobytes() == u.tobytes()
+        assert screened.positions.tobytes() == u.tobytes()
+        assert screened.ids.tolist() == list(range(n)) and screened.drawn == n
+
+    @pytest.mark.parametrize("disks", [
+        [((20.0, 30.0), 4.0)],
+        [((20.0, 30.0), 4.0), ((21.0, 29.0), 0.5), ((99.9, 0.1), 7.0)],
+        [((-30.0, 50.0), 1.0)],  # off the region: nothing lies in it
+        [((50.0, 50.0), 0.0)],
+        [],
+    ])
+    def test_keeps_every_sensor_a_disk_holds(self, disks):
+        n = 70_000
+        full = deploy_uniform(n, RECT, seed=5)
+        f = deploy_uniform(n, RECT, seed=5, disks=disks)
+        assert f.drawn == n and f.seed == 5 and f.region == RECT
+        assert f.ids.dtype.kind == "i" and (np.diff(f.ids) > 0).all()
+        assert f.positions.tobytes() == full.positions[f.ids].tobytes()
+        inside = set()
+        for center, radius in disks:
+            inside.update(indices_within(full, center, radius).tolist())
+        assert inside <= set(f.ids.tolist())
+        # the raster keeps a few cells' worth of sensors past the disks
+        assert len(f) <= len(inside) + 0.01 * n
+
+    def test_overflowing_radius_keeps_everything(self):
+        f = deploy_uniform(1000, RECT, seed=1, disks=[((0.0, 0.0), sys.float_info.max)])
+        assert f.ids.tolist() == list(range(1000))
+
+    @pytest.mark.parametrize("rect", [Rect(0.0, 0.0, 1e12, 1e12),
+                                      Rect(-1e300, 0.0, 1e300, 1e-300),
+                                      Rect(3.0, 4.0, 0.0, 0.0)])
+    def test_raster_is_bounded_whatever_the_region(self, rect):
+        disks = [((rect.x0, rect.y0), 1.0), ((rect.x0 + rect.width_km / 2, rect.y0), 5e3)]
+        tracemalloc.start()
+        try:
+            keep = _screen(rect, disks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * RASTER_CELLS * RASTER_CELLS
+        f = deploy_uniform(5000, rect, seed=2)
+        assert set(keep(f.positions).tolist()) >= {
+            i for c, r in disks for i in indices_within(f, c, r).tolist()}
+
+    def test_positions_off_the_region_fall_in_its_edge_cells(self):
+        pts = np.array([[-5.0, 50.0], [105.0, 50.0], [50.0, -1e300], [50.0, 50.0]])
+        keep = _screen(RECT, [((-4.0, 50.0), 2.0), ((50.0, 0.0), 1.0)])
+        assert keep(pts).tolist() == [0, 2]
+
+    @pytest.mark.parametrize("field, value", [("x0", math.nan), ("y0", math.inf),
+                                              ("width_km", -1.0), ("height_km", math.inf)])
+    def test_bad_region_rejected(self, field, value):
+        rect = dataclasses.replace(RECT, **{field: value})
+        with pytest.raises(ValidationError, match=f"deploy region {field}"):
+            deploy_uniform(10, rect, seed=0, disks=[((0.0, 0.0), 1.0)])
+
+
+class TestSubsetFields:
+    def test_own_draw(self):
+        f = SensorField([[0.0, 0.0], [1.0, 1.0]])
+        assert f.ids is None and f.drawn == 2
+
+    @pytest.mark.parametrize("ids, drawn, field", [
+        ([0, 3], None, "ids and drawn"),
+        (None, 4, "ids and drawn"),
+        ([0, 3], 1, "drawn"),
+        ([0, 3], 4.0, "drawn"),
+        ([0, 3], True, "drawn"),
+        ([0, 3], math.nan, "drawn"),
+        ([3, 0], 4, "ids"),
+        ([1, 1], 4, "ids"),
+        ([-1, 3], 4, "ids"),
+        ([0, 4], 4, "ids"),
+        ([0], 4, "ids"),
+        ([0.0, 3.0], 4, "ids"),
+        ([[0, 3]], 4, "ids"),
+    ])
+    def test_bad_ids_or_drawn_rejected(self, ids, drawn, field):
+        with pytest.raises(ValidationError, match=f"sensor field {field}"):
+            SensorField([[0.0, 0.0], [1.0, 1.0]], ids=ids, drawn=drawn)
+
+    def test_subset_kept(self):
+        f = SensorField([[0.0, 0.0], [1.0, 1.0]], ids=np.array([2, 7]), drawn=8)
+        assert f.ids.tolist() == [2, 7] and f.drawn == 8 and len(f) == 2
+        empty = SensorField([], ids=np.empty(0, dtype=np.int64), drawn=5)
+        assert len(empty) == 0 and empty.drawn == 5
 
 
 class TestQueries:
@@ -438,6 +539,12 @@ class TestPersistence:
         np.testing.assert_array_equal(f.positions, g.positions)
         assert g.seed == 17
         assert g.region == f.region
+
+    def test_screened_field_is_not_saved(self, tmp_path):
+        f = deploy_uniform(100, RECT, seed=2, disks=[((50.0, 50.0), 5.0)])
+        with pytest.raises(ValidationError, match=f"keeps {len(f)} of its 100 draws"):
+            save_sensors(f, tmp_path / "s.csv")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_regeneration_from_provenance(self, tmp_path):
         f = deploy_uniform(64, RECT, seed=23)
