@@ -17,11 +17,14 @@ raises.
 Deployments from one seed nest: deploy_uniform(n) is a bitwise prefix
 of deploy_uniform(N) for n <= N, so the first n sensors of one deployed
 field stand for the n-sensor deployment (see evolution.replay_detection).
-The draw runs in blocks of at most BLOCK_ROWS sensors. Given disks, a
-deployment is screened: it keeps only the sensors that a disk query
-could find in some disk, and the field records their draw indices (ids)
-and how many were drawn, so a replay against it answers for the whole
-draw while the whole draw is never held.
+The draw runs in blocks of at most BLOCK_ROWS sensors of raw Philox
+words, each the variate Generator.random makes of it. Given disks, a
+deployment is screened before its words become positions: a raster over
+the unit square of variates marks the cells whose positions a disk query
+could find in some disk, a row is kept when the top bits of its two
+words name a marked cell, and only kept rows are placed. The field
+records their draw indices (ids) and how many were drawn, so a replay
+against it answers for the whole draw while the whole draw is never held.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,10 +47,15 @@ MIN_CELL_KM = 0.25
 # sensors per grid cell of a spread-out field: fewer, larger cells make
 # a smaller and faster build, and a screen's disk still spans few cells
 CELL_SENSORS = 64
-# most sensors one deploy_uniform draw makes at a time
-BLOCK_ROWS = 1 << 16
-# cells per side of the raster a screened deployment marks its disks on,
-# whatever the region's size
+# most sensors one deploy_uniform draw makes at a time: a block's 256 KB
+# of words and its cell numbers are small enough that the allocator
+# reuses their memory for the next block; at 65,536 rows it handed it
+# back to the system each block, and a bundled sweep's deploys took
+# ~200k page faults
+BLOCK_ROWS = 1 << 14
+# cells per side of the raster over the unit square of variates that a
+# screened deployment marks its disks on, whatever the region's size; a
+# power of two, so a word's cell is its top bits
 RASTER_CELLS = 512
 
 _Grid = tuple[float, float, float, int, int, np.ndarray, np.ndarray]
@@ -259,49 +266,55 @@ def nearest_index_within(field_: SensorField, center: tuple[float, float],
     return int(hits[dist2 == dist2.min()].min())
 
 
+def _affine(u: np.ndarray, rect: Rect) -> np.ndarray:
+    """The (k, 2) variates u made, in place, into positions: bitwise
+    x0 + width * u per column (IEEE * and + commute), one column at a
+    time, as broadcasting a pair over (k, 2) runs a length-2 inner loop.
+    Monotone in u, as width >= 0."""
+    u[:, 0] *= rect.width_km
+    u[:, 0] += rect.x0
+    u[:, 1] *= rect.height_km
+    u[:, 1] += rect.y0
+    return u
+
+
 def _screen(rect: Rect, disks: Iterable[_Disk]) -> Callable[[np.ndarray], np.ndarray]:
-    """keep(positions): the ascending indices of the (k, 2) positions that a
-    disk query (indices_within) could find in some (center, radius) disk.
+    """keep(words): the ascending indices of the (k, 2) Philox words (see
+    deploy_uniform) whose positions over rect a disk query (indices_within)
+    could find in some (center, radius) disk.
 
-    A RASTER_CELLS-square raster over rect marks the cells of each disk's
-    bounding box, widened by the query's _reach. A position's cell and a
-    box's bounds come from one formula, floor((v - origin) / side) clamped
-    onto the raster, which is monotone in v: any position the query
-    accepts lies in a marked cell. A disk whose reach overflows marks
-    every cell, and positions off rect fall in its edge cells.
+    The raster is RASTER_CELLS square over the unit square of variates. A
+    word r is the variate u = (r >> 11) * 2**-53, so its cell along an
+    axis, floor(u * RASTER_CELLS), is exactly its top bits. Cell j's
+    edges are the positions _affine gives the edge variates
+    j / RASTER_CELLS and (j + 1) / RASTER_CELLS, and as _affine is
+    monotone every position of the cell lies between them. Each disk
+    marks every cell whose edge interval meets its bounding box, widened
+    by the query's _reach, so any position the query accepts lies in a
+    marked cell; a disk whose reach overflows marks every cell.
     """
-    origin = (rect.x0, rect.y0)
-    # a zero span still has positive cells, all positions in the first
-    sides = [max(span / RASTER_CELLS, sys.float_info.min)
-             for span in (rect.width_km, rect.height_km)]
-
-    def cell(v: float, k: int) -> int:
-        return min(max(_floor_within((v - origin[k]) / sides[k], RASTER_CELLS), 0),
-                   RASTER_CELLS - 1)
-
+    edges = _affine(np.outer(np.arange(RASTER_CELLS + 1) / RASTER_CELLS, (1.0, 1.0)), rect)
+    disks = list(disks)
+    centers = np.array([c for c, _ in disks], dtype=float).reshape(-1, 2)
     marked = np.zeros((RASTER_CELLS, RASTER_CELLS), dtype=bool)
-    # a bound that overflows is inf, without a warning, and lands in an
-    # edge cell
+    # a reach or bound that overflows is inf, without a warning
     with np.errstate(over="ignore"):
-        for (cx, cy), radius in disks:
-            reach = _reach(radius)
-            marked[cell(cx - reach, 0):cell(cx + reach, 0) + 1,
-                   cell(cy - reach, 1):cell(cy + reach, 1) + 1] = True
+        reach = np.array([_reach(r) for _, r in disks], dtype=float).reshape(-1, 1)
+        lo, hi = centers - reach, centers + reach
+    # per axis, the first cell whose far edge reaches lo and the cell
+    # past the last whose near edge is at most hi
+    first = [np.searchsorted(edges[1:, k], lo[:, k]) for k in (0, 1)]
+    stop = [np.searchsorted(edges[:-1, k], hi[:, k], side="right") for k in (0, 1)]
+    for i0, i1, j0, j1 in zip(first[0], stop[0], first[1], stop[1]):
+        marked[i0:i1, j0:j1] = True
     marked = marked.ravel()
+    bits = RASTER_CELLS.bit_length() - 1
+    shift = 64 - bits
 
-    def column(pos: np.ndarray, k: int) -> np.ndarray:
-        # cell() of each position: truncating a value clamped onto
-        # [0, RASTER_CELLS - 1] is clamping its floor
-        c = pos[:, k] - origin[k]
-        c /= sides[k]
-        np.maximum(c, 0, out=c)
-        np.minimum(c, RASTER_CELLS - 1, out=c)
-        return c.astype(np.intp)
-
-    def keep(pos: np.ndarray) -> np.ndarray:
-        flat = column(pos, 0)
-        flat *= RASTER_CELLS
-        flat += column(pos, 1)
+    def keep(words: np.ndarray) -> np.ndarray:
+        flat = words[:, 0] >> shift
+        flat <<= bits
+        flat |= words[:, 1] >> shift
         return np.flatnonzero(marked.take(flat))
 
     return keep
@@ -319,32 +332,31 @@ def deploy_uniform(n: int, rect: Rect, seed: int,
     in some disk (every one it does find, and a few more), so any query
     inside those disks answers as against the whole field.
     """
-    check_range("sensor count", n, finite=False)
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0):
+        raise ValidationError(f"sensor count must be a non-negative integer, got {n!r}")
     check_seed("deploy_uniform seed", seed)
     for name, lo in (("x0", -math.inf), ("y0", -math.inf), ("width_km", 0),
                      ("height_km", 0)):
         check_range(f"deploy region {name}", getattr(rect, name), lo)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    stream = np.random.Philox(key=seed)
     keep = None if disks is None else _screen(rect, disks)
-    pos = np.empty((n if keep is None else min(n, BLOCK_ROWS), 2))
+    pos = np.empty((n, 2)) if keep is None else None
     kept, ids = [np.empty((0, 2))], [np.empty(0, dtype=np.int64)]
     for start in range(0, n, BLOCK_ROWS):
-        # the stream fills in C order, so the blocks are bitwise one
-        # (n, 2) draw
-        block = (pos[start:start + BLOCK_ROWS] if keep is None
-                 else pos[:min(n - start, BLOCK_ROWS)])
-        rng.random(out=block)
-        # in place, bitwise x0 + width * u (IEEE * and + commute); one
-        # column at a time, as broadcasting a pair over (k, 2) runs a
-        # length-2 inner loop
-        block[:, 0] *= rect.width_km
-        block[:, 0] += rect.x0
-        block[:, 1] *= rect.height_km
-        block[:, 1] += rect.y0
-        if keep is not None:
-            at = keep(block)
-            kept.append(block[at])
+        # the stream's words fill in C order, so the blocks are bitwise
+        # one (n, 2) draw; word r is the variate (r >> 11) * 2**-53, as
+        # Generator.random makes it, and only the kept rows are placed
+        words = stream.random_raw((min(n - start, BLOCK_ROWS), 2))
+        if keep is None:
+            out = pos[start:start + len(words)]
+        else:
+            at = keep(words)
+            words = words[at]
+            out = np.empty(words.shape)
+            kept.append(out)
             ids.append(at + start)
+        words >>= 11
+        _affine(np.multiply(words, 2.0 ** -53, out=out), rect)
     if keep is None:
         return SensorField(positions=pos, seed=seed, region=rect)
     return SensorField(positions=np.concatenate(kept), seed=seed, region=rect,

@@ -683,24 +683,32 @@ class TestTrajectoryReplay:
             x, y, _ = circles[-1]
             big = data.draw(st.sampled_from([1e200, 1e308]), label="radius")
             circles = np.vstack([circles, [x, y, big]])
-        pts = list(pts) or [tuple(circles[0, :2])]
-        xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+        pts = np.array(list(pts) or [tuple(circles[0, :2])])
         margin = data.draw(st.sampled_from([0.0, 1.0, 300.0]), label="margin")
-        rect = Rect(min(xs) - margin, min(ys) - margin,
-                    max(xs) - min(xs) + 2 * margin, max(ys) - min(ys) + 2 * margin)
-        # sensors on raster cell edges, and on the region's far edges
-        sides = (rect.width_km / RASTER_CELLS, rect.height_km / RASTER_CELLS)
+        lo, hi = pts.min(axis=0) - margin, pts.max(axis=0) + margin
+        rect = Rect(float(lo[0]), float(lo[1]), float(hi[0] - lo[0]), float(hi[1] - lo[1]))
+        # the draw, in units of 2**-53: each sensor's variate rounded down,
+        # so each drawn sensor lies within a rounding of a case's sensor;
+        # then variates on raster cell edges or just below them, and the
+        # largest below 1
+        span = np.array([rect.width_km, rect.height_km])
+        m = np.floor((pts - lo) / np.where(span > 0, span, 1.0) * 2.0 ** 53)
+        m = np.clip(m, 0, 2 ** 53 - 1).astype(np.uint64).tolist()
+        edge = 2 ** 53 // RASTER_CELLS
+        variate = (st.integers(0, RASTER_CELLS - 1).map(lambda j: j * edge)
+                   | st.integers(1, RASTER_CELLS).map(lambda j: j * edge - 1))
         for _ in range(data.draw(st.integers(0, 6), label="edges")):
-            i, j = data.draw(st.tuples(*[st.integers(0, RASTER_CELLS)] * 2), label="cell")
-            pts.append((min(rect.x0 + i * sides[0], rect.x0 + rect.width_km),
-                        min(rect.y0 + j * sides[1], rect.y0 + rect.height_km)))
-        pts.append((rect.x0 + rect.width_km, rect.y0 + rect.height_km))
-        pts = np.array(data.draw(st.permutations(pts), label="order"))
+            m.append(data.draw(st.tuples(variate, variate), label="edge variates"))
+        m.append((2 ** 53 - 1, 2 ** 53 - 1))
+        m = np.array(data.draw(st.permutations(m), label="order"), dtype=np.uint64)
+        # the words' positions, x0 + width * u per column
+        u = m * 2.0 ** -53
+        pts = np.column_stack((rect.x0 + rect.width_km * u[:, 0],
+                               rect.y0 + rect.height_km * u[:, 1]))
         disks = [screen_disk(circles)] + data.draw(st.lists(st.tuples(
             st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
             st.floats(0.0, 50.0)), max_size=2), label="disks")
-        ids = _screen(rect, disks)(pts)
-        # (min + (max - min) can round below max, so rect is no region)
+        ids = _screen(rect, disks)(m << np.uint64(11))
         screened = SensorField(pts[ids], ids=ids, drawn=len(pts))
         whole = SensorField(pts)
         counts = sorted(data.draw(st.lists(st.integers(0, len(pts)), min_size=1,

@@ -7,19 +7,61 @@ import math
 import re
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from emberlink import sensors
 from emberlink.envdata import Rect
 from emberlink.errors import ValidationError
-from emberlink.sensors import (RASTER_CELLS, SensorField, _cell_order, _screen,
-                               deploy_uniform, indices_within, load_sensors,
+from emberlink.sensors import (BLOCK_ROWS, RASTER_CELLS, SensorField, _cell_order,
+                               _screen, deploy_uniform, indices_within, load_sensors,
                                nearest_index_within, save_sensors)
 
 RECT = Rect(0.0, 0.0, 100.0, 100.0)
+# regions a screen is checked over: ordinary ones, a zero span, a 1e300
+# span, and one where x0 + width * u takes only a few floats
+SCREEN_RECTS = [RECT, Rect(-1e3, -2e3, 1010.0, 1110.0), Rect(3.0, 4.0, 0.0, 0.0),
+                Rect(-1e300, 0.0, 1e300, 1e300), Rect(1e15, 1e15, 1.0, 1.0),
+                Rect(1e15, -5.0, 1.0, 0.0)]
+# the variate j / RASTER_CELLS, which opens raster cell j, in units of 2**-53
+EDGE = 2 ** 53 // RASTER_CELLS
+# variates of the RASTER_CELLS + 1 cell edges along both axes
+EDGE_VARIATES = np.outer(np.arange(RASTER_CELLS + 1) / RASTER_CELLS, [1.0, 1.0])
+# a variate in units of 2**-53: an edge one, the one just below an edge
+# (nextafter(j / RASTER_CELLS, 0) where doubles are that fine, from
+# j = RASTER_CELLS / 2 on), 0, the largest below 1, or any
+VARIATE = (st.integers(0, RASTER_CELLS - 1).map(lambda j: j * EDGE)
+           | st.integers(1, RASTER_CELLS).map(lambda j: j * EDGE - 1)
+           | st.sampled_from([0, 2 ** 53 - 1]) | st.integers(0, 2 ** 53 - 1))
+RADIUS = (st.sampled_from([0.0, 5e-324, 1e-300, 0.0625, 0.2, 2.0, 1e154, 1e300])
+          | st.floats(0.0, 1e3))
+
+
+def variates(words: np.ndarray) -> np.ndarray:
+    """The variates Generator.random makes of Philox words."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def affine_positions(u: np.ndarray, rect: Rect) -> np.ndarray:
+    """x0 + width * u per column of (k, 2) variates."""
+    return np.column_stack((rect.x0 + rect.width_km * u[:, 0],
+                            rect.y0 + rect.height_km * u[:, 1]))
+
+
+class WordStream:
+    """Stands in for np.random.Philox(key=...): hands out the given (k, 2)
+    words in order."""
+
+    def __init__(self, words: np.ndarray):
+        self.words, self.at = words.reshape(-1), 0
+
+    def random_raw(self, size: tuple[int, int]) -> np.ndarray:
+        self.at += size[0] * size[1]
+        return self.words[self.at - size[0] * size[1]:self.at].reshape(size).copy()
 
 
 def brute_within(field_: SensorField, center, radius) -> np.ndarray:
@@ -120,6 +162,22 @@ class TestDeploy:
         with pytest.raises(ValidationError):
             deploy_uniform(-1, RECT, seed=0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, math.inf, math.nan, True, -1, "3", None])
+    @pytest.mark.parametrize("disks", [None, [((0.5, 0.5), 1.0)]])
+    def test_count_must_be_a_non_negative_integer(self, n, disks):
+        # whole and screened deploys alike
+        with pytest.raises(ValidationError, match=re.escape(
+                f"sensor count must be a non-negative integer, got {n!r}")):
+            deploy_uniform(n, Rect(0.0, 0.0, 1.0, 1.0), 0, disks)
+
+    @pytest.mark.parametrize("n", [np.int64(70_000), np.uint16(5)])
+    @pytest.mark.parametrize("disks", [None, [((0.5, 0.5), 1.0)]])
+    def test_numpy_integer_counts(self, n, disks):
+        square = Rect(0.0, 0.0, 1.0, 1.0)
+        got, want = deploy_uniform(n, square, 3, disks), deploy_uniform(int(n), square, 3, disks)
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert got.drawn == int(n)
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 128])
     def test_seed_outside_philox_keys(self, seed):
         with pytest.raises(ValidationError, match=re.escape(
@@ -179,14 +237,92 @@ class TestScreenedDeploy:
         finally:
             tracemalloc.stop()
         assert peak < 2 * RASTER_CELLS * RASTER_CELLS
-        f = deploy_uniform(5000, rect, seed=2)
-        assert set(keep(f.positions).tolist()) >= {
+        words = np.random.Philox(key=2).random_raw((5000, 2))
+        f = SensorField(affine_positions(variates(words), rect))
+        assert set(keep(words).tolist()) >= {
             i for c, r in disks for i in indices_within(f, c, r).tolist()}
 
-    def test_positions_off_the_region_fall_in_its_edge_cells(self):
-        pts = np.array([[-5.0, 50.0], [105.0, 50.0], [50.0, -1e300], [50.0, 50.0]])
-        keep = _screen(RECT, [((-4.0, 50.0), 2.0), ((50.0, 0.0), 1.0)])
-        assert keep(pts).tolist() == [0, 2]
+    def test_words_are_the_generators_variates(self):
+        # the variate of a Philox word r is (r >> 11) * 2**-53, over a
+        # block boundary as within a block
+        n = BLOCK_ROWS + 3
+        stream = np.random.Philox(key=4)
+        words = np.concatenate([stream.random_raw((BLOCK_ROWS, 2)), stream.random_raw((3, 2))])
+        u = np.random.Generator(np.random.Philox(key=4)).random((n, 2))
+        assert variates(words).tobytes() == u.tobytes()
+
+    def test_edge_variates_fall_in_their_cells(self):
+        # the variate j / RASTER_CELLS opens cell j, the one just below it
+        # closes cell j - 1, and 0 and the largest variate below 1 lie in
+        # the first and last cells
+        j = 300
+        mid = (j + 0.5) * 100.0 / RASTER_CELLS
+        keep = _screen(RECT, [((mid, mid), 0.0), ((0.0, 0.0), 0.0), ((100.0, 100.0), 0.0)])
+        at = [j * EDGE, j * EDGE - 1, (j + 1) * EDGE - 1, (j + 1) * EDGE, 0, 2 ** 53 - 1]
+        m = np.array([[at[0], at[2]], [at[1], at[0]], [at[2], at[2]], [at[3], at[0]],
+                      [at[4], at[4]], [at[5], at[5]], [at[4], at[5]]], dtype=np.uint64)
+        assert keep(m << np.uint64(11)).tolist() == [0, 2, 4, 5]
+
+    def test_reach_covers_the_disk_tests_rounding(self):
+        # the disk test accepts the sensor on the edge of cell 300, though
+        # center + radius rounds below that edge: the reach keeps it
+        c, r = -10.16227727258292, 68.75602727258291
+        assert c + r < 300 * 100.0 / RASTER_CELLS
+        words = np.array([[300 * EDGE, 2 ** 52]], dtype=np.uint64) << np.uint64(11)
+        field_ = SensorField(affine_positions(variates(words), RECT))
+        assert field_.positions.tolist() == [[300 * 100.0 / RASTER_CELLS, 50.0]]
+        assert indices_within(field_, (c, 50.0), r).tolist() == [0]
+        assert _screen(RECT, [((c, 50.0), r)])(words).tolist() == [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rect=st.sampled_from(SCREEN_RECTS), data=st.data())
+    def test_screen_keeps_what_a_query_finds(self, rect, data):
+        # words at cell edges, just below them and at both ends of [0, 1),
+        # disks on and about the edge positions and the sensors: a screened
+        # deploy keeps every sensor a query over the whole draw finds, and
+        # each kept row is bitwise the whole draw's row
+        m = np.array(data.draw(st.lists(st.tuples(VARIATE, VARIATE), min_size=1,
+                                        max_size=40), label="variates"), dtype=np.uint64)
+        words = (m << np.uint64(11)) | np.uint64(data.draw(st.integers(0, 2047),
+                                                           label="low bits"))
+        pos = affine_positions(variates(words), rect)
+        anchors = np.vstack([pos, affine_positions(EDGE_VARIATES, rect)])
+        disks = []
+        for _ in range(data.draw(st.integers(1, 4), label="disks")):
+            center = anchors[data.draw(st.integers(0, len(anchors) - 1), label="anchor")]
+            nudge = data.draw(st.tuples(*[st.sampled_from([0.0, 1.0, -1.0])] * 2),
+                              label="nudge")
+            disks.append((tuple(float(np.nextafter(v, v + d)) if d else float(v)
+                                for v, d in zip(center, nudge)),
+                          data.draw(RADIUS, label="radius")))
+        block = data.draw(st.sampled_from([1, 3, BLOCK_ROWS]), label="block rows")
+        kept = _screen(rect, disks)(words)
+        found = {i for c, r in disks for i in indices_within(SensorField(pos), c, r).tolist()}
+        assert found <= set(kept.tolist())
+        # deploy_uniform over a stream of these words, in blocks of block
+        # rows: the whole draw is the affine formula, and the screened draw
+        # keeps its rows
+        with (mock.patch.object(sensors, "BLOCK_ROWS", block),
+              mock.patch.object(np.random, "Philox", lambda key: WordStream(words))):
+            whole = deploy_uniform(len(words), rect, 0)
+            screened = deploy_uniform(len(words), rect, 0, disks)
+        assert whole.positions.tobytes() == pos.tobytes()
+        assert screened.ids.tolist() == kept.tolist() and screened.drawn == len(words)
+        assert screened.positions.tobytes() == pos[kept].tobytes()
+
+    @pytest.mark.parametrize("rect", SCREEN_RECTS)
+    def test_every_edge_variate_is_kept_by_its_edge_disks(self, rect):
+        # all the variates that open or close a cell, against disks at
+        # every 37th edge position: what a query finds is kept
+        m = np.arange(1, RASTER_CELLS + 1, dtype=np.uint64) * np.uint64(EDGE)
+        m = np.concatenate([m - np.uint64(1), m[:-1], np.zeros(1, dtype=np.uint64)])
+        words = np.column_stack((m, m[::-1])) << np.uint64(11)
+        field_ = SensorField(affine_positions(variates(words), rect))
+        edges = affine_positions(EDGE_VARIATES, rect)
+        disks = [((float(x), float(y)), radius) for x, y in edges[::37]
+                 for radius in (0.0, 1e-300)]
+        kept = set(_screen(rect, disks)(words).tolist())
+        assert {i for c, r in disks for i in indices_within(field_, c, r).tolist()} <= kept
 
     @pytest.mark.parametrize("field, value", [("x0", math.nan), ("y0", math.inf),
                                               ("width_km", -1.0), ("height_km", math.inf)])
