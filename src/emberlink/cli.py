@@ -33,7 +33,7 @@ from .envdata import (GeoTransform, SynthSpec, check_seed, load_biomass,
                       load_env_grid, load_incidents, read_json, save_env_grid,
                       synth_env)
 from .errors import ValidationError, check_range
-from .evolution import replay_detection, trace_rows
+from .evolution import replay_detection, screen_disk, trace_rows
 from .harness import (atomic_write_text, read_season_bundle, season_scenario,
                       write_manifest, write_summary_csv, write_sweep_csv)
 from .sensors import SensorField, deploy_uniform, load_sensors
@@ -169,15 +169,15 @@ def cmd_simulate(config: dict, bundle: dict | None,
     incident = next((inc for inc in incidents if inc.id == args.incident), None)
     if incident is None:
         raise ValidationError(f"incident id '{args.incident}' not found")
-    if sensors_csv:
-        field_ = load_sensors(sensors_csv)
-    elif args.deploy is not None:
-        field_ = deploy_uniform(args.deploy, env.rect, args.seed or 0)
-    else:
-        field_ = SensorField(positions=[])
+    field_ = load_sensors(sensors_csv) if sensors_csv else SensorField(positions=[])
     # one evolution feeds the replay and the trace
     circles, frontier_sizes = trace_rows(incident, env, evo)
-    [result] = replay_detection(incident, circles, field_, evo, (len(field_),))
+    if args.deploy is not None:
+        # screened as a sweep's trial is: only the sensors near the fire
+        # are held, however many are drawn
+        field_ = deploy_uniform(args.deploy, env.rect, args.seed or 0,
+                                [screen_disk(circles)])
+    [result] = replay_detection(incident, circles, field_, evo, (field_.drawn,))
     out_dir = Path(config["out_dir"])
     payload = asdict(result)
     atomic_write_text(out_dir / f"incident_{incident.id}.json",

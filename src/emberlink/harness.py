@@ -17,8 +17,8 @@ is looked up once. The deploy is screened with the incidents' screen
 disks, taken once per sweep: a trial draws its sensors in blocks of raw
 random words, keeps a row when its words' raster cell lies near some
 incident (about 0.66 % of a 1M-sensor draw for the bundled season), and
-turns only the kept rows into positions, so it never holds or indexes
-the whole field.
+turns only the kept rows into positions, so it never holds the whole
+field.
 Outputs are reduced in (count, trial, incident) order and are
 byte-identical for any worker count. A scenario bundle's sweep
 and evolution sections go through config.merge, as the CLI's do.

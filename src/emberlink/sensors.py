@@ -2,17 +2,11 @@
 
 A field is a flat (n, 2) array of planar sensor positions (km), plus the
 deployment provenance needed to regenerate it: the RNG seed and the
-region rectangle. A field is checked, and its bounding box kept, from
-four column reductions. Proximity queries run against a lazily built
-cell grid over that box, stored as CSR offsets into a cell-sorted
-sensor order. The cell side is sqrt(CELL_SENSORS * area / n), capped
-at the larger span and at least that span / n, so a spread-out field
-has about n / CELL_SENSORS cells and any field at most
-2n + n / CELL_SENSORS + 1: memory stays O(n) however far apart the
-sensors lie, and a query touches only the cells its disk overlaps.
-Results are always exact; the grid only narrows the candidate set. A
-field whose extent overflows a float has no grid, and its first query
-raises.
+region rectangle. A field is checked, and its bounding box taken, from
+four column reductions; a field whose extent overflows a float is
+refused. A query tests every sensor of the field; the fields sweep and
+simulate deploy are screened (see below), so they hold only the
+sensors near their incidents.
 
 Deployments from one seed nest: deploy_uniform(n) is a bitwise prefix
 of deploy_uniform(N) for n <= N, so the first n sensors of one deployed
@@ -33,7 +27,7 @@ import csv
 import math
 import numbers
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,12 +35,6 @@ import numpy as np
 from .envdata import Rect, check_seed
 from .errors import ValidationError, check_range
 
-# smallest grid cell (km); keeps cells positive for coincident or
-# collinear sensors
-MIN_CELL_KM = 0.25
-# sensors per grid cell of a spread-out field: fewer, larger cells make
-# a smaller and faster build, and a screen's disk still spans few cells
-CELL_SENSORS = 64
 # most sensors one deploy_uniform draw makes at a time: a block's 256 KB
 # of words and its cell numbers are small enough that the allocator
 # reuses their memory for the next block; at 65,536 rows it handed it
@@ -58,7 +46,6 @@ BLOCK_ROWS = 1 << 14
 # power of two, so a word's cell is its top bits
 RASTER_CELLS = 512
 
-_Grid = tuple[float, float, float, int, int, np.ndarray, np.ndarray]
 _Disk = tuple[tuple[float, float], float]  # (center, radius)
 
 
@@ -72,7 +59,7 @@ class SensorField:
     A screened field (see deploy_uniform) holds part of a draw of drawn
     sensors: sensor i is draw ids[i], ids ascending. A field without
     ids is its own draw, and its drawn is its length. The field is
-    frozen, as its box and grid are taken from its positions.
+    frozen, as its positions are checked once, at construction.
     """
 
     positions: np.ndarray
@@ -80,10 +67,6 @@ class SensorField:
     region: Rect | None = None
     ids: np.ndarray | None = None
     drawn: int | None = None
-    _grid: _Grid | None = field(default=None, init=False, repr=False, compare=False)
-    # (x min, y min, x max, y max) of a non-empty field
-    _box: tuple[float, float, float, float] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=float)
@@ -99,16 +82,19 @@ class SensorField:
             box = (float(x.min()), float(y.min()), float(x.max()), float(y.max()))
             if not all(map(math.isfinite, box)):
                 raise ValidationError("sensor positions contain non-finite values")
+            x0, y0, x1, y1 = box
+            if not (x1 - x0 < math.inf and y1 - y0 < math.inf):
+                raise ValidationError(f"sensor positions span x {x0} to {x1} and "
+                                      f"y {y0} to {y1} km, an extent past any float")
             r = self.region
-            if r is not None and not (r.x0 <= box[0] and box[2] <= r.x0 + r.width_km
-                                      and r.y0 <= box[1] and box[3] <= r.y0 + r.height_km):
+            if r is not None and not (r.x0 <= x0 and x1 <= r.x0 + r.width_km
+                                      and r.y0 <= y0 and y1 <= r.y0 + r.height_km):
                 ok = ((x >= r.x0) & (x <= r.x0 + r.width_km)
                       & (y >= r.y0) & (y <= r.y0 + r.height_km))
                 bad = int(np.flatnonzero(~ok)[0])
                 raise ValidationError(
                     f"sensor {bad} at ({pos[bad, 0]}, {pos[bad, 1]}) lies outside "
                     f"the field region {r}")
-            object.__setattr__(self, "_box", box)
         object.__setattr__(self, "positions", pos)
         n = len(pos)
         if (self.ids is None) != (self.drawn is None):
@@ -131,75 +117,6 @@ class SensorField:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def _index(self) -> _Grid:
-        """(x0, y0, cell, nx, ny, starts, order): sensors of grid cell
-        (i, j) are order[starts[i * ny + j]:starts[i * ny + j + 1]]."""
-        if self._grid is None:
-            n = len(self)
-            x, y = self.positions[:, 0], self.positions[:, 1]
-            x0, y0, x1, y1 = self._box
-            wx, wy = x1 - x0, y1 - y0
-            if not wx + wy < math.inf:
-                raise ValidationError(f"sensor positions span x {x0} to {x1} and "
-                                      f"y {y0} to {y1} km, an extent past any float")
-            # an overflowing CELL_SENSORS * wx * wy takes the whole span
-            span = max(wx, wy)
-            cell = max(min(math.sqrt(CELL_SENSORS * wx * wy / n), span), span / n,
-                       MIN_CELL_KM)
-            # floor((v - v0) / cell) is monotone in v, so the box's far
-            # corner is in the last cell of each axis
-            nx, ny = math.floor(wx / cell) + 1, math.floor(wy / cell) + 1
-            # cell numbers i * ny + j, exact in float64 below 2**53,
-            # built in one float scratch array and the int64 result
-            f = y - y0
-            f /= cell
-            np.floor(f, out=f)
-            flat = f.astype(np.int64)
-            np.subtract(x, x0, out=f)
-            f /= cell
-            np.floor(f, out=f)
-            f *= ny
-            np.add(flat, f, out=flat, casting="unsafe")
-            del f
-            starts = np.zeros(nx * ny + 1, dtype=np.int64)
-            np.cumsum(np.bincount(flat, minlength=nx * ny), out=starts[1:])
-            object.__setattr__(self, "_grid", (x0, y0, cell, nx, ny, starts,
-                                               _cell_order(flat, nx * ny)))
-        return self._grid
-
-    def _candidates(self, center: tuple[float, float], radius: float) -> np.ndarray:
-        # reaching _reach(radius) past the center with the build's monotone
-        # floor formula keeps every sensor the disk test accepts a candidate
-        x0, y0, cell, nx, ny, starts, order = self._index()
-        reach = _reach(radius)
-        i0 = max(_floor_within((center[0] - reach - x0) / cell, nx), 0)
-        i1 = min(_floor_within((center[0] + reach - x0) / cell, nx), nx - 1)
-        j0 = max(_floor_within((center[1] - reach - y0) / cell, ny), 0)
-        j1 = min(_floor_within((center[1] + reach - y0) / cell, ny), ny - 1)
-        if i0 > i1 or j0 > j1:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([order[starts[i * ny + j0]:starts[i * ny + j1 + 1]]
-                               for i in range(i0, i1 + 1)])
-
-
-def _cell_order(flat: np.ndarray, cells: int) -> np.ndarray:
-    """Indices that sort flat (cell numbers below cells) by cell, each
-    cell's sensors in index order; flat is consumed.
-
-    One value sort of the int64 keys cell << bits | index, as prune does;
-    a grid too large for those keys to fit in int64 takes a stable
-    argsort, which gives the same order.
-    """
-    n = flat.size
-    bits = (n - 1).bit_length()
-    if cells << bits > 2 ** 63:
-        return np.argsort(flat, kind="stable")
-    flat <<= bits
-    flat |= np.arange(n)
-    flat.sort()
-    flat &= (1 << bits) - 1
-    return flat
-
 
 def _reach(radius: float) -> float:
     """How far from a disk query's center, along either axis, its rounded
@@ -208,13 +125,6 @@ def _reach(radius: float) -> float:
     reaches past that margin. Once radius * radius overflows, the test
     accepts every sensor (any squared distance <= inf): the reach is inf."""
     return radius * (1.0 + 1e-12) + 1e-150 if radius * radius < math.inf else math.inf
-
-
-def _floor_within(v: float, cells: int) -> int:
-    """floor(v) for a cell bound, clamped to [-1, cells]: the clamp only
-    moves bounds that lie off the grid, and keeps an infinite bound (an
-    overflowed center +- reach) from raising in math.floor."""
-    return math.floor(min(max(v, -1.0), float(cells)))
 
 
 def squared_distances(x: np.ndarray, y: np.ndarray, cx, cy) -> np.ndarray:
@@ -232,26 +142,23 @@ def squared_distances(x: np.ndarray, y: np.ndarray, cx, cy) -> np.ndarray:
 
 def _inside(field_: SensorField, center: tuple[float, float],
             radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unsorted (indices, squared distances) of the sensors in the closed disk."""
+    """(ascending indices, squared distances) of the sensors in the closed
+    disk: one squared_distances pass over the whole field."""
     check_range("radius", radius)
     for v in center:
         check_range("center", v, -math.inf)
-    # Python floats: numpy scalars would warn where the reach overflows
+    # Python floats: a numpy scalar radius would warn where its square overflows
     center, radius = (float(center[0]), float(center[1])), float(radius)
-    cand = (field_._candidates(center, radius) if len(field_)
-            else np.empty(0, dtype=np.int64))
-    if cand.size == 0:
-        return cand, np.empty(0)
-    dist2 = squared_distances(field_.positions[cand, 0], field_.positions[cand, 1],
+    dist2 = squared_distances(field_.positions[:, 0], field_.positions[:, 1],
                               center[0], center[1])
-    inside = dist2 <= radius * radius
-    return cand[inside], dist2[inside]
+    inside = np.flatnonzero(dist2 <= radius * radius)
+    return inside, dist2[inside]
 
 
 def indices_within(field_: SensorField, center: tuple[float, float],
                    radius: float) -> np.ndarray:
     """Ascending indices of sensors inside the closed disk of given radius."""
-    return np.sort(_inside(field_, center, radius)[0])
+    return _inside(field_, center, radius)[0]
 
 
 def nearest_index_within(field_: SensorField, center: tuple[float, float],
@@ -263,7 +170,7 @@ def nearest_index_within(field_: SensorField, center: tuple[float, float],
     hits, dist2 = _inside(field_, center, radius)
     if hits.size == 0:
         return None
-    return int(hits[dist2 == dist2.min()].min())
+    return int(hits[dist2.argmin()])
 
 
 def _affine(u: np.ndarray, rect: Rect) -> np.ndarray:

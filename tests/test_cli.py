@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -13,9 +14,10 @@ from emberlink import evolution
 from emberlink.cli import DEFAULT_CONFIG, main
 from emberlink.envdata import (SynthSpec, load_env_grid, save_biomass, save_env_grid,
                                synth_biomass, synth_env)
-from emberlink.harness import bundled_scenario_path
+from emberlink.harness import bundled_scenario_path, load_season_bundle
 from emberlink.linkbudget import (EVENT_REPORT, PERIODIC_REPORT, TABLE1_10DEG,
                                   capacity_report)
+from emberlink.sensors import deploy_uniform
 
 BUNDLE = f"paths.scenario_bundle={bundled_scenario_path()}"
 
@@ -122,6 +124,29 @@ class TestSimulateCommand:
         row = trace.decode().splitlines()[1 + 12].split(",")
         assert row[0] == "12" and [float(v) for v in row[1:4]] == [
             693.3449206966991, 203.21541636200845, 0.8511123887715015]
+
+    def test_deploy_holds_only_the_screened_draw(self, tmp_path):
+        argv = ["--out-dir", str(tmp_path),
+                *on_bundle("simulate", "--incident", "syn-001", "--deploy")]
+        # the whole field of 2M sensors would take 32 MB
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            assert main([*argv, "2000000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10 ** 6, peak
+        # the same outcome as a replay against the whole field
+        incidents, env, _, _, evo = load_season_bundle(bundled_scenario_path())
+        incident = next(inc for inc in incidents if inc.id == "syn-001")
+        circles = evolution.circle_trajectory(incident, env, evo)
+        for n in (0, 1000, 1_000_000):
+            assert main([*argv, str(n)]) == 0
+            [expected] = evolution.replay_detection(
+                incident, circles, deploy_uniform(n, env.rect, 0), evo, (n,))
+            result = json.loads((tmp_path / "incident_syn-001.json").read_text())
+            assert result == json.loads(json.dumps(asdict(expected))), n
 
     def test_overflowing_sensor_extent_is_bad_input(self, tmp_path, capsys):
         # the x extent, 3.4e308 km, is past any float

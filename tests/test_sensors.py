@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from emberlink import sensors
 from emberlink.envdata import Rect
 from emberlink.errors import ValidationError
-from emberlink.sensors import (BLOCK_ROWS, RASTER_CELLS, SensorField, _cell_order,
-                               _screen, deploy_uniform, indices_within, load_sensors,
+from emberlink.sensors import (BLOCK_ROWS, RASTER_CELLS, SensorField, _screen,
+                               deploy_uniform, indices_within, load_sensors,
                                nearest_index_within, save_sensors)
 
 RECT = Rect(0.0, 0.0, 100.0, 100.0)
@@ -65,7 +65,9 @@ class WordStream:
 
 
 def brute_within(field_: SensorField, center, radius) -> np.ndarray:
-    d = field_.positions - np.asarray(center, dtype=float)
+    # a distance that overflows is inf, as in the disk test
+    with np.errstate(over="ignore"):
+        d = field_.positions - np.asarray(center, dtype=float)
     return np.flatnonzero(np.einsum("ij,ij->i", d, d) <= radius * radius)
 
 
@@ -73,7 +75,8 @@ def brute_nearest(field_: SensorField, center, radius) -> int | None:
     hits = brute_within(field_, center, radius)
     if hits.size == 0:
         return None
-    d = field_.positions[hits] - np.asarray(center, dtype=float)
+    with np.errstate(over="ignore"):
+        d = field_.positions[hits] - np.asarray(center, dtype=float)
     return int(hits[np.argmin(np.einsum("ij,ij->i", d, d))])
 
 
@@ -398,12 +401,9 @@ class TestQueries:
         assert nearest_index_within(f, (0.0, 0.0), 2.0) == 0
 
     def test_nearest_tie_ignores_candidate_order(self):
-        # four sensors at distance 1, counterclockwise from +x, span 2 x 2
-        # cells: the grid hands them back in cell order, the lowest
-        # index last
+        # four sensors at distance 1, counterclockwise from +x
         f = SensorField(positions=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
                                             [0.0, -1.0]]))
-        assert list(f._candidates((0.0, 0.0), 1.0)) == [2, 3, 1, 0]
         assert list(indices_within(f, (0.0, 0.0), 1.0)) == [0, 1, 2, 3]
         assert nearest_index_within(f, (0.0, 0.0), 1.0) == 0
         assert brute_nearest(f, (0.0, 0.0), 1.0) == 0
@@ -444,9 +444,11 @@ def _uniform(n, x0, y0, size, seed):
             + np.array([x0, y0])).tolist()
 
 
-# layouts that stress the grid build: zero or tiny spans, one axis
+# layouts that stress the disk test: zero or tiny spans, one axis
 # collapsed, a span dominated by one point, coordinates far from the
-# origin, and a span far beyond any fixed-size cell key
+# origin, a span far beyond any fixed-size cell key, and an x extent
+# near the largest float, as large as leaves this test's queries finite
+# while the squares of their distances overflow
 DEGENERATE_FIELDS = {
     "one sensor": [[3.0, -2.0]],
     "coincident duplicates": [[1.0, 1.0]] * 5 + [[1.5, 1.0]] + [[1.0, 1.0]] * 3,
@@ -455,6 +457,8 @@ DEGENERATE_FIELDS = {
     "cluster and far outlier": _uniform(30, 10.0, 10.0, 0.01, 1) + [[9000.0, -6000.0]],
     "offset by 1e9 km": _uniform(200, 1e9, 1e9, 100.0, 2),
     "far apart": [[0.0, 0.0], [1e10, 1e10]],
+    "x extent near the float maximum": [[-2.5e307, 0.0], [2.5e307, 1.0], [0.0, 0.5],
+                                        [1e307, 0.25]],
 }
 
 
@@ -498,15 +502,12 @@ class TestDegenerateFields:
             radius = data.draw(st.sampled_from(EXTREME_RADII))
         got = indices_within(f, center, radius)
         np.testing.assert_array_equal(got, brute_within(f, center, radius))
-        if kind == "off box":
+        # a disk whose squared radius overflows holds every sensor
+        if kind == "off box" and radius * radius < math.inf:
             assert got.size == 0
         if kind == "covering":
             assert got.size == len(f)
         assert nearest_index_within(f, center, radius) == brute_nearest(f, center, radius)
-        # reads the private grid: the cell count bound is what keeps
-        # memory O(n) however far apart the sensors lie
-        starts = f._grid[5]
-        assert starts.size - 1 <= 3 * len(f) + 1
 
 
 class TestOverflowingReach:
@@ -547,7 +548,7 @@ class TestOverflowingExtent:
         ((1e160, 1e160), 0.0), ((-1e160, 1e160), 1e308), ((3e159, -2e159), 9e159),
     ])
     def test_overflowing_area_matches_brute_force(self, center, radius):
-        # the extent fits a float but its area, the cell side's input, does not
+        # the extent fits a float but its area does not
         f = SensorField([[1e160, 1e160], [-1e160, -1e160]])
         hits, nearest = python_brute_force(f, center, radius)
         assert indices_within(f, center, radius).tolist() == hits
@@ -555,49 +556,22 @@ class TestOverflowingExtent:
 
     @pytest.mark.parametrize("query", [indices_within, nearest_index_within])
     def test_overflowing_extent_is_rejected(self, query):
-        f = SensorField([[1.7e308, 0.0], [-1.7e308, 0.0], [500.0, 500.0]])
         with pytest.raises(ValidationError,
                            match=r"sensor positions span x -1\.7e\+308 to 1\.7e\+308"):
-            query(f, (0.0, 0.0), 1.0)
+            query(SensorField([[1.7e308, 0.0], [-1.7e308, 0.0], [500.0, 500.0]]),
+                  (0.0, 0.0), 1.0)
 
-
-class TestGridBuild:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 257])
-    @pytest.mark.parametrize("layout", ["uniform", "coincident"])
-    def test_order_is_cell_sorted_permutation(self, n, layout):
-        if layout == "uniform":
-            f = deploy_uniform(n, RECT, seed=n)
-        else:
-            f = SensorField(positions=np.tile([[7.5, -3.0]], (n, 1)))
-        x0, y0, cell, nx, ny, starts, order = f._index()
-        np.testing.assert_array_equal(np.sort(order), np.arange(n))
-        i = np.floor((f.positions[:, 0] - x0) / cell).astype(np.int64)
-        j = np.floor((f.positions[:, 1] - y0) / cell).astype(np.int64)
-        cells = (i * ny + j)[order]
-        assert (np.diff(cells) >= 0).all()
-        # each cell's sensors come in index order
-        assert (np.diff(order)[np.diff(cells) == 0] > 0).all()
-        np.testing.assert_array_equal(np.diff(starts), np.bincount(cells, minlength=nx * ny))
-        rng = np.random.default_rng(n)
-        for _ in range(20):
-            center = tuple(rng.uniform(-10.0, 110.0, 2))
-            radius = float(rng.uniform(0.0, 30.0))
-            np.testing.assert_array_equal(indices_within(f, center, radius),
-                                          brute_within(f, center, radius))
-            assert (nearest_index_within(f, center, radius)
-                    == brute_nearest(f, center, radius))
-
-    @pytest.mark.parametrize("n, cells", [
-        (1, 2 ** 63), (2, 2 ** 62), (2, 2 ** 62 + 1), (4, 2 ** 61),
-        (4, 2 ** 61 + 1), (5, 2 ** 60), (5, 2 ** 60 + 1), (257, 2 ** 54 + 1),
-    ])
-    def test_keys_past_int64_stay_exact(self, n, cells):
-        # cell numbers up to cells - 1: where cell << bits | index would
-        # not fit in int64 the order comes from a stable argsort instead
-        flat = np.random.default_rng(n).integers(cells - 3, cells, n, dtype=np.int64)
-        flat[0] = 0
-        expected = np.argsort(flat, kind="stable")
-        np.testing.assert_array_equal(_cell_order(flat.copy(), cells), expected)
+    def test_extents_summing_past_a_float_are_queried(self):
+        # each axis spans up to 1e308 km, a float, though their sum is not
+        f = deploy_uniform(100, Rect(0.0, 0.0, 1e308, 1e308), 0)
+        wx, wy = (f.positions.max(axis=0) - f.positions.min(axis=0)).tolist()
+        assert wx + wy == math.inf
+        for center in [(0.0, 0.0), (5e307, 5e307), (1e308, 0.0), tuple(f.positions[3])]:
+            for radius in [0.0, 1e300, 3e307, 1e154, 1e308, sys.float_info.max]:
+                np.testing.assert_array_equal(indices_within(f, center, radius),
+                                              brute_within(f, center, radius))
+                assert (nearest_index_within(f, center, radius)
+                        == brute_nearest(f, center, radius))
 
 
 class TestFieldValidation:
@@ -654,8 +628,8 @@ class TestFieldValidation:
         ("positions", np.array([[5.0, 5.0], [np.nan, 0.0]])),
         ("region", Rect(4.0, 4.0, 2.0, 2.0)), ("seed", 3)])
     def test_field_is_frozen_after_a_query(self, name, value):
-        # the box and grid a query uses are taken from the positions at
-        # construction, so no field of a built field can change
+        # a query reads positions checked at construction, so no field of
+        # a built field can change
         f = SensorField([[0.0, 0.0], [1.0, 1.0]])
         assert indices_within(f, (0.0, 0.0), 0.5).tolist() == [0]
         with pytest.raises(dataclasses.FrozenInstanceError):
