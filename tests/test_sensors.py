@@ -573,6 +573,59 @@ class TestOverflowingExtent:
                 assert (nearest_index_within(f, center, radius)
                         == brute_nearest(f, center, radius))
 
+    @pytest.mark.parametrize("positions, rejected", [
+        ([[-1.7e308, 0.0], [1.7e308, 0.0]], True),
+        ([[0.0, -1.7e308], [0.0, 1.7e308]], True),
+        ([[-1.7e308, -1.7e308], [1.7e308, 1.7e308]], True),
+        ([[-9e307, 5.0], [9e307, 5.0]], True),
+        ([[3.0, -9e307], [1e300, 9e307], [0.0, 0.0]], True),
+        ([[-8.9e307, 5.0], [8.9e307, 5.0]], False),
+        ([[0.0, 0.0], [sys.float_info.max, -sys.float_info.max / 2]], False),
+        ([[-8.9e307, -8.9e307], [8.9e307, 8.9e307], [1.0, 2.0]], False),
+    ])
+    def test_extent_is_checked_per_axis_at_construction(self, positions, rejected):
+        # each axis' extent must be a float; the sum of the two need not be
+        x0, y0 = np.min(positions, axis=0).tolist()
+        x1, y1 = np.max(positions, axis=0).tolist()
+        if rejected:
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"sensor positions span x {x0} to {x1} and y {y0} to {y1} km, "
+                    "an extent past any float")):
+                SensorField(positions)
+            return
+        f = SensorField(positions)
+        for center in positions:
+            for radius in [0.0, 1e300, sys.float_info.max]:
+                np.testing.assert_array_equal(indices_within(f, center, radius),
+                                              brute_within(f, center, radius))
+                assert (nearest_index_within(f, center, radius)
+                        == brute_nearest(f, center, radius))
+
+
+class TestScanQuery:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 257])
+    @pytest.mark.parametrize("layout", ["uniform", "coincident"])
+    def test_matches_brute_force(self, n, layout):
+        if layout == "uniform":
+            f = deploy_uniform(n, RECT, seed=n)
+        else:
+            f = SensorField(positions=np.tile([[7.5, -3.0]], (n, 1)))
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            center = tuple(rng.uniform(-10.0, 110.0, 2))
+            radius = float(rng.uniform(0.0, 30.0))
+            got = indices_within(f, center, radius)
+            # the scan's indices come out ascending, with no sort
+            assert (np.diff(got) > 0).all()
+            np.testing.assert_array_equal(got, brute_within(f, center, radius))
+            assert (nearest_index_within(f, center, radius)
+                    == brute_nearest(f, center, radius))
+        # a zero disk at the coincident point holds every sensor; the
+        # nearest is the lowest index
+        if layout == "coincident":
+            assert indices_within(f, (7.5, -3.0), 0.0).tolist() == list(range(n))
+            assert nearest_index_within(f, (7.5, -3.0), 0.0) == 0
+
 
 class TestFieldValidation:
     def test_bad_shape(self):
