@@ -12,8 +12,8 @@ that hour and sensor from one query over a disk enclosing every circle,
 for every prefix of one field's sensors it is asked about at once.
 
 The 4^t branching blow-up is tamed by prune(): snap the frontier to a
-lattice keeping one representative per cell. The dedup sorts one int64
-key per point (lattice cell, then input index), so the kept frontier
+lattice keeping one representative per cell. The dedup takes per-cell
+minima over a table of cell numbers, with no sort, and the kept frontier
 comes out in lattice-cell order, (ki, kj) ascending. Pruning runs after
 the hour's circle is taken, so it never influences that hour's result.
 """
@@ -118,13 +118,10 @@ def burned_circle(points: np.ndarray) -> np.ndarray:
     return np.array([*center, np.sqrt(d2.max())])
 
 
-def _lattice_cells(pts: np.ndarray, snap_km: float, bits: int) -> np.ndarray:
-    """Snap-lattice cell number of every point, ascending in (ki, kj) order.
-
-    Cells are numbered row-major over the frontier's cell bounding box,
-    or by rank when that box is too large for cell << bits to fit in
-    int64; either way cell << bits | index is exact.
-    """
+def _lattice_cells(pts: np.ndarray, snap_km: float) -> tuple[np.ndarray, int]:
+    """Snap-lattice cell number of every point, ascending in (ki, kj), and
+    the table size: row-major over the frontier's cell bounding box if it
+    has at most 2n + 1024 cells, else the ranks of the occupied cells."""
     scale = float(np.max(np.abs(pts)))
     if math.isnan(scale):
         raise ValidationError("frontier points contain NaN")
@@ -134,25 +131,19 @@ def _lattice_cells(pts: np.ndarray, snap_km: float, bits: int) -> np.ndarray:
         ki, kj = pts[:, 0], pts[:, 1]
     else:
         # here scale/snap <= 2**53, so the cell indices are exact
-        ki = np.round(pts[:, 0] / snap_km).astype(np.int64)
-        kj = np.round(pts[:, 1] / snap_km).astype(np.int64)
-        i0, j0 = int(ki.min()), int(kj.min())
-        wi, wj = int(ki.max()) - i0 + 1, int(kj.max()) - j0 + 1
-        if wi * wj << bits <= 2 ** 63:
-            return (ki - i0) * wj + (kj - j0)
-    # ranks merge -0.0 with 0.0 as the lattice comparison does; the cell
-    # numbers stay below n
+        ki, kj = np.round(pts.T / snap_km).astype(np.int64)
+        ki, kj = ki - ki.min(), kj - kj.min()
+        wi, wj = int(ki.max()) + 1, int(kj.max()) + 1
+        if wi * wj <= 2 * pts.shape[0] + 1024:
+            return ki * wj + kj, wi * wj
+        if wi * wj <= 2 ** 63:  # the row-major numbers fit: rank those
+            cells, cell = np.unique(ki * wj + kj, return_inverse=True)
+            return cell, cells.size
+    # ranks keep the order and merge -0.0 with 0.0 as the lattice does
     ri = np.unique(ki, return_inverse=True)[1]
     rj = np.unique(kj, return_inverse=True)[1]
-    return np.unique(ri * (int(rj.max()) + 1) + rj, return_inverse=True)[1]
-
-
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """Mask of the positions where a sorted, non-empty array starts a run."""
-    starts = np.empty(a.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(a[1:], a[:-1], out=starts[1:])
-    return starts
+    cells, cell = np.unique(ri * (int(rj.max()) + 1) + rj, return_inverse=True)
+    return cell, cells.size
 
 
 def prune(frontier: Frontier, snap_km: float) -> Frontier:
@@ -161,34 +152,26 @@ def prune(frontier: Frontier, snap_km: float) -> Frontier:
     With snap_km > 0, bucket points onto the snap lattice, cell (ki, kj)
     = round((x, y) / snap_km), and keep one point per cell: the
     lexicographically smallest (x, y), the first in input order among
-    equals (-0.0 ties with 0.0). One value sort of the int64 keys
-    cell << bits | input index groups each cell's points in input order,
-    so the kept frontier comes out in lattice-cell order, (ki, kj)
-    ascending.
+    equals (-0.0 ties with 0.0). np.minimum.at passes over a table of
+    cell numbers take each cell's smallest x, then the smallest y at that
+    x, then the lowest input index. Nothing is sorted: read in cell order,
+    the table gives the kept frontier in (ki, kj) order.
     """
     check_range("snap_km", snap_km)
     pts = frontier.points
     n = pts.shape[0]
     if snap_km > 0 and n > 1:
-        bits = (n - 1).bit_length()
-        key = _lattice_cells(pts, snap_km, bits) << bits | np.arange(n)
-        key.sort()
-        idx = key & ((1 << bits) - 1)
-        group = np.cumsum(_run_starts(key >> bits)) - 1
-        cells = int(group[-1]) + 1
-        # candidates: sorted positions at their cell's smallest x, then
-        # of those at the smallest y; the first left per cell has the
-        # lowest input index
-        x = pts[:, 0].take(idx)
-        xmin = np.full(cells, np.inf)
-        np.minimum.at(xmin, group, x)
-        cand = np.flatnonzero(x == xmin.take(group))
-        at, y = group.take(cand), pts[:, 1].take(idx.take(cand))
-        ymin = np.full(cells, np.inf)
-        np.minimum.at(ymin, at, y)
-        cand = cand[y == ymin.take(at)]
-        first = cand[_run_starts(group.take(cand))]
-        pts = pts.take(idx.take(first), axis=0)
+        cell, size = _lattice_cells(pts, snap_km)
+        least = np.full(size, np.inf)
+        np.minimum.at(least, cell, pts[:, 0])
+        cand = np.flatnonzero(pts[:, 0] == least.take(cell))
+        at, y = cell.take(cand), pts[:, 1].take(cand)
+        least.fill(np.inf)
+        np.minimum.at(least, at, y)
+        keep = y == least.take(at)
+        first = np.full(size, n)
+        np.minimum.at(first, at[keep], cand[keep])
+        pts = pts.take(first[first < n], axis=0)
     return Frontier(points=pts, hour=frontier.hour)
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .errors import ValidationError, check_range
@@ -61,10 +62,7 @@ TABLE1_10DEG = LinkParams(
     pl_scint_db=2.2, pl_polar_db=3.0)
 
 # best case: satellite overhead
-TABLE1_90DEG = LinkParams(
-    eirp_dbm=23.0, g_over_t_db_k=19.0, bandwidth_hz=3750.0, freq_mhz=1500.0,
-    distance_km=35786.0, pl_atmos_db=0.16, pl_shadow_db=3.0,
-    pl_scint_db=2.2, pl_polar_db=3.0)
+TABLE1_90DEG = replace(TABLE1_10DEG, distance_km=35786.0)
 
 
 @dataclass(frozen=True)
@@ -89,6 +87,11 @@ class TbsMap:
     def __init__(self, rows: list[tuple[float, int]]):
         if not rows:
             raise ValidationError("TBS map must have at least one row")
+        for i, (c, b) in enumerate(rows, 1):
+            check_range(f"TBS row {i} min_cnr_db", c, -math.inf)
+            if not (isinstance(b, numbers.Integral) and not isinstance(b, bool) and b >= 0):
+                raise ValidationError(
+                    f"TBS row {i} bits_per_ru must be a non-negative integer, got {b!r}")
         for (c0, b0), (c1, b1) in zip(rows, rows[1:]):
             if not (c0 < c1 and b0 < b1):
                 raise ValidationError(
@@ -105,8 +108,18 @@ class TbsMap:
             if reader.fieldnames != ["min_cnr_db", "bits_per_ru"]:
                 raise ValidationError(
                     f"TBS map header must be min_cnr_db,bits_per_ru, got {reader.fieldnames}")
-            rows = [(float(r["min_cnr_db"]), int(r["bits_per_ru"])) for r in reader]
-        return cls(rows)
+            rows = []
+            for i, r in enumerate(reader, 1):
+                try:  # col names the cell being read
+                    rows.append((float(r[col := "min_cnr_db"]), int(r[col := "bits_per_ru"])))
+                except (TypeError, ValueError):
+                    kind = "a number" if col == "min_cnr_db" else "an integer"
+                    raise ValidationError(
+                        f"{fpath}: TBS row {i} {col} must be {kind}, got {r[col]!r}") from None
+        try:
+            return cls(rows)
+        except ValidationError as e:
+            raise ValidationError(f"{fpath}: {e}") from None
 
 
 # single anchor: the uplink single-tone TBS entry both scenarios land on
@@ -142,15 +155,12 @@ def cnr_db(p: LinkParams) -> float:
 
 def bits_per_ru(cnr: float, tbs: TbsMap = DEFAULT_TBS) -> int:
     """Largest TBS row whose threshold the CNR meets."""
-    best: int | None = None
-    for min_cnr, bits in tbs.rows:
-        if cnr >= min_cnr:
-            best = bits
-    if best is None:
+    met = [bits for min_cnr, bits in tbs.rows if cnr >= min_cnr]
+    if not met:
         raise LinkInfeasibleError(
             f"CNR {cnr:.4f} dB is below the lowest TBS threshold "
             f"({tbs.rows[0][0]} dB); the link cannot close")
-    return best
+    return met[-1]
 
 
 def peak_rate_bps(bits_ru: int, system_bw_hz: float = SYSTEM_BANDWIDTH_HZ,

@@ -66,6 +66,22 @@ class TestLinkBudgetCommand:
                      "--set", "link.params.eirp_dbm=-40", "linkbudget"])
         assert code == 2
 
+    @pytest.mark.parametrize("row, where", [
+        ("0.0,abc", "row 2 bits_per_ru must be an integer, got 'abc'"),
+        ("0.0,8.5", "row 2 bits_per_ru must be an integer, got '8.5'"),
+        ("0.0", "row 2 bits_per_ru must be an integer, got None"),
+        ("nan,16", "row 2 min_cnr_db must be finite, got nan"),
+        ("x,16", "row 2 min_cnr_db must be a number, got 'x'"),
+    ])
+    def test_bad_tbs_file_is_bad_input(self, tmp_path, capsys, row, where):
+        # the second data row is bad; the message names file, row and column
+        tbs = tmp_path / "tbs.csv"
+        tbs.write_text(f"min_cnr_db,bits_per_ru\n-5.0,8\n{row}\n")
+        code = main(["--out-dir", str(tmp_path), "--set", f"link.tbs_csv={tbs}",
+                     "linkbudget"])
+        assert code == 1
+        assert f"{tbs}: TBS {where}" in capsys.readouterr().err
+
 
 class TestSynthEnvCommand:
     def test_writes_loadable_grid(self, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -258,7 +259,7 @@ class TestSlowSpreadDedupLag:
 
 
 class TestPruneMatchesLexsort:
-    """The int64 cell-key dedup keeps what the 4-key lexsort kept, bit for
+    """The per-cell minima dedup keeps what the 4-key lexsort kept, bit for
     bit and in the same order (the next hour's sums follow that order)."""
 
     @settings(max_examples=300, deadline=None)
@@ -372,6 +373,29 @@ class TestPruneMatchesLexsort:
         with pytest.raises(ValidationError):
             prune(f, snap_km=0.05)
 
+    @pytest.mark.parametrize("n", [2, 17, 300, 5000])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_one_row_box_at_the_table_limit(self, n, extra):
+        # a one-row box of 2n + 1024 + extra cells: a box of up to
+        # 2n + 1024 cells gets a row-major table, one cell more is ranked
+        w = 2 * n + 1024 + extra
+        rng = np.random.default_rng(n)
+        kj = rng.integers(0, w, n)
+        kj[:2] = [w - 1, 0]
+        pts = np.column_stack([np.full(n, 7.0), kj.astype(float) - 2.0 ** 20])
+        assert_prunes_like_lexsort(pts, 1.0)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_row_major_numbers_at_the_int64_limit(self, extra):
+        # a 2**31 x (2**32 + extra) box: its largest row-major number is
+        # 2**63 - 1 at extra 0, and past int64 at extra 1
+        wi, wj = 2 ** 31, 2 ** 32 + extra
+        rng = np.random.default_rng(wj)
+        pts = np.column_stack([rng.integers(0, wi, 40), rng.integers(0, wj, 40)])
+        pts[:3] = [[wi - 1, wj - 1], [0, 0], [wi - 1, 0]]
+        pts[-5:] = pts[:5]
+        assert_prunes_like_lexsort(pts.astype(float) - 2.0 ** 31, 1.0)
+
 
 class TestBundledFrontiers:
     def test_every_hour_matches_references(self, monkeypatch):
@@ -398,6 +422,28 @@ class TestBundledFrontiers:
         for inc in incidents[:3]:
             circle_trajectory(inc, env, replace(evo, max_hours=96.0))
         assert len(hours) == 3 * 96 and max(hours) > 10_000
+
+    @pytest.mark.parametrize("pickled", [False, True])
+    def test_pruned_frontiers_are_native_float64(self, monkeypatch, pickled):
+        # np.minimum.at takes a generic loop, many times slower, on a
+        # float64 dtype that is not numpy's own instance, as an unpickled
+        # array's is; an env grid sent to a worker must not pass it on
+        incidents, env, _, _, evo = load_season_bundle(bundled_scenario_path())
+        if pickled:
+            env = pickle.loads(pickle.dumps(env))
+        dtypes = []
+        real_prune = evolution.prune
+
+        def checked_prune(frontier, snap_km):
+            got = real_prune(frontier, snap_km)
+            dtypes.extend([frontier.points.dtype, got.points.dtype])
+            return got
+
+        monkeypatch.setattr(evolution, "prune", checked_prune)
+        for inc in incidents[:3]:
+            trace_rows(inc, env, replace(evo, max_hours=24.0))
+        assert len(dtypes) == 2 * 3 * 24
+        assert all(d is np.dtype(np.float64) for d in dtypes)
 
 
 class TestFrontierBound:

@@ -97,6 +97,18 @@ class TestTbs:
         with pytest.raises(ValidationError):
             TbsMap.from_csv(p)
 
+    @pytest.mark.parametrize("rows, where", [
+        ([(math.nan, 16)], "row 1 min_cnr_db"),
+        ([(0.0, 16), (math.inf, 56)], "row 2 min_cnr_db"),
+        ([(0.0, 16.0)], "row 1 bits_per_ru"),
+        ([(0.0, -1)], "row 1 bits_per_ru"),
+        ([(0.0, True)], "row 1 bits_per_ru"),
+        ([("0.0", 16)], "row 1 min_cnr_db"),
+    ])
+    def test_bad_rows_rejected(self, rows, where):
+        with pytest.raises(ValidationError, match=f"TBS {where}"):
+            TbsMap(rows)
+
 
 class TestThroughput:
     def test_peak_rate(self):
