@@ -131,14 +131,12 @@ def _lattice_cells(pts: np.ndarray, snap_km: float) -> tuple[np.ndarray, int]:
         ki, kj = pts[:, 0], pts[:, 1]
     else:
         # here scale/snap <= 2**53, so the cell indices are exact
-        ki, kj = np.round(pts.T / snap_km).astype(np.int64)
-        ki, kj = ki - ki.min(), kj - kj.min()
-        wi, wj = int(ki.max()) + 1, int(kj.max()) + 1
+        ki = np.round(pts[:, 0] / snap_km).astype(np.int64)
+        kj = np.round(pts[:, 1] / snap_km).astype(np.int64)
+        i0, j0 = int(ki.min()), int(kj.min())
+        wi, wj = int(ki.max()) - i0 + 1, int(kj.max()) - j0 + 1
         if wi * wj <= 2 * pts.shape[0] + 1024:
-            return ki * wj + kj, wi * wj
-        if wi * wj <= 2 ** 63:  # the row-major numbers fit: rank those
-            cells, cell = np.unique(ki * wj + kj, return_inverse=True)
-            return cell, cells.size
+            return (ki - i0) * wj + (kj - j0), wi * wj
     # ranks keep the order and merge -0.0 with 0.0 as the lattice does
     ri = np.unique(ki, return_inverse=True)[1]
     rj = np.unique(kj, return_inverse=True)[1]

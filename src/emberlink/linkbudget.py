@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ValidationError, check_range
@@ -62,7 +62,10 @@ TABLE1_10DEG = LinkParams(
     pl_scint_db=2.2, pl_polar_db=3.0)
 
 # best case: satellite overhead
-TABLE1_90DEG = replace(TABLE1_10DEG, distance_km=35786.0)
+TABLE1_90DEG = LinkParams(
+    eirp_dbm=23.0, g_over_t_db_k=19.0, bandwidth_hz=3750.0, freq_mhz=1500.0,
+    distance_km=35786.0, pl_atmos_db=0.16, pl_shadow_db=3.0,
+    pl_scint_db=2.2, pl_polar_db=3.0)
 
 
 @dataclass(frozen=True)
@@ -155,12 +158,15 @@ def cnr_db(p: LinkParams) -> float:
 
 def bits_per_ru(cnr: float, tbs: TbsMap = DEFAULT_TBS) -> int:
     """Largest TBS row whose threshold the CNR meets."""
-    met = [bits for min_cnr, bits in tbs.rows if cnr >= min_cnr]
-    if not met:
+    best: int | None = None
+    for min_cnr, bits in tbs.rows:
+        if cnr >= min_cnr:
+            best = bits
+    if best is None:
         raise LinkInfeasibleError(
             f"CNR {cnr:.4f} dB is below the lowest TBS threshold "
             f"({tbs.rows[0][0]} dB); the link cannot close")
-    return met[-1]
+    return best
 
 
 def peak_rate_bps(bits_ru: int, system_bw_hz: float = SYSTEM_BANDWIDTH_HZ,

@@ -387,8 +387,8 @@ class TestPruneMatchesLexsort:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_row_major_numbers_at_the_int64_limit(self, extra):
-        # a 2**31 x (2**32 + extra) box: its largest row-major number is
-        # 2**63 - 1 at extra 0, and past int64 at extra 1
+        # a 2**31 x (2**32 + extra) box, whose largest row-major number is
+        # 2**63 - 1 at extra 0 and past int64 at extra 1, is ranked
         wi, wj = 2 ** 31, 2 ** 32 + extra
         rng = np.random.default_rng(wj)
         pts = np.column_stack([rng.integers(0, wi, 40), rng.integers(0, wj, 40)])
