@@ -16,7 +16,9 @@ File formats:
 
 Lookups are nearest-cell (no interpolation) over a whole point array at
 once; a position on a shared cell edge resolves to the lower-index cell,
-and a position off the rectangle samples the nearest edge cell.
+and a position off the rectangle samples the nearest edge cell. An env
+lookup returns the values of the distinct cells the points fall in and
+each point's slot among them, so per-cell work runs once per cell.
 """
 
 from __future__ import annotations
@@ -320,12 +322,14 @@ def nearest_cells(grid: EnvGrid | BiomassGrid, x, y) -> tuple:
 
 def sample_env_many(
     grid: EnvGrid, points: np.ndarray, t: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest-cell lookup of (u10, v10, swvl1) at every point of an (n, 2)
-    array, hour t.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-cell lookup of (u10, v10, swvl1) for every point of an (n, 2)
+    array, hour t: the float64 (3, m) values of the m distinct cells the
+    points fall in, ascending by cell, and each point's slot among them.
 
-    Each point samples the cell nearest_cells gives it; each distinct cell
-    the points fall in is looked up once.
+    Each point samples the cell nearest_cells gives it, and each distinct
+    cell is looked up once; values.take(slot, axis=1) gives the (3, n)
+    per-point values.
     """
     if not 0 <= t < grid.nt:
         raise ValidationError(f"hour {t} outside [0, {grid.nt})")
@@ -342,8 +346,7 @@ def sample_env_many(
     slot = np.searchsorted(distinct, cells)  # each point's place among them
     distinct += first
     values = grid._at(t, distinct // grid.nx, distinct % grid.nx)
-    u, v, s = np.asarray(values, dtype=float).take(slot, axis=1)
-    return u, v, s
+    return np.asarray(values, dtype=float), slot
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@
 The fire is tracked as a frontier point set. One step is one hour of the
 env grid: every frontier point grows its own local spread ellipse from
 the wind and soil wetness at that point and hour, and contributes the
-ellipse's four axis endpoints to the next frontier. The burned region at
+ellipse's four axis endpoints to the next frontier. The kernel evaluates
+each env cell the frontier touches once, and each point takes its cell's
+terms. A frontier's (n, 2) points are column-major, x and y each
+contiguous: a view of the kernel's buffer after a step, and written that
+way by prune. The burned region at
 each hour is summarized as a circle (mean of the branched points, max
 distance as radius), a (cx, cy, r) row of the float64 (hours + 1, 3)
 trajectory array that starts at the zero-radius ignition circle. A
@@ -63,7 +67,8 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class Frontier:
-    """Active ignition points (n, 2), stamped with the absolute grid hour."""
+    """Active ignition points, float64 (n, 2) (column-major after a step
+    or a prune), stamped with the absolute grid hour."""
 
     points: np.ndarray
     hour: int
@@ -92,12 +97,14 @@ def step(frontier: Frontier, env: EnvGrid,
     """Advance one env hour: branch each point into its ellipse axis endpoints.
 
     No pruning happens here; the result holds up to 4x the input points.
-    Wind and wetness are sampled per point at the frontier's hour; points
+    Each point takes the wind and wetness of its cell at the frontier's
+    hour, and each distinct cell's ellipse terms are computed once; points
     that drifted off the grid sample the nearest edge cell. Stepping past
     the grid's last hour raises (the time range is exhausted).
     """
-    u10, v10, swvl1 = sample_env_many(env, frontier.points, frontier.hour)
-    branched = branch_endpoints(frontier.points, u10, v10, swvl1, STEP_S, params)
+    values, slot = sample_env_many(env, frontier.points, frontier.hour)
+    branched = branch_endpoints(frontier.points, *values, STEP_S, params, slot)
+    # a view of the kernel's (2, n, 4) buffer: contiguous x and y columns
     return Frontier(points=branched.reshape(-1, 2), hour=frontier.hour + 1)
 
 
@@ -118,25 +125,38 @@ def burned_circle(points: np.ndarray) -> np.ndarray:
     return np.array([*center, np.sqrt(d2.max())])
 
 
-def _lattice_cells(pts: np.ndarray, snap_km: float) -> tuple[np.ndarray, int]:
-    """Snap-lattice cell number of every point, ascending in (ki, kj), and
-    the table size: row-major over the frontier's cell bounding box if it
-    has at most 2n + 1024 cells, else the ranks of the occupied cells."""
-    scale = float(np.max(np.abs(pts)))
-    if math.isnan(scale):
+def _lattice_cells(x: np.ndarray, y: np.ndarray,
+                   snap_km: float) -> tuple[np.ndarray, int]:
+    """Snap-lattice cell number of every point (x[i], y[i]), ascending in
+    (ki, kj), and the table size: row-major over the frontier's cell
+    bounding box if it has at most 2n + 1024 cells, else the ranks of the
+    occupied cells."""
+    x0, x1, y0, y1 = (float(b) for b in (x.min(), x.max(), y.min(), y.max()))
+    if math.isnan(x0) or math.isnan(y0):
         raise ValidationError("frontier points contain NaN")
+    scale = max(-x0, x1, -y0, y1)  # the largest |coordinate|
     if scale > 0 and snap_km < scale * 2.0 ** -53:
         # lattice finer than float spacing: cells can only merge exact
         # duplicates, so the coordinates themselves are the cell indices
-        ki, kj = pts[:, 0], pts[:, 1]
+        ki, kj = x, y
     else:
-        # here scale/snap <= 2**53, so the cell indices are exact
-        ki = np.round(pts[:, 0] / snap_km).astype(np.int64)
-        kj = np.round(pts[:, 1] / snap_km).astype(np.int64)
-        i0, j0 = int(ki.min()), int(kj.min())
-        wi, wj = int(ki.max()) - i0 + 1, int(kj.max()) - j0 + 1
-        if wi * wj <= 2 * pts.shape[0] + 1024:
-            return (ki - i0) * wj + (kj - j0), wi * wj
+        # here scale/snap <= 2**53, so the cell indices are exact; rint is
+        # monotone, so the box's corners are those of the bounds
+        i0, i1, j0, j1 = (int(np.rint(b / snap_km)) for b in (x0, x1, y0, y1))
+        wi, wj = i1 - i0 + 1, j1 - j0 + 1
+        if wi * wj <= 2 * x.size + 1024:
+            # (ki - i0) * wj + (kj - j0) in float64, exact as every term
+            # is an integer below the table size
+            cell, kj = x / snap_km, y / snap_km
+            np.rint(cell, out=cell)
+            np.rint(kj, out=kj)
+            cell -= i0
+            cell *= wj
+            kj -= j0
+            cell += kj
+            return cell.astype(np.int64), wi * wj
+        ki = np.rint(x / snap_km).astype(np.int64)
+        kj = np.rint(y / snap_km).astype(np.int64)
     # ranks keep the order and merge -0.0 with 0.0 as the lattice does
     ri = np.unique(ki, return_inverse=True)[1]
     rj = np.unique(kj, return_inverse=True)[1]
@@ -153,23 +173,32 @@ def prune(frontier: Frontier, snap_km: float) -> Frontier:
     equals (-0.0 ties with 0.0). np.minimum.at passes over a table of
     cell numbers take each cell's smallest x, then the smallest y at that
     x, then the lowest input index. Nothing is sorted: read in cell order,
-    the table gives the kept frontier in (ki, kj) order.
+    the table gives the kept frontier in (ki, kj) order, written
+    column-major as step writes its frontier.
     """
     check_range("snap_km", snap_km)
     pts = frontier.points
     n = pts.shape[0]
     if snap_km > 0 and n > 1:
-        cell, size = _lattice_cells(pts, snap_km)
+        # the columns with numpy's own float64 descriptor: on another
+        # instance of it (an unpickled array's) np.minimum.at runs a
+        # generic loop, ~30x slower
+        x, y = pts[:, 0].view(np.float64), pts[:, 1].view(np.float64)
+        cell, size = _lattice_cells(x, y, snap_km)
         least = np.full(size, np.inf)
-        np.minimum.at(least, cell, pts[:, 0])
-        cand = np.flatnonzero(pts[:, 0] == least.take(cell))
-        at, y = cell.take(cand), pts[:, 1].take(cand)
+        np.minimum.at(least, cell, x)
+        cand = np.flatnonzero(x == least.take(cell))
+        at, y_cand = cell.take(cand), y.take(cand)
         least.fill(np.inf)
-        np.minimum.at(least, at, y)
-        keep = y == least.take(at)
+        np.minimum.at(least, at, y_cand)
+        keep = y_cand == least.take(at)
         first = np.full(size, n)
         np.minimum.at(first, at[keep], cand[keep])
-        pts = pts.take(first[first < n], axis=0)
+        kept = first[first < n]
+        out = np.empty((2, kept.size))
+        x.take(kept, out=out[0])
+        y.take(kept, out=out[1])
+        pts = out.T
     return Frontier(points=pts, hour=frontier.hour)
 
 

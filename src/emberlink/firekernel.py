@@ -8,8 +8,11 @@ km; wind angles are radians from the +x axis.
 
 The field functions (``wind_factor``, ``moisture_factor``, ``spread_speed``,
 ``length_breadth_ratio``) evaluate elementwise over numpy arrays (a scalar
-input gives a numpy scalar); ``branch_endpoints`` grows one ellipse per
-point of a whole frontier at once and returns its four axis endpoints.
+input gives a numpy scalar) and refuse negative inputs. ``branch_endpoints``
+grows one ellipse per point of a whole frontier at once and returns its
+four axis endpoints. Its ellipse terms are computed once per env cell,
+from values the grid has already checked, and each point adds its cell's
+terms to its own position.
 """
 
 from __future__ import annotations
@@ -56,26 +59,40 @@ class SpreadParams:
 DEFAULT_PARAMS = SpreadParams()
 
 
+def _checked(what: str, x) -> np.ndarray:
+    """x as a float array, refused if any value is negative."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError(f"{what} must be >= 0")
+    return x
+
+
+def _wind_factor(ws, params: SpreadParams):
+    g0 = params.windless_gain
+    return g0 + (1.0 - g0) * -np.expm1(-(ws * ws) / params.wind_sq_scale)
+
+
+def _moisture_factor(beta, params: SpreadParams):
+    beta_m = np.minimum(beta / params.wetness_cutoff, 1.0)
+    return (1.0 - beta_m) ** 2
+
+
+def _length_breadth_ratio(ws, params: SpreadParams):
+    return 1.0 + params.elongation_gain * (1.0 - np.exp(-params.elongation_rate * ws))
+
+
 def wind_factor(ws_ms, params: SpreadParams = DEFAULT_PARAMS):
     """Wind damping factor in [windless_gain, 1): 1 - (1-g0)*exp(-ws^2/scale).
 
     Evaluated as g0 + (1-g0)*(-expm1(...)), which hits the g0 floor
     exactly at calm and keeps precision for light winds.
     """
-    ws = np.asarray(ws_ms, dtype=float)
-    if np.any(ws < 0):
-        raise ValueError("wind speed must be >= 0")
-    g0 = params.windless_gain
-    return g0 + (1.0 - g0) * -np.expm1(-(ws * ws) / params.wind_sq_scale)
+    return _wind_factor(_checked("wind speed", ws_ms), params)
 
 
 def moisture_factor(beta_root, params: SpreadParams = DEFAULT_PARAMS):
     """Soil-wetness damping factor (1 - beta_m)^2, zero at/above the cutoff."""
-    beta = np.asarray(beta_root, dtype=float)
-    if np.any(beta < 0):
-        raise ValueError("soil wetness must be >= 0")
-    beta_m = np.minimum(beta / params.wetness_cutoff, 1.0)
-    return (1.0 - beta_m) ** 2
+    return _moisture_factor(_checked("soil wetness", beta_root), params)
 
 
 def spread_speed(ws_ms, beta_root, params: SpreadParams = DEFAULT_PARAMS):
@@ -85,10 +102,7 @@ def spread_speed(ws_ms, beta_root, params: SpreadParams = DEFAULT_PARAMS):
 
 def length_breadth_ratio(ws_ms, params: SpreadParams = DEFAULT_PARAMS):
     """Ellipse length-to-breadth ratio, 1 at calm, approaching 1+gain from below."""
-    ws = np.asarray(ws_ms, dtype=float)
-    if np.any(ws < 0):
-        raise ValueError("wind speed must be >= 0")
-    return 1.0 + params.elongation_gain * (1.0 - np.exp(-params.elongation_rate * ws))
+    return _length_breadth_ratio(_checked("wind speed", ws_ms), params)
 
 
 def branch_endpoints(
@@ -98,42 +112,53 @@ def branch_endpoints(
     swvl1: np.ndarray,
     dt_s: float,
     params: SpreadParams = DEFAULT_PARAMS,
+    slot: np.ndarray | None = None,
 ) -> np.ndarray:
     """Axis endpoints of the ellipse grown at every point, shape (n, 4, 2).
 
-    Each point is the ignition of its own ellipse: the downwind vertex is
-    u_p * dt ahead of it along the wind and the upwind vertex u_b * dt
-    behind it, so the center leads it by (u_p - u_b) / 2 * dt. Order per
-    point: downwind vertex, upwind vertex, then the two minor-axis
-    endpoints. A zero-speed point yields four copies of itself. Calm wind
-    uses theta = 0.
+    u10, v10 and swvl1 hold the wind and soil wetness of m env cells, and
+    point i grows in cell slot[i] (by default slot = arange(n): one cell
+    per point). Each point is the ignition of its own ellipse: the
+    downwind vertex is u_p * dt ahead of it along the wind and the upwind
+    vertex u_b * dt behind it, so the center leads it by
+    (u_p - u_b) / 2 * dt. Order per point: downwind vertex, upwind
+    vertex, then the two minor-axis endpoints. A zero-speed point yields
+    four copies of itself. Calm wind uses theta = 0.
+
+    The ellipse terms are computed once per cell; a point's endpoint is
+    (x + center offset) + endpoint offset, rounded as if computed per
+    point. The result is a view of one (2, n, 4) buffer, so
+    reshape(-1, 2) gives (4n, 2) points with contiguous x and y columns.
+    The wind and wetness values are not checked: swvl1 must be >= 0.
     """
     check_range("dt_s", dt_s, above=True)
-    pts = np.asarray(points, dtype=float)
     u = np.asarray(u10, dtype=float)
     v = np.asarray(v10, dtype=float)
     ws = np.hypot(u, v)
     theta = np.where(ws > 0, np.arctan2(v, u), 0.0)
 
-    u_p = spread_speed(ws, swvl1, params)
+    u_p = (params.u_max_ms * _wind_factor(ws, params)
+           * _moisture_factor(np.asarray(swvl1, dtype=float), params))
     u_b = params.backspread_ratio * u_p
-    v_lat = (u_p + u_b) / (2.0 * length_breadth_ratio(ws, params))
+    v_lat = (u_p + u_b) / (2.0 * _length_breadth_ratio(ws, params))
 
     dt_km = dt_s / M_PER_KM
     a = (u_p + u_b) * dt_km / 2.0
     b = v_lat * dt_km
     offset = (u_p - u_b) * dt_km / 2.0
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    cx = pts[:, 0] + offset * cos_t
-    cy = pts[:, 1] + offset * sin_t
+    # per cell: the center's (x, y) offset from the ignition, and each
+    # endpoint's from the center, (2, m, 4); x - d is x + (-d), bit for bit
+    center = np.array([offset * cos_t, offset * sin_t])
+    a_x, a_y, b_x, b_y = a * cos_t, a * sin_t, b * sin_t, b * cos_t
+    ends = np.array([[a_x, -a_x, -b_x, b_x], [a_y, -a_y, b_y, -b_y]]).transpose(0, 2, 1)
 
-    out = np.empty((len(pts), 4, 2))
-    out[:, 0, 0] = cx + a * cos_t
-    out[:, 0, 1] = cy + a * sin_t
-    out[:, 1, 0] = cx - a * cos_t
-    out[:, 1, 1] = cy - a * sin_t
-    out[:, 2, 0] = cx - b * sin_t
-    out[:, 2, 1] = cy + b * cos_t
-    out[:, 3, 0] = cx + b * sin_t
-    out[:, 3, 1] = cy - b * cos_t
-    return out
+    pts = np.asarray(points, dtype=float)
+    if slot is None:
+        slot = np.arange(pts.shape[0])
+    # per point, the two roundings of a per-point evaluation:
+    # (x + center offset) + endpoint offset, into one (2, n, 4) buffer
+    center = pts.T + center.take(slot, axis=1)
+    out = ends.take(slot, axis=1)
+    out += center[:, :, None]
+    return out.transpose(1, 2, 0)

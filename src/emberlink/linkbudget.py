@@ -113,6 +113,9 @@ class TbsMap:
                     f"TBS map header must be min_cnr_db,bits_per_ru, got {reader.fieldnames}")
             rows = []
             for i, r in enumerate(reader, 1):
+                if None in r:  # DictReader files a row's extra cells under None
+                    raise ValidationError(
+                        f"{fpath}: TBS row {i} has cells past the header: {r[None]}")
                 try:  # col names the cell being read
                     rows.append((float(r[col := "min_cnr_db"]), int(r[col := "bits_per_ru"])))
                 except (TypeError, ValueError):

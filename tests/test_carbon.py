@@ -92,7 +92,8 @@ class TestNearestCellRule:
         ys = origin[1] + sp * np.arange(ny + 1)
         for x in xs:
             for y in ys:
-                u = sample_env_many(env, np.array([[x, y]]), 0)[0][0]
+                values, slot = sample_env_many(env, np.array([[x, y]]), 0)
+                u = values[0, slot[0]]
                 assert average_biomass((x, y, 0.0), bio) == u
 
 

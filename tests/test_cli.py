@@ -72,6 +72,8 @@ class TestLinkBudgetCommand:
         ("0.0", "row 2 bits_per_ru must be an integer, got None"),
         ("nan,16", "row 2 min_cnr_db must be finite, got nan"),
         ("x,16", "row 2 min_cnr_db must be a number, got 'x'"),
+        ("8.0,144,9", "row 2 has cells past the header: ['9']"),
+        ("8.0,144,,", "row 2 has cells past the header: ['', '']"),
     ])
     def test_bad_tbs_file_is_bad_input(self, tmp_path, capsys, row, where):
         # the second data row is bad; the message names file, row and column

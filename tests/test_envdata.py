@@ -155,9 +155,16 @@ class TestOneGeometryCheck:
             GEOMETRY_SITES[site](edit, tmp_path)
 
 
+def sample_points(grid, pts, t):
+    """(3, n) rows of (u10, v10, swvl1) at each point of pts, hour t: the
+    sampled cells' values, one column per point."""
+    values, slot = sample_env_many(grid, pts, t)
+    return values.take(slot, axis=1)
+
+
 def sample_one(grid, xy, t):
     """(u10, v10, swvl1) at one position, through a one-point batch."""
-    u, v, s = sample_env_many(grid, np.array([xy], dtype=float), t)
+    u, v, s = sample_points(grid, np.array([xy], dtype=float), t)
     return (u[0], v[0], s[0])
 
 
@@ -192,7 +199,7 @@ class TestSampling:
         g = tiny_grid()
         rng = np.random.default_rng(5)
         pts = rng.uniform([0, 0], [40, 30], size=(64, 2))
-        u, v, s = sample_env_many(g, pts, 1)
+        u, v, s = sample_points(g, pts, 1)
         for i, xy in enumerate(pts):
             ix, iy = int(xy[0] // 10.0), int(xy[1] // 10.0)
             assert (u[i], v[i], s[i]) == sample_one(g, (xy[0], xy[1]), 1)
@@ -201,7 +208,7 @@ class TestSampling:
 
     def test_many_clamp_uses_edge_cell(self):
         g = tiny_grid()
-        u, _, _ = sample_env_many(g, np.array([[-5.0, 500.0]]), 0)
+        u, _, _ = sample_points(g, np.array([[-5.0, 500.0]]), 0)
         assert u[0] == float(g.u10[0, g.ny - 1, 0])
 
 
@@ -290,7 +297,7 @@ class TestLatticeSampling:
             _coords(grid.origin[0], grid.nx, grid.spacing_km),
             _coords(grid.origin[1], grid.ny, grid.spacing_km)), max_size=40))
         t = data.draw(st.integers(0, grid.nt - 1))
-        got = np.array(sample_env_many(grid, np.array(pts, dtype=float).reshape(-1, 2), t))
+        got = sample_points(grid, np.array(pts, dtype=float).reshape(-1, 2), t)
         assert got.tobytes() == gathered(grid, pts, t).tobytes()
 
     @settings(max_examples=150, deadline=None)
@@ -331,7 +338,7 @@ class TestLatticeSampling:
         grid = EnvGrid(nx=3, ny=2, nt=2, spacing_km=1.0, origin=(0.0, 0.0),
                        u10=u, v10=-u, swvl1=np.full(shape, -0.0))
         pts = np.array([[0.5, 0.5], [2.5, 1.5], [1.0, 1.0], [-3.0, 9.0]])
-        u_got, _, s_got = sample_env_many(grid, pts, 0)
+        u_got, _, s_got = sample_points(grid, pts, 0)
         assert np.all(u_got == 0.0) and np.all(np.signbit(u_got))
         assert np.all(np.signbit(s_got))
         first = save_env_grid(grid, tmp_path / "a" / "env.json")
@@ -340,6 +347,33 @@ class TestLatticeSampling:
             a, b = (m.parent / f"env_{name}.f32" for m in (first, second))
             assert a.read_bytes() == b.read_bytes(), name
         assert np.signbit(np.fromfile(second.parent / "env_u10.f32", dtype="<f4")[0])
+
+
+class TestDistinctCells:
+    """sample_env_many looks each distinct cell up once: its values are the
+    distinct cells' in ascending cell order, and taken by slot they are the
+    per-point gather from the full rasters, on a synthesized lattice and on
+    the loaded rasters written from it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=_random_specs() | _uniform_specs(), seed=st.integers(0, 2 ** 128 - 1),
+           loaded=st.booleans(), data=st.data())
+    def test_slots_take_the_per_point_values(self, spec, seed, loaded, data):
+        grid = synth_env(spec, seed)
+        if loaded:
+            with tempfile.TemporaryDirectory() as tmp:
+                grid = load_env_grid(save_env_grid(grid, Path(tmp) / "env.json"))
+        pts = np.array(data.draw(st.lists(st.tuples(
+            _coords(grid.origin[0], grid.nx, grid.spacing_km),
+            _coords(grid.origin[1], grid.ny, grid.spacing_km)), max_size=40)),
+            dtype=float).reshape(-1, 2)
+        t = data.draw(st.integers(0, grid.nt - 1))
+        values, slot = sample_env_many(grid, pts, t)
+        ix, iy = envdata.nearest_cells(grid, pts[:, 0], pts[:, 1])
+        distinct, rank = np.unique(iy * grid.nx + ix, return_inverse=True)
+        assert values.dtype == np.float64 and values.shape == (3, distinct.size)
+        np.testing.assert_array_equal(slot, rank)
+        assert values.take(slot, axis=1).tobytes() == gathered(grid, pts, t).tobytes()
 
 
 class TestRoundTrip:
@@ -360,8 +394,8 @@ class TestRoundTrip:
             _coords(grid.origin[1], grid.ny, grid.spacing_km)), max_size=40)),
             dtype=float).reshape(-1, 2)
         t = data.draw(st.integers(0, grid.nt - 1))
-        assert (np.array(sample_env_many(loaded, pts, t)).tobytes()
-                == np.array(sample_env_many(grid, pts, t)).tobytes())
+        assert (sample_points(loaded, pts, t).tobytes()
+                == sample_points(grid, pts, t).tobytes())
 
 
 class TestGridOwnsItsValues:
@@ -371,9 +405,9 @@ class TestGridOwnsItsValues:
         grid = EnvGrid(nx=4, ny=3, nt=2, spacing_km=1.0, origin=(0.0, 0.0),
                        u10=u, v10=v, swvl1=s)
         pts = np.array([[0.5, 0.5], [3.5, 2.5]])
-        before = np.array(sample_env_many(grid, pts, 0))
+        before = sample_points(grid, pts, 0)
         u[...], v[...], s[...] = np.nan, -7.0, 5.0  # NaN and swvl1 = 5 fail the checks
-        assert np.array(sample_env_many(grid, pts, 0)).tobytes() == before.tobytes()
+        assert sample_points(grid, pts, 0).tobytes() == before.tobytes()
         assert np.all(grid.u10 == 0.0) and np.all(grid.v10 == 1.0)
         assert np.all(grid.swvl1 == 0.25)
 
@@ -393,8 +427,8 @@ class TestGridOwnsItsValues:
                          u10=u, v10=-u, swvl1=np.full((2, 2, 3), 0.5))
         pts = np.array([[0.5, 0.5], [2.5, 1.5], [1.0, 2.0]])
         for t in range(2):
-            assert (np.array(sample_env_many(listed, pts, t)).tobytes()
-                    == np.array(sample_env_many(arrays, pts, t)).tobytes())
+            assert (sample_points(listed, pts, t).tobytes()
+                    == sample_points(arrays, pts, t).tobytes())
         for name in ENV_FIELDS:
             assert getattr(listed, name).tobytes() == getattr(arrays, name).tobytes()
 

@@ -78,6 +78,9 @@ def assert_prunes_like_lexsort(pts, snap_km: float) -> np.ndarray:
     want = lexsort_prune(f, snap_km).points
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    # the column-major copy step would hand over prunes alike
+    fortran = Frontier(points=np.asfortranarray(f.points), hour=0)
+    assert prune(fortran, snap_km).points.tobytes() == want.tobytes()
     return got
 
 
@@ -137,6 +140,33 @@ class TestStep:
         f = Frontier(points=np.array([[500.0, 500.0]]), hour=3)
         with pytest.raises(ValidationError):
             step(f, env)
+
+    def test_points_are_a_view_of_the_kernel_buffer(self, monkeypatch):
+        # two cells, so the kernel's terms are gathered by slot
+        u10 = np.zeros((2, 1, 2), dtype=np.float32)
+        u10[:, 0, 0], u10[:, 0, 1] = 20.0, -3.0
+        calm = np.zeros_like(u10)
+        env = EnvGrid(nx=2, ny=1, nt=2, spacing_km=100.0, origin=(0.0, 0.0),
+                      u10=u10, v10=calm + 4.0, swvl1=calm)
+        made = []
+        real = evolution.branch_endpoints
+
+        def kept(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(evolution, "branch_endpoints", kept)
+        f = Frontier(points=np.array([[50.0, 50.0], [150.0, 50.0], [60.0, 40.0]]), hour=0)
+        out = step(f, env).points
+        assert out.shape == (12, 2) and np.shares_memory(out, made[0])
+        assert out[:, 0].flags.c_contiguous and out[:, 1].flags.c_contiguous
+        assert out.tobytes() == made[0].tobytes()
+        # the kept frontier is column-major too, and steps on as any copy
+        kept_pts = prune(Frontier(points=out, hour=1), 0.05).points
+        assert kept_pts.flags.f_contiguous
+        again = step(Frontier(points=np.ascontiguousarray(kept_pts), hour=1), env)
+        assert step(Frontier(points=kept_pts, hour=1), env).points.tobytes() == \
+            again.points.tobytes()
 
     def test_wind_sampled_per_point_and_hour(self):
         # two cells with opposite winds push their points apart
@@ -233,6 +263,36 @@ class TestPrune:
 # hours whose branched frontier stays under MAX_POINTS with dedup off:
 # hour k branches 4**k points
 UNPRUNED_HOURS = max(k for k in range(32) if 4 ** k < evolution.MAX_POINTS)
+
+
+class TestColumnLayout:
+    """prune and burned_circle give the same bytes on C- and F-ordered
+    copies of one frontier, on the row-major table, the rank path for a
+    too-large box and the lattice finer than float spacing."""
+
+    @staticmethod
+    def frontier(case, n, rng):
+        if case == "table":
+            return rng.normal(scale=2.0, size=(n, 2)), 0.05
+        if case == "rank":  # clusters 1e6 cells apart: the box is too large
+            corners = 1e6 * rng.choice([-1.0, 1.0], size=(n, 2))
+            return corners + rng.normal(scale=3.0, size=(n, 2)), 1.0
+        base = 1e6  # neighbouring floats about base, and duplicates
+        steps = rng.integers(-4, 5, size=(n, 2)) * np.spacing(base)
+        return base + steps, base * 2.0 ** -54
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["table", "rank", "sub-spacing"]),
+           st.integers(min_value=2, max_value=300),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_layouts_prune_and_circle_alike(self, case, n, seed):
+        pts, snap = self.frontier(case, n, np.random.default_rng(seed))
+        c_pts, f_pts = np.ascontiguousarray(pts), np.asfortranarray(pts)
+        c_kept = prune(Frontier(points=c_pts, hour=0), snap).points
+        f_kept = prune(Frontier(points=f_pts, hour=0), snap).points
+        assert c_kept.tobytes() == f_kept.tobytes()
+        assert c_kept.flags.f_contiguous and f_kept.flags.f_contiguous
+        assert circle_bytes(burned_circle(c_pts)) == circle_bytes(burned_circle(f_pts))
 
 
 class TestSlowSpreadDedupLag:
@@ -427,7 +487,8 @@ class TestBundledFrontiers:
     def test_pruned_frontiers_are_native_float64(self, monkeypatch, pickled):
         # np.minimum.at takes a generic loop, many times slower, on a
         # float64 dtype that is not numpy's own instance, as an unpickled
-        # array's is; an env grid sent to a worker must not pass it on
+        # array's is; an env grid sent to a worker must not pass it on,
+        # and a frontier that is itself unpickled prunes to numpy's own
         incidents, env, _, _, evo = load_season_bundle(bundled_scenario_path())
         if pickled:
             env = pickle.loads(pickle.dumps(env))
@@ -437,6 +498,11 @@ class TestBundledFrontiers:
         def checked_prune(frontier, snap_km):
             got = real_prune(frontier, snap_km)
             dtypes.extend([frontier.points.dtype, got.points.dtype])
+            if pickled:
+                sent = pickle.loads(pickle.dumps(frontier))
+                kept = real_prune(sent, snap_km).points
+                assert kept.dtype is np.dtype(np.float64)
+                assert kept.tobytes() == got.points.tobytes()
             return got
 
         monkeypatch.setattr(evolution, "prune", checked_prune)

@@ -234,3 +234,88 @@ class TestBranchEndpoints:
         out = branch_endpoints(np.array([[2.0, 3.0]]), np.array([0.0]),
                                np.array([0.0]), np.array([0.9]), dt_s=3600.0)
         np.testing.assert_array_equal(out[0], np.full((4, 2), [2.0, 3.0]))
+
+
+# an env cell's (u10, v10, swvl1): calm components and wetness at or past
+# the cutoff among them
+components = st.sampled_from([0.0, -0.0]) | st.floats(-40.0, 40.0)
+cells = st.tuples(components, components,
+                  st.sampled_from([0.0, 0.35, 0.5, 1.0]) | wetness)
+
+
+@st.composite
+def cell_calls(draw, most_cells=6):
+    """(cells, slots): m cells and each of n points' cell among them."""
+    cs = draw(st.lists(cells, min_size=1, max_size=most_cells))
+    slots = draw(st.lists(st.integers(0, len(cs) - 1), min_size=1, max_size=40))
+    return np.array(cs).T, np.array(slots)
+
+
+def per_point_endpoints(pts, u10, v10, swvl1, dt_s):
+    """Reference (n, 4, 2) endpoints evaluated point by point in numpy, with
+    the roundings of the kernel: center = point + offset, then endpoint =
+    center +- axis term."""
+    ws = np.hypot(u10, v10)
+    theta = np.where(ws > 0, np.arctan2(v10, u10), 0.0)
+    u_p = 0.13 * wind_factor(ws) * moisture_factor(swvl1)
+    u_b = 0.2 * u_p
+    v_lat = (u_p + u_b) / (2.0 * length_breadth_ratio(ws))
+    dt_km = dt_s / 1000.0
+    a, b = (u_p + u_b) * dt_km / 2.0, v_lat * dt_km
+    offset = (u_p - u_b) * dt_km / 2.0
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    cx, cy = pts[:, 0] + offset * cos_t, pts[:, 1] + offset * sin_t
+    return np.stack([np.stack([cx + a * cos_t, cy + a * sin_t], axis=1),
+                     np.stack([cx - a * cos_t, cy - a * sin_t], axis=1),
+                     np.stack([cx - b * sin_t, cy + b * cos_t], axis=1),
+                     np.stack([cx + b * sin_t, cy - b * cos_t], axis=1)], axis=1)
+
+
+class TestPerCellKernel:
+    """The ellipse terms are computed once per env cell; every point's
+    endpoints are bitwise those of one evaluation per point
+    (slot = arange(n), the default)."""
+
+    @staticmethod
+    def check(values, slot, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1e3, 1e3, size=(slot.size, 2))
+        per_cell = branch_endpoints(pts, *values, 3600.0, DEFAULT_PARAMS, slot)
+        taken = values.take(slot, axis=1)
+        per_point = branch_endpoints(pts, *taken, 3600.0, DEFAULT_PARAMS,
+                                     np.arange(slot.size))
+        default = branch_endpoints(pts, *taken, 3600.0)
+        assert per_cell.shape == (slot.size, 4, 2)
+        assert per_cell.tobytes() == per_point.tobytes() == default.tobytes()
+        assert per_cell.tobytes() == per_point_endpoints(pts, *taken, 3600.0).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell_calls(), st.integers(0, 2**32 - 1))
+    def test_matches_per_point_evaluation(self, call, seed):
+        self.check(*call, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cell_calls(most_cells=1), st.integers(0, 2**32 - 1))
+    def test_one_cell_calls(self, call, seed):
+        self.check(*call, seed)
+
+    @pytest.mark.parametrize("cell", [(0.0, 0.0, 0.1), (-0.0, 0.0, 0.0),
+                                      (12.0, -5.0, 0.35), (3.0, 4.0, 0.9)])
+    def test_calm_and_wet_cells_among_others(self, cell):
+        values = np.array([cell, (7.0, 2.0, 0.05)]).T
+        self.check(values, np.array([1, 0, 0, 1, 0]), 0)
+        if cell[2] >= 0.35 or cell[:2] == (0.0, 0.0):
+            # a wet cell's points stay put; a calm one grows along theta = 0
+            pts = np.array([[2.0, 3.0]])
+            out = branch_endpoints(pts, *values, 3600.0, DEFAULT_PARAMS, np.array([0]))[0]
+            if cell[2] >= 0.35:
+                np.testing.assert_array_equal(out, np.full((4, 2), [2.0, 3.0]))
+            else:
+                assert out[0, 1] == 3.0 and out[0, 0] > 2.0
+
+    def test_result_is_a_column_major_buffer(self):
+        out = branch_endpoints(np.zeros((5, 2)), *np.ones((3, 1)) * 0.1, 3600.0,
+                               DEFAULT_PARAMS, np.zeros(5, dtype=np.int64))
+        points = out.reshape(-1, 2)
+        assert np.shares_memory(points, out)
+        assert points.flags.f_contiguous and points.shape == (20, 2)
