@@ -195,10 +195,7 @@ def prune(frontier: Frontier, snap_km: float) -> Frontier:
         first = np.full(size, n)
         np.minimum.at(first, at[keep], cand[keep])
         kept = first[first < n]
-        out = np.empty((2, kept.size))
-        x.take(kept, out=out[0])
-        y.take(kept, out=out[1])
-        pts = out.T
+        pts = np.array([x.take(kept), y.take(kept)]).T
     return Frontier(points=pts, hour=frontier.hour)
 
 

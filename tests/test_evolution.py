@@ -78,9 +78,11 @@ def assert_prunes_like_lexsort(pts, snap_km: float) -> np.ndarray:
     want = lexsort_prune(f, snap_km).points
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    # the column-major copy step would hand over prunes alike
-    fortran = Frontier(points=np.asfortranarray(f.points), hour=0)
-    assert prune(fortran, snap_km).points.tobytes() == want.tobytes()
+    # a column-major copy, as step hands over, prunes alike, and the kept
+    # frontier is column-major either way
+    fortran = prune(Frontier(points=np.asfortranarray(f.points), hour=0), snap_km).points
+    assert fortran.tobytes() == want.tobytes()
+    assert got.flags.f_contiguous and fortran.flags.f_contiguous
     return got
 
 
@@ -263,36 +265,6 @@ class TestPrune:
 # hours whose branched frontier stays under MAX_POINTS with dedup off:
 # hour k branches 4**k points
 UNPRUNED_HOURS = max(k for k in range(32) if 4 ** k < evolution.MAX_POINTS)
-
-
-class TestColumnLayout:
-    """prune and burned_circle give the same bytes on C- and F-ordered
-    copies of one frontier, on the row-major table, the rank path for a
-    too-large box and the lattice finer than float spacing."""
-
-    @staticmethod
-    def frontier(case, n, rng):
-        if case == "table":
-            return rng.normal(scale=2.0, size=(n, 2)), 0.05
-        if case == "rank":  # clusters 1e6 cells apart: the box is too large
-            corners = 1e6 * rng.choice([-1.0, 1.0], size=(n, 2))
-            return corners + rng.normal(scale=3.0, size=(n, 2)), 1.0
-        base = 1e6  # neighbouring floats about base, and duplicates
-        steps = rng.integers(-4, 5, size=(n, 2)) * np.spacing(base)
-        return base + steps, base * 2.0 ** -54
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from(["table", "rank", "sub-spacing"]),
-           st.integers(min_value=2, max_value=300),
-           st.integers(min_value=0, max_value=2**32 - 1))
-    def test_layouts_prune_and_circle_alike(self, case, n, seed):
-        pts, snap = self.frontier(case, n, np.random.default_rng(seed))
-        c_pts, f_pts = np.ascontiguousarray(pts), np.asfortranarray(pts)
-        c_kept = prune(Frontier(points=c_pts, hour=0), snap).points
-        f_kept = prune(Frontier(points=f_pts, hour=0), snap).points
-        assert c_kept.tobytes() == f_kept.tobytes()
-        assert c_kept.flags.f_contiguous and f_kept.flags.f_contiguous
-        assert circle_bytes(burned_circle(c_pts)) == circle_bytes(burned_circle(f_pts))
 
 
 class TestSlowSpreadDedupLag:
