@@ -4,7 +4,7 @@ Submodules:
   envdata     gridded wind, soil-wetness, and biomass inputs; incident lists
   firekernel  single-ellipse fire spread math
   evolution   hour-by-hour frontier branching, burned-circle area, detection
-  sensors     uniform sensor deployments with fast range queries
+  sensors     uniform sensor deployments; proximity queries scan the field
   carbon      burned area -> carbon tonnage, price, and savings
   linkbudget  GEO uplink CNR, throughput, supportable sensor counts
   config      default configuration, its checked merge, config dataclasses

@@ -313,10 +313,11 @@ def nearest_cells(grid: EnvGrid | BiomassGrid, x, y) -> tuple:
     """Column and row indices of the grid cells holding the positions
     (x, y), arrays or scalars: a position on a shared cell edge resolves to
     the lower-index cell, and one off the rectangle to the nearest edge cell."""
-    lx = np.clip(x - grid.origin[0], 0.0, grid.nx * grid.spacing_km)
-    ly = np.clip(y - grid.origin[1], 0.0, grid.ny * grid.spacing_km)
-    ix = np.clip(np.ceil(lx / grid.spacing_km).astype(np.int64) - 1, 0, grid.nx - 1)
-    iy = np.clip(np.ceil(ly / grid.spacing_km).astype(np.int64) - 1, 0, grid.ny - 1)
+    # np.minimum(np.maximum(...)) is np.clip without its Python-level dispatch
+    lx = np.minimum(np.maximum(x - grid.origin[0], 0.0), grid.nx * grid.spacing_km)
+    ly = np.minimum(np.maximum(y - grid.origin[1], 0.0), grid.ny * grid.spacing_km)
+    ix = np.minimum(np.maximum(np.ceil(lx / grid.spacing_km).astype(np.int64) - 1, 0), grid.nx - 1)
+    iy = np.minimum(np.maximum(np.ceil(ly / grid.spacing_km).astype(np.int64) - 1, 0), grid.ny - 1)
     return ix, iy
 
 

@@ -144,19 +144,17 @@ def _lattice_cells(x: np.ndarray, y: np.ndarray,
         # monotone, so the box's corners are those of the bounds
         i0, i1, j0, j1 = (int(np.rint(b / snap_km)) for b in (x0, x1, y0, y1))
         wi, wj = i1 - i0 + 1, j1 - j0 + 1
+        ki, kj = x / snap_km, y / snap_km
+        np.rint(ki, out=ki)
+        np.rint(kj, out=kj)
         if wi * wj <= 2 * x.size + 1024:
             # (ki - i0) * wj + (kj - j0) in float64, exact as every term
             # is an integer below the table size
-            cell, kj = x / snap_km, y / snap_km
-            np.rint(cell, out=cell)
-            np.rint(kj, out=kj)
-            cell -= i0
-            cell *= wj
+            ki -= i0
+            ki *= wj
             kj -= j0
-            cell += kj
-            return cell.astype(np.int64), wi * wj
-        ki = np.rint(x / snap_km).astype(np.int64)
-        kj = np.rint(y / snap_km).astype(np.int64)
+            ki += kj
+            return ki.astype(np.int64), wi * wj
     # ranks keep the order and merge -0.0 with 0.0 as the lattice does
     ri = np.unique(ki, return_inverse=True)[1]
     rj = np.unique(kj, return_inverse=True)[1]

@@ -7,12 +7,14 @@ speed is a fixed fraction of the head speed. All speeds are m/s; geometry is
 km; wind angles are radians from the +x axis.
 
 The field functions (``wind_factor``, ``moisture_factor``, ``spread_speed``,
-``length_breadth_ratio``) evaluate elementwise over numpy arrays (a scalar
-input gives a numpy scalar) and refuse negative inputs. ``branch_endpoints``
-grows one ellipse per point of a whole frontier at once and returns its
-four axis endpoints. Its ellipse terms are computed once per env cell,
-from values the grid has already checked, and each point adds its cell's
-terms to its own position.
+``length_breadth_ratio``) are the model's only formulas. They evaluate
+elementwise over numpy arrays (a scalar input gives a numpy scalar), on
+wind speeds and soil wetness >= 0, unchecked: ``EnvGrid`` refuses
+non-finite winds and soil wetness outside [0, 1], and ``SpreadParams``
+checks its constants. ``branch_endpoints`` grows one ellipse per point of
+a whole frontier at once and returns its four axis endpoints. Its ellipse
+terms are computed once per env cell by the field functions, and each
+point adds its cell's terms to its own position.
 """
 
 from __future__ import annotations
@@ -59,40 +61,22 @@ class SpreadParams:
 DEFAULT_PARAMS = SpreadParams()
 
 
-def _checked(what: str, x) -> np.ndarray:
-    """x as a float array, refused if any value is negative."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError(f"{what} must be >= 0")
-    return x
-
-
-def _wind_factor(ws, params: SpreadParams):
-    g0 = params.windless_gain
-    return g0 + (1.0 - g0) * -np.expm1(-(ws * ws) / params.wind_sq_scale)
-
-
-def _moisture_factor(beta, params: SpreadParams):
-    beta_m = np.minimum(beta / params.wetness_cutoff, 1.0)
-    return (1.0 - beta_m) ** 2
-
-
-def _length_breadth_ratio(ws, params: SpreadParams):
-    return 1.0 + params.elongation_gain * (1.0 - np.exp(-params.elongation_rate * ws))
-
-
 def wind_factor(ws_ms, params: SpreadParams = DEFAULT_PARAMS):
     """Wind damping factor in [windless_gain, 1): 1 - (1-g0)*exp(-ws^2/scale).
 
     Evaluated as g0 + (1-g0)*(-expm1(...)), which hits the g0 floor
     exactly at calm and keeps precision for light winds.
     """
-    return _wind_factor(_checked("wind speed", ws_ms), params)
+    ws = np.asarray(ws_ms, dtype=float)
+    g0 = params.windless_gain
+    return g0 + (1.0 - g0) * -np.expm1(-(ws * ws) / params.wind_sq_scale)
 
 
 def moisture_factor(beta_root, params: SpreadParams = DEFAULT_PARAMS):
     """Soil-wetness damping factor (1 - beta_m)^2, zero at/above the cutoff."""
-    return _moisture_factor(_checked("soil wetness", beta_root), params)
+    beta = np.asarray(beta_root, dtype=float)
+    beta_m = np.minimum(beta / params.wetness_cutoff, 1.0)
+    return (1.0 - beta_m) ** 2
 
 
 def spread_speed(ws_ms, beta_root, params: SpreadParams = DEFAULT_PARAMS):
@@ -102,7 +86,8 @@ def spread_speed(ws_ms, beta_root, params: SpreadParams = DEFAULT_PARAMS):
 
 def length_breadth_ratio(ws_ms, params: SpreadParams = DEFAULT_PARAMS):
     """Ellipse length-to-breadth ratio, 1 at calm, approaching 1+gain from below."""
-    return _length_breadth_ratio(_checked("wind speed", ws_ms), params)
+    ws = np.asarray(ws_ms, dtype=float)
+    return 1.0 + params.elongation_gain * (1.0 - np.exp(-params.elongation_rate * ws))
 
 
 def branch_endpoints(
@@ -137,10 +122,9 @@ def branch_endpoints(
     ws = np.hypot(u, v)
     theta = np.where(ws > 0, np.arctan2(v, u), 0.0)
 
-    u_p = (params.u_max_ms * _wind_factor(ws, params)
-           * _moisture_factor(np.asarray(swvl1, dtype=float), params))
+    u_p = spread_speed(ws, swvl1, params)
     u_b = params.backspread_ratio * u_p
-    v_lat = (u_p + u_b) / (2.0 * _length_breadth_ratio(ws, params))
+    v_lat = (u_p + u_b) / (2.0 * length_breadth_ratio(ws, params))
 
     dt_km = dt_s / M_PER_KM
     a = (u_p + u_b) * dt_km / 2.0

@@ -224,9 +224,9 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
                     for c in cfg.unit_sensor_cost_usd)))
 
     summary: list[SummaryRow] = []
-    for count in cfg.sensor_counts:
-        group = [r for r in rows if r.n_sensors == count]
-        n = len(group)
+    n = cfg.trials
+    for j, count in enumerate(cfg.sensor_counts):
+        group = rows[j * n:(j + 1) * n]  # rows are count-major
         summary.append(SummaryRow(
             n_sensors=count,
             burned_hours=sum(r.burned_hours for r in group) / n,

@@ -376,6 +376,43 @@ class TestDistinctCells:
         assert values.take(slot, axis=1).tobytes() == gathered(grid, pts, t).tobytes()
 
 
+def clip_cells(grid, x, y):
+    """nearest_cells' indices in the np.clip formula."""
+    lx = np.clip(x - grid.origin[0], 0.0, grid.nx * grid.spacing_km)
+    ly = np.clip(y - grid.origin[1], 0.0, grid.ny * grid.spacing_km)
+    ix = np.clip(np.ceil(lx / grid.spacing_km).astype(np.int64) - 1, 0, grid.nx - 1)
+    iy = np.clip(np.ceil(ly / grid.spacing_km).astype(np.int64) - 1, 0, grid.ny - 1)
+    return ix, iy
+
+
+class TestNearestCells:
+    """nearest_cells gives the np.clip formula's indices, for arrays and
+    scalars, on env and biomass grids: positions on shared cell edges, on
+    the rectangle's edges and off it included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nx=st.integers(1, 6), ny=st.integers(1, 6), biomass=st.booleans(),
+           data=st.data(), **_GEOMETRY)
+    def test_matches_the_clip_formula(self, nx, ny, biomass, data, spacing_km, origin):
+        if biomass:
+            grid = BiomassGrid(nx=nx, ny=ny, spacing_km=spacing_km,
+                               values=np.ones((ny, nx)), origin=origin)
+        else:
+            grid = tiny_grid(nx=nx, ny=ny, spacing=spacing_km, origin=origin)
+        pts = np.array(data.draw(st.lists(st.tuples(
+            _coords(origin[0], nx, spacing_km), _coords(origin[1], ny, spacing_km)),
+            max_size=40)), dtype=float).reshape(-1, 2)
+        x, y = pts[:, 0], pts[:, 1]
+        got, want = envdata.nearest_cells(grid, x, y), clip_cells(grid, x, y)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+        for xi, yi in pts.tolist():
+            got = envdata.nearest_cells(grid, xi, yi)
+            assert tuple(map(int, got)) == tuple(map(int, clip_cells(grid, xi, yi)))
+            assert all(np.ndim(g) == 0 for g in got)
+
+
 class TestRoundTrip:
     """save -> load keeps a synthesized grid: the loaded grid's full-size
     lattice samples and rasterizes as the coarse lattice it was written from."""

@@ -41,10 +41,6 @@ class TestWindFactor:
     def test_bounds(self, w):
         assert 0.1 <= wind_factor(w) < 1.0
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            wind_factor(-0.1)
-
     def test_array_input(self):
         w = np.array([0.0, 10.0, 50.0])
         out = wind_factor(w)
@@ -69,10 +65,6 @@ class TestMoistureFactor:
     def test_monotone_decreasing(self, a, b):
         lo, hi = sorted((a, b))
         assert moisture_factor(lo) >= moisture_factor(hi)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            moisture_factor(-0.01)
 
 
 class TestLengthBreadthRatio:
@@ -254,12 +246,14 @@ def cell_calls(draw, most_cells=6):
 def per_point_endpoints(pts, u10, v10, swvl1, dt_s):
     """Reference (n, 4, 2) endpoints evaluated point by point in numpy, with
     the roundings of the kernel: center = point + offset, then endpoint =
-    center +- axis term."""
+    center +- axis term. The default parameters' formulas are written out,
+    so the reference does not share the kernel's field functions."""
     ws = np.hypot(u10, v10)
     theta = np.where(ws > 0, np.arctan2(v10, u10), 0.0)
-    u_p = 0.13 * wind_factor(ws) * moisture_factor(swvl1)
+    u_p = (0.13 * (0.1 + 0.9 * -np.expm1(-(ws * ws) / 2500.0))
+           * (1.0 - np.minimum(swvl1 / 0.35, 1.0)) ** 2)
     u_b = 0.2 * u_p
-    v_lat = (u_p + u_b) / (2.0 * length_breadth_ratio(ws))
+    v_lat = (u_p + u_b) / (2.0 * (1.0 + 10.0 * (1.0 - np.exp(-0.017 * ws))))
     dt_km = dt_s / 1000.0
     a, b = (u_p + u_b) * dt_km / 2.0, v_lat * dt_km
     offset = (u_p - u_b) * dt_km / 2.0

@@ -171,6 +171,18 @@ class TestSweep:
         for d in by_trial.values():
             assert d[50] >= d[500]
 
+    def test_repeated_count_averages_its_own_trials(self):
+        # count j's summary averages rows[j * trials:(j + 1) * trials]: a
+        # repeated count summarizes as the count alone does, bit for bit
+        incidents, env, bio = small_scenario()
+        cfg = replace(self.CFG, sensor_counts=(500,), trials=7)
+        rows, summary, _ = sweep(incidents, env, bio, cfg, evolution=EVO)
+        rows2, summary2, _ = sweep(incidents, env, bio,
+                                   replace(cfg, sensor_counts=(500, 500)),
+                                   evolution=EVO)
+        assert rows2[:7] == rows
+        assert summary2 == summary * 2
+
     def test_manifest_contents(self):
         incidents, env, bio = small_scenario()
         _, _, manifest = sweep(incidents, env, bio, self.CFG, evolution=EVO)
