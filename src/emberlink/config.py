@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 from dataclasses import asdict, dataclass
 
+from .carbon import USD_PER_TON
 from .envdata import (CALIFORNIA, check_fields, check_seed, describe_kind,
                       fits_kind)
 from .errors import ValidationError, check_range
@@ -34,7 +35,7 @@ class SweepConfig:
     sensor_counts: tuple[int, ...]
     trials: int = 10
     base_seed: int = 0
-    usd_per_ton: float = 20.0
+    usd_per_ton: float = USD_PER_TON
     unit_sensor_cost_usd: tuple[float, ...] = (10.0, 20.0, 50.0, 100.0)
     cap_hours: float = 168.0
     baseline: str = "simulated-zero-sensor"

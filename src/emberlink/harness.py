@@ -19,9 +19,12 @@ random words, keeps a row when its words' raster cell lies near some
 incident (about 0.66 % of a 1M-sensor draw for the bundled season), and
 turns only the kept rows into positions, so it never holds the whole
 field.
-Outputs are reduced in (count, trial, incident) order and are
-byte-identical for any worker count. A scenario bundle's sweep
-and evolution sections go through config.merge, as the CLI's do.
+Totals form one array table. A trial's replays fill an (incident, count,
+column) array from a 0.0 row, and np.cumsum totals it in incident order,
+as a += loop sums; the stacked (trial, count, column) table is priced,
+netted and averaged over trials the same way. Rows leave as tuples in CSV
+column order, byte-identical for any worker count. A scenario bundle's
+sweep and evolution sections go through config.merge, as the CLI's do.
 """
 
 from __future__ import annotations
@@ -31,14 +34,15 @@ import os
 import tempfile
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .carbon import average_biomass, carbon_price, emission_tons, savings
+from .carbon import (USD_PER_TON, average_biomass, carbon_price, emission_tons,
+                     savings)
 from .config import (BASELINE_MODES, SweepConfig, bundle_config,
                      evolution_config, sweep_config)
 from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec,
@@ -50,79 +54,37 @@ from .evolution import (EvolutionConfig, circle_trajectory, replay_detection,
 from .sensors import SensorField, deploy_uniform
 
 
-@dataclass(frozen=True)
-class SeasonTotals:
-    """Season aggregates; sums run in incident order."""
-
-    burned_hours: float
-    burned_area_km2: float
-    carbon_tons: float
-    carbon_price_usd: float
-    n_incidents: int
-    n_detected: int
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (sensor count, trial) season outcome; savings align with the
-    configured unit costs."""
-
-    n_sensors: int
-    trial: int
-    burned_hours: float
-    burned_area_km2: float
-    carbon_tons: float
-    carbon_price_usd: float
-    savings_usd: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    """Per-count means over trials."""
-
-    n_sensors: int
-    burned_hours: float
-    burned_area_km2: float
-    carbon_tons: float
-    carbon_price_usd: float
-    savings_usd: tuple[float, ...]
-
-
 def _replay_season(incidents: list[Incident],
                    trajectories: list[np.ndarray], field_: SensorField,
                    counts: Sequence[int], bio: BiomassGrid, evo: EvolutionConfig,
-                   usd_per_ton: float, biomass: dict[tuple, float],
-                   ) -> list[SeasonTotals]:
-    """Totals of each incident's trajectory replayed against the first n
-    sensors of one field, for each n in counts; totals sum in incident
-    order. biomass maps each reported circle priced so far to its mean
-    biomass, a function of the circle alone, and gains the new ones."""
+                   biomass: dict[tuple, float]) -> np.ndarray:
+    """Season totals of each incident's trajectory replayed against the
+    first n sensors of one field, for each n in counts: a (len(counts), 4)
+    array of burned hours, burned area, carbon tons and detections. Each
+    total is 0.0 + x0 + x1 ... in incident order. biomass maps each
+    reported circle priced so far to its mean biomass, a function of the
+    circle alone, and gains the new ones."""
     replays = [replay_detection(inc, circles, field_, evo, counts)
                for inc, circles in zip(incidents, trajectories, strict=True)]
-    seasons = []
+    table = np.zeros((len(incidents) + 1, len(counts), 4))  # row 0 stays 0.0
     for j in range(len(counts)):
-        hours = area = tons = 0.0
-        detected = 0
-        for results in replays:
+        for i, results in enumerate(replays, 1):
             r = results[j]
             if r.circle not in biomass:
                 biomass[r.circle] = average_biomass(r.circle, bio)
-            hours += r.detection_hour
-            area += r.burned_area_km2
-            tons += emission_tons(r.burned_area_km2, biomass[r.circle])
-            detected += int(r.detected)
-        seasons.append(SeasonTotals(
-            burned_hours=hours, burned_area_km2=area, carbon_tons=tons,
-            carbon_price_usd=carbon_price(tons, usd_per_ton),
-            n_incidents=len(incidents), n_detected=detected))
-    return seasons
+            table[i, j] = (r.detection_hour, r.burned_area_km2,
+                           emission_tons(r.burned_area_km2, biomass[r.circle]),
+                           r.detected)
+    return np.cumsum(table, axis=0)[-1]
 
 
 def baseline_totals(incidents: list[Incident],
                     trajectories: list[np.ndarray] | None,
                     bio: BiomassGrid, mode: str, cfg: EvolutionConfig,
-                    usd_per_ton: float = 20.0) -> SeasonTotals:
-    """Reference totals the sweep savings are measured against.
+                    usd_per_ton: float = USD_PER_TON) -> dict:
+    """Reference totals the sweep savings are measured against, as the
+    manifest stores them: burned_hours, burned_area_km2, carbon_tons and
+    carbon_price_usd (floats), then n_incidents and n_detected (ints).
 
     historical            sum the incident file's own duration/area fields;
                           carbon uses the grid-wide mean biomass over the
@@ -141,18 +103,20 @@ def baseline_totals(incidents: list[Incident],
                     f"historical baseline needs both columns")
             hours += inc.historical_burn_hours
             area += inc.historical_area_km2
-        tons = emission_tons(area, float(bio.values.mean()))
-        return SeasonTotals(burned_hours=hours, burned_area_km2=area,
-                            carbon_tons=tons,
-                            carbon_price_usd=carbon_price(tons, usd_per_ton),
-                            n_incidents=len(incidents), n_detected=0)
-    if mode == "simulated-zero-sensor":
+        tons, detected = emission_tons(area, float(bio.values.mean())), 0
+    elif mode == "simulated-zero-sensor":
         if trajectories is None:
             raise ValidationError(
                 "simulated-zero-sensor baseline needs the incident trajectories")
-        return _replay_season(incidents, trajectories, SensorField(positions=[]),
-                              (0,), bio, cfg, usd_per_ton, {})[0]
-    raise ValidationError(f"baseline must be one of {BASELINE_MODES}, got '{mode}'")
+        [[hours, area, tons, detected]] = _replay_season(
+            incidents, trajectories, SensorField(positions=[]), (0,), bio, cfg,
+            {}).tolist()
+    else:
+        raise ValidationError(
+            f"baseline must be one of {BASELINE_MODES}, got '{mode}'")
+    return {"burned_hours": hours, "burned_area_km2": area, "carbon_tons": tons,
+            "carbon_price_usd": carbon_price(tons, usd_per_ton),
+            "n_incidents": len(incidents), "n_detected": int(detected)}
 
 
 # worker-process context for trajectory tasks, set once per worker
@@ -183,8 +147,12 @@ def _trajectories(incidents: list[Incident], env: EnvGrid,
 def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
           cfg: SweepConfig, evolution: EvolutionConfig = EvolutionConfig(),
           workers: int = 1,
-          ) -> tuple[list[SweepRow], list[SummaryRow], dict]:
-    """Season outcomes across sensor counts and deployment trials.
+          ) -> tuple[list[tuple], list[tuple], dict]:
+    """Season outcomes across sensor counts and deployment trials: the
+    sweep_rows.csv rows (n_sensors, trial, burned_hours, burned_area_km2,
+    carbon_tons, carbon_price_usd, *savings_usd per unit cost), count-major,
+    and the sweep_summary.csv rows (n_sensors, *that count's trial means),
+    as tuples of Python numbers, then the manifest.
 
     Trial t deploys max(sensor_counts) sensors once, with seed
     base_seed + t, screened with every incident's screen disk, and count
@@ -203,45 +171,33 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
                            cfg.usd_per_ton)
     biomass: dict[tuple, float] = {}
     disks = [screen_disk(circles) for circles in trajectories]
-    seasons = [
+    counts, costs = cfg.sensor_counts, cfg.unit_sensor_cost_usd
+    seasons = np.stack([
         # no name holds the field, so it is freed before the next deploy
         _replay_season(incidents, trajectories,
-                       deploy_uniform(cfg.sensor_counts[-1], env.rect,
+                       deploy_uniform(counts[-1], env.rect,
                                       cfg.base_seed + trial, disks),
-                       cfg.sensor_counts, bio, evo, cfg.usd_per_ton, biomass)
-        for trial in range(cfg.trials)]
-    rows: list[SweepRow] = []
-    for j, count in enumerate(cfg.sensor_counts):
-        for trial, totals in enumerate(s[j] for s in seasons):
-            rows.append(SweepRow(
-                n_sensors=count, trial=trial,
-                burned_hours=totals.burned_hours,
-                burned_area_km2=totals.burned_area_km2,
-                carbon_tons=totals.carbon_tons,
-                carbon_price_usd=totals.carbon_price_usd,
-                savings_usd=tuple(
-                    savings(base.carbon_price_usd, totals.carbon_price_usd, count, c)
-                    for c in cfg.unit_sensor_cost_usd)))
-
-    summary: list[SummaryRow] = []
-    n = cfg.trials
-    for j, count in enumerate(cfg.sensor_counts):
-        group = rows[j * n:(j + 1) * n]  # rows are count-major
-        summary.append(SummaryRow(
-            n_sensors=count,
-            burned_hours=sum(r.burned_hours for r in group) / n,
-            burned_area_km2=sum(r.burned_area_km2 for r in group) / n,
-            carbon_tons=sum(r.carbon_tons for r in group) / n,
-            carbon_price_usd=sum(r.carbon_price_usd for r in group) / n,
-            savings_usd=tuple(sum(r.savings_usd[i] for r in group) / n
-                              for i in range(len(cfg.unit_sensor_cost_usd)))))
+                       counts, bio, evo, biomass)
+        for trial in range(cfg.trials)])
+    # (trial, count, column) in the rows' column order from burned_hours
+    # on; row 0 stays 0.0, so each mean sums from 0.0 in trial order
+    table = np.zeros((cfg.trials + 1, len(counts), 4 + len(costs)))
+    table[1:, :, :3] = seasons[..., :3]
+    table[1:, :, 3] = [[carbon_price(tons, cfg.usd_per_ton) for tons in trial]
+                       for trial in seasons[..., 2].tolist()]
+    table[1:, :, 4:] = savings(base["carbon_price_usd"], table[1:, :, 3:4],
+                               np.array(counts)[:, None], np.array(costs))
+    means = np.cumsum(table, axis=0)[-1] / cfg.trials
+    rows = [(n, trial, *table[trial + 1, j].tolist())
+            for j, n in enumerate(counts) for trial in range(cfg.trials)]
+    summary = [(n, *means[j].tolist()) for j, n in enumerate(counts)]
 
     manifest = {
         "version": __version__,
         "sweep": asdict(cfg),
         "evolution": asdict(evo),
         "deployment_seeds": [cfg.base_seed + t for t in range(cfg.trials)],
-        "baseline": asdict(base),
+        "baseline": base,
         "env": {"nx": env.nx, "ny": env.ny, "nt": env.nt,
                 "spacing_km": env.spacing_km, "origin": list(env.origin)},
         "biomass": {"nx": bio.nx, "ny": bio.ny, "spacing_km": bio.spacing_km,
@@ -259,10 +215,6 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
 
 def _cost_label(cost: float) -> str:
     return f"cost{int(cost)}" if float(cost).is_integer() else f"cost{cost!r}"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _read_umask() -> int:
@@ -297,33 +249,27 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return fpath
 
 
-def write_sweep_csv(rows: list[SweepRow], costs: tuple[float, ...],
+def _write_csv(header: list[str], rows: list[tuple], path: str | Path) -> Path:
+    """A header line, then each row's Python numbers as their repr, which
+    round-trips every float exactly."""
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+    return atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_sweep_csv(rows: list[tuple], costs: tuple[float, ...],
                     path: str | Path) -> Path:
-    header = ["n_sensors", "trial", "burned_hours", "burned_area_km2",
-              "carbon_tons", "carbon_price_usd"]
-    header += [f"savings_usd@{_cost_label(c)}" for c in costs]
-    lines = [",".join(header)]
-    for r in rows:
-        cells = [str(r.n_sensors), str(r.trial), _fmt(r.burned_hours),
-                 _fmt(r.burned_area_km2), _fmt(r.carbon_tons),
-                 _fmt(r.carbon_price_usd)]
-        cells += [_fmt(s) for s in r.savings_usd]
-        lines.append(",".join(cells))
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    return _write_csv(["n_sensors", "trial", "burned_hours", "burned_area_km2",
+                       "carbon_tons", "carbon_price_usd",
+                       *(f"savings_usd@{_cost_label(c)}" for c in costs)],
+                      rows, path)
 
 
-def write_summary_csv(summary: list[SummaryRow], costs: tuple[float, ...],
+def write_summary_csv(summary: list[tuple], costs: tuple[float, ...],
                       path: str | Path) -> Path:
-    header = ["n_sensors", "mean_burned_hours", "mean_burned_area_km2",
-              "mean_carbon_tons", "mean_carbon_price_usd"]
-    header += [f"mean_savings_usd@{_cost_label(c)}" for c in costs]
-    lines = [",".join(header)]
-    for r in summary:
-        cells = [str(r.n_sensors), _fmt(r.burned_hours), _fmt(r.burned_area_km2),
-                 _fmt(r.carbon_tons), _fmt(r.carbon_price_usd)]
-        cells += [_fmt(s) for s in r.savings_usd]
-        lines.append(",".join(cells))
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    return _write_csv(["n_sensors", "mean_burned_hours", "mean_burned_area_km2",
+                       "mean_carbon_tons", "mean_carbon_price_usd",
+                       *(f"mean_savings_usd@{_cost_label(c)}" for c in costs)],
+                      summary, path)
 
 
 def write_manifest(manifest: dict, path: str | Path) -> Path:

@@ -260,9 +260,9 @@ def test_criterion_10_historical_baseline_identity():
     bio = synth_biomass(nx=4, ny=4, spacing_km=300.0, lo=40.0, hi=50.0, seed=1)
     totals = baseline_totals(incidents, None, bio, "historical",
                              EvolutionConfig())
-    ok = (totals.burned_hours == 36716.25
-          and totals.burned_area_km2 == 10202.04)
+    ok = (totals["burned_hours"] == 36716.25
+          and totals["burned_area_km2"] == 10202.04)
     _check(10, "historical baseline identity", ok,
-           f"hours={totals.burned_hours!r} (== 36716.25), "
-           f"area={totals.burned_area_km2!r} km2 (== 10202.04) "
+           f"hours={totals['burned_hours']!r} (== 36716.25), "
+           f"area={totals['burned_area_km2']!r} km2 (== 10202.04) "
            f"over {len(incidents)} incidents")

@@ -409,6 +409,18 @@ class TestBoundsOnFileInputs:
         assert "nan" not in rows and "inf" not in rows
 
     @pytest.mark.parametrize("baseline", ["historical", "simulated-zero-sensor"])
+    def test_manifest_baseline_types(self, tmp_path, baseline):
+        # the counts are JSON integers and the totals JSON floats, even
+        # where a total is a whole number or zero
+        assert main(_file_scenario(tmp_path, "100")
+                    + ["--set", f"sweep.baseline={baseline}", "sweep"]) == 0
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert {k: type(v) for k, v in manifest["baseline"].items()} == {
+            "burned_hours": float, "burned_area_km2": float, "carbon_tons": float,
+            "carbon_price_usd": float, "n_incidents": int, "n_detected": int}
+        assert manifest["baseline"]["n_incidents"] == 1
+
+    @pytest.mark.parametrize("baseline", ["historical", "simulated-zero-sensor"])
     @pytest.mark.parametrize("area", ["nan", "inf", "-inf"])
     def test_non_finite_area_acre_is_bad_input(self, tmp_path, capsys, baseline, area):
         code = main(_file_scenario(tmp_path, area)

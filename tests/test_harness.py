@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from emberlink import evolution, harness
-from emberlink.carbon import average_biomass, carbon_price, emission_tons
+from emberlink.carbon import (average_biomass, carbon_price, emission_tons,
+                             savings)
 from emberlink.cli import build_parser, load_config, main
 from emberlink.config import evolution_config, sweep_config
 from emberlink.envdata import Incident, Rect, SynthSpec, synth_biomass, synth_env
@@ -27,7 +28,7 @@ from emberlink.harness import (SweepConfig, atomic_write_text, baseline_totals,
 from emberlink.sensors import SensorField, deploy_uniform
 
 
-def small_scenario():
+def small_scenario(n_incidents=6):
     spec = SynthSpec(nx=8, ny=8, nt=48, spacing_km=25.0, mode="random",
                      u10_range=(10.0, 30.0), v10_range=(-8.0, 8.0),
                      swvl1_range=(0.0, 0.1), coarse_nx=3, coarse_ny=3,
@@ -38,22 +39,23 @@ def small_scenario():
     incidents = [Incident(id=f"i{k}", start_hour=int(rng.integers(0, 24)),
                           ignition_xy=(float(rng.uniform(40, 160)),
                                        float(rng.uniform(40, 160))))
-                 for k in range(6)]
+                 for k in range(n_incidents)]
     return incidents, env, bio
 
 
 EVO = EvolutionConfig(snap_km=0.05, max_hours=12.0)
 
 
-def manual_season(incidents, env, bio, field_):
+def manual_season(incidents, env, bio, field_, trajectories=None):
     """Season totals of the plain incident-order evolve-then-replay loop."""
+    if trajectories is None:
+        trajectories = [circle_trajectory(inc, env, EVO) for inc in incidents]
     hours = 0.0
     area = 0.0
     tons = 0.0
     detected = 0
-    for inc in incidents:
-        [r] = replay_detection(inc, circle_trajectory(inc, env, EVO), field_, EVO,
-                               (len(field_),))
+    for inc, circles in zip(incidents, trajectories, strict=True):
+        [r] = replay_detection(inc, circles, field_, EVO, (len(field_),))
         hours += r.detection_hour
         area += r.burned_area_km2
         tons += emission_tons(r.burned_area_km2, average_biomass(r.circle, bio))
@@ -63,33 +65,85 @@ def manual_season(incidents, env, bio, field_):
             "n_incidents": len(incidents), "n_detected": detected}
 
 
+def bits(rows):
+    """Rows with every number as its repr, so == compares floats bit for
+    bit (-0.0 included)."""
+    return [tuple(map(repr, row)) for row in rows]
+
+
 def one_row_sweep(incidents, env, bio, count, seed):
-    """sweep at one count and one trial, to EVO's horizon."""
+    """The manifest of a sweep at one count and one trial, to EVO's horizon."""
     cfg = SweepConfig(sensor_counts=(count,), trials=1, base_seed=seed,
                       cap_hours=EVO.max_hours, usd_per_ton=20.0)
     rows, _, manifest = sweep(incidents, env, bio, cfg, evolution=EVO)
     assert len(rows) == 1
-    return rows[0], manifest
+    return manifest
 
 
 class TestRunSeason:
-    """A season's totals, as sweep computes them for one (count, trial)."""
+    """A season's totals, as sweep computes them for each (count, trial)."""
+
+    CFG = SweepConfig(sensor_counts=(0, 50, 2000, 20000), trials=3, base_seed=4,
+                      cap_hours=EVO.max_hours, usd_per_ton=20.0,
+                      unit_sensor_cost_usd=(10.0, 0.5, 100.0))
 
     def test_totals_match_manual_loop(self):
-        incidents, env, bio = small_scenario()
-        row, manifest = one_row_sweep(incidents, env, bio, 20000, seed=4)
+        # each (count, trial) row and each count's mean, savings included,
+        # bit for bit against scalar += loops over the incidents and trials
+        incidents, env, bio = small_scenario(11)
+        cfg = self.CFG
+        rows, summary, manifest = sweep(incidents, env, bio, cfg, evolution=EVO)
         assert manifest["n_incidents"] == len(incidents)
-        manual = manual_season(incidents, env, bio,
-                               deploy_uniform(20000, env.rect, seed=4))
-        assert manual["n_detected"] > 0
-        assert row.burned_hours == manual["burned_hours"]
-        assert row.burned_area_km2 == manual["burned_area_km2"]
-        assert row.carbon_tons == manual["carbon_tons"]
-        assert row.carbon_price_usd == manual["carbon_price_usd"]
+        trajectories = [circle_trajectory(inc, env, EVO) for inc in incidents]
+        base = manual_season(incidents, env, bio, SensorField(positions=[]),
+                             trajectories)
+        assert manifest["baseline"] == base
+        expected, detected = [], 0
+        for n in cfg.sensor_counts:
+            for trial in range(cfg.trials):
+                manual = manual_season(
+                    incidents, env, bio,
+                    deploy_uniform(n, env.rect, seed=cfg.base_seed + trial),
+                    trajectories)
+                detected += manual["n_detected"]
+                price = manual["carbon_price_usd"]
+                expected.append((n, trial, manual["burned_hours"],
+                                 manual["burned_area_km2"], manual["carbon_tons"],
+                                 price, *(savings(base["carbon_price_usd"], price,
+                                                  n, c)
+                                          for c in cfg.unit_sensor_cost_usd)))
+        assert detected > 0
+        assert bits(rows) == bits(expected)
+        means = []
+        for j, n in enumerate(cfg.sensor_counts):
+            sums = [0.0] * (len(expected[0]) - 2)
+            for row in expected[j * cfg.trials:(j + 1) * cfg.trials]:
+                for k, x in enumerate(row[2:]):
+                    sums[k] += x
+            means.append((n, *(x / cfg.trials for x in sums)))
+        assert bits(summary) == bits(means)
+
+    def test_empty_season(self):
+        # no incidents: zero totals, and savings are the sensor spend alone
+        _, env, bio = small_scenario()
+        cfg = self.CFG
+        rows, summary, manifest = sweep([], env, bio, cfg, evolution=EVO)
+        assert manifest["baseline"] == {
+            "burned_hours": 0.0, "burned_area_km2": 0.0, "carbon_tons": 0.0,
+            "carbon_price_usd": 0.0, "n_incidents": 0, "n_detected": 0}
+        assert len(rows) == len(cfg.sensor_counts) * cfg.trials
+        for row in rows:
+            n = row[0]
+            assert bits([row[2:6]]) == bits([(0.0,) * 4])
+            assert row[6:] == tuple(-n * c for c in cfg.unit_sensor_cost_usd)
+        assert bits(summary) == bits(
+            [(n, 0.0, 0.0, 0.0, 0.0,
+              *(savings(0.0, 0.0, n, c) for c in cfg.unit_sensor_cost_usd))
+             for n in cfg.sensor_counts])
 
     def test_detected_count(self):
         incidents, env, bio = small_scenario()
-        _, manifest = one_row_sweep(incidents, env, bio, 0, seed=4)
+        manifest = one_row_sweep(incidents, env, bio, 0, seed=4)
         assert manifest["baseline"]["n_detected"] == 0
         assert manifest["baseline"]["n_incidents"] == len(incidents)
 
@@ -104,9 +158,9 @@ class TestBaselines:
         ]
         bio = synth_biomass(nx=4, ny=4, spacing_km=10.0, lo=30.0, hi=30.0, seed=0)
         totals = baseline_totals(incidents, None, bio, "historical", EVO)
-        assert totals.burned_hours == 14.75
-        assert totals.burned_area_km2 == 4.75
-        assert totals.carbon_tons == pytest.approx(
+        assert totals["burned_hours"] == 14.75
+        assert totals["burned_area_km2"] == 4.75
+        assert totals["carbon_tons"] == pytest.approx(
             emission_tons(4.75, float(bio.values.mean())))
 
     def test_historical_requires_both_columns(self):
@@ -118,12 +172,12 @@ class TestBaselines:
     def test_zero_sensor_equals_empty_field_season(self):
         incidents, env, bio = small_scenario()
         direct = manual_season(incidents, env, bio, SensorField(positions=[]))
-        _, manifest = one_row_sweep(incidents, env, bio, 0, seed=4)
+        manifest = one_row_sweep(incidents, env, bio, 0, seed=4)
         assert manifest["baseline"] == direct
         trajectories = [circle_trajectory(inc, env, EVO) for inc in incidents]
         totals = baseline_totals(incidents, trajectories, bio,
                                  "simulated-zero-sensor", EVO)
-        assert asdict(totals) == direct
+        assert totals == direct
 
     def test_zero_sensor_needs_env(self):
         # the zero-sensor baseline replays trajectories grown on the env grid
@@ -141,16 +195,14 @@ class TestSweep:
         rows, summary, manifest = sweep(incidents, env, bio, self.CFG,
                                         evolution=EVO)
         assert len(rows) == 2 * 3
-        assert [s.n_sensors for s in summary] == [50, 500]
+        assert [s[0] for s in summary] == [50, 500]
         base_price = manifest["baseline"]["carbon_price_usd"]
-        for r in rows:
-            for cost, sav in zip(self.CFG.unit_sensor_cost_usd, r.savings_usd):
-                assert sav == pytest.approx(
-                    base_price - (r.carbon_price_usd + r.n_sensors * cost))
+        for n, _, _, _, _, price, *sav in rows:
+            assert sav == [savings(base_price, price, n, cost)
+                           for cost in self.CFG.unit_sensor_cost_usd]
         for s in summary:
-            group = [r for r in rows if r.n_sensors == s.n_sensors]
-            assert s.burned_hours == pytest.approx(
-                sum(r.burned_hours for r in group) / len(group))
+            group = [r for r in rows if r[0] == s[0]]
+            assert s[1] == pytest.approx(sum(r[2] for r in group) / len(group))
 
     def test_deterministic_and_worker_invariant(self):
         incidents, env, bio = small_scenario()
@@ -166,8 +218,8 @@ class TestSweep:
         incidents, env, bio = small_scenario()
         rows, _, _ = sweep(incidents, env, bio, self.CFG, evolution=EVO)
         by_trial = {}
-        for r in rows:
-            by_trial.setdefault(r.trial, {})[r.n_sensors] = r.burned_hours
+        for n, trial, hours, *_ in rows:
+            by_trial.setdefault(trial, {})[n] = hours
         for d in by_trial.values():
             assert d[50] >= d[500]
 
@@ -287,14 +339,16 @@ class TestOutputs:
         lines = rp.read_text().splitlines()
         assert lines[0] == ("n_sensors,trial,burned_hours,burned_area_km2,"
                             "carbon_tons,carbon_price_usd,savings_usd@cost10")
-        cells = lines[1].split(",")
-        assert int(cells[0]) == rows[0].n_sensors
-        assert float(cells[2]) == rows[0].burned_hours  # repr round-trips
-        assert float(cells[6]) == rows[0].savings_usd[0]
+        # every cell reads back as its row's number, exactly
+        assert [tuple(map(float, line.split(","))) for line in lines[1:]] == rows
+        assert lines[1].split(",")[:2] == ["50", "0"]
         sp = write_summary_csv(summary, cfg.unit_sensor_cost_usd,
                                tmp_path / "sum.csv")
-        head = sp.read_text().splitlines()[0]
-        assert head.startswith("n_sensors,mean_burned_hours")
+        head, *lines = sp.read_text().splitlines()
+        assert head == ("n_sensors,mean_burned_hours,mean_burned_area_km2,"
+                        "mean_carbon_tons,mean_carbon_price_usd,"
+                        "mean_savings_usd@cost10")
+        assert [tuple(map(float, line.split(","))) for line in lines] == summary
 
     def test_manifest_is_json(self, tmp_path):
         p = write_manifest({"a": 1, "b": [1, 2]}, tmp_path / "m.json")
