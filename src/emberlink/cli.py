@@ -35,7 +35,7 @@ from .envdata import (GeoTransform, SynthSpec, check_seed, load_biomass,
 from .errors import ValidationError, check_range
 from .evolution import replay_detection, screen_disk, trace_rows
 from .harness import (atomic_write_text, read_season_bundle, season_scenario,
-                      write_manifest, write_summary_csv, write_sweep_csv)
+                      write_csv, write_manifest, write_summary_csv, write_sweep_csv)
 from .sensors import SensorField, deploy_uniform, load_sensors
 
 _TRAFFIC = {"periodic": linkbudget.PERIODIC_REPORT,
@@ -183,13 +183,11 @@ def cmd_simulate(config: dict, bundle: dict | None,
     atomic_write_text(out_dir / f"incident_{incident.id}.json",
                       json.dumps(payload, indent=2) + "\n")
     if args.trace:
-        lines = ["t,center_x_km,center_y_km,radius_km,n_frontier"]
-        # Python floats: numpy scalars would not repr as plain numbers
-        for hour, ((x, y, r), n) in enumerate(zip(circles.tolist(),
-                                                  frontier_sizes.tolist())):
-            lines.append(f"{hour},{x!r},{y!r},{r!r},{n}")
-        atomic_write_text(out_dir / f"incident_{incident.id}_trace.csv",
-                          "\n".join(lines) + "\n")
+        # Python numbers: numpy scalars would not repr as plain numbers
+        write_csv(["t", "center_x_km", "center_y_km", "radius_km", "n_frontier"],
+                  [(hour, *circle, n) for hour, (circle, n) in
+                   enumerate(zip(circles.tolist(), frontier_sizes.tolist()))],
+                  out_dir / f"incident_{incident.id}_trace.csv")
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -8,7 +8,7 @@ environment grid is held as the lattice its cells are computed from (its
 rasters if loaded; 0.6 MB if synthesized for the bundled season, whose
 rasters take 97 MB), and evaluated only at the cells a lookup asks for.
 
-File formats:
+File formats, each written whole through atomic_open:
   env manifest      JSON {nx, ny, nt, spacing_km, origin, files: {u10, v10, swvl1}}
   biomass manifest  JSON {nx, ny, spacing_km, file} (+ optional origin)
   rasters           flat little-endian float32, row-major
@@ -27,6 +27,8 @@ import csv
 import json
 import math
 import numbers
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -354,6 +356,26 @@ def sample_env_many(
 # JSON and raster IO
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w"):
+    """The file a block writes to path, opened in mode ("w" or "wb"; text
+    ends lines with \\n everywhere). It is created beside path under a
+    unique temporary name with mode 0o666 less the umask, and renamed over
+    path when the block completes, so readers never see a partial file;
+    if the block raises, it is removed and path is left as it was."""
+    fpath = Path(path)
+    fpath.parent.mkdir(parents=True, exist_ok=True)
+    tmp = fpath.with_name(f"{fpath.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        with open(fd, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, fpath)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def read_json(path: str | Path, what: str) -> dict:
     """The JSON object a file holds; what names the file in error messages."""
     fpath = Path(path)
@@ -459,19 +481,16 @@ def save_env_grid(grid: EnvGrid, manifest_path: str | Path) -> Path:
     """Write the grid's rasters next to a JSON manifest, hour by hour;
     returns the manifest path."""
     mpath = Path(manifest_path)
-    mpath.parent.mkdir(parents=True, exist_ok=True)
-    stem = mpath.stem
-    files = {}
+    files = {name: f"{mpath.stem}_{name}.f32" for name in ENV_FIELDS}
     for k, name in enumerate(ENV_FIELDS):
-        fname = f"{stem}_{name}.f32"
-        with (mpath.parent / fname).open("wb") as fh:
+        with atomic_open(mpath.parent / files[name], "wb") as fh:
             for values in grid._hours(k):
                 np.asarray(values, dtype="<f4").tofile(fh)
-        files[name] = fname
     manifest = {"nx": grid.nx, "ny": grid.ny, "nt": grid.nt,
                 "spacing_km": grid.spacing_km, "origin": list(grid.origin),
                 "files": files}
-    mpath.write_text(json.dumps(manifest, indent=2) + "\n")
+    with atomic_open(mpath) as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
     return mpath
 
 
@@ -491,12 +510,13 @@ def load_biomass(manifest_path: str | Path) -> BiomassGrid:
 
 def save_biomass(bio: BiomassGrid, manifest_path: str | Path) -> Path:
     mpath = Path(manifest_path)
-    mpath.parent.mkdir(parents=True, exist_ok=True)
     fname = f"{mpath.stem}_biomass.f32"
-    bio.values.astype("<f4").tofile(mpath.parent / fname)
+    with atomic_open(mpath.parent / fname, "wb") as fh:
+        bio.values.astype("<f4").tofile(fh)
     manifest = {"nx": bio.nx, "ny": bio.ny, "spacing_km": bio.spacing_km,
                 "origin": list(bio.origin), "file": fname}
-    mpath.write_text(json.dumps(manifest, indent=2) + "\n")
+    with atomic_open(mpath) as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
     return mpath
 
 

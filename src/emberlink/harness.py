@@ -23,15 +23,15 @@ Totals form one array table. A trial's replays fill an (incident, count,
 column) array from a 0.0 row, and np.cumsum totals it in incident order,
 as a += loop sums; the stacked (trial, count, column) table is priced,
 netted and averaged over trials the same way. Rows leave as tuples in CSV
-column order, byte-identical for any worker count. A scenario bundle's
-sweep and evolution sections go through config.merge, as the CLI's do.
+column order, byte-identical for any worker count, and every output file
+is written through envdata.atomic_open. A scenario bundle's sweep and
+evolution sections go through config.merge, as the CLI's do.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -45,7 +45,7 @@ from .carbon import (USD_PER_TON, average_biomass, carbon_price, emission_tons,
                      savings)
 from .config import (BASELINE_MODES, SweepConfig, bundle_config,
                      evolution_config, sweep_config)
-from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec,
+from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec, atomic_open,
                       check_biomass_alignment, check_fields, check_placement,
                       check_seed, read_json, synth_biomass, synth_env)
 from .errors import ValidationError
@@ -217,39 +217,14 @@ def _cost_label(cost: float) -> str:
     return f"cost{int(cost)}" if float(cost).is_integer() else f"cost{cost!r}"
 
 
-def _read_umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-# os.umask can only be read by setting it, which would race with other
-# threads creating files, so it is read once at import
-_FILE_MODE = 0o666 & ~_read_umask()
-
-
 def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write via a temp file and rename, so readers never see partials.
-
-    The temp file is unique per call, so concurrent writers to one path
-    never share it; the last rename wins and no temp file is left behind.
-    """
-    fpath = Path(path)
-    fpath.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=fpath.parent, prefix=fpath.name + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.chmod(tmp, _FILE_MODE)  # mkstemp creates the file as 0600
-        os.replace(tmp, fpath)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return fpath
+    """Write text to path through envdata.atomic_open."""
+    with atomic_open(path) as fh:
+        fh.write(text)
+    return Path(path)
 
 
-def _write_csv(header: list[str], rows: list[tuple], path: str | Path) -> Path:
+def write_csv(header: list[str], rows: list[tuple], path: str | Path) -> Path:
     """A header line, then each row's Python numbers as their repr, which
     round-trips every float exactly."""
     lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
@@ -258,18 +233,18 @@ def _write_csv(header: list[str], rows: list[tuple], path: str | Path) -> Path:
 
 def write_sweep_csv(rows: list[tuple], costs: tuple[float, ...],
                     path: str | Path) -> Path:
-    return _write_csv(["n_sensors", "trial", "burned_hours", "burned_area_km2",
-                       "carbon_tons", "carbon_price_usd",
-                       *(f"savings_usd@{_cost_label(c)}" for c in costs)],
-                      rows, path)
+    return write_csv(["n_sensors", "trial", "burned_hours", "burned_area_km2",
+                      "carbon_tons", "carbon_price_usd",
+                      *(f"savings_usd@{_cost_label(c)}" for c in costs)],
+                     rows, path)
 
 
 def write_summary_csv(summary: list[tuple], costs: tuple[float, ...],
                       path: str | Path) -> Path:
-    return _write_csv(["n_sensors", "mean_burned_hours", "mean_burned_area_km2",
-                       "mean_carbon_tons", "mean_carbon_price_usd",
-                       *(f"mean_savings_usd@{_cost_label(c)}" for c in costs)],
-                      summary, path)
+    return write_csv(["n_sensors", "mean_burned_hours", "mean_burned_area_km2",
+                      "mean_carbon_tons", "mean_carbon_price_usd",
+                      *(f"mean_savings_usd@{_cost_label(c)}" for c in costs)],
+                     summary, path)
 
 
 def write_manifest(manifest: dict, path: str | Path) -> Path:

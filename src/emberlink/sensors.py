@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envdata import Rect, check_seed
+from .envdata import Rect, atomic_open, check_seed
 from .errors import ValidationError, check_range
 
 # most sensors one deploy_uniform draw makes at a time: a block's 256 KB
@@ -96,6 +96,10 @@ class SensorField:
                     f"sensor {bad} at ({pos[bad, 0]}, {pos[bad, 1]}) lies outside "
                     f"the field region {r}")
         object.__setattr__(self, "positions", pos)
+        if self.seed is not None:
+            if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+                raise ValidationError(f"sensor field seed must be an integer, got {self.seed!r}")
+            check_seed("sensor field seed", self.seed)
         n = len(pos)
         if (self.ids is None) != (self.drawn is None):
             raise ValidationError("sensor field ids and drawn go together: "
@@ -278,9 +282,7 @@ def save_sensors(field_: SensorField, path: str | Path) -> Path:
     if field_.ids is not None:
         raise ValidationError(f"a screened sensor field keeps {len(field_)} of its "
                               f"{field_.drawn} draws; save the whole deployment")
-    fpath = Path(path)
-    fpath.parent.mkdir(parents=True, exist_ok=True)
-    with fpath.open("w", newline="") as fh:
+    with atomic_open(path) as fh:
         if field_.region is not None:
             r = field_.region
             fh.write(f"# region={r.x0!r},{r.y0!r},{r.width_km!r},{r.height_km!r}\n")
@@ -289,7 +291,7 @@ def save_sensors(field_: SensorField, path: str | Path) -> Path:
         fh.write("x_km,y_km\n")
         for x, y in field_.positions:
             fh.write(f"{float(x)!r},{float(y)!r}\n")
-    return fpath
+    return Path(path)
 
 
 def _parse_region(raw: str, fpath: Path) -> Rect:

@@ -177,6 +177,18 @@ class TestSimulateCommand:
         assert ("sensor positions span x -1.7e+308 to 1.7e+308"
                 in capsys.readouterr().err)
 
+    def test_negative_sensor_file_seed_is_bad_input(self, tmp_path, capsys):
+        # deploy_uniform rejects this seed, so a sensor file may not carry it
+        sensors = tmp_path / "sensors.csv"
+        sensors.write_text("# seed=-1\nx_km,y_km\n500,500\n")
+        code = main(["--out-dir", str(tmp_path),
+                     *on_bundle("--set", f"paths.sensors_csv={sensors}",
+                                "simulate", "--incident", "syn-001")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"sensor file {sensors}" in err
+        assert "seed must be in [0, 2**128), got -1" in err
+
     def test_unknown_incident(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "--set", BUNDLE,
                      "simulate", "--incident", "nope"])

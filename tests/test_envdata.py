@@ -845,6 +845,20 @@ class TestRasterIO:
         with pytest.raises(ValidationError):
             load_env_grid(man)
 
+    def test_failed_save_leaves_the_old_rasters(self, tmp_path, monkeypatch):
+        man = save_env_grid(tiny_grid(), tmp_path / "env.json")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        hours = EnvGrid._hours
+
+        def first_hour_then_fail(self, k):
+            yield next(hours(self, k))
+            raise OSError("device full")
+
+        monkeypatch.setattr(EnvGrid, "_hours", first_hour_then_fail)
+        with pytest.raises(OSError, match="device full"):
+            save_env_grid(tiny_grid(nt=5), man)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestAlignment:
     def test_aligned_passes(self):

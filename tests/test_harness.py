@@ -17,7 +17,8 @@ from emberlink.carbon import (average_biomass, carbon_price, emission_tons,
                              savings)
 from emberlink.cli import build_parser, load_config, main
 from emberlink.config import evolution_config, sweep_config
-from emberlink.envdata import Incident, Rect, SynthSpec, synth_biomass, synth_env
+from emberlink.envdata import (Incident, Rect, SynthSpec, save_biomass, save_env_grid,
+                               synth_biomass, synth_env)
 from emberlink.errors import ValidationError
 from emberlink.evolution import (EvolutionConfig, circle_trajectory,
                                  replay_detection)
@@ -25,7 +26,7 @@ from emberlink.harness import (SweepConfig, atomic_write_text, baseline_totals,
                                bundled_scenario_path, load_season_bundle,
                                sweep, write_manifest, write_summary_csv,
                                write_sweep_csv)
-from emberlink.sensors import SensorField, deploy_uniform
+from emberlink.sensors import SensorField, deploy_uniform, save_sensors
 
 
 def small_scenario(n_incidents=6):
@@ -329,6 +330,25 @@ class TestOutputs:
         with pytest.raises(TypeError):
             atomic_write_text(p, b"not text")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o077, "0o600"), (0o027, "0o640")])
+    def test_outputs_take_the_umask_at_write_time(self, tmp_path, umask, mode):
+        # a umask set after import applies, as it does to open()
+        incidents, env, bio = small_scenario()
+        mask = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "a.txt", "a\n")
+            write_sweep_csv([(1, 0, 1.0, 2.0, 3.0, 4.0, 5.0)], (10.0,),
+                            tmp_path / "rows.csv")
+            write_manifest({"a": 1}, tmp_path / "run_manifest.json")
+            save_sensors(SensorField(positions=[[1.0, 2.0]]), tmp_path / "s.csv")
+            save_env_grid(env, tmp_path / "env.json")
+            save_biomass(bio, tmp_path / "bio.json")
+        finally:
+            os.umask(mask)
+        modes = {p.name: oct(p.stat().st_mode & 0o777) for p in tmp_path.iterdir()}
+        assert len(modes) == 10
+        assert set(modes.values()) == {mode}, modes
 
     def test_csv_round_trip_exact(self, tmp_path):
         incidents, env, bio = small_scenario()

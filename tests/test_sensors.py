@@ -693,6 +693,15 @@ class TestFieldValidation:
         pos = np.array([[0.0, 0.0], [1.0, 1.0]])
         assert SensorField(pos).positions is pos
 
+    @pytest.mark.parametrize("seed", [-3, -1, 2 ** 128, 1.5, True, "3"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="^sensor field seed must be "):
+            SensorField(positions=[[1.0, 1.0]], seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 128 - 1, np.uint64(5)])
+    def test_seed_in_philox_key_range_accepted(self, seed):
+        assert SensorField(positions=[[1.0, 1.0]], seed=seed).seed == seed
+
 
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path):
@@ -743,6 +752,28 @@ class TestPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError):
             load_sensors(tmp_path / "absent.csv")
+
+    def test_negative_seed_in_file_rejected(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("# seed=-1\nx_km,y_km\n1.0,2.0\n")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"sensor file {p}: sensor field seed must be in [0, 2**128), got -1")):
+            load_sensors(p)
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path):
+        p = save_sensors(deploy_uniform(50, RECT, seed=3), tmp_path / "s.csv")
+        before = p.read_bytes()
+        f = deploy_uniform(50, RECT, seed=4)
+
+        def rows_then_fail(rows):
+            yield from rows
+            raise OSError("device full")
+
+        object.__setattr__(f, "positions", rows_then_fail(f.positions[:10]))
+        with pytest.raises(OSError, match="device full"):
+            save_sensors(f, p)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
 
     def test_empty_field_round_trip(self, tmp_path):
         f = SensorField(positions=[])
