@@ -12,7 +12,12 @@ File formats, each written whole through atomic_open:
   env manifest      JSON {nx, ny, nt, spacing_km, origin, files: {u10, v10, swvl1}}
   biomass manifest  JSON {nx, ny, spacing_km, file} (+ optional origin)
   rasters           flat little-endian float32, row-major
-  incidents         CSV id,start_iso8601,lat_deg,lon_deg,contained_iso8601,area_acre
+  incidents         CSV id,start_iso8601,lat_deg,lon_deg[,contained_iso8601][,area_acre]
+Every CSV input (incidents, sensor files, TBS maps) is read by read_csv:
+a header of the format's columns, in any order, each required one present
+and none unknown or repeated; '#key=value' lines only before it, with the
+keys the format declares; blank lines skipped; every other row as many
+cells as the header. Errors read '<what> <path> row <file line>: ...'.
 
 Lookups are nearest-cell (no interpolation) over a whole point array at
 once; a position on a shared cell edge resolves to the lower-index cell,
@@ -28,7 +33,7 @@ import json
 import math
 import numbers
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -311,6 +316,14 @@ def check_placement(what: str, xy: tuple[float, float], start_hour: int,
         raise ValidationError(f"{what}: start hour {start_hour} outside [0, {grid.nt})")
 
 
+def check_incident_id(what: str, id_: str, seen: set[str]) -> None:
+    """Reject an incident (what names it) whose id is empty or among the
+    ids of the season's incidents before it (seen), then add it to them."""
+    if not id_ or id_ in seen:
+        raise ValidationError(f"{what}: id {id_!r} must be non-empty and unique in the season")
+    seen.add(id_)
+
+
 def nearest_cells(grid: EnvGrid | BiomassGrid, x, y) -> tuple:
     """Column and row indices of the grid cells holding the positions
     (x, y), arrays or scalars: a position on a shared cell edge resolves to
@@ -353,7 +366,7 @@ def sample_env_many(
 
 
 # ---------------------------------------------------------------------------
-# JSON and raster IO
+# JSON, CSV and raster IO
 # ---------------------------------------------------------------------------
 
 @contextmanager
@@ -389,6 +402,73 @@ def read_json(path: str | Path, what: str) -> dict:
         raise ValidationError(
             f"{what} {fpath} must hold a JSON object, got {type(raw).__name__}")
     return raw
+
+
+def read_csv(path: str | Path, what: str, columns: tuple[str, ...],
+             required: int | None = None, meta: dict | None = None):
+    """The rows of the CSV file at path, by the module docstring's rules, as
+    (1-based file line, cells in the order of columns, "" for one the header
+    leaves out); the first required columns (default all) are required.
+    Each '#' line sets a key of meta, once, to (where, value), where naming
+    its line as csv_cell's does. Errors name the file as what and path."""
+    if not os.path.isfile(path):
+        raise ValidationError(f"{what} missing: {path}")
+    with open(path, newline="") as fh:
+        for line, text in enumerate(fh, 1):
+            where = f"{what} {path} row {line}"
+            if text.startswith("#"):
+                key, eq, value = (part.strip() for part in text[1:].partition("="))
+                if not eq or (meta or {}).get(key, "") is not None:
+                    rule = f"may set {', '.join(meta)} once each" if meta else "are not allowed"
+                    raise ValidationError(f"{where}: '#' lines {rule}, got {text.strip()!r}")
+                meta[key] = (where, value)
+            elif text.strip():
+                break
+        else:
+            raise ValidationError(f"{what} {path} has no header")
+        header = [name.strip() for name in next(csv.reader([text]))]
+        check_fields(f"{where}: header", dict.fromkeys(header, ""),
+                     dict.fromkeys(columns, ""), columns[:required])
+        if len(set(header)) < len(header):
+            raise ValidationError(f"{where}: header repeats {max(header, key=header.count)!r}")
+        width = len(header)
+        # each row's cells in columns' order, an appended "" for those left out
+        pick = None if header == list(columns) else [
+            header.index(name) if name in header else width for name in columns]
+        reader = csv.reader(fh)
+        for row in reader:
+            if len(row) != width:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                raise ValidationError(f"{what} {path} row {line + reader.line_num}: the "
+                                      f"header has {width} cells, this row {len(row)}")
+            if pick is not None:
+                row.append("")
+                row = [row[i] for i in pick]
+            yield line + reader.line_num, row
+
+
+def _utc_time(text: str) -> datetime:
+    """An ISO 8601 time as a naive UTC datetime; one without a zone is UTC."""
+    dt = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
+    return dt if dt.tzinfo is None else dt.astimezone(timezone.utc).replace(tzinfo=None)
+
+
+_CELL_KINDS = {float: "a number", int: "an integer", _utc_time: "an ISO 8601 time"}
+
+
+def csv_cell(where: str, column: str, text: str, convert=float, lo: float | None = None):
+    """A CSV cell's text read by convert (float, int or _utc_time), and
+    checked to be at least lo if lo is given; where names the row as
+    read_csv's errors do: '<what> <path> row <line>'."""
+    try:
+        value = convert(text)
+    except ValueError:
+        raise ValidationError(
+            f"{where}: {column} must be {_CELL_KINDS[convert]}, got {text!r}") from None
+    if lo is not None:
+        check_range(f"{where}: {column}", value, lo, finite=convert is float)
+    return value
 
 
 def fits_kind(example, value) -> bool:
@@ -477,21 +557,29 @@ def load_env_grid(manifest_path: str | Path) -> EnvGrid:
                                 (float(origin[0]), float(origin[1]))), lattice)
 
 
+def _save_set(mpath: Path, manifest: dict, rasters: dict) -> Path:
+    """Write a JSON manifest and its rasters (file name: arrays, written in
+    turn as float32) as one set: no file is renamed into place until all are
+    written (the manifest flushed at once), and the manifest is renamed last."""
+    with ExitStack() as stack:
+        print(json.dumps(manifest, indent=2), file=stack.enter_context(atomic_open(mpath)),
+              flush=True)
+        for name, arrays in rasters.items():
+            fh = stack.enter_context(atomic_open(mpath.parent / name, "wb"))
+            for values in arrays:
+                np.asarray(values, dtype="<f4").tofile(fh)
+    return mpath
+
+
 def save_env_grid(grid: EnvGrid, manifest_path: str | Path) -> Path:
     """Write the grid's rasters next to a JSON manifest, hour by hour;
     returns the manifest path."""
     mpath = Path(manifest_path)
     files = {name: f"{mpath.stem}_{name}.f32" for name in ENV_FIELDS}
-    for k, name in enumerate(ENV_FIELDS):
-        with atomic_open(mpath.parent / files[name], "wb") as fh:
-            for values in grid._hours(k):
-                np.asarray(values, dtype="<f4").tofile(fh)
-    manifest = {"nx": grid.nx, "ny": grid.ny, "nt": grid.nt,
-                "spacing_km": grid.spacing_km, "origin": list(grid.origin),
-                "files": files}
-    with atomic_open(mpath) as fh:
-        fh.write(json.dumps(manifest, indent=2) + "\n")
-    return mpath
+    return _save_set(mpath, {"nx": grid.nx, "ny": grid.ny, "nt": grid.nt,
+                             "spacing_km": grid.spacing_km, "origin": list(grid.origin),
+                             "files": files},
+                     {files[name]: grid._hours(k) for k, name in enumerate(ENV_FIELDS)})
 
 
 def load_biomass(manifest_path: str | Path) -> BiomassGrid:
@@ -511,13 +599,8 @@ def load_biomass(manifest_path: str | Path) -> BiomassGrid:
 def save_biomass(bio: BiomassGrid, manifest_path: str | Path) -> Path:
     mpath = Path(manifest_path)
     fname = f"{mpath.stem}_biomass.f32"
-    with atomic_open(mpath.parent / fname, "wb") as fh:
-        bio.values.astype("<f4").tofile(fh)
-    manifest = {"nx": bio.nx, "ny": bio.ny, "spacing_km": bio.spacing_km,
-                "origin": list(bio.origin), "file": fname}
-    with atomic_open(mpath) as fh:
-        fh.write(json.dumps(manifest, indent=2) + "\n")
-    return mpath
+    return _save_set(mpath, {"nx": bio.nx, "ny": bio.ny, "spacing_km": bio.spacing_km,
+                             "origin": list(bio.origin), "file": fname}, {fname: [bio.values]})
 
 
 # ---------------------------------------------------------------------------
@@ -685,75 +768,38 @@ def synth_biomass(nx: int, ny: int, spacing_km: float,
 # incidents
 # ---------------------------------------------------------------------------
 
-def _parse_when(text: str, row: int, col: str) -> datetime:
-    try:
-        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise ValidationError(f"incident row {row}: bad {col} timestamp '{text}'") from exc
-    if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
-    return dt
-
-
-def load_incidents(
-    path: str | Path,
-    gt: GeoTransform,
-    grid: EnvGrid,
-    epoch: datetime | None = None,
-) -> list[Incident]:
-    """Read an incident CSV, mapping lat/lon to planar km and times to hour indices.
+def load_incidents(path: str | Path, gt: GeoTransform, grid: EnvGrid,
+                   epoch: datetime | None = None) -> list[Incident]:
+    """Read an incident CSV (see read_csv), mapping lat/lon to planar km and
+    times to hour indices; the last two columns are optional.
 
     Start timestamps floor to the hour relative to ``epoch`` (default:
     Jan 1 00:00 of the first row's start year). Duration keeps fractional
     hours; area converts from acres to km^2.
     """
-    fpath = Path(path)
-    if not fpath.is_file():
-        raise ValidationError(f"incident file missing: {fpath}")
-    incidents: list[Incident] = []
-    with fpath.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for col in ("id", "start_iso8601", "lat_deg", "lon_deg"):
-            if col not in fields:
-                raise ValidationError(f"incident CSV missing column '{col}'")
-        for n, row in enumerate(reader, start=2):  # header is line 1
-            rid = (row.get("id") or "").strip()
-            if not rid:
-                raise ValidationError(f"incident row {n}: empty id")
-            start = _parse_when(row["start_iso8601"].strip(), n, "start")
-            if epoch is None:
-                epoch = start.replace(month=1, day=1, hour=0, minute=0,
-                                      second=0, microsecond=0)
-            try:
-                lat, lon = float(row["lat_deg"]), float(row["lon_deg"])
-            except ValueError as exc:
-                raise ValidationError(f"incident row {n} ({rid}): bad lat/lon") from exc
-            try:
-                xy = geo_to_planar(gt, lat, lon)
-            except ValidationError as exc:
-                raise ValidationError(f"incident row {n} ({rid}): {exc}") from exc
-            start_hour = math.floor((start - epoch).total_seconds() / 3600.0)
-            check_placement(f"incident row {n} ({rid})", xy, start_hour, grid)
-            burn_hours = None
-            contained_text = (row.get("contained_iso8601") or "").strip()
-            if contained_text:
-                contained = _parse_when(contained_text, n, "contained")
-                if contained < start:
-                    raise ValidationError(
-                        f"incident row {n} ({rid}): contained before start")
-                burn_hours = (contained - start).total_seconds() / 3600.0
-            area_km2 = None
-            area_text = (row.get("area_acre") or "").strip()
-            if area_text:
-                try:
-                    acres = float(area_text)
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"incident row {n} ({rid}): bad area_acre '{area_text}'") from exc
-                check_range(f"incident row {n} ({rid}): area_acre", acres)
-                area_km2 = acres * KM2_PER_ACRE
-            incidents.append(Incident(id=rid, start_hour=start_hour, ignition_xy=xy,
-                                      historical_burn_hours=burn_hours,
-                                      historical_area_km2=area_km2))
+    incidents, seen = [], set()
+    for line, (rid, start, lat, lon, contained, area) in read_csv(path, "incident file", (
+            "id", "start_iso8601", "lat_deg", "lon_deg", "contained_iso8601", "area_acre"), 4):
+        where = f"incident file {path} row {line}"
+        rid = rid.strip()
+        check_incident_id(where, rid, seen)
+        start = csv_cell(where, "start_iso8601", start, _utc_time)
+        epoch = epoch or datetime(start.year, 1, 1)
+        lat, lon = csv_cell(where, "lat_deg", lat), csv_cell(where, "lon_deg", lon)
+        try:
+            xy = geo_to_planar(gt, lat, lon)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
+        start_hour = math.floor((start - epoch).total_seconds() / 3600.0)
+        check_placement(where, xy, start_hour, grid)
+        burn_hours = area_km2 = None
+        if contained.strip():
+            contained = csv_cell(where, "contained_iso8601", contained, _utc_time)
+            if contained < start:
+                raise ValidationError(f"{where}: contained before start")
+            burn_hours = (contained - start).total_seconds() / 3600.0
+        if area.strip():
+            area_km2 = csv_cell(where, "area_acre", area, float, 0) * KM2_PER_ACRE
+        incidents.append(Incident(id=rid, start_hour=start_hour, ignition_xy=xy,
+                                  historical_burn_hours=burn_hours, historical_area_km2=area_km2))
     return incidents

@@ -46,8 +46,9 @@ from .carbon import (USD_PER_TON, average_biomass, carbon_price, emission_tons,
 from .config import (BASELINE_MODES, SweepConfig, bundle_config,
                      evolution_config, sweep_config)
 from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec, atomic_open,
-                      check_biomass_alignment, check_fields, check_placement,
-                      check_seed, read_json, synth_biomass, synth_env)
+                      check_biomass_alignment, check_fields, check_incident_id,
+                      check_placement, check_seed, read_json, synth_biomass,
+                      synth_env)
 from .errors import ValidationError
 from .evolution import (EvolutionConfig, circle_trajectory, replay_detection,
                         screen_disk)
@@ -291,9 +292,10 @@ def season_scenario(raw: dict) -> tuple[list[Incident], EnvGrid, BiomassGrid]:
     bio = synth_biomass(nx=b["nx"], ny=b["ny"], spacing_km=float(b["spacing_km"]),
                         lo=float(b["lo"]), hi=float(b["hi"]), seed=b["seed"],
                         origin=tuple(b.get("origin", (0.0, 0.0))))
-    incidents = []
+    incidents, seen = [], set()
     for n, item in enumerate(raw["incidents"]):
         check_fields(f"scenario bundle incident #{n}", item, _INCIDENT_KINDS)
+        check_incident_id(f"scenario bundle incident #{n}", item["id"], seen)
         xy = (float(item["x_km"]), float(item["y_km"]))
         check_placement(f"scenario bundle incident {item['id']}", xy,
                         item["start_hour"], env)

@@ -13,13 +13,13 @@ figures for the two bundled elevation scenarios reproduce to about
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .envdata import csv_cell, read_csv
 from .errors import ValidationError, check_range
 
 BOLTZMANN_DBW_K_HZ = -228.6
@@ -103,29 +103,16 @@ class TbsMap:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TbsMap":
-        fpath = Path(path)
-        if not fpath.is_file():
-            raise ValidationError(f"TBS map file missing: {fpath}")
-        with fpath.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["min_cnr_db", "bits_per_ru"]:
-                raise ValidationError(
-                    f"TBS map header must be min_cnr_db,bits_per_ru, got {reader.fieldnames}")
-            rows = []
-            for i, r in enumerate(reader, 1):
-                if None in r:  # DictReader files a row's extra cells under None
-                    raise ValidationError(
-                        f"{fpath}: TBS row {i} has cells past the header: {r[None]}")
-                try:  # col names the cell being read
-                    rows.append((float(r[col := "min_cnr_db"]), int(r[col := "bits_per_ru"])))
-                except (TypeError, ValueError):
-                    kind = "a number" if col == "min_cnr_db" else "an integer"
-                    raise ValidationError(
-                        f"{fpath}: TBS row {i} {col} must be {kind}, got {r[col]!r}") from None
+        """The map of a min_cnr_db,bits_per_ru CSV file (see envdata.read_csv)."""
+        rows = []
+        for line, (cnr, bits) in read_csv(path, "TBS file", ("min_cnr_db", "bits_per_ru")):
+            where = f"TBS file {path} row {line}"
+            rows.append((csv_cell(where, "min_cnr_db", cnr, float, -math.inf),
+                         csv_cell(where, "bits_per_ru", bits, int, 0)))
         try:
             return cls(rows)
         except ValidationError as e:
-            raise ValidationError(f"{fpath}: {e}") from None
+            raise ValidationError(f"TBS file {path}: {e}") from None
 
 
 # single anchor: the uplink single-tone TBS entry both scenarios land on

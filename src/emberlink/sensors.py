@@ -23,7 +23,6 @@ against it answers for the whole draw while the whole draw is never held.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from collections.abc import Callable, Iterable
@@ -32,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envdata import Rect, atomic_open, check_seed
+from .envdata import Rect, atomic_open, check_seed, csv_cell, read_csv
 from .errors import ValidationError, check_range
 
 # most sensors one deploy_uniform draw makes at a time: a block's 256 KB
@@ -294,70 +293,35 @@ def save_sensors(field_: SensorField, path: str | Path) -> Path:
     return Path(path)
 
 
-def _parse_region(raw: str, fpath: Path) -> Rect:
-    parts = raw.split(",")
-    if len(parts) != 4:
-        raise ValidationError(
-            f"sensor file {fpath}: region needs x0,y0,width_km,height_km, got {raw!r}")
-    try:
-        x0, y0, w, h = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ValidationError(f"sensor file {fpath}: bad region {raw!r}") from exc
-    return Rect(x0=x0, y0=y0, width_km=w, height_km=h)
-
-
 def load_sensors(path: str | Path) -> SensorField:
-    """Read a sensor CSV written by save_sensors; positions round-trip exactly.
-
-    A declared region header is enforced (any row outside it is an
-    error); without one the region is inferred as the points' bounding
-    rectangle.
-    """
-    fpath = Path(path)
-    if not fpath.is_file():
-        raise ValidationError(f"sensor file missing: {fpath}")
-    meta: dict[str, str] = {}
+    """Read a sensor CSV written by save_sensors (see envdata.read_csv; its
+    '#' keys are region and seed); positions round-trip exactly. A declared
+    region is enforced (any row outside it is an error); without one the
+    region is inferred as the points' bounding rectangle."""
+    meta = dict.fromkeys(("region", "seed"))
     rows: list[tuple[float, float]] = []
-    with fpath.open(newline="") as fh:
-        lines = []
-        for raw in fh:
-            if raw.startswith("#"):
-                body = raw[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            lines.append(raw)
-        reader = csv.reader(lines)
+    for line, (x, y) in read_csv(path, "sensor file", ("x_km", "y_km"), meta=meta):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"sensor file {fpath} has no header") from None
-        if [h.strip() for h in header] != ["x_km", "y_km"]:
-            raise ValidationError(
-                f"sensor file {fpath} header must be x_km,y_km, got {header}")
-        for n, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"sensor file row {n}: expected 2 columns, got {len(row)}")
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise ValidationError(f"sensor file row {n}: bad coordinate") from exc
+            rows.append((float(x), float(y)))
+        except ValueError:  # csv_cell names the bad cell
+            where = f"sensor file {path} row {line}"
+            rows.append((csv_cell(where, "x_km", x), csv_cell(where, "y_km", y)))
     pos = np.asarray(rows, dtype=float).reshape(len(rows), 2)
-    region = _parse_region(meta["region"], fpath) if "region" in meta else None
-    if region is None and rows:
+    region = seed = None
+    if meta["region"] is not None:
+        where, text = meta["region"]
+        parts = [csv_cell(where, "region", part) for part in text.split(",")]
+        if len(parts) != 4:
+            raise ValidationError(f"{where}: region needs x0,y0,width_km,height_km, got {text!r}")
+        region = Rect(*parts)
+    elif rows:
         # Python floats: an extent that overflows is inf, without a warning
         (x0, y0), (x1, y1) = pos.min(axis=0).tolist(), pos.max(axis=0).tolist()
         region = Rect(x0=x0, y0=y0, width_km=x1 - x0, height_km=y1 - y0)
-    seed: int | None = None
-    if "seed" in meta:
-        try:
-            seed = int(meta["seed"])
-        except ValueError as exc:
-            raise ValidationError(f"sensor file {fpath}: bad seed {meta['seed']!r}") from exc
+    if meta["seed"] is not None:
+        where, text = meta["seed"]
+        seed = csv_cell(where, "seed", text, int)
     try:
         return SensorField(positions=pos, seed=seed, region=region)
     except ValidationError as exc:
-        raise ValidationError(f"sensor file {fpath}: {exc}") from exc
+        raise ValidationError(f"sensor file {path}: {exc}") from exc

@@ -66,23 +66,25 @@ class TestLinkBudgetCommand:
                      "--set", "link.params.eirp_dbm=-40", "linkbudget"])
         assert code == 2
 
-    @pytest.mark.parametrize("row, where", [
-        ("0.0,abc", "row 2 bits_per_ru must be an integer, got 'abc'"),
-        ("0.0,8.5", "row 2 bits_per_ru must be an integer, got '8.5'"),
-        ("0.0", "row 2 bits_per_ru must be an integer, got None"),
-        ("nan,16", "row 2 min_cnr_db must be finite, got nan"),
-        ("x,16", "row 2 min_cnr_db must be a number, got 'x'"),
-        ("8.0,144,9", "row 2 has cells past the header: ['9']"),
-        ("8.0,144,,", "row 2 has cells past the header: ['', '']"),
+    @pytest.mark.parametrize("row, why", [
+        ("0.0,abc", "bits_per_ru must be an integer, got 'abc'"),
+        ("0.0,8.5", "bits_per_ru must be an integer, got '8.5'"),
+        ("0.0", "the header has 2 cells, this row 1"),
+        ("nan,16", "min_cnr_db must be finite, got nan"),
+        ("x,16", "min_cnr_db must be a number, got 'x'"),
+        ("0.0,-1", "bits_per_ru must be >= 0, got -1"),
+        ("8.0,144,9", "the header has 2 cells, this row 3"),
+        ("8.0,144,,", "the header has 2 cells, this row 4"),
     ])
-    def test_bad_tbs_file_is_bad_input(self, tmp_path, capsys, row, where):
-        # the second data row is bad; the message names file, row and column
+    def test_bad_tbs_file_is_bad_input(self, tmp_path, capsys, row, why):
+        # the second data row, file line 3, is bad; the message names file,
+        # line and column
         tbs = tmp_path / "tbs.csv"
         tbs.write_text(f"min_cnr_db,bits_per_ru\n-5.0,8\n{row}\n")
         code = main(["--out-dir", str(tmp_path), "--set", f"link.tbs_csv={tbs}",
                      "linkbudget"])
         assert code == 1
-        assert f"{tbs}: TBS {where}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: TBS file {tbs} row 3: {why}\n"
 
 
 class TestSynthEnvCommand:
@@ -438,8 +440,9 @@ class TestBoundsOnFileInputs:
         code = main(_file_scenario(tmp_path, area)
                     + ["--set", f"sweep.baseline={baseline}", "sweep"])
         assert code == 1
-        assert (f"error: incident row 2 (f1): area_acre must be finite and >= 0, "
-                f"got {float(area)}" in capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"error: incident file {tmp_path / 'fires.csv'} row 2: area_acre must be "
+            f"finite and >= 0, got {float(area)}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "0.0"])
@@ -450,6 +453,74 @@ class TestBoundsOnFileInputs:
         assert code == 1
         assert f"error: {key} must be finite and > 0, got " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def _csv_input(tmp_path, kind: str) -> tuple[list[str], list[str]]:
+    """A valid CSV input of a kind (incident, sensor or TBS file): its lines,
+    and the command line that reads it from tmp_path / "input.csv"."""
+    path = tmp_path / "input.csv"
+    if kind == "incident":
+        # lon_deg last, so a short row lacks a required cell
+        env = synth_env(SynthSpec(nx=10, ny=11, nt=24, spacing_km=100.0, u10=3.0,
+                                  swvl1=0.1), 0)
+        return (["id,start_iso8601,contained_iso8601,area_acre,lat_deg,lon_deg",
+                 "f1,2020-01-01T00:00:00,2020-01-01T02:00:00,100,36.0,-120.0",
+                 "f2,2020-01-01T01:00:00,,,36.5,-120.5"],
+                ["--set", f"paths.env_manifest={save_env_grid(env, tmp_path / 'env.json')}",
+                 "--set", f"paths.incidents_csv={path}", "simulate", "--incident", "f1"])
+    if kind == "sensor":
+        return (["# region=0.0,0.0,1010.0,1110.0", "# seed=1", "x_km,y_km",
+                 "692.0,203.0", "693.0,204.0"],
+                on_bundle("--set", f"paths.sensors_csv={path}", "--set",
+                          "evolution.max_hours=2.0", "simulate", "--incident", "syn-001"))
+    return (["min_cnr_db,bits_per_ru", "-5.0,8", "8.0,144"],
+            ["--set", f"link.tbs_csv={path}", "linkbudget"])
+
+
+def _with_fault(lines: list[str], fault: str) -> tuple[list[str], int | None]:
+    """lines with one fault, and the 1-based file line its message names."""
+    h = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    meta, table = lines[:h], lines[h:]
+    if fault == "short row":
+        return lines[:-1] + [lines[-1].rsplit(",", 1)[0]], len(lines)
+    if fault == "long row":
+        return lines[:-1] + [lines[-1] + ",9"], len(lines)
+    if fault == "missing column":
+        return meta + [line.split(",", 1)[1] for line in table], h + 1
+    if fault == "unknown column":
+        return meta + [f"{table[0]},extra"] + [f"{row},1" for row in table[1:]], h + 1
+    if fault == "repeated column":
+        return meta + [f"{line},{line.split(',')[0]}" for line in table], h + 1
+    if fault == "unknown # key":
+        return ["# colour=red"] + lines, 1
+    if fault == "blank lines":
+        return lines[:h + 1] + [f"{row}\n\n   " for row in lines[h + 1:]], None
+    return lines, None  # the file is missing
+
+
+class TestMalformedCsv:
+    """Each CSV input follows the same rules: a malformed file exits 1 with
+    a message naming the file and the fault's line in it."""
+
+    @pytest.mark.parametrize("fault", [
+        "short row", "long row", "missing column", "unknown column", "repeated column",
+        "unknown # key", "missing file", "blank lines"])
+    @pytest.mark.parametrize("kind", ["incident", "sensor", "TBS"])
+    def test_fault(self, tmp_path, capsys, kind, fault):
+        lines, argv = _csv_input(tmp_path, kind)
+        lines, line = _with_fault(lines, fault)
+        path = tmp_path / "input.csv"
+        if fault != "missing file":
+            path.write_text("\n".join(lines) + "\n")
+        code = main(["--out-dir", str(tmp_path / "out"), *argv])
+        err = capsys.readouterr().err
+        if fault == "blank lines":
+            assert (code, err) == (0, "")
+        elif fault == "missing file":
+            assert (code, err) == (1, f"error: {kind} file missing: {path}\n")
+        else:
+            assert code == 1
+            assert err.startswith(f"error: {kind} file {path} row {line}: "), err
 
 
 class TestConfigPlumbing:

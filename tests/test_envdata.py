@@ -8,6 +8,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -845,18 +846,41 @@ class TestRasterIO:
         with pytest.raises(ValidationError):
             load_env_grid(man)
 
-    def test_failed_save_leaves_the_old_rasters(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("failing", range(len(ENV_FIELDS)))
+    def test_failed_save_leaves_the_old_rasters(self, tmp_path, monkeypatch, failing):
+        # the save fails after the first hour of field failing: no file of
+        # the set, written before or after it, replaces the old one
         man = save_env_grid(tiny_grid(), tmp_path / "env.json")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         hours = EnvGrid._hours
 
-        def first_hour_then_fail(self, k):
-            yield next(hours(self, k))
-            raise OSError("device full")
+        def fail_on_one_field(self, k):
+            for t, values in enumerate(hours(self, k)):
+                if (k, t) == (failing, 1):
+                    raise OSError("device full")
+                yield values
 
-        monkeypatch.setattr(EnvGrid, "_hours", first_hour_then_fail)
+        monkeypatch.setattr(EnvGrid, "_hours", fail_on_one_field)
         with pytest.raises(OSError, match="device full"):
             save_env_grid(tiny_grid(nt=5), man)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("failing", ["bio.json", "bio_biomass.f32"])
+    def test_failed_biomass_save_leaves_the_old_files(self, tmp_path, monkeypatch, failing):
+        man = save_biomass(synth_biomass(6, 5, 3.0, 10.0, 30.0, seed=3), tmp_path / "bio.json")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        atomic_open = envdata.atomic_open
+
+        @contextmanager
+        def fail_on_one_file(path, mode="w"):
+            if Path(path).name == failing:
+                raise OSError("device full")
+            with atomic_open(path, mode) as fh:
+                yield fh
+
+        monkeypatch.setattr(envdata, "atomic_open", fail_on_one_file)
+        with pytest.raises(OSError, match="device full"):
+            save_biomass(synth_biomass(6, 5, 3.0, 10.0, 30.0, seed=4), man)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -928,6 +952,14 @@ class TestIncidents:
         with pytest.raises(ValidationError):
             load_incidents(p, CALIFORNIA, self.big_grid())
 
+    def test_repeated_id_is_refused(self, tmp_path):
+        p = self.write(tmp_path, "h1,2020-01-01T00:00:00,,36.0,-120.0,\n"
+                                 "h1,2020-01-01T05:00:00,,35.0,-119.0,\n")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"incident file {p} row 3: id 'h1' must be non-empty and unique "
+                f"in the season")):
+            load_incidents(p, CALIFORNIA, self.big_grid())
+
     def test_missing_column(self, tmp_path):
         p = tmp_path / "fires.csv"
         p.write_text("id,start_iso8601,lat_deg\nf1,2020-01-01T00:00:00,36.0\n")
@@ -935,18 +967,18 @@ class TestIncidents:
             load_incidents(p, CALIFORNIA, self.big_grid())
 
     @pytest.mark.parametrize("row, message", [
-        ("f1,2020-01-03T00:00:00,,33.0,-124.0,",
-         "incident row 2 (f1): start hour 48 outside [0, 48)"),
+        ("f1,2020-01-03T00:00:00,,33.0,-124.0,", "start hour 48 outside [0, 48)"),
         ("f1,2020-01-01T00:00:00,,41.0,-115.0,",
-         f"incident row 2 (f1): ignition {geo_to_planar(CALIFORNIA, 41.0, -115.0)} "
-         f"outside the grid rectangle"),
+         f"ignition {geo_to_planar(CALIFORNIA, 41.0, -115.0)} outside the grid rectangle"),
     ])
     def test_csv_placement_message(self, tmp_path, row, message):
         shape = (48, 4, 4)  # a 400 x 400 km grid in California's south-west
         grid = EnvGrid(nx=4, ny=4, nt=48, spacing_km=100.0, origin=(0.0, 0.0),
                        u10=np.zeros(shape), v10=np.zeros(shape), swvl1=np.zeros(shape))
+        path = self.write(tmp_path, row + "\n")
+        message = f"incident file {path} row 2: {message}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            load_incidents(self.write(tmp_path, row + "\n"), CALIFORNIA, grid)
+            load_incidents(path, CALIFORNIA, grid)
 
     @pytest.mark.parametrize("edit, message", [
         ({"start_hour": 24}, "scenario bundle incident syn-001: start hour 24 "
@@ -960,6 +992,15 @@ class TestIncidents:
         raw["env"]["nt"] = 24
         raw["incidents"][0].update(edit)
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            season_scenario(raw)
+
+    @pytest.mark.parametrize("n, id_", [(0, ""), (1, "syn-001")])
+    def test_bundle_ids_are_non_empty_and_unique(self, n, id_):
+        raw = json.loads(bundled_scenario_path().read_text())
+        raw["incidents"][n]["id"] = id_
+        with pytest.raises(ValidationError, match=re.escape(
+                f"scenario bundle incident #{n}: id {id_!r} must be non-empty and "
+                f"unique in the season")):
             season_scenario(raw)
 
     def test_incident_is_frozen(self):
