@@ -62,7 +62,9 @@ def emission_tons(area_km2: float, b_avg: float) -> float:
 def carbon_price(tons: float, usd_per_ton: float = USD_PER_TON) -> float:
     check_range("tons", tons)
     check_range("usd_per_ton", usd_per_ton)
-    return tons * usd_per_ton
+    price = tons * usd_per_ton
+    check_range(f"price of {tons!r} tons at usd_per_ton={usd_per_ton!r}", price)
+    return price
 
 
 def savings(baseline_usd: float, scenario_usd: float,

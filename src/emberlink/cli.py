@@ -29,10 +29,9 @@ from pathlib import Path
 from . import harness, linkbudget
 from .config import (DEFAULT_CONFIG, bundle_config, evolution_config, merge,
                      sweep_config)
-from .envdata import (GeoTransform, SynthSpec, check_seed, load_biomass,
-                      load_env_grid, load_incidents, read_json, save_env_grid,
-                      synth_env)
-from .errors import ValidationError, check_range
+from .envdata import (GeoTransform, SynthSpec, load_biomass, load_env_grid,
+                      load_incidents, read_json, save_env_grid, synth_env)
+from .errors import ValidationError, check_range, check_seed
 from .evolution import replay_detection, screen_disk, trace_rows
 from .harness import (atomic_write_text, read_season_bundle, season_scenario,
                       write_csv, write_manifest, write_summary_csv, write_sweep_csv)
@@ -102,7 +101,7 @@ def _check_flags(args: argparse.Namespace) -> None:
         if least is None:  # a seed: its own range
             check_seed(flag, value)
         else:
-            check_range(flag, value, least, finite=False)
+            check_range(flag, value, least, integer=True)
         if not read:
             raise ValidationError(f"{flag} is not used by {args.command}, only by {readers}")
 

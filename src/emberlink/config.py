@@ -14,9 +14,8 @@ import copy
 from dataclasses import asdict, dataclass
 
 from .carbon import USD_PER_TON
-from .envdata import (CALIFORNIA, check_fields, check_seed, describe_kind,
-                      fits_kind)
-from .errors import ValidationError, check_range
+from .envdata import CALIFORNIA, check_fields, describe_kind, fits_kind
+from .errors import ValidationError, check_range, check_seed
 from .evolution import EvolutionConfig
 from .firekernel import DEFAULT_PARAMS, SpreadParams
 from .linkbudget import (PERIODIC_REPORT, RU_DURATION_S, SYSTEM_BANDWIDTH_HZ,
@@ -57,10 +56,10 @@ class SweepConfig:
         if not counts:
             raise ValidationError("sensor_counts must be non-empty")
         for c in counts:
-            check_range("sensor_counts", c, finite=False)
+            check_range("sensor_counts", c, integer=True)
         if list(counts) != sorted(counts):
             raise ValidationError(f"sensor_counts must be ascending, got {counts}")
-        check_range("trials", self.trials, 1, finite=False)
+        check_range("trials", self.trials, 1, integer=True)
         # trial t deploys with seed base_seed + t
         check_seed("base_seed", self.base_seed)
         check_seed("base_seed + trials - 1", self.base_seed + self.trials - 1)

@@ -40,11 +40,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_range
+from .errors import ValidationError, check_range, check_seed
 
 KM2_PER_ACRE = 0.00404686
 BIOMASS_COARSE = 8  # side of the biomass field's random lattice, in points
-SEED_LIMIT = 2 ** 128  # seeds are Philox keys, which lie in [0, 2**128)
 
 
 @dataclass(frozen=True)
@@ -110,20 +109,14 @@ def geo_to_planar(gt: GeoTransform, lat: float, lon: float) -> tuple[float, floa
 
 
 def check_grid(what: str, spacing_km: float, origin, **dims: int) -> None:
-    """Reject a grid (what names it) whose dims are below 1, whose spacing
-    is not finite and > 0, or whose origin is not finite; callers check
-    before anything is sized from the dims."""
+    """Reject a grid (what names it) whose dims are not integers >= 1,
+    whose spacing is not finite and > 0, or whose origin is not finite;
+    callers check before anything is sized from the dims."""
     for name, n in dims.items():
-        check_range(f"{what} {name}", n, 1, finite=False)
+        check_range(f"{what} {name}", n, 1, integer=True)
     check_range(f"{what} spacing_km", spacing_km, above=True)
     for v in origin:
         check_range(f"{what} origin", v, -math.inf)
-
-
-def check_seed(what: str, seed: int) -> None:
-    """Reject a seed (what names it) outside [0, SEED_LIMIT)."""
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValidationError(f"{what} must be in [0, 2**128), got {seed}")
 
 
 def _real_array(name: str, arr, shape: tuple) -> np.ndarray:
@@ -467,7 +460,7 @@ def csv_cell(where: str, column: str, text: str, convert=float, lo: float | None
         raise ValidationError(
             f"{where}: {column} must be {_CELL_KINDS[convert]}, got {text!r}") from None
     if lo is not None:
-        check_range(f"{where}: {column}", value, lo, finite=convert is float)
+        check_range(f"{where}: {column}", value, lo, integer=convert is int)
     return value
 
 

@@ -218,6 +218,7 @@ def trace_rows(incident: Incident, env: EnvGrid,
     env horizon; a snap_km too fine to keep a step below MAX_POINTS
     branched points is rejected before that step.
     """
+    check_range(f"incident {incident.id} start_hour", incident.start_hour, integer=True)
     frontier = Frontier(points=np.asarray([incident.ignition_xy], dtype=float),
                         hour=incident.start_hour)
     circles = [np.array([*incident.ignition_xy, 0.0])]

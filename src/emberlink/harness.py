@@ -31,6 +31,7 @@ evolution sections go through config.merge, as the CLI's do.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -47,9 +48,8 @@ from .config import (BASELINE_MODES, SweepConfig, bundle_config,
                      evolution_config, sweep_config)
 from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec, atomic_open,
                       check_biomass_alignment, check_fields, check_incident_id,
-                      check_placement, check_seed, read_json, synth_biomass,
-                      synth_env)
-from .errors import ValidationError
+                      check_placement, read_json, synth_biomass, synth_env)
+from .errors import ValidationError, check_range, check_seed
 from .evolution import (EvolutionConfig, circle_trajectory, replay_detection,
                         screen_disk)
 from .sensors import SensorField, deploy_uniform
@@ -186,9 +186,18 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
     table[1:, :, :3] = seasons[..., :3]
     table[1:, :, 3] = [[carbon_price(tons, cfg.usd_per_ton) for tons in trial]
                        for trial in seasons[..., 2].tolist()]
-    table[1:, :, 4:] = savings(base["carbon_price_usd"], table[1:, :, 3:4],
-                               np.array(counts)[:, None], np.array(costs))
-    means = np.cumsum(table, axis=0)[-1] / cfg.trials
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        table[1:, :, 4:] = savings(base["carbon_price_usd"], table[1:, :, 3:4],
+                                   np.array(counts)[:, None], np.array(costs))
+        means = np.cumsum(table, axis=0)[-1] / cfg.trials
+    # a price or saving past the largest float, or a sum of them over the
+    # trials, leaves a mean non-finite
+    for n, (price, *nets) in zip(counts, means[:, 3:].tolist()):
+        check_range(f"mean price of {n} sensors at usd_per_ton={cfg.usd_per_ton!r}",
+                    price, -math.inf)
+        for cost, net in zip(costs, nets):
+            check_range(f"mean savings of {n} sensors at unit_sensor_cost_usd={cost!r}",
+                        net, -math.inf)
     rows = [(n, trial, *table[trial + 1, j].tolist())
             for j, n in enumerate(counts) for trial in range(cfg.trials)]
     summary = [(n, *means[j].tolist()) for j, n in enumerate(counts)]
@@ -249,7 +258,12 @@ def write_summary_csv(summary: list[tuple], costs: tuple[float, ...],
 
 
 def write_manifest(manifest: dict, path: str | Path) -> Path:
-    return atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    """Write the manifest as strict JSON, which has no infinity: an infinite
+    number (the cap of an uncapped sweep) is null, and a NaN raises ValueError."""
+    strict = json.loads(json.dumps(manifest), parse_constant=lambda c: None if "Inf" in c
+                        else math.nan)
+    return atomic_write_text(path, json.dumps(strict, indent=2, sort_keys=True,
+                                              allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -92,9 +91,7 @@ class TbsMap:
             raise ValidationError("TBS map must have at least one row")
         for i, (c, b) in enumerate(rows, 1):
             check_range(f"TBS row {i} min_cnr_db", c, -math.inf)
-            if not (isinstance(b, numbers.Integral) and not isinstance(b, bool) and b >= 0):
-                raise ValidationError(
-                    f"TBS row {i} bits_per_ru must be a non-negative integer, got {b!r}")
+            check_range(f"TBS row {i} bits_per_ru", b, integer=True)
         for (c0, b0), (c1, b1) in zip(rows, rows[1:]):
             if not (c0 < c1 and b0 < b1):
                 raise ValidationError(
@@ -163,7 +160,7 @@ def peak_rate_bps(bits_ru: int, system_bw_hz: float = SYSTEM_BANDWIDTH_HZ,
                   subcarrier_hz: float = 3750.0,
                   ru_duration_s: float = RU_DURATION_S) -> float:
     """System peak throughput: all subcarriers sending one RU per duration."""
-    check_range("bits_ru", bits_ru, finite=False)
+    check_range("bits_ru", bits_ru, integer=True)
     for name, value in zip(("system_bw_hz", "subcarrier_hz", "ru_duration_s"),
                            (system_bw_hz, subcarrier_hz, ru_duration_s)):
         check_range(name, value, above=True)
@@ -172,7 +169,10 @@ def peak_rate_bps(bits_ru: int, system_bw_hz: float = SYSTEM_BANDWIDTH_HZ,
         raise ValidationError(
             f"system bandwidth {system_bw_hz} is not a whole number of "
             f"{subcarrier_hz} Hz subcarriers")
-    return bits_ru * round(n_sub) / ru_duration_s
+    peak = bits_ru * round(n_sub) / ru_duration_s
+    check_range(f"peak rate at system_bw_hz={system_bw_hz!r} and "
+                f"ru_duration_s={ru_duration_s!r}", peak)
+    return peak
 
 
 def per_sensor_bps(t: TrafficModel) -> float:

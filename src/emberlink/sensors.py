@@ -24,15 +24,14 @@ against it answers for the whole draw while the whole draw is never held.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .envdata import Rect, atomic_open, check_seed, csv_cell, read_csv
-from .errors import ValidationError, check_range
+from .envdata import Rect, atomic_open, csv_cell, read_csv
+from .errors import ValidationError, check_range, check_seed
 
 # most sensors one deploy_uniform draw makes at a time: a block's 256 KB
 # of words and its cell numbers are small enough that the allocator
@@ -96,8 +95,6 @@ class SensorField:
                     f"the field region {r}")
         object.__setattr__(self, "positions", pos)
         if self.seed is not None:
-            if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-                raise ValidationError(f"sensor field seed must be an integer, got {self.seed!r}")
             check_seed("sensor field seed", self.seed)
         n = len(pos)
         if (self.ids is None) != (self.drawn is None):
@@ -106,9 +103,7 @@ class SensorField:
         if self.ids is None:
             object.__setattr__(self, "drawn", n)
             return
-        check_range("sensor field drawn", self.drawn, n, finite=False)
-        if not isinstance(self.drawn, numbers.Integral):
-            raise ValidationError(f"sensor field drawn must be an integer, got {self.drawn!r}")
+        check_range("sensor field drawn", self.drawn, n, integer=True)
         ids = np.asarray(self.ids)
         if not (ids.shape == (n,) and ids.dtype.kind in "iu"
                 and (ids[:1] >= 0).all() and (ids[-1:] < self.drawn).all()
@@ -242,8 +237,7 @@ def deploy_uniform(n: int, rect: Rect, seed: int,
     in some disk (every one it does find, and a few more), so any query
     inside those disks answers as against the whole field.
     """
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0):
-        raise ValidationError(f"sensor count must be a non-negative integer, got {n!r}")
+    check_range("sensor count", n, integer=True)
     check_seed("deploy_uniform seed", seed)
     for name, lo in (("x0", -math.inf), ("y0", -math.inf), ("width_km", 0),
                      ("height_km", 0)):

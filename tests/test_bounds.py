@@ -12,12 +12,13 @@ import pytest
 from emberlink.carbon import carbon_price, emission_tons
 from emberlink.cli import _check_flags, build_parser
 from emberlink.config import SweepConfig
-from emberlink.envdata import (CALIFORNIA, EnvGrid, Rect, check_grid,
-                               load_incidents, synth_biomass)
+from emberlink.envdata import (CALIFORNIA, BiomassGrid, EnvGrid, Incident, Rect,
+                               SynthSpec, check_grid, load_incidents, synth_biomass,
+                               synth_env)
 from emberlink.errors import ValidationError, check_range
-from emberlink.evolution import EvolutionConfig, Frontier, prune
+from emberlink.evolution import EvolutionConfig, Frontier, circle_trajectory, prune
 from emberlink.firekernel import SpreadParams, branch_endpoints
-from emberlink.linkbudget import (PERIODIC_REPORT, TABLE1_10DEG, fspl_db,
+from emberlink.linkbudget import (PERIODIC_REPORT, TABLE1_10DEG, TbsMap, fspl_db,
                                   peak_rate_bps, supportable_sensors)
 from emberlink.sensors import (SensorField, deploy_uniform, indices_within,
                                nearest_index_within)
@@ -30,7 +31,8 @@ class TestCheckRange:
     @pytest.mark.parametrize("value, kw", [
         (0, {}), (0.0, {}), (2.5, {}), (10 ** 400, {}), (np.float32(1.0), {}),
         (np.int64(3), {}), (1e-300, {"above": True}), (1, {"lo": 1}),
-        (INF, {"finite": False}), (-1e308, {"lo": -INF}),
+        (INF, {"finite": False}), (-1e308, {"lo": -INF}), (3, {"integer": True}),
+        (np.int64(3), {"integer": True}), (2 ** 64, {"lo": 1, "integer": True}),
     ])
     def test_accepts(self, value, kw):
         check_range("x", value, **kw)
@@ -49,6 +51,10 @@ class TestCheckRange:
         (True, {}, "x must be finite and >= 0, got True"),
         (None, {"finite": False}, "x must be >= 0, got None"),
         (1j, {}, "x must be finite and >= 0, got 1j"),
+        (2.0, {"integer": True}, "x must be an integer >= 0, got 2.0"),
+        (-1, {"integer": True}, "x must be an integer >= 0, got -1"),
+        (INF, {"lo": 1, "integer": True}, "x must be an integer >= 1, got inf"),
+        (True, {"integer": True}, "x must be an integer >= 0, got True"),
     ])
     def test_rejects_naming_the_field(self, value, kw, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -186,3 +192,68 @@ class TestOneBoundCheck:
             call(value, tmp_path)
         except ValidationError as exc:  # another check may refuse the value
             assert not re.search(re.escape(field) + " must be (finite|>)", str(exc))
+
+
+def _env_grid(dim, v):
+    """A 2 x 2 cell grid of 2 hours, but for dimension dim, which is v
+    (arrays sized 3 along it)."""
+    dims = {"nx": 2, "ny": 2, "nt": 2, dim: v}
+    shape = tuple(3 if name == dim else 2 for name in ("nt", "ny", "nx"))
+    return EnvGrid(**dims, spacing_km=1.0, origin=(0.0, 0.0), u10=np.zeros(shape),
+                   v10=np.zeros(shape), swvl1=np.zeros(shape))
+
+
+def _biomass_grid(dim, v):
+    dims = {"nx": 2, "ny": 2, dim: v}
+    shape = tuple(3 if name == dim else 2 for name in ("ny", "nx"))
+    return BiomassGrid(**dims, spacing_km=1.0, values=np.ones(shape))
+
+
+def _start_hour(v):
+    env = synth_env(SynthSpec(nx=2, ny=2, nt=5, spacing_km=1.0, u10=1.0, swvl1=0.1), 0)
+    return circle_trajectory(Incident("a", v, (1.0, 1.0)), env, EvolutionConfig(max_hours=1.0))
+
+
+# every integer input, as (name its messages give, call with the value in place)
+INTEGER_INPUTS = {
+    "deploy_uniform count": ("sensor count", lambda v: deploy_uniform(v, Rect(0, 0, 1, 1), 0)),
+    "SensorField.drawn": ("sensor field drawn", lambda v: SensorField(
+        [[0.0, 0.0]], ids=np.array([0]), drawn=v)),
+    "SensorField.seed": ("sensor field seed", lambda v: SensorField([[0.0, 0.0]], seed=v)),
+    "synth_env seed": ("synth_env seed", lambda v: synth_env(
+        SynthSpec(nx=2, ny=2, nt=2, spacing_km=1.0, mode="random"), v)),
+    "synth_biomass seed": ("synth_biomass seed",
+                           lambda v: synth_biomass(4, 4, 1.0, 0.0, 1.0, v)),
+    "deploy_uniform seed": ("deploy_uniform seed",
+                            lambda v: deploy_uniform(10, Rect(0, 0, 1, 1), v)),
+    **{f"EnvGrid.{dim}": (f"env grid {dim}", lambda v, dim=dim: _env_grid(dim, v))
+       for dim in ("nx", "ny", "nt")},
+    **{f"BiomassGrid.{dim}": (f"biomass {dim}", lambda v, dim=dim: _biomass_grid(dim, v))
+       for dim in ("nx", "ny")},
+    **{f"synth_biomass {dim}": (f"biomass {dim}", lambda v, dim=dim: synth_biomass(
+        **{"nx": 2, "ny": 2, dim: v}, spacing_km=1.0, lo=0.0, hi=1.0, seed=0))
+       for dim in ("nx", "ny")},
+    "Incident.start_hour": ("start_hour", _start_hour),
+    "TbsMap bits_per_ru": ("bits_per_ru", lambda v: TbsMap([(8.0, v)])),
+    "peak_rate_bps bits_ru": ("bits_ru", peak_rate_bps),
+    "SweepConfig.sensor_counts": ("sensor_counts", lambda v: SweepConfig(sensor_counts=(v,))),
+    "SweepConfig.trials": ("trials", lambda v: SweepConfig(sensor_counts=(1,), trials=v)),
+    "SweepConfig.base_seed": ("base_seed",
+                              lambda v: SweepConfig(sensor_counts=(1,), base_seed=v)),
+    "--workers": ("--workers", lambda v: _flag("workers", v)),
+    "--deploy": ("--deploy", lambda v: _flag("deploy", v)),
+}
+
+
+class TestOneIntegerRule:
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, "3", math.nan, INF, -1])
+    @pytest.mark.parametrize("site", INTEGER_INPUTS)
+    def test_every_input_refuses_what_is_not_an_integer_in_range(self, site, value):
+        name, call = INTEGER_INPUTS[site]
+        with pytest.raises(ValidationError, match=re.escape(name)):
+            call(value)
+
+    @pytest.mark.parametrize("value", [3, np.int64(3)])
+    @pytest.mark.parametrize("site", INTEGER_INPUTS)
+    def test_every_input_takes_python_and_numpy_integers(self, site, value):
+        INTEGER_INPUTS[site][1](value)

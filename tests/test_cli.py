@@ -61,6 +61,14 @@ class TestLinkBudgetCommand:
         assert code == 1
         assert "system_bw_hz" in capsys.readouterr().err
 
+    def test_overflowing_peak_rate_names_its_cause(self, tmp_path, capsys):
+        code = main(["--out-dir", str(tmp_path), "--set", "link.ru_duration_s=1e-320",
+                     "linkbudget"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: peak rate at system_bw_hz=180000.0 and ru_duration_s=1e-320 "
+            "must be finite and >= 0, got inf\n")
+
     def test_infeasible_link_is_runtime_error(self, tmp_path):
         code = main(["--out-dir", str(tmp_path),
                      "--set", "link.params.eirp_dbm=-40", "linkbudget"])
@@ -72,7 +80,7 @@ class TestLinkBudgetCommand:
         ("0.0", "the header has 2 cells, this row 1"),
         ("nan,16", "min_cnr_db must be finite, got nan"),
         ("x,16", "min_cnr_db must be a number, got 'x'"),
-        ("0.0,-1", "bits_per_ru must be >= 0, got -1"),
+        ("0.0,-1", "bits_per_ru must be an integer >= 0, got -1"),
         ("8.0,144,9", "the header has 2 cells, this row 3"),
         ("8.0,144,,", "the header has 2 cells, this row 4"),
     ])
@@ -189,7 +197,7 @@ class TestSimulateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert f"sensor file {sensors}" in err
-        assert "seed must be in [0, 2**128), got -1" in err
+        assert "seed must be an integer in [0, 2**128), got -1" in err
 
     def test_unknown_incident(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "--set", BUNDLE,
@@ -252,6 +260,31 @@ class TestSweepCommand:
             "snap_km": 0.05, "max_hours": 3}
         assert DEFAULT_CONFIG["evolution"] == {
             "snap_km": 0.05, "max_hours": 168.0}
+
+    @pytest.mark.parametrize("assignment, named", [
+        ("sweep.usd_per_ton=1e308", "at usd_per_ton=1e+308 must be finite"),
+        ("sweep.unit_sensor_cost_usd=[1e308]", "at unit_sensor_cost_usd=1e+308 must be finite"),
+    ])
+    def test_overflowing_price_or_savings_is_bad_input(self, tmp_path, capsys,
+                                                       assignment, named):
+        code = main(["--out-dir", str(tmp_path), *on_bundle(
+            "--set", "sweep.trials=1", "--set", "sweep.sensor_counts=[10]",
+            "--set", "sweep.cap_hours=2", "--set", assignment, "sweep")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_uncapped_sweep_writes_a_strict_json_manifest(self, tmp_path):
+        assert main(_file_scenario(tmp_path, "100")
+                    + ["--set", "sweep.cap_hours=Infinity", "sweep"]) == 0
+        text = (tmp_path / "out" / "run_manifest.json").read_text()
+        assert "Infinity" not in text
+        manifest = json.loads(text)
+        # an infinite cap is null: strict JSON has no infinity
+        assert manifest["sweep"]["cap_hours"] is None
+        assert manifest["evolution"]["max_hours"] is None
+        assert manifest["config"]["sweep"]["cap_hours"] is None
+        assert manifest["config"]["evolution"]["max_hours"] is None
 
     def test_needs_a_scenario(self, tmp_path):
         code = main(["--out-dir", str(tmp_path), "sweep"])
@@ -593,7 +626,7 @@ class TestConfigPlumbing:
                      "--out", str(out)]) == code
         assert out.exists() == (code == 0)
         if code:
-            assert "--seed must be in [0, 2**128)" in capsys.readouterr().err
+            assert "--seed must be an integer in [0, 2**128)" in capsys.readouterr().err
 
     def test_bad_env_manifest_field_is_bad_input(self, tmp_path, capsys):
         man = tmp_path / "env.json"

@@ -143,8 +143,8 @@ GEOMETRY_SITES = {
 class TestOneGeometryCheck:
     @pytest.mark.parametrize("site", GEOMETRY_SITES)
     @pytest.mark.parametrize("edit, message", [
-        ({"ny": 0}, "ny must be >= 1, got 0"),
-        ({"nx": -5, "ny": -1}, "nx must be >= 1, got -5"),
+        ({"ny": 0}, "ny must be an integer >= 1, got 0"),
+        ({"nx": -5, "ny": -1}, "nx must be an integer >= 1, got -5"),
         ({"spacing_km": float("nan")}, "spacing_km must be finite and > 0, got nan"),
         ({"spacing_km": 0.0}, "spacing_km must be finite and > 0, got 0.0"),
         ({"spacing_km": float("inf")}, "spacing_km must be finite and > 0, got inf"),
@@ -525,13 +525,13 @@ class TestSeedRange:
         spec = SynthSpec(nx=2, ny=2, nt=2, spacing_km=1.0, mode=mode,
                          schedule=[(0, 1.0, 0.0, 0.1)])
         with pytest.raises(ValidationError, match=re.escape(
-                f"synth_env seed must be in [0, 2**128), got {seed}")):
+                f"synth_env seed must be an integer in [0, 2**128), got {seed}")):
             synth_env(spec, seed)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 128])
     def test_synth_biomass(self, seed):
         with pytest.raises(ValidationError, match=re.escape(
-                f"synth_biomass seed must be in [0, 2**128), got {seed}")):
+                f"synth_biomass seed must be an integer in [0, 2**128), got {seed}")):
             synth_biomass(4, 4, 1.0, 1.0, 2.0, seed=seed)
 
 
@@ -797,7 +797,7 @@ class TestRasterIO:
         ({"files": {"u10": "a", "v10": "b", "swvl1": "c", "t2m": "d"}},
          "env manifest files has unknown field 't2m'"),
         ({"files": {"u10": 1, "v10": "b", "swvl1": "c"}}, "env manifest files field 'u10'"),
-        ({"nx": -5, "ny": -1}, "env manifest nx must be >= 1"),
+        ({"nx": -5, "ny": -1}, "env manifest nx must be an integer >= 1"),
         ({"origin": [float("nan"), 0.0]}, "origin must be finite"),
     ])
     def test_env_manifest_fields_are_checked(self, tmp_path, edit, field):
@@ -812,7 +812,7 @@ class TestRasterIO:
         ({"file": 3}, "biomass manifest field 'file' must be a string"),
         ({"origin": "0,0"}, "biomass manifest field 'origin'"),
         ({"seed": 3}, "biomass manifest has unknown field 'seed'"),
-        ({"nx": -5, "ny": -1}, "biomass manifest nx must be >= 1"),
+        ({"nx": -5, "ny": -1}, "biomass manifest nx must be an integer >= 1"),
         ({"origin": [0.0, float("inf")]}, "biomass manifest origin must be finite"),
     ])
     def test_biomass_manifest_fields_are_checked(self, tmp_path, edit, field):

@@ -245,6 +245,20 @@ class TestSweep:
         assert manifest["evolution"]["max_hours"] == 10.0  # cap overrides
         assert manifest["n_incidents"] == len(incidents)
 
+    def test_mean_past_the_largest_float_is_refused(self):
+        # each trial's price is finite, but three of them sum past the
+        # largest float
+        incidents, env, bio = small_scenario()
+        evo = replace(EVO, max_hours=self.CFG.cap_hours)  # as the sweep runs
+        trajectories = [circle_trajectory(inc, env, evo) for inc in incidents]
+        tons = baseline_totals(incidents, trajectories, bio, "simulated-zero-sensor",
+                               evo)["carbon_tons"]
+        cfg = replace(self.CFG, usd_per_ton=0.9 * 1.7976931348623157e308 / tons)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"mean price of 50 sensors at usd_per_ton={cfg.usd_per_ton!r} "
+                "must be finite, got inf")):
+            sweep(incidents, env, bio, cfg, evolution=EVO)
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             SweepConfig(sensor_counts=())
@@ -373,6 +387,13 @@ class TestOutputs:
     def test_manifest_is_json(self, tmp_path):
         p = write_manifest({"a": 1, "b": [1, 2]}, tmp_path / "m.json")
         assert json.loads(p.read_text()) == {"a": 1, "b": [1, 2]}
+
+    def test_manifest_is_strict_json(self, tmp_path):
+        # strict JSON has no infinity: an infinite cap is null
+        p = write_manifest({"a": [math.inf, -math.inf], "b": (1.5,)}, tmp_path / "m.json")
+        assert json.loads(p.read_text()) == {"a": [None, None], "b": [1.5]}
+        with pytest.raises(ValueError):
+            write_manifest({"a": math.nan}, tmp_path / "n.json")
 
 
 class TestBundle:

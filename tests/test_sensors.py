@@ -170,7 +170,7 @@ class TestDeploy:
     def test_count_must_be_a_non_negative_integer(self, n, disks):
         # whole and screened deploys alike
         with pytest.raises(ValidationError, match=re.escape(
-                f"sensor count must be a non-negative integer, got {n!r}")):
+                f"sensor count must be an integer >= 0, got {n!r}")):
             deploy_uniform(n, Rect(0.0, 0.0, 1.0, 1.0), 0, disks)
 
     @pytest.mark.parametrize("n", [np.int64(70_000), np.uint16(5)])
@@ -184,7 +184,7 @@ class TestDeploy:
     @pytest.mark.parametrize("seed", [-1, 2 ** 128])
     def test_seed_outside_philox_keys(self, seed):
         with pytest.raises(ValidationError, match=re.escape(
-                f"deploy_uniform seed must be in [0, 2**128), got {seed}")):
+                f"deploy_uniform seed must be an integer in [0, 2**128), got {seed}")):
             deploy_uniform(10, Rect(0, 0, 1, 1), seed)
 
 
@@ -757,7 +757,7 @@ class TestPersistence:
         p = tmp_path / "s.csv"
         p.write_text("# seed=-1\nx_km,y_km\n1.0,2.0\n")
         with pytest.raises(ValidationError, match=re.escape(
-                f"sensor file {p}: sensor field seed must be in [0, 2**128), got -1")):
+                f"sensor file {p}: sensor field seed must be an integer in [0, 2**128), got -1")):
             load_sensors(p)
 
     def test_failed_save_leaves_the_old_file(self, tmp_path):
