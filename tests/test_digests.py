@@ -10,24 +10,21 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import replace
 
 import pytest
 
-from emberlink.evolution import replay_detection, trace_rows
-from emberlink.harness import bundled_scenario_path, load_season_bundle
+from emberlink.evolution import replay_detection
 from emberlink.sensors import deploy_uniform
 
 TRIALS = 2
 
 
 @pytest.fixture(scope="module")
-def season():
+def season(bundled_season):
     """Incidents, env, sweep config, evolution config at the sweep's horizon,
-    and each incident's (circles, frontier sizes)."""
-    incidents, env, _, swp, evo = load_season_bundle(bundled_scenario_path())
-    evo = replace(evo, max_hours=swp.cap_hours)  # as sweep runs them
-    return incidents, env, swp, evo, [trace_rows(inc, env, evo) for inc in incidents]
+    and each incident's (circles, frontier sizes) (see conftest.py)."""
+    incidents, env, _, swp, evo, traces = bundled_season
+    return incidents, env, swp, evo, traces
 
 
 def test_trajectory_digest(season):
