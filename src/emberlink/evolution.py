@@ -12,7 +12,7 @@ each hour is summarized as a circle (mean of the branched points, max
 distance as radius), a (cx, cy, r) row of the float64 (hours + 1, 3)
 trajectory array that starts at the zero-radius ignition circle. A
 sensor inside an hour's closed disk detects the fire; a replay takes
-that hour and sensor from one query over a disk enclosing every circle,
+that row and sensor from one query over the trajectory's screen disk,
 for every prefix of one field's sensors it is asked about at once.
 
 The 4^t branching blow-up is tamed by prune(): snap the frontier to a
@@ -76,13 +76,9 @@ class Frontier:
 
 @dataclass(frozen=True)
 class IncidentResult:
-    """Outcome of one simulated incident.
-
-    detection_hour is also the burned-hours figure: hours until a
-    sensor saw the fire, or the cap (or the env horizon) if none did.
-    circle is the reported (center_x_km, center_y_km, radius_km): the
-    detecting hour's circle, or the last one if no sensor saw the fire.
-    """
+    """Outcome of one simulated incident: a replay_detection outcome with
+    its hours (see undetected_hours), its row's (center_x_km, center_y_km,
+    radius_km) circle and that circle's area, math.pi * r * r."""
 
     incident_id: str
     detected: bool
@@ -198,14 +194,10 @@ def prune(frontier: Frontier, snap_km: float) -> Frontier:
 
 
 def incident_cap_hours(incident: Incident, cfg: EvolutionConfig) -> float:
-    """Horizon for one incident: its own historical duration when known.
-
-    Capping an undetected fire at its historical burn time makes the
-    zero-sensor baseline reproduce history by construction.
-    """
-    if incident.historical_burn_hours is not None:
-        return incident.historical_burn_hours
-    return cfg.max_hours
+    """Horizon for one incident: its own historical duration when known, so
+    an undetected fire's baseline reproduces history by construction."""
+    hours = incident.historical_burn_hours
+    return cfg.max_hours if hours is None else hours
 
 
 def trace_rows(incident: Incident, env: EnvGrid,
@@ -261,26 +253,20 @@ def screen_disk(circles: np.ndarray) -> tuple[tuple[float, float], float]:
     return center, min(reach * (1.0 + _SLACK) + _TINY, sys.float_info.max)
 
 
-def replay_detection(incident: Incident, circles: np.ndarray,
-                     sensors: SensorField, cfg: EvolutionConfig,
-                     counts: Sequence[int]) -> list[IncidentResult]:
-    """Detection outcomes of a precomputed (hours + 1, 3) trajectory, one
-    per count n in counts (ascending, at most sensors.drawn), against the
-    first n sensors of one field's draw.
-
-    This is the only detection path: every caller first builds the
-    trajectory with circle_trajectory (same env and cfg), then replays it.
-    For n sensors, the first hour k, from the hour-0 ignition circle on,
-    with a sensor at dx*dx + dy*dy <= r_k*r_k detects, and its closest
-    such sensor (lowest index among ties) is the detecting one. One query
-    over the trajectory's screen_disk screens it, so a replay makes one
-    nearest_index_within call whatever the counts. Each screened
-    sensor's first hit hour comes from its exact distances; n sensors
-    take the earliest among the screened draw indices below n, and the
-    detecting sensor is reported as its draw index. Deployments from one
-    seed nest (see sensors), so against deploy_uniform(max(counts)), or
-    that deployment screened with this trajectory's screen_disk, each
-    outcome is bitwise the one against deploy_uniform(n).
+def replay_detection(circles: np.ndarray, disk: tuple[tuple[float, float], float],
+                     sensors: SensorField,
+                     counts: Sequence[int]) -> list[tuple[int, int | None]]:
+    """Detection outcomes of a (hours + 1, 3) trajectory from
+    circle_trajectory, screened by its screen_disk, against the first n
+    sensors of one field's draw for each n in counts (ascending, at most
+    sensors.drawn): the reported row and the detecting draw index, or the
+    last row and None. n sensors detect at the first hour k, from the
+    ignition on, with a sensor at dx*dx + dy*dy <= r_k*r_k, the closest
+    such sensor detecting (lowest index among ties). One
+    nearest_index_within query over the disk screens the field whatever
+    the counts. Deployments from one seed nest (see sensors), so against
+    deploy_uniform(max(counts)), or that deployment screened with the
+    disk, each outcome is bitwise the one against deploy_uniform(n).
     """
     xyr = np.asarray(circles, dtype=float)
     if not (xyr.ndim == 2 and xyr.shape[1:] == (3,) and xyr.size
@@ -292,7 +278,7 @@ def replay_detection(incident: Incident, circles: np.ndarray,
         raise ValidationError(f"counts must be ascending sensor counts in "
                               f"[0, {sensors.drawn}], got {tuple(counts)}")
     cx, cy, r = xyr.T
-    center, screen = screen_disk(xyr)
+    center, screen = disk
     # a square that overflows is inf, and every sensor lies within it
     with np.errstate(over="ignore"):
         r2 = r * r
@@ -320,8 +306,7 @@ def replay_detection(incident: Incident, circles: np.ndarray,
             at = inside[:, new].argmax(axis=0)
             first[new] = h + at
             first_d2[new] = d2[at, new]
-    cap = incident_cap_hours(incident, cfg)
-    results = []
+    outcomes = []
     for m in ends:
         k, sensor = hours - 1, None
         if m and (hit := int(first[:m].min())) < hours:
@@ -329,15 +314,15 @@ def replay_detection(incident: Incident, circles: np.ndarray,
             # ties is ascending, so argmin's first minimum is the lowest
             # index among the closest
             k, sensor = hit, int(ids[ties[first_d2[ties].argmin()]])
-        if sensor is not None:
-            detection_hour = float(k)
-        else:
-            # cap-limited runs report the (possibly fractional) cap; runs
-            # cut short by the env horizon report the hours actually burned
-            detection_hour = cap if k + 1 > cap else float(k)
-        circle = tuple(xyr[k].tolist())
-        results.append(IncidentResult(
-            incident_id=incident.id, detected=sensor is not None,
-            detection_hour=detection_hour, detecting_sensor=sensor,
-            burned_area_km2=math.pi * circle[2] * circle[2], circle=circle))
-    return results
+        outcomes.append((k, sensor))
+    return outcomes
+
+
+def undetected_hours(incident: Incident, circles: np.ndarray,
+                     cfg: EvolutionConfig) -> float:
+    """Burned hours an incident reports if no sensor sees its trajectory:
+    the (possibly fractional) cap if the trajectory ran to it, else the
+    hours burned until the env horizon cut it short."""
+    cap = incident_cap_hours(incident, cfg)
+    return cap if len(circles) > cap else float(len(circles) - 1)
+

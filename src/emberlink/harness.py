@@ -3,29 +3,21 @@
 A sweep replays every incident of a season against a grid of sensor counts
 and deployment trials, totals burned hours, burned area and carbon cost per
 (count, trial), and measures savings against a baseline: historical totals
-from the incident file, or the same replay against an empty field. It
-emits plot-ready per-trial and per-count CSVs plus a JSON manifest of every
+from the incident file, or every incident left undetected. It emits
+plot-ready per-trial and per-count CSVs plus a JSON manifest of every
 effective setting and seed.
 
 Fire growth does not depend on sensors, so each incident's circle
-trajectory is computed once (optionally across worker processes) and
-detection is replayed per deployment, the zero-sensor baseline included.
-Deployments from one seed nest, so a trial deploys once, at the largest
-count, and each incident's one replay against that field answers every
-count from its first n sensors; each distinct reported circle's biomass
-is looked up once. The deploy is screened with the incidents' screen
-disks, taken once per sweep: a trial draws its sensors in blocks of raw
-random words, keeps a row when its words' raster cell lies near some
-incident (about 0.66 % of a 1M-sensor draw for the bundled season), and
-turns only the kept rows into positions, so it never holds the whole
-field.
-Totals form one array table. A trial's replays fill an (incident, count,
-column) array from a 0.0 row, and np.cumsum totals it in incident order,
-as a += loop sums; the stacked (trial, count, column) table is priced,
-netted and averaged over trials the same way. Rows leave as tuples in CSV
-column order, byte-identical for any worker count, and every output file
-is written through envdata.atomic_open. A scenario bundle's sweep and
-evolution sections go through config.merge, as the CLI's do.
+trajectory is computed once (optionally across worker processes) into one
+SeasonTable that everything after reads: the zero-sensor baseline is its
+undetected rows, and a trial's totals gather the hours, area and tons of
+the rows its replays report, each distinct row priced once per sweep. A
+trial deploys once, at the largest count, screened with the table's
+screen disks, so it never holds the whole field. Totals and trial means
+sum from a 0.0 row by np.cumsum, as a += loop does, and rows leave as
+tuples in CSV column order, byte-identical for any worker count, through
+envdata.atomic_open. A scenario bundle's sweep and evolution sections go
+through config.merge, as the CLI's do.
 """
 
 from __future__ import annotations
@@ -51,37 +43,57 @@ from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec, atomic_open,
                       check_placement, read_json, synth_biomass, synth_env)
 from .errors import ValidationError, check_range, check_seed
 from .evolution import (EvolutionConfig, circle_trajectory, replay_detection,
-                        screen_disk)
+                        screen_disk, undetected_hours)
 from .sensors import SensorField, deploy_uniform
 
 
-def _replay_season(incidents: list[Incident],
-                   trajectories: list[np.ndarray], field_: SensorField,
-                   counts: Sequence[int], bio: BiomassGrid, evo: EvolutionConfig,
-                   biomass: dict[tuple, float]) -> np.ndarray:
-    """Season totals of each incident's trajectory replayed against the
-    first n sensors of one field, for each n in counts: a (len(counts), 4)
-    array of burned hours, burned area, carbon tons and detections. Each
-    total is 0.0 + x0 + x1 ... in incident order. biomass maps each
-    reported circle priced so far to its mean biomass, a function of the
-    circle alone, and gains the new ones."""
-    replays = [replay_detection(inc, circles, field_, evo, counts)
-               for inc, circles in zip(incidents, trajectories, strict=True)]
-    table = np.zeros((len(incidents) + 1, len(counts), 4))  # row 0 stays 0.0
-    for j in range(len(counts)):
-        for i, results in enumerate(replays, 1):
-            r = results[j]
-            if r.circle not in biomass:
-                biomass[r.circle] = average_biomass(r.circle, bio)
-            table[i, j] = (r.detection_hour, r.burned_area_km2,
-                           emission_tons(r.burned_area_km2, biomass[r.circle]),
-                           r.detected)
-    return np.cumsum(table, axis=0)[-1]
+class SeasonTable:
+    """A sweep's trajectories as one (incident, row) table: circles, the
+    (cx, cy, r) rows padded with zeros, their area math.pi * r * r and
+    tons, NaN until a row is first reported; and each incident's last row,
+    undetected_hours (see evolution) and screen disk."""
+
+    def __init__(self, incidents: list[Incident], trajectories: list[np.ndarray],
+                 bio: BiomassGrid, evo: EvolutionConfig) -> None:
+        self.circles = np.zeros((len(trajectories),
+                                 max(map(len, trajectories), default=1), 3))
+        for padded, circles in zip(self.circles, trajectories):
+            padded[:len(circles)] = circles
+        with np.errstate(over="ignore"):  # a square that overflows is inf
+            self.area = math.pi * self.circles[..., 2] * self.circles[..., 2]
+        self.last = np.array([len(c) - 1 for c in trajectories], dtype=np.int64)
+        self.undetected_hours = np.array([undetected_hours(inc, circles, evo) for inc, circles
+                                          in zip(incidents, trajectories, strict=True)])
+        self.disks = [screen_disk(circles) for circles in trajectories]
+        self.tons, self.bio = np.full(self.area.shape, np.nan), bio
+
+    def replay(self, field_: SensorField,
+               counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(incident, count) reported rows, and whether a sensor saw each, from
+        one replay per trajectory against one field (a draw of None is NaN)."""
+        out = np.array([replay_detection(self.circles[i, :last + 1], disk, field_, counts)
+                        for i, (last, disk) in enumerate(zip(self.last.tolist(), self.disks))],
+                       dtype=float).reshape(len(self.disks), len(counts), 2)
+        return out[..., 0].astype(np.int64), ~np.isnan(out[..., 1])
+
+    def totals(self, rows: np.ndarray, detected: np.ndarray) -> np.ndarray:
+        """(counts, 4) season totals of burned hours, burned area, carbon
+        tons and detections of (incident, count) reported rows, each 0.0 +
+        x0 + x1 ... in incident order; new rows are priced in that order."""
+        at = (np.arange(len(rows))[:, None], rows)
+        for j, i in zip(*np.nonzero(np.isnan(self.tons[at]).T)):
+            k = rows[i, j]
+            if math.isnan(self.tons[i, k]):  # not priced for an earlier count
+                self.tons[i, k] = emission_tons(float(self.area[i, k]), average_biomass(
+                    tuple(self.circles[i, k].tolist()), self.bio))
+        table = np.zeros((len(rows) + 1, rows.shape[1], 4))  # row 0 stays 0.0
+        table[1:] = np.stack([np.where(detected, rows, self.undetected_hours[:, None]),
+                              self.area[at], self.tons[at], detected], axis=-1)
+        return np.cumsum(table, axis=0)[-1]
 
 
-def baseline_totals(incidents: list[Incident],
-                    trajectories: list[np.ndarray] | None,
-                    bio: BiomassGrid, mode: str, cfg: EvolutionConfig,
+def baseline_totals(incidents: list[Incident], season: SeasonTable | None,
+                    bio: BiomassGrid, mode: str,
                     usd_per_ton: float = USD_PER_TON) -> dict:
     """Reference totals the sweep savings are measured against, as the
     manifest stores them: burned_hours, burned_area_km2, carbon_tons and
@@ -90,10 +102,8 @@ def baseline_totals(incidents: list[Incident],
     historical            sum the incident file's own duration/area fields;
                           carbon uses the grid-wide mean biomass over the
                           total area (the season-level accounting shortcut);
-                          trajectories are unused and may be None
-    simulated-zero-sensor replay each incident's circle trajectory (built
-                          with cfg, one per incident, in order) against an
-                          empty field, to the cap
+                          season is unused and may be None
+    simulated-zero-sensor the season table's undetected (last) rows
     """
     if mode == "historical":
         hours = area = 0.0
@@ -106,12 +116,11 @@ def baseline_totals(incidents: list[Incident],
             area += inc.historical_area_km2
         tons, detected = emission_tons(area, float(bio.values.mean())), 0
     elif mode == "simulated-zero-sensor":
-        if trajectories is None:
+        if season is None:
             raise ValidationError(
                 "simulated-zero-sensor baseline needs the incident trajectories")
-        [[hours, area, tons, detected]] = _replay_season(
-            incidents, trajectories, SensorField(positions=[]), (0,), bio, cfg,
-            {}).tolist()
+        [[hours, area, tons, detected]] = season.totals(
+            season.last[:, None], np.zeros((len(season.last), 1), dtype=bool)).tolist()
     else:
         raise ValidationError(
             f"baseline must be one of {BASELINE_MODES}, got '{mode}'")
@@ -130,9 +139,7 @@ def _traj_init(env: EnvGrid, cfg: EvolutionConfig) -> None:
 
 
 def _traj_task(incident: Incident) -> np.ndarray:
-    assert _TRAJ_CTX is not None
-    env, cfg = _TRAJ_CTX
-    return circle_trajectory(incident, env, cfg)
+    return circle_trajectory(incident, *_TRAJ_CTX)
 
 
 def _trajectories(incidents: list[Incident], env: EnvGrid,
@@ -156,29 +163,21 @@ def sweep(incidents: list[Incident], env: EnvGrid, bio: BiomassGrid,
     as tuples of Python numbers, then the manifest.
 
     Trial t deploys max(sensor_counts) sensors once, with seed
-    base_seed + t, screened with every incident's screen disk, and count
-    n takes its first n draws: each count's outcomes are bitwise those
-    against deploy_uniform(n) with that seed, so counts are compared on
-    common random numbers. Results and CSVs are deterministic
-    for a fixed config, independent of the worker count. At most one
-    worker process runs per incident and per CPU; manifest["workers"]
-    records the count used.
+    base_seed + t, and count n takes its first n draws: each count's
+    outcomes are bitwise those against deploy_uniform(n) with that seed,
+    so counts are compared on common random numbers. At most one worker
+    process runs per incident and per CPU; manifest["workers"] records
+    the count used, and nothing else depends on it.
     """
     check_biomass_alignment(bio, env)
     evo = replace(evolution, max_hours=cfg.cap_hours)
     workers = max(1, min(workers, len(incidents), os.cpu_count() or 1))
-    trajectories = _trajectories(incidents, env, evo, workers)
-    base = baseline_totals(incidents, trajectories, bio, cfg.baseline, evo,
-                           cfg.usd_per_ton)
-    biomass: dict[tuple, float] = {}
-    disks = [screen_disk(circles) for circles in trajectories]
+    season = SeasonTable(incidents, _trajectories(incidents, env, evo, workers), bio, evo)
+    base = baseline_totals(incidents, season, bio, cfg.baseline, cfg.usd_per_ton)
     counts, costs = cfg.sensor_counts, cfg.unit_sensor_cost_usd
-    seasons = np.stack([
-        # no name holds the field, so it is freed before the next deploy
-        _replay_season(incidents, trajectories,
-                       deploy_uniform(counts[-1], env.rect,
-                                      cfg.base_seed + trial, disks),
-                       counts, bio, evo, biomass)
+    seasons = np.stack([  # no name holds a field, so each is freed before the next
+        season.totals(*season.replay(deploy_uniform(
+            counts[-1], env.rect, cfg.base_seed + trial, season.disks), counts))
         for trial in range(cfg.trials)])
     # (trial, count, column) in the rows' column order from burned_hours
     # on; row 0 stays 0.0, so each mean sums from 0.0 in trial order

@@ -258,8 +258,7 @@ def test_criterion_10_historical_baseline_identity():
     incidents = load_incidents(DATA / "historical_season_2020.csv",
                                CALIFORNIA, env)
     bio = synth_biomass(nx=4, ny=4, spacing_km=300.0, lo=40.0, hi=50.0, seed=1)
-    totals = baseline_totals(incidents, None, bio, "historical",
-                             EvolutionConfig())
+    totals = baseline_totals(incidents, None, bio, "historical")
     ok = (totals["burned_hours"] == 36716.25
           and totals["burned_area_km2"] == 10202.04)
     _check(10, "historical baseline identity", ok,

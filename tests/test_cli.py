@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -171,10 +172,16 @@ class TestSimulateCommand:
         circles = evolution.circle_trajectory(incident, env, evo)
         for n in (0, 1000, 1_000_000):
             assert main([*argv, str(n)]) == 0
-            [expected] = evolution.replay_detection(
-                incident, circles, deploy_uniform(n, env.rect, 0), evo, (n,))
+            [(k, sensor)] = evolution.replay_detection(
+                circles, evolution.screen_disk(circles), deploy_uniform(n, env.rect, 0), (n,))
             result = json.loads((tmp_path / "incident_syn-001.json").read_text())
-            assert result == json.loads(json.dumps(asdict(expected))), n
+            x, y, r = circles[k].tolist()
+            assert result == {
+                "incident_id": "syn-001", "detected": sensor is not None,
+                "detection_hour": float(k) if sensor is not None
+                else evolution.undetected_hours(incident, circles, evo),
+                "detecting_sensor": sensor, "burned_area_km2": math.pi * r * r,
+                "circle": [x, y, r]}, n
 
     def test_overflowing_sensor_extent_is_bad_input(self, tmp_path, capsys):
         # the x extent, 3.4e308 km, is past any float

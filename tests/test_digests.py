@@ -9,11 +9,12 @@ outcome of its first two deployment trials at each bundled count.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import pytest
 
-from emberlink.evolution import replay_detection
+from emberlink.evolution import replay_detection, screen_disk, undetected_hours
 from emberlink.sensors import deploy_uniform
 
 TRIALS = 2
@@ -48,12 +49,15 @@ def test_replay_digest(season):
         for trial in range(TRIALS):
             field_ = deploy_uniform(count, env.rect, swp.base_seed + trial)
             for inc, (circles, _) in zip(incidents, traces, strict=True):
-                [r] = replay_detection(inc, circles, field_, evo, (count,))
-                sensor = -1 if r.detecting_sensor is None else r.detecting_sensor
-                h.update(struct.pack("<?dqd3d", r.detected, r.detection_hour,
-                                     sensor, r.burned_area_km2, *r.circle))
+                [(k, sensor)] = replay_detection(circles, screen_disk(circles),
+                                                 field_, (count,))
+                detected = sensor is not None
+                hours = float(k) if detected else undetected_hours(inc, circles, evo)
+                x, y, r = circles[k].tolist()
+                h.update(struct.pack("<?dqd3d", detected, hours,
+                                     sensor if detected else -1, math.pi * r * r, x, y, r))
                 replays += 1
-                detections += r.detected
+                detections += detected
     assert swp.sensor_counts == (10000, 100000, 1000000)
     assert (replays, detections) == (300, 249)
     assert h.hexdigest() == (

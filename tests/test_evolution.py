@@ -20,7 +20,7 @@ from emberlink.errors import ValidationError
 from emberlink.evolution import (EvolutionConfig, Frontier, burned_circle,
                                  circle_trajectory, incident_cap_hours, prune,
                                  replay_detection, screen_disk, step,
-                                 trace_rows)
+                                 trace_rows, undetected_hours)
 from emberlink.firekernel import length_breadth_ratio, spread_speed
 from emberlink.harness import bundled_scenario_path, load_season_bundle
 from emberlink.sensors import (RASTER_CELLS, SensorField, _screen, deploy_uniform,
@@ -504,39 +504,38 @@ class TestFrontierBound:
         assert branched == [0, 1, 2]
 
 
+def replay(circles, field_, counts):
+    """replay_detection of a trajectory screened by its own screen disk."""
+    return replay_detection(circles, screen_disk(circles), field_, counts)
+
+
 class TestSimulate:
     def test_detection_at_ignition(self):
         env = constant_env(15.0, 0.0, 0.0)
         inc = mid_incident(env)
         field_ = SensorField(positions=np.array([inc.ignition_xy]))
-        [r] = replay_detection(inc, circle_trajectory(inc, env, NO_PRUNE),
-                               field_, NO_PRUNE, (len(field_),))
-        assert r.detected and r.detection_hour == 0.0
-        assert r.detecting_sensor == 0
-        assert r.burned_area_km2 == 0.0
-        assert r.circle == (*inc.ignition_xy, 0.0)
+        circles = circle_trajectory(inc, env, NO_PRUNE)
+        # row 0, the zero-radius ignition circle, seen by sensor 0
+        assert replay(circles, field_, (len(field_),)) == [(0, 0)]
+        assert circles[0].tolist() == [*inc.ignition_xy, 0.0]
 
     def test_cap_reached_reports_cap(self):
         env = constant_env(15.0, 0.0, 0.0)
         inc = mid_incident(env)
-        [r] = replay_detection(inc, circle_trajectory(inc, env, NO_PRUNE),
-                               SensorField(positions=[]), NO_PRUNE, (0,))
-        assert not r.detected
-        assert r.detection_hour == 5.0
-        assert r.detecting_sensor is None
         circles = circle_trajectory(inc, env, NO_PRUNE)
         assert circles.shape == (6, 3)  # hours 0..5
-        assert r.circle == tuple(circles[-1].tolist())
-        assert r.burned_area_km2 == math.pi * r.circle[2] * r.circle[2]
+        # undetected: the last row, and the cap's hours
+        assert replay(circles, SensorField(positions=[]), (0,)) == [(5, None)]
+        assert undetected_hours(inc, circles, NO_PRUNE) == 5.0
 
     def test_fractional_cap(self):
         env = constant_env(15.0, 0.0, 0.0)
         inc = mid_incident(env, hist=3.25)
         cfg = EvolutionConfig(snap_km=0.0, max_hours=50.0)
-        [r] = replay_detection(inc, circle_trajectory(inc, env, cfg),
-                               SensorField(positions=[]), cfg, (0,))
-        assert r.detection_hour == 3.25  # 3 whole steps, reported at the cap
-        assert len(circle_trajectory(inc, env, cfg)) == 4
+        circles = circle_trajectory(inc, env, cfg)
+        assert len(circles) == 4
+        # 3 whole steps, reported at the cap
+        assert undetected_hours(inc, circles, cfg) == 3.25
 
     def test_historical_cap_beats_config(self):
         env = constant_env(15.0, 0.0, 0.0)
@@ -549,19 +548,18 @@ class TestSimulate:
         env = constant_env(15.0, 0.0, 0.0, nt=4)
         inc = mid_incident(env, start=2)  # only hours 2->3, 3->4 exist
         cfg = EvolutionConfig(snap_km=0.0, max_hours=50.0)
-        [r] = replay_detection(inc, circle_trajectory(inc, env, cfg),
-                               SensorField(positions=[]), cfg, (0,))
-        assert not r.detected
-        assert r.detection_hour == 2.0
-        assert len(circle_trajectory(inc, env, cfg)) == 3
+        circles = circle_trajectory(inc, env, cfg)
+        assert len(circles) == 3
+        assert replay(circles, SensorField(positions=[]), (0,)) == [(2, None)]
+        assert undetected_hours(inc, circles, cfg) == 2.0
 
     def test_zero_cap(self):
         env = constant_env(15.0, 0.0, 0.0)
         inc = mid_incident(env, hist=0.0)
         cfg = EvolutionConfig()
-        [r] = replay_detection(inc, circle_trajectory(inc, env, cfg),
-                               SensorField(positions=[]), cfg, (0,))
-        assert r.detection_hour == 0.0 and r.burned_area_km2 == 0.0
+        circles = circle_trajectory(inc, env, cfg)
+        assert replay(circles, SensorField(positions=[]), (0,)) == [(0, None)]
+        assert undetected_hours(inc, circles, cfg) == 0.0 and circles[0, 2] == 0.0
 
     def test_downwind_extreme_identity(self):
         # under constant wind, k unpruned steps push the head exactly
@@ -579,9 +577,9 @@ class TestSimulate:
     def test_wet_soil_never_grows(self):
         env = constant_env(25.0, 0.0, 0.40)  # beyond the wetness cutoff
         inc = mid_incident(env, hist=4.0)
-        [r] = replay_detection(inc, circle_trajectory(inc, env, NO_PRUNE),
-                               SensorField(positions=[]), NO_PRUNE, (0,))
-        assert r.burned_area_km2 == 0.0
+        circles = circle_trajectory(inc, env, NO_PRUNE)
+        assert replay(circles, SensorField(positions=[]), (0,)) == [(4, None)]
+        assert (circles[:, 2] == 0.0).all()
 
 
 def brute_force_detection(circles, positions):
@@ -638,20 +636,12 @@ def replay_cases(draw):
     return np.array(circles), pts
 
 
-def assert_replays_like_brute_force(r, circles, pts, cap: float) -> bool:
-    """r is the replay brute_force_detection predicts; True if detected."""
+def assert_replays_like_brute_force(outcome, circles, pts) -> bool:
+    """outcome is the replay's (row, sensor) brute_force_detection predicts,
+    or the last row and None; True if detected."""
     expected = brute_force_detection(circles, pts)
-    if expected is None:
-        assert not r.detected and r.detecting_sensor is None
-        assert r.detection_hour == cap
-        k = len(circles) - 1
-    else:
-        k, sensor = expected
-        assert r.detected and r.detecting_sensor == sensor
-        assert r.detection_hour == float(k)
-    assert r.circle == tuple(circles[k].tolist())
-    assert all(type(v) is float for v in r.circle)
-    assert r.burned_area_km2 == math.pi * r.circle[2] * r.circle[2]
+    assert outcome == (expected or (len(circles) - 1, None))
+    assert all(type(v) is int for v in outcome if v is not None)
     return expected is not None
 
 
@@ -702,14 +692,11 @@ class TestTrajectoryReplay:
                                            max_size=5), label="counts"))
         # small blocks take the hours a few at a time
         block = data.draw(st.sampled_from([1, 3, evolution._BLOCK]), label="block")
-        inc = Incident(id="p", start_hour=0, ignition_xy=tuple(circles[0, :2].tolist()))
-        cfg = EvolutionConfig(max_hours=float(len(circles) - 1))
         with mock.patch.object(evolution, "_BLOCK", block):
-            results = replay_detection(inc, circles, SensorField(positions=pts), cfg,
-                                       counts)
+            results = replay(circles, SensorField(positions=pts), counts)
         assert len(results) == len(counts)
         for n, r in zip(counts, results):
-            assert_replays_like_brute_force(r, circles, pts[:n], cfg.max_hours)
+            assert_replays_like_brute_force(r, circles, pts[:n])
 
     @settings(max_examples=200, deadline=None)
     @given(case=lattice_replay_cases(), declared=st.booleans(), data=st.data())
@@ -731,11 +718,8 @@ class TestTrajectoryReplay:
         assert field_.region == (region if declared else bbox)
         counts = sorted(data.draw(st.lists(st.integers(0, len(pts)), min_size=1,
                                            max_size=5), label="counts"))
-        inc = Incident(id="csv", start_hour=0, ignition_xy=tuple(circles[0, :2].tolist()))
-        cfg = EvolutionConfig(max_hours=float(len(circles) - 1))
-        results = replay_detection(inc, circles, field_, cfg, counts)
-        for n, r in zip(counts, results):
-            assert_replays_like_brute_force(r, circles, pts[:n], cfg.max_hours)
+        for n, r in zip(counts, replay(circles, field_, counts)):
+            assert_replays_like_brute_force(r, circles, pts[:n])
 
     @pytest.mark.parametrize("declared", [True, False])
     def test_sensor_csv_ties_on_a_circle(self, declared):
@@ -747,13 +731,11 @@ class TestTrajectoryReplay:
         region = Rect(-5.0, -5.0, 20.0, 20.0) if declared else None
         field_ = csv_round_trip(SensorField(positions=pts, region=region))
         assert field_.region == (region if declared else Rect(-2.0, -3.0, 11.0, 12.0))
-        inc = Incident(id="tie", start_hour=0, ignition_xy=(0.0, 0.0))
-        cfg = EvolutionConfig(max_hours=2.0)
         counts = (1, 2, 3, 4, 5)
-        results = replay_detection(inc, circles, field_, cfg, counts)
-        assert [r.detecting_sensor for r in results] == [None, 1, 1, 1, 4]
+        results = replay(circles, field_, counts)
+        assert [sensor for _, sensor in results] == [None, 1, 1, 1, 4]
         for n, r in zip(counts, results):
-            assert_replays_like_brute_force(r, circles, pts[:n], cfg.max_hours)
+            assert_replays_like_brute_force(r, circles, pts[:n])
 
     @settings(max_examples=300, deadline=None)
     @given(case=replay_cases(), data=st.data())
@@ -797,10 +779,7 @@ class TestTrajectoryReplay:
         whole = SensorField(pts)
         counts = sorted(data.draw(st.lists(st.integers(0, len(pts)), min_size=1,
                                            max_size=5), label="counts"))
-        inc = Incident(id="s", start_hour=0, ignition_xy=tuple(circles[0, :2].tolist()))
-        cfg = EvolutionConfig(max_hours=float(len(circles) - 1))
-        assert (replay_detection(inc, circles, screened, cfg, counts)
-                == replay_detection(inc, circles, whole, cfg, counts))
+        assert replay(circles, screened, counts) == replay(circles, whole, counts)
 
     def test_screened_deploy_replays_like_the_whole_draw(self):
         # deployed fields: the sweep's screened deploy and the whole one
@@ -814,18 +793,17 @@ class TestTrajectoryReplay:
             whole = deploy_uniform(counts[-1], env.rect, seed)
             screened = deploy_uniform(counts[-1], env.rect, seed, [screen_disk(circles)])
             assert len(screened) < len(whole)
-            results = replay_detection(inc, circles, screened, cfg, counts)
-            assert results == replay_detection(inc, circles, whole, cfg, counts)
-            detected += sum(r.detected for r in results)
+            results = replay(circles, screened, counts)
+            assert results == replay(circles, whole, counts)
+            detected += sum(sensor is not None for _, sensor in results)
         assert detected >= 8
 
     @pytest.mark.parametrize("counts", [(), (2, 1), (0, 3, 2), (-1, 1), (4,), (0, 1, 4)])
     def test_bad_counts_rejected(self, counts):
         circles = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        inc = Incident(id="c", start_hour=0, ignition_xy=(0.0, 0.0))
         field_ = SensorField(positions=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValidationError, match="counts"):
-            replay_detection(inc, circles, field_, EvolutionConfig(max_hours=1.0), counts)
+            replay(circles, field_, counts)
 
     @pytest.mark.parametrize("pts", [
         [[3.0, 4.0], [-1e160, 0.0], [1.0, 1.0]],
@@ -836,11 +814,9 @@ class TestTrajectoryReplay:
         # r * r overflows to inf at hour 1, so every sensor the screen
         # finds lies within that circle
         circles = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1e200]])
-        inc = Incident(id="big", start_hour=0, ignition_xy=(0.0, 0.0))
-        [r] = replay_detection(inc, circles, SensorField(positions=pts),
-                               EvolutionConfig(max_hours=1.0), (len(pts),))
-        assert r.detection_hour == 1.0
-        assert assert_replays_like_brute_force(r, circles, pts, 1.0)
+        [r] = replay(circles, SensorField(positions=pts), (len(pts),))
+        assert r[0] == 1
+        assert assert_replays_like_brute_force(r, circles, pts)
 
     @pytest.mark.parametrize("bad", [
         [math.nan, 0.0, 1.0],
@@ -850,18 +826,16 @@ class TestTrajectoryReplay:
     ])
     def test_invalid_circle_rejected(self, bad):
         circles = np.array([[0.0, 0.0, 0.0], bad])
-        inc = Incident(id="bad", start_hour=0, ignition_xy=(0.0, 0.0))
         with pytest.raises(ValidationError, match="trajectory circles"):
-            replay_detection(inc, circles, SensorField(positions=[[0.0, 0.0]]),
-                             EvolutionConfig(max_hours=1.0), (1,))
+            replay_detection(circles, ((0.0, 0.0), 1.0),
+                             SensorField(positions=[[0.0, 0.0]]), (1,))
 
     @pytest.mark.parametrize("bad", [np.empty((0, 3)), np.zeros((2, 2)),
                                      np.zeros(3), np.zeros((1, 3, 1))])
     def test_malformed_trajectory_rejected(self, bad):
-        inc = Incident(id="bad", start_hour=0, ignition_xy=(0.0, 0.0))
         with pytest.raises(ValidationError, match="trajectory circles"):
-            replay_detection(inc, bad, SensorField(positions=[[0.0, 0.0]]),
-                             EvolutionConfig(max_hours=1.0), (1,))
+            replay_detection(bad, ((0.0, 0.0), 1.0),
+                             SensorField(positions=[[0.0, 0.0]]), (1,))
 
     def test_replay_matches_brute_force(self):
         rng = np.random.default_rng(8)
@@ -888,9 +862,9 @@ class TestTrajectoryReplay:
                                    seed=trial).positions
             twinned = SensorField(positions=np.vstack([local, local]))
             for sensors in (field_, twinned):
-                [r] = replay_detection(inc, circles, sensors, cfg, (len(sensors),))
+                [r] = replay(circles, sensors, (len(sensors),))
                 detections += assert_replays_like_brute_force(
-                    r, circles, sensors.positions.tolist(), cfg.max_hours)
+                    r, circles, sensors.positions.tolist())
         assert detections >= 5
 
     def test_trajectory_matches_trace(self):

@@ -21,8 +21,8 @@ from emberlink.envdata import (Incident, Rect, SynthSpec, save_biomass, save_env
                                synth_biomass, synth_env)
 from emberlink.errors import ValidationError
 from emberlink.evolution import (EvolutionConfig, circle_trajectory,
-                                 replay_detection)
-from emberlink.harness import (SweepConfig, atomic_write_text, baseline_totals,
+                                 replay_detection, screen_disk, undetected_hours)
+from emberlink.harness import (SeasonTable, SweepConfig, atomic_write_text, baseline_totals,
                                bundled_scenario_path, load_season_bundle,
                                sweep, write_manifest, write_summary_csv,
                                write_sweep_csv)
@@ -56,11 +56,14 @@ def manual_season(incidents, env, bio, field_, trajectories=None):
     tons = 0.0
     detected = 0
     for inc, circles in zip(incidents, trajectories, strict=True):
-        [r] = replay_detection(inc, circles, field_, EVO, (len(field_),))
-        hours += r.detection_hour
-        area += r.burned_area_km2
-        tons += emission_tons(r.burned_area_km2, average_biomass(r.circle, bio))
-        detected += int(r.detected)
+        [(k, sensor)] = replay_detection(circles, screen_disk(circles), field_,
+                                         (len(field_),))
+        circle = tuple(circles[k].tolist())
+        burned = math.pi * circle[2] * circle[2]
+        hours += undetected_hours(inc, circles, EVO) if sensor is None else float(k)
+        area += burned
+        tons += emission_tons(burned, average_biomass(circle, bio))
+        detected += sensor is not None
     return {"burned_hours": hours, "burned_area_km2": area, "carbon_tons": tons,
             "carbon_price_usd": carbon_price(tons, 20.0),
             "n_incidents": len(incidents), "n_detected": detected}
@@ -158,7 +161,7 @@ class TestBaselines:
                      historical_burn_hours=4.25, historical_area_km2=1.5),
         ]
         bio = synth_biomass(nx=4, ny=4, spacing_km=10.0, lo=30.0, hi=30.0, seed=0)
-        totals = baseline_totals(incidents, None, bio, "historical", EVO)
+        totals = baseline_totals(incidents, None, bio, "historical")
         assert totals["burned_hours"] == 14.75
         assert totals["burned_area_km2"] == 4.75
         assert totals["carbon_tons"] == pytest.approx(
@@ -168,7 +171,7 @@ class TestBaselines:
         incidents = [Incident(id="a", start_hour=0, ignition_xy=(1.0, 1.0))]
         bio = synth_biomass(nx=4, ny=4, spacing_km=10.0, lo=1, hi=2, seed=0)
         with pytest.raises(ValidationError):
-            baseline_totals(incidents, None, bio, "historical", EVO)
+            baseline_totals(incidents, None, bio, "historical")
 
     def test_zero_sensor_equals_empty_field_season(self):
         incidents, env, bio = small_scenario()
@@ -176,15 +179,17 @@ class TestBaselines:
         manifest = one_row_sweep(incidents, env, bio, 0, seed=4)
         assert manifest["baseline"] == direct
         trajectories = [circle_trajectory(inc, env, EVO) for inc in incidents]
-        totals = baseline_totals(incidents, trajectories, bio,
-                                 "simulated-zero-sensor", EVO)
+        season = SeasonTable(incidents, trajectories, bio, EVO)
+        totals = baseline_totals(incidents, season, bio, "simulated-zero-sensor")
         assert totals == direct
+        # its rows are priced once, in the table the trials share
+        assert np.isfinite(season.tons).sum() == len(incidents)
 
     def test_zero_sensor_needs_env(self):
-        # the zero-sensor baseline replays trajectories grown on the env grid
+        # the zero-sensor baseline reads trajectories grown on the env grid
         incidents, _, bio = small_scenario()
         with pytest.raises(ValidationError):
-            baseline_totals(incidents, None, bio, "simulated-zero-sensor", EVO)
+            baseline_totals(incidents, None, bio, "simulated-zero-sensor")
 
 
 class TestSweep:
@@ -251,8 +256,8 @@ class TestSweep:
         incidents, env, bio = small_scenario()
         evo = replace(EVO, max_hours=self.CFG.cap_hours)  # as the sweep runs
         trajectories = [circle_trajectory(inc, env, evo) for inc in incidents]
-        tons = baseline_totals(incidents, trajectories, bio, "simulated-zero-sensor",
-                               evo)["carbon_tons"]
+        tons = baseline_totals(incidents, SeasonTable(incidents, trajectories, bio, evo),
+                               bio, "simulated-zero-sensor")["carbon_tons"]
         cfg = replace(self.CFG, usd_per_ton=0.9 * 1.7976931348623157e308 / tons)
         with pytest.raises(ValidationError, match=re.escape(
                 f"mean price of 50 sensors at usd_per_ton={cfg.usd_per_ton!r} "
@@ -504,7 +509,7 @@ class TestQueryCount:
 
     def test_every_deployed_field_is_queried(self, monkeypatch, queried):
         # one deploy per trial, at the largest count, and one replay per
-        # trial and incident plus one per incident for the baseline
+        # trial and incident; the baseline replays nothing
         deployed, replays = [], []
         real_deploy, real_replay = harness.deploy_uniform, harness.replay_detection
 
@@ -513,7 +518,7 @@ class TestQueryCount:
             return deployed[-1]
 
         def replaying(*args):
-            replays.append(args[4])
+            replays.append(args[3])
             return real_replay(*args)
 
         priced, real_biomass = [], harness.average_biomass
@@ -526,15 +531,17 @@ class TestQueryCount:
         monkeypatch.setattr(harness, "replay_detection", replaying)
         monkeypatch.setattr(harness, "average_biomass", pricing)
         incidents, env, bio = small_scenario()
-        cfg = SweepConfig(sensor_counts=(0, 50, 500), trials=2, cap_hours=10.0)
+        cfg = SweepConfig(sensor_counts=(0, 50, 20000), trials=2, cap_hours=10.0)
         sweep(incidents, env, bio, cfg, evolution=EVO)
-        # the baseline prices its circles, then the sweep each distinct one once
-        swept = priced[len(incidents):]
-        assert len(set(swept)) == len(swept) and swept
-        assert [f.drawn for f in deployed] == [500] * cfg.trials
+        # the baseline and the trials price each distinct circle once, the
+        # baseline's (each incident's last) first
+        trajectories = [circle_trajectory(inc, env, replace(EVO, max_hours=10.0))
+                        for inc in incidents]
+        assert priced[:len(incidents)] == [tuple(c[-1].tolist()) for c in trajectories]
+        assert len(set(priced)) == len(priced) > len(incidents)
+        assert [f.drawn for f in deployed] == [20000] * cfg.trials
         assert [f.seed for f in deployed] == [0, 1]
-        assert len(replays) == cfg.trials * len(incidents) + len(incidents)
-        assert replays.count(cfg.sensor_counts) == cfg.trials * len(incidents)
+        assert replays == [cfg.sensor_counts] * (cfg.trials * len(incidents))
         # deployed holds every field, so no id is reused
         seen = {id(f) for f in queried}
         assert all(id(f) in seen for f in deployed)
@@ -544,8 +551,8 @@ class TestQueryCount:
         incidents, env, _ = small_scenario()
         circles = circle_trajectory(incidents[0], env, EVO)
         far = SensorField(positions=[[1e4, 1e4], [-1e4, 0.0]])
-        [r] = evolution.replay_detection(incidents[0], circles, far, EVO, (len(far),))
-        assert not r.detected
+        [r] = evolution.replay_detection(circles, screen_disk(circles), far, (len(far),))
+        assert r == (len(circles) - 1, None)
         assert len(queried) == 1
 
     def test_every_replay_makes_one_query(self, queried):
@@ -558,8 +565,8 @@ class TestQueryCount:
             for field_ in (local, deploy_uniform(50, env.rect, seed=2),
                            SensorField(positions=[])):
                 queried.clear()
-                [r] = evolution.replay_detection(inc, circles, field_, EVO,
-                                                 (len(field_),))
+                [(_, sensor)] = evolution.replay_detection(
+                    circles, screen_disk(circles), field_, (len(field_),))
                 assert len(queried) == 1 and queried[0] is field_
-                detections += r.detected
+                detections += sensor is not None
         assert detections >= 3
