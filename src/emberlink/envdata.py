@@ -168,7 +168,7 @@ class EnvGrid:
 
     def _hold(self, nx, ny, nt, spacing_km, origin, lattice, ranges=None) -> None:
         """Keep the geometry and the lattice, then check the fields' values."""
-        self.nx, self.ny, self.nt = nx, ny, nt
+        self.nx, self.ny, self.nt = int(nx), int(ny), int(nt)
         self.spacing_km, self.origin = spacing_km, origin
         lattice.flags.writeable = False
         self._lattice = lattice
@@ -262,6 +262,7 @@ class BiomassGrid:
 
     def __post_init__(self) -> None:
         check_grid("biomass", self.spacing_km, self.origin, nx=self.nx, ny=self.ny)
+        self.nx, self.ny = int(self.nx), int(self.ny)
         self.values = np.array(_real_array("biomass", self.values, (self.ny, self.nx)))
         self.values.flags.writeable = False
         if not np.isfinite(self.values).all():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,6 +26,13 @@ BOLTZMANN_DBW_K_HZ = -228.6
 SYSTEM_BANDWIDTH_HZ = 180000.0
 RU_DURATION_S = 0.032
 SECONDS_PER_DAY = 86400.0
+
+
+def _check_bits(name: str, bits) -> None:
+    """check_range's integer rule, and at most the largest float."""
+    check_range(name, bits, integer=True)
+    if bits > sys.float_info.max:  # exact: an int compares by its value
+        raise ValidationError(f"{name} must be at most {sys.float_info.max!r}, got {bits!r}")
 
 
 class LinkInfeasibleError(RuntimeError):
@@ -91,7 +99,7 @@ class TbsMap:
             raise ValidationError("TBS map must have at least one row")
         for i, (c, b) in enumerate(rows, 1):
             check_range(f"TBS row {i} min_cnr_db", c, -math.inf)
-            check_range(f"TBS row {i} bits_per_ru", b, integer=True)
+            _check_bits(f"TBS row {i} bits_per_ru", b)
         for (c0, b0), (c1, b1) in zip(rows, rows[1:]):
             if not (c0 < c1 and b0 < b1):
                 raise ValidationError(
@@ -160,7 +168,7 @@ def peak_rate_bps(bits_ru: int, system_bw_hz: float = SYSTEM_BANDWIDTH_HZ,
                   subcarrier_hz: float = 3750.0,
                   ru_duration_s: float = RU_DURATION_S) -> float:
     """System peak throughput: all subcarriers sending one RU per duration."""
-    check_range("bits_ru", bits_ru, integer=True)
+    _check_bits("bits_ru", bits_ru)
     for name, value in zip(("system_bw_hz", "subcarrier_hz", "ru_duration_s"),
                            (system_bw_hz, subcarrier_hz, ru_duration_s)):
         check_range(name, value, above=True)

@@ -95,6 +95,18 @@ class TestLinkBudgetCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: TBS file {tbs} row 3: {why}\n"
 
+    def test_tbs_bits_past_the_largest_float_is_bad_input(self, tmp_path, capsys):
+        # 10**400 bits per RU passes the integer rule, but the peak rate
+        # would overflow a float
+        tbs = tmp_path / "tbs.csv"
+        tbs.write_text("min_cnr_db,bits_per_ru\n8.0,1" + "0" * 400 + "\n")
+        code = main(["--out-dir", str(tmp_path), "--set", f"link.tbs_csv={tbs}",
+                     "linkbudget"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: TBS file {tbs}: TBS row 1 bits_per_ru must be at most "
+            f"1.7976931348623157e+308, got {10 ** 400}\n")
+
 
 class TestSynthEnvCommand:
     def test_writes_loadable_grid(self, tmp_path):

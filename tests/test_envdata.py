@@ -786,6 +786,19 @@ class TestRasterIO:
         b2 = load_biomass(man)
         np.testing.assert_array_equal(b.values, b2.values)
 
+    def test_numpy_integer_dimensions_save_and_load(self, tmp_path):
+        # the integer rule takes numpy integers; the grids keep them as ints,
+        # which the JSON manifests can hold
+        b = synth_biomass(np.int64(3), np.int64(4), 1.0, 0.0, 1.0, 0)
+        g = synth_env(SynthSpec(nx=np.int64(3), ny=np.int64(2), nt=np.int64(2),
+                                spacing_km=1.0, mode="random", coarse_nx=2,
+                                coarse_ny=2, coarse_nt=2), 0)
+        assert [type(v) for v in (b.nx, b.ny, g.nx, g.ny, g.nt)] == [int] * 5
+        b2 = load_biomass(save_biomass(b, tmp_path / "bio.json"))
+        g2 = load_env_grid(save_env_grid(g, tmp_path / "env.json"))
+        assert (b2.nx, b2.ny, b2.values.tobytes()) == (3, 4, b.values.tobytes())
+        assert (g2.nx, g2.ny, g2.nt, g2.u10.tobytes()) == (3, 2, 2, g.u10.tobytes())
+
     @pytest.mark.parametrize("edit, field", [
         ({"nx": "abc"}, "env manifest field 'nx' must be an integer"),
         ({"nt": 2.5}, "env manifest field 'nt'"),

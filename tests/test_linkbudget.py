@@ -104,10 +104,21 @@ class TestTbs:
         ([(0.0, -1)], "row 1 bits_per_ru"),
         ([(0.0, True)], "row 1 bits_per_ru"),
         ([("0.0", 16)], "row 1 min_cnr_db"),
+        ([(8.0, 10 ** 400)], "row 1 bits_per_ru"),
     ])
     def test_bad_rows_rejected(self, rows, where):
         with pytest.raises(ValidationError, match=f"TBS {where}"):
             TbsMap(rows)
+
+    def test_bit_counts_past_the_largest_float_are_refused(self):
+        # an integer compares with a float by its value, so the largest
+        # float itself passes and the next integer up does not
+        top = int(1.7976931348623157e308)
+        assert TbsMap([(8.0, top)]).rows == [(8.0, top)]
+        with pytest.raises(ValidationError, match=r"bits_per_ru must be at most 1\.79"):
+            TbsMap([(8.0, top + 1)])
+        with pytest.raises(ValidationError, match=r"^bits_ru must be at most 1\.79"):
+            peak_rate_bps(8 * 10 ** 400)
 
 
 class TestThroughput:
