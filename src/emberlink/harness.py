@@ -77,9 +77,9 @@ class SeasonTable:
         return out[..., 0].astype(np.int64), ~np.isnan(out[..., 1])
 
     def totals(self, rows: np.ndarray, detected: np.ndarray) -> np.ndarray:
-        """(counts, 4) season totals of burned hours, burned area, carbon
-        tons and detections of (incident, count) reported rows, each 0.0 +
-        x0 + x1 ... in incident order; new rows are priced in that order."""
+        """(counts, 4) burned hours, area, carbon tons and detections of
+        (incident, count) reported rows, each 0.0 + x0 + x1 ... over the
+        incidents in order; new rows are priced count by count."""
         at = (np.arange(len(rows))[:, None], rows)
         for j, i in zip(*np.nonzero(np.isnan(self.tons[at]).T)):
             k = rows[i, j]
