@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from functools import reduce
@@ -33,9 +32,8 @@ from .config import (DEFAULT_CONFIG, bundle_config, evolution_config, merge,
 from .envdata import (GeoTransform, SynthSpec, load_biomass, load_env_grid,
                       load_incidents, read_json, save_env_grid, synth_env)
 from .errors import ValidationError, check_range, check_seed
-from .evolution import (IncidentResult, replay_detection, screen_disk,
-                        trace_rows, undetected_hours)
-from .harness import (atomic_write_text, read_season_bundle, season_scenario,
+from .evolution import trace_rows
+from .harness import (SeasonTable, atomic_write_text, read_season_bundle, season_scenario,
                       write_csv, write_manifest, write_summary_csv, write_sweep_csv)
 from .sensors import SensorField, deploy_uniform, load_sensors
 
@@ -171,20 +169,21 @@ def cmd_simulate(config: dict, bundle: dict | None,
     if incident is None:
         raise ValidationError(f"incident id '{args.incident}' not found")
     field_ = load_sensors(sensors_csv) if sensors_csv else SensorField(positions=[])
-    # one evolution feeds the replay and the trace
+    # one evolution feeds the replay and the trace, as a one-incident season
     circles, frontier_sizes = trace_rows(incident, env, evo)
-    disk = screen_disk(circles)
+    season = SeasonTable([incident], [circles], None, evo)
     if args.deploy is not None:
         # screened as a sweep's trial is: only the sensors near the fire
         # are held, however many are drawn
-        field_ = deploy_uniform(args.deploy, env.rect, args.seed or 0, [disk])
-    [(k, sensor)] = replay_detection(circles, disk, field_, (field_.drawn,))
-    circle = tuple(circles[k].tolist())
-    hours = float(k) if sensor is not None else undetected_hours(incident, circles, evo)
-    result = IncidentResult(incident.id, sensor is not None, hours, sensor,
-                            math.pi * circle[2] * circle[2], circle)
+        field_ = deploy_uniform(args.deploy, env.rect, args.seed or 0, season.disks)
+    rows, draws = season.replay(field_, (field_.drawn,))
+    [[k]], [[sensor]] = rows.tolist(), draws.tolist()
+    payload = {"incident_id": incident.id, "detected": sensor >= 0,
+               "detection_hour": season.hours(rows, draws).item(),
+               "detecting_sensor": sensor if sensor >= 0 else None,
+               "burned_area_km2": season.area[0, k].item(),
+               "circle": season.circles[0, k].tolist()}
     out_dir = Path(config["out_dir"])
-    payload = asdict(result)
     atomic_write_text(out_dir / f"incident_{incident.id}.json",
                       json.dumps(payload, indent=2) + "\n")
     if args.trace:

@@ -210,22 +210,21 @@ class EnvGrid:
 
     def _at(self, t: int, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
         """The three fields' values at the cells (t, iy[i], ix[i]), one row per
-        field, as synthesis has always computed them: lo * (1 - w) + hi * w in
-        float64 along y, then x, then lo + (hi - lo) * v stored as float32."""
+        field, as _hours computes them: _blend in float64 along y, then x,
+        then lo + (hi - lo) * v stored as float32."""
         first = self._base + (self._rows[iy] + self._cols[ix] + t * self._hour)
         v = self._lattice.take(first[:, :, None, None] + self._corners)
-        w = None if self._wy is None else self._wy[iy][:, None]
-        v = v[..., 0] if w is None else v[..., 0] * (1.0 - w) + v[..., 1] * w
-        w = None if self._wx is None else self._wx[ix]
-        v = v[..., 0] if w is None else v[..., 0] * (1.0 - w) + v[..., 1] * w
+        wy = None if self._wy is None else self._wy[iy][:, None]
+        for w in (wy, None if self._wx is None else self._wx[ix]):
+            v = v[..., 0] if w is None else _blend(v[..., 0], v[..., 1], w)
         return self._scaled(slice(None), v)
 
     def _hours(self, k: int):
         """Field k's (ny, nx) raster of each hour in turn: the values _at reads."""
         _, _, cy, cx = self._lattice.shape
-        along_y, along_x = _resampler(cy, self.ny, 0, 2), _resampler(cx, self.nx, 1, 2)
+        along_y, along_x = _taps(cy, self.ny), _taps(cx, self.nx)
         for hour in self._lattice[k]:
-            yield self._scaled(k, along_x(along_y(hour)))
+            yield self._scaled(k, _lin_resample(_lin_resample(hour, along_y, 0), along_x, 1))
 
     def _raster(self, k: int) -> np.ndarray:
         """Field k's (nt, ny, nx) raster, filled hour by hour into a new read-only array."""
@@ -677,39 +676,20 @@ def _taps(n_old: int, n_new: int) -> tuple[np.ndarray, np.ndarray | None]:
     return i0, pos - i0
 
 
-def _resampler(n_old: int, n_new: int, axis: int, ndim: int):
-    """The function that linearly resamples an ndim-dimensional array of
-    n_old points along axis to n_new points, in a new array (or the array
-    itself when the size is unchanged); its argument is never written.
-    The taps are computed once, however many arrays it resamples."""
-    i0, w = _taps(n_old, n_new)
+def _blend(lo: np.ndarray, hi: np.ndarray, w) -> np.ndarray:
+    """The linear blend of lo and hi at upper weight w, in float64."""
+    return lo * (1.0 - w) + hi * w
+
+
+def _lin_resample(a: np.ndarray, taps: tuple, axis: int) -> np.ndarray:
+    """a linearly resampled along axis by _taps(a.shape[axis], n_new), in a
+    new array (a itself when each new point copies its own source); a is
+    never written."""
+    i0, w = taps
     if w is None:
-        return (lambda a: a) if n_old == n_new else (
-            lambda a: np.repeat(a, n_new, axis=axis))
-    shape = [1] * ndim
-    shape[axis] = n_new
-    w = w.reshape(shape)
-    w_lo = 1.0 - w
-    # i0 ascends, so repeating each index's slice gathers as np.take(a, i0)
-    # does, in one copy
-    reps = np.bincount(i0, minlength=n_old - 1)
-    head, tail = [slice(None)] * ndim, [slice(None)] * ndim
-    head[axis], tail[axis] = slice(0, n_old - 1), slice(1, n_old)
-    head, tail = tuple(head), tuple(tail)
-
-    def resample(a: np.ndarray) -> np.ndarray:
-        lo = np.repeat(a[head], reps, axis=axis)
-        hi = np.repeat(a[tail], reps, axis=axis)
-        lo *= w_lo
-        hi *= w
-        lo += hi
-        return lo
-    return resample
-
-
-def _lin_resample(a: np.ndarray, n_new: int, axis: int) -> np.ndarray:
-    """a linearly resampled to n_new points along axis (see _resampler)."""
-    return _resampler(a.shape[axis], n_new, axis, a.ndim)(a)
+        return a if i0.size == a.shape[axis] else a.take(i0, axis)
+    w = w.reshape(-1, *[1] * (a.ndim - axis - 1))
+    return _blend(a.take(i0, axis), a.take(i0 + 1, axis), w)
 
 
 def _time_lattice(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
@@ -718,7 +698,7 @@ def _time_lattice(rng: np.random.Generator, spec: SynthSpec) -> np.ndarray:
     coarse = rng.random((min(spec.coarse_nt, spec.nt),
                          min(spec.coarse_ny, spec.ny),
                          min(spec.coarse_nx, spec.nx)))
-    return _lin_resample(coarse, spec.nt, axis=0)
+    return _lin_resample(coarse, _taps(len(coarse), spec.nt), 0)
 
 
 def synth_env(spec: SynthSpec, seed: int) -> EnvGrid:
@@ -752,8 +732,8 @@ def synth_biomass(nx: int, ny: int, spacing_km: float,
     check_range("biomass hi", hi, lo)
     rng = np.random.Generator(np.random.Philox(key=seed))
     c = rng.random((min(BIOMASS_COARSE, ny), min(BIOMASS_COARSE, nx)))
-    f = _lin_resample(c, ny, axis=0)
-    f = _lin_resample(f, nx, axis=1)
+    f = _lin_resample(c, _taps(c.shape[0], ny), 0)
+    f = _lin_resample(f, _taps(c.shape[1], nx), 1)
     values = (lo + (hi - lo) * f).astype(np.float32)
     return BiomassGrid(nx=nx, ny=ny, spacing_km=spacing_km, values=values, origin=origin)
 

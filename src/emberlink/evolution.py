@@ -74,20 +74,6 @@ class Frontier:
     hour: int
 
 
-@dataclass(frozen=True)
-class IncidentResult:
-    """Outcome of one simulated incident: a replay_detection outcome with
-    its hours (see undetected_hours), its row's (center_x_km, center_y_km,
-    radius_km) circle and that circle's area, math.pi * r * r."""
-
-    incident_id: str
-    detected: bool
-    detection_hour: float
-    detecting_sensor: int | None
-    burned_area_km2: float
-    circle: tuple[float, float, float]
-
-
 def step(frontier: Frontier, env: EnvGrid,
          params: SpreadParams = DEFAULT_PARAMS) -> Frontier:
     """Advance one env hour: branch each point into its ellipse axis endpoints.
@@ -255,18 +241,19 @@ def screen_disk(circles: np.ndarray) -> tuple[tuple[float, float], float]:
 
 def replay_detection(circles: np.ndarray, disk: tuple[tuple[float, float], float],
                      sensors: SensorField,
-                     counts: Sequence[int]) -> list[tuple[int, int | None]]:
+                     counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Detection outcomes of a (hours + 1, 3) trajectory from
     circle_trajectory, screened by its screen_disk, against the first n
     sensors of one field's draw for each n in counts (ascending, at most
-    sensors.drawn): the reported row and the detecting draw index, or the
-    last row and None. n sensors detect at the first hour k, from the
-    ignition on, with a sensor at dx*dx + dy*dy <= r_k*r_k, the closest
-    such sensor detecting (lowest index among ties). One
-    nearest_index_within query over the disk screens the field whatever
-    the counts. Deployments from one seed nest (see sensors), so against
-    deploy_uniform(max(counts)), or that deployment screened with the
-    disk, each outcome is bitwise the one against deploy_uniform(n).
+    sensors.drawn): two int64 arrays over counts, the reported rows and the
+    detecting draw indices, the last row and -1 where no sensor sees the
+    fire. n sensors detect at the first hour k, from the ignition on, with
+    a sensor at dx*dx + dy*dy <= r_k*r_k, the closest such sensor
+    detecting (lowest index among ties). One nearest_index_within query
+    over the disk screens the field whatever the counts. Deployments from
+    one seed nest (see sensors), so against deploy_uniform(max(counts)), or
+    that deployment screened with the disk, each outcome is bitwise the one
+    against deploy_uniform(n).
     """
     xyr = np.asarray(circles, dtype=float)
     if not (xyr.ndim == 2 and xyr.shape[1:] == (3,) and xyr.size
@@ -306,16 +293,15 @@ def replay_detection(circles: np.ndarray, disk: tuple[tuple[float, float], float
             at = inside[:, new].argmax(axis=0)
             first[new] = h + at
             first_d2[new] = d2[at, new]
-    outcomes = []
-    for m in ends:
-        k, sensor = hours - 1, None
+    rows = np.full(len(ends), hours - 1, dtype=np.int64)
+    draws = np.full(len(ends), -1, dtype=np.int64)
+    for j, m in enumerate(ends):
         if m and (hit := int(first[:m].min())) < hours:
             ties = np.flatnonzero(first[:m] == hit)
             # ties is ascending, so argmin's first minimum is the lowest
             # index among the closest
-            k, sensor = hit, int(ids[ties[first_d2[ties].argmin()]])
-        outcomes.append((k, sensor))
-    return outcomes
+            rows[j], draws[j] = hit, ids[ties[first_d2[ties].argmin()]]
+    return rows, draws
 
 
 def undetected_hours(incident: Incident, circles: np.ndarray,

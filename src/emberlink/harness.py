@@ -48,13 +48,14 @@ from .sensors import SensorField, deploy_uniform
 
 
 class SeasonTable:
-    """A sweep's trajectories as one (incident, row) table: circles, the
-    (cx, cy, r) rows padded with zeros, their area math.pi * r * r and
-    tons, NaN until a row is first reported; and each incident's last row,
+    """A sweep's trajectories, or simulate's one, as one (incident, row)
+    table: circles, the (cx, cy, r) rows padded with zeros, their area
+    math.pi * r * r and tons, NaN until a row is first reported (priced on
+    bio, which only totals reads); and each incident's last row,
     undetected_hours (see evolution) and screen disk."""
 
     def __init__(self, incidents: list[Incident], trajectories: list[np.ndarray],
-                 bio: BiomassGrid, evo: EvolutionConfig) -> None:
+                 bio: BiomassGrid | None, evo: EvolutionConfig) -> None:
         self.circles = np.zeros((len(trajectories),
                                  max(map(len, trajectories), default=1), 3))
         for padded, circles in zip(self.circles, trajectories):
@@ -63,22 +64,27 @@ class SeasonTable:
             self.area = math.pi * self.circles[..., 2] * self.circles[..., 2]
         self.last = np.array([len(c) - 1 for c in trajectories], dtype=np.int64)
         self.undetected_hours = np.array([undetected_hours(inc, circles, evo) for inc, circles
-                                          in zip(incidents, trajectories, strict=True)])
+                                          in zip(incidents, trajectories, strict=True)], float)
         self.disks = [screen_disk(circles) for circles in trajectories]
         self.tons, self.bio = np.full(self.area.shape, np.nan), bio
 
     def replay(self, field_: SensorField,
                counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """(incident, count) reported rows, and whether a sensor saw each, from
-        one replay per trajectory against one field (a draw of None is NaN)."""
+        """(incident, count) reported rows and detecting draw indices (-1 if
+        no sensor saw the fire), from one replay per trajectory against one field."""
         out = np.array([replay_detection(self.circles[i, :last + 1], disk, field_, counts)
                         for i, (last, disk) in enumerate(zip(self.last.tolist(), self.disks))],
-                       dtype=float).reshape(len(self.disks), len(counts), 2)
-        return out[..., 0].astype(np.int64), ~np.isnan(out[..., 1])
+                       dtype=np.int64).reshape(len(self.disks), 2, len(counts))
+        return out[:, 0], out[:, 1]
 
-    def totals(self, rows: np.ndarray, detected: np.ndarray) -> np.ndarray:
+    def hours(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Burned hours of (incident, count) outcomes: the reported row if a
+        sensor saw the fire, else the incident's undetected_hours."""
+        return np.where(draws >= 0, rows, self.undetected_hours[:, None])
+
+    def totals(self, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """(counts, 4) burned hours, area, carbon tons and detections of
-        (incident, count) reported rows, each 0.0 + x0 + x1 ... over the
+        (incident, count) outcomes, each 0.0 + x0 + x1 ... over the
         incidents in order; new rows are priced count by count."""
         at = (np.arange(len(rows))[:, None], rows)
         for j, i in zip(*np.nonzero(np.isnan(self.tons[at]).T)):
@@ -87,8 +93,8 @@ class SeasonTable:
                 self.tons[i, k] = emission_tons(float(self.area[i, k]), average_biomass(
                     tuple(self.circles[i, k].tolist()), self.bio))
         table = np.zeros((len(rows) + 1, rows.shape[1], 4))  # row 0 stays 0.0
-        table[1:] = np.stack([np.where(detected, rows, self.undetected_hours[:, None]),
-                              self.area[at], self.tons[at], detected], axis=-1)
+        table[1:] = np.stack([self.hours(rows, draws), self.area[at], self.tons[at],
+                              draws >= 0], axis=-1)
         return np.cumsum(table, axis=0)[-1]
 
 
@@ -120,7 +126,7 @@ def baseline_totals(incidents: list[Incident], season: SeasonTable | None,
             raise ValidationError(
                 "simulated-zero-sensor baseline needs the incident trajectories")
         [[hours, area, tons, detected]] = season.totals(
-            season.last[:, None], np.zeros((len(season.last), 1), dtype=bool)).tolist()
+            season.last[:, None], np.full((len(season.last), 1), -1)).tolist()
     else:
         raise ValidationError(
             f"baseline must be one of {BASELINE_MODES}, got '{mode}'")

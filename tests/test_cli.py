@@ -166,6 +166,17 @@ class TestSimulateCommand:
         assert row[0] == "12" and [float(v) for v in row[1:4]] == [
             693.3449206966991, 203.21541636200845, 0.8511123887715015]
 
+    @pytest.mark.parametrize("deploy, hours", [([], "30.0"), (["--deploy", "100000"], "26.0")])
+    def test_integer_cap_reports_float_hours(self, tmp_path, deploy, hours):
+        # hours come from the season table's float column, so at an integer
+        # max_hours an undetected fire reads 30.0, as a detected one does
+        code = main(["--out-dir", str(tmp_path), *(["--seed", "3"] if deploy else []),
+                     *on_bundle("--set", "evolution.max_hours=30",
+                                "simulate", "--incident", "syn-001", *deploy)])
+        assert code == 0
+        text = (tmp_path / "incident_syn-001.json").read_text()
+        assert f'\n  "detection_hour": {hours},\n' in text
+
     def test_deploy_holds_only_the_screened_draw(self, tmp_path):
         argv = ["--out-dir", str(tmp_path),
                 *on_bundle("simulate", "--incident", "syn-001", "--deploy")]
@@ -184,15 +195,16 @@ class TestSimulateCommand:
         circles = evolution.circle_trajectory(incident, env, evo)
         for n in (0, 1000, 1_000_000):
             assert main([*argv, str(n)]) == 0
-            [(k, sensor)] = evolution.replay_detection(
-                circles, evolution.screen_disk(circles), deploy_uniform(n, env.rect, 0), (n,))
+            [k], [sensor] = (a.tolist() for a in evolution.replay_detection(
+                circles, evolution.screen_disk(circles), deploy_uniform(n, env.rect, 0), (n,)))
             result = json.loads((tmp_path / "incident_syn-001.json").read_text())
             x, y, r = circles[k].tolist()
             assert result == {
-                "incident_id": "syn-001", "detected": sensor is not None,
-                "detection_hour": float(k) if sensor is not None
+                "incident_id": "syn-001", "detected": sensor >= 0,
+                "detection_hour": float(k) if sensor >= 0
                 else evolution.undetected_hours(incident, circles, evo),
-                "detecting_sensor": sensor, "burned_area_km2": math.pi * r * r,
+                "detecting_sensor": sensor if sensor >= 0 else None,
+                "burned_area_km2": math.pi * r * r,
                 "circle": [x, y, r]}, n
 
     def test_overflowing_sensor_extent_is_bad_input(self, tmp_path, capsys):

@@ -54,13 +54,13 @@ def test_replay_digest(season):
         for trial in range(TRIALS):
             field_ = deploy_uniform(count, env.rect, swp.base_seed + trial)
             for inc, (circles, _) in zip(incidents, traces, strict=True):
-                [(k, sensor)] = replay_detection(circles, screen_disk(circles),
-                                                 field_, (count,))
-                detected = sensor is not None
+                [k], [sensor] = (a.tolist() for a in replay_detection(
+                    circles, screen_disk(circles), field_, (count,)))
+                detected = sensor >= 0
                 hours = float(k) if detected else undetected_hours(inc, circles, evo)
                 x, y, r = circles[k].tolist()
                 h.update(struct.pack("<?dqd3d", detected, hours,
-                                     sensor if detected else -1, math.pi * r * r, x, y, r))
+                                     sensor, math.pi * r * r, x, y, r))
                 replays += 1
                 detections += detected
     assert swp.sensor_counts == (10000, 100000, 1000000)

@@ -505,8 +505,11 @@ class TestFrontierBound:
 
 
 def replay(circles, field_, counts):
-    """replay_detection of a trajectory screened by its own screen disk."""
-    return replay_detection(circles, screen_disk(circles), field_, counts)
+    """replay_detection of a trajectory screened by its own screen disk: its
+    int64 rows and draw indices over counts, as lists."""
+    rows, draws = replay_detection(circles, screen_disk(circles), field_, counts)
+    assert rows.dtype == draws.dtype == np.int64
+    return rows.tolist(), draws.tolist()
 
 
 class TestSimulate:
@@ -516,7 +519,7 @@ class TestSimulate:
         field_ = SensorField(positions=np.array([inc.ignition_xy]))
         circles = circle_trajectory(inc, env, NO_PRUNE)
         # row 0, the zero-radius ignition circle, seen by sensor 0
-        assert replay(circles, field_, (len(field_),)) == [(0, 0)]
+        assert replay(circles, field_, (len(field_),)) == ([0], [0])
         assert circles[0].tolist() == [*inc.ignition_xy, 0.0]
 
     def test_cap_reached_reports_cap(self):
@@ -525,7 +528,7 @@ class TestSimulate:
         circles = circle_trajectory(inc, env, NO_PRUNE)
         assert circles.shape == (6, 3)  # hours 0..5
         # undetected: the last row, and the cap's hours
-        assert replay(circles, SensorField(positions=[]), (0,)) == [(5, None)]
+        assert replay(circles, SensorField(positions=[]), (0,)) == ([5], [-1])
         assert undetected_hours(inc, circles, NO_PRUNE) == 5.0
 
     def test_fractional_cap(self):
@@ -550,7 +553,7 @@ class TestSimulate:
         cfg = EvolutionConfig(snap_km=0.0, max_hours=50.0)
         circles = circle_trajectory(inc, env, cfg)
         assert len(circles) == 3
-        assert replay(circles, SensorField(positions=[]), (0,)) == [(2, None)]
+        assert replay(circles, SensorField(positions=[]), (0,)) == ([2], [-1])
         assert undetected_hours(inc, circles, cfg) == 2.0
 
     def test_zero_cap(self):
@@ -558,7 +561,7 @@ class TestSimulate:
         inc = mid_incident(env, hist=0.0)
         cfg = EvolutionConfig()
         circles = circle_trajectory(inc, env, cfg)
-        assert replay(circles, SensorField(positions=[]), (0,)) == [(0, None)]
+        assert replay(circles, SensorField(positions=[]), (0,)) == ([0], [-1])
         assert undetected_hours(inc, circles, cfg) == 0.0 and circles[0, 2] == 0.0
 
     def test_downwind_extreme_identity(self):
@@ -578,7 +581,7 @@ class TestSimulate:
         env = constant_env(25.0, 0.0, 0.40)  # beyond the wetness cutoff
         inc = mid_incident(env, hist=4.0)
         circles = circle_trajectory(inc, env, NO_PRUNE)
-        assert replay(circles, SensorField(positions=[]), (0,)) == [(4, None)]
+        assert replay(circles, SensorField(positions=[]), (0,)) == ([4], [-1])
         assert (circles[:, 2] == 0.0).all()
 
 
@@ -637,11 +640,10 @@ def replay_cases(draw):
 
 
 def assert_replays_like_brute_force(outcome, circles, pts) -> bool:
-    """outcome is the replay's (row, sensor) brute_force_detection predicts,
-    or the last row and None; True if detected."""
+    """outcome is the replay's (row, draw index) brute_force_detection
+    predicts, or the last row and -1; True if detected."""
     expected = brute_force_detection(circles, pts)
-    assert outcome == (expected or (len(circles) - 1, None))
-    assert all(type(v) is int for v in outcome if v is not None)
+    assert outcome == (expected or (len(circles) - 1, -1))
     return expected is not None
 
 
@@ -693,9 +695,9 @@ class TestTrajectoryReplay:
         # small blocks take the hours a few at a time
         block = data.draw(st.sampled_from([1, 3, evolution._BLOCK]), label="block")
         with mock.patch.object(evolution, "_BLOCK", block):
-            results = replay(circles, SensorField(positions=pts), counts)
-        assert len(results) == len(counts)
-        for n, r in zip(counts, results):
+            rows, draws = replay(circles, SensorField(positions=pts), counts)
+        assert len(rows) == len(draws) == len(counts)
+        for n, r in zip(counts, zip(rows, draws)):
             assert_replays_like_brute_force(r, circles, pts[:n])
 
     @settings(max_examples=200, deadline=None)
@@ -718,7 +720,7 @@ class TestTrajectoryReplay:
         assert field_.region == (region if declared else bbox)
         counts = sorted(data.draw(st.lists(st.integers(0, len(pts)), min_size=1,
                                            max_size=5), label="counts"))
-        for n, r in zip(counts, replay(circles, field_, counts)):
+        for n, r in zip(counts, zip(*replay(circles, field_, counts))):
             assert_replays_like_brute_force(r, circles, pts[:n])
 
     @pytest.mark.parametrize("declared", [True, False])
@@ -732,9 +734,9 @@ class TestTrajectoryReplay:
         field_ = csv_round_trip(SensorField(positions=pts, region=region))
         assert field_.region == (region if declared else Rect(-2.0, -3.0, 11.0, 12.0))
         counts = (1, 2, 3, 4, 5)
-        results = replay(circles, field_, counts)
-        assert [sensor for _, sensor in results] == [None, 1, 1, 1, 4]
-        for n, r in zip(counts, results):
+        rows, draws = replay(circles, field_, counts)
+        assert draws == [-1, 1, 1, 1, 4]
+        for n, r in zip(counts, zip(rows, draws)):
             assert_replays_like_brute_force(r, circles, pts[:n])
 
     @settings(max_examples=300, deadline=None)
@@ -795,7 +797,7 @@ class TestTrajectoryReplay:
             assert len(screened) < len(whole)
             results = replay(circles, screened, counts)
             assert results == replay(circles, whole, counts)
-            detected += sum(sensor is not None for _, sensor in results)
+            detected += sum(draw >= 0 for draw in results[1])
         assert detected >= 8
 
     @pytest.mark.parametrize("counts", [(), (2, 1), (0, 3, 2), (-1, 1), (4,), (0, 1, 4)])
@@ -814,7 +816,7 @@ class TestTrajectoryReplay:
         # r * r overflows to inf at hour 1, so every sensor the screen
         # finds lies within that circle
         circles = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1e200]])
-        [r] = replay(circles, SensorField(positions=pts), (len(pts),))
+        [r] = zip(*replay(circles, SensorField(positions=pts), (len(pts),)))
         assert r[0] == 1
         assert assert_replays_like_brute_force(r, circles, pts)
 
@@ -862,7 +864,7 @@ class TestTrajectoryReplay:
                                    seed=trial).positions
             twinned = SensorField(positions=np.vstack([local, local]))
             for sensors in (field_, twinned):
-                [r] = replay(circles, sensors, (len(sensors),))
+                [r] = zip(*replay(circles, sensors, (len(sensors),)))
                 detections += assert_replays_like_brute_force(
                     r, circles, sensors.positions.tolist())
         assert detections >= 5

@@ -56,14 +56,14 @@ def manual_season(incidents, env, bio, field_, trajectories=None):
     tons = 0.0
     detected = 0
     for inc, circles in zip(incidents, trajectories, strict=True):
-        [(k, sensor)] = replay_detection(circles, screen_disk(circles), field_,
-                                         (len(field_),))
+        [k], [sensor] = (a.tolist() for a in replay_detection(
+            circles, screen_disk(circles), field_, (len(field_),)))
         circle = tuple(circles[k].tolist())
         burned = math.pi * circle[2] * circle[2]
-        hours += undetected_hours(inc, circles, EVO) if sensor is None else float(k)
+        hours += undetected_hours(inc, circles, EVO) if sensor < 0 else float(k)
         area += burned
         tons += emission_tons(burned, average_biomass(circle, bio))
-        detected += sensor is not None
+        detected += sensor >= 0
     return {"burned_hours": hours, "burned_area_km2": area, "carbon_tons": tons,
             "carbon_price_usd": carbon_price(tons, 20.0),
             "n_incidents": len(incidents), "n_detected": detected}
@@ -551,8 +551,9 @@ class TestQueryCount:
         incidents, env, _ = small_scenario()
         circles = circle_trajectory(incidents[0], env, EVO)
         far = SensorField(positions=[[1e4, 1e4], [-1e4, 0.0]])
-        [r] = evolution.replay_detection(circles, screen_disk(circles), far, (len(far),))
-        assert r == (len(circles) - 1, None)
+        rows, draws = evolution.replay_detection(circles, screen_disk(circles), far,
+                                                 (len(far),))
+        assert (rows.tolist(), draws.tolist()) == ([len(circles) - 1], [-1])
         assert len(queried) == 1
 
     def test_every_replay_makes_one_query(self, queried):
@@ -565,8 +566,8 @@ class TestQueryCount:
             for field_ in (local, deploy_uniform(50, env.rect, seed=2),
                            SensorField(positions=[])):
                 queried.clear()
-                [(_, sensor)] = evolution.replay_detection(
+                _, [sensor] = evolution.replay_detection(
                     circles, screen_disk(circles), field_, (len(field_),))
                 assert len(queried) == 1 and queried[0] is field_
-                detections += sensor is not None
+                detections += sensor >= 0
         assert detections >= 3
