@@ -35,8 +35,9 @@ def _check_bits(name: str, bits) -> None:
         raise ValidationError(f"{name} must be at most {sys.float_info.max!r}, got {bits!r}")
 
 
-class LinkInfeasibleError(RuntimeError):
-    """CNR fell below the lowest modulation threshold; the link cannot close."""
+class LinkInfeasibleError(ValidationError):
+    """CNR fell below the lowest modulation threshold; the link cannot close.
+    The budget is the user's configuration, so this is bad input."""
 
 
 @dataclass(frozen=True)
@@ -144,11 +145,14 @@ def fspl_db(distance_km: float, freq_mhz: float) -> float:
 
 
 def cnr_db(p: LinkParams) -> float:
-    """Uplink carrier-to-noise ratio in dB from the full budget."""
-    return ((p.eirp_dbm - 30.0) + p.g_over_t_db_k
-            - fspl_db(p.distance_km, p.freq_mhz)
-            - p.pl_atmos_db - p.pl_shadow_db - p.pl_scint_db - p.pl_polar_db
-            - 10.0 * math.log10(p.bandwidth_hz) - BOLTZMANN_DBW_K_HZ)
+    """Uplink carrier-to-noise ratio in dB from the full budget, which must
+    be finite: dB terms near the largest float can sum past it."""
+    cnr = ((p.eirp_dbm - 30.0) + p.g_over_t_db_k
+           - fspl_db(p.distance_km, p.freq_mhz)
+           - p.pl_atmos_db - p.pl_shadow_db - p.pl_scint_db - p.pl_polar_db
+           - 10.0 * math.log10(p.bandwidth_hz) - BOLTZMANN_DBW_K_HZ)
+    check_range(f"CNR of the link.params budget {asdict(p)}", cnr, -math.inf)
+    return cnr
 
 
 def bits_per_ru(cnr: float, tbs: TbsMap = DEFAULT_TBS) -> int:
@@ -173,6 +177,8 @@ def peak_rate_bps(bits_ru: int, system_bw_hz: float = SYSTEM_BANDWIDTH_HZ,
                            (system_bw_hz, subcarrier_hz, ru_duration_s)):
         check_range(name, value, above=True)
     n_sub = system_bw_hz / subcarrier_hz
+    check_range(f"subcarrier count at system_bw_hz={system_bw_hz!r} and "
+                f"subcarrier_hz={subcarrier_hz!r}", n_sub)
     if abs(n_sub - round(n_sub)) > 1e-9:
         raise ValidationError(
             f"system bandwidth {system_bw_hz} is not a whole number of "

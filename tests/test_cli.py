@@ -70,10 +70,38 @@ class TestLinkBudgetCommand:
             "error: peak rate at system_bw_hz=180000.0 and ru_duration_s=1e-320 "
             "must be finite and >= 0, got inf\n")
 
-    def test_infeasible_link_is_runtime_error(self, tmp_path):
+    def test_infeasible_link_is_bad_input(self, tmp_path, capsys):
+        # a budget the user chose that cannot close: exit 1, not 2
         code = main(["--out-dir", str(tmp_path),
-                     "--set", "link.params.eirp_dbm=-40", "linkbudget"])
-        assert code == 2
+                     "--set", "link.params.eirp_dbm=-100", "linkbudget"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: CNR -114.6386 dB is below the lowest TBS threshold (8.0 dB); "
+            "the link cannot close\n")
+        assert not (tmp_path / "capacity_report.json").exists()
+
+    @pytest.mark.parametrize("argv, got", [
+        (["--set", "link.params.eirp_dbm=1e308", "--set", "link.params.g_over_t_db_k=1e308"],
+         "inf"),
+        (["--set", "link.params.pl_atmos_db=1e308", "--set", "link.params.pl_shadow_db=1e308"],
+         "-inf"),
+    ])
+    def test_non_finite_cnr_is_bad_input(self, tmp_path, capsys, argv, got):
+        # an infinite CNR would write Infinity, which strict JSON lacks
+        code = main(["--out-dir", str(tmp_path), *argv, "linkbudget"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CNR of the link.params budget {'eirp_dbm': ")
+        assert err.endswith(f"}} must be finite, got {got}\n")
+        assert not (tmp_path / "capacity_report.json").exists()
+
+    def test_overflowing_subcarrier_count_is_bad_input(self, tmp_path, capsys):
+        code = main(["--out-dir", str(tmp_path), "--set", "link.params.bandwidth_hz=1e-320",
+                     "linkbudget"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: subcarrier count at system_bw_hz=180000.0 and subcarrier_hz=1e-320 "
+            "must be finite and >= 0, got inf\n")
 
     @pytest.mark.parametrize("row, why", [
         ("0.0,abc", "bits_per_ru must be an integer, got 'abc'"),

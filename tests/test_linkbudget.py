@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -53,6 +53,20 @@ class TestCnr:
                     - 10.0 * math.log10(3750.0) + 228.6)
         assert cnr_db(p) == pytest.approx(expected, rel=1e-15)
 
+    @pytest.mark.parametrize("edit, got", [
+        (dict(eirp_dbm=1e308, g_over_t_db_k=1e308), "inf"),
+        (dict(pl_atmos_db=1e308, pl_shadow_db=1e308), "-inf"),
+        (dict(eirp_dbm=1e308, g_over_t_db_k=1e308, pl_atmos_db=1e308,
+              pl_shadow_db=1e308, pl_scint_db=1e308, pl_polar_db=1e308), "inf"),
+    ])
+    def test_non_finite_budget_is_refused(self, edit, got):
+        # each term is finite, but their sum overflows
+        p = replace(TABLE1_10DEG, **edit)
+        with pytest.raises(ValidationError) as exc:
+            cnr_db(p)
+        assert str(exc.value) == (
+            f"CNR of the link.params budget {asdict(p)} must be finite, got {got}")
+
     def test_monotone_in_eirp_and_distance(self):
         import dataclasses
         up = dataclasses.replace(TABLE1_10DEG, eirp_dbm=26.0)
@@ -69,6 +83,12 @@ class TestTbs:
 
     def test_below_threshold_is_infeasible(self):
         with pytest.raises(LinkInfeasibleError):
+            bits_per_ru(7.99)
+
+    def test_infeasible_link_is_bad_input(self):
+        # the budget is the user's configuration, so the CLI exits 1 on it
+        with pytest.raises(ValidationError, match=r"^CNR 7\.9900 dB is below the "
+                           r"lowest TBS threshold \(8\.0 dB\); the link cannot close$"):
             bits_per_ru(7.99)
 
     def test_multi_row_selection(self):
@@ -129,6 +149,13 @@ class TestThroughput:
     def test_non_divisible_bandwidth_rejected(self):
         with pytest.raises(ValidationError):
             peak_rate_bps(144, system_bw_hz=180001.0)
+
+    def test_overflowing_subcarrier_count_is_refused(self):
+        # 180 kHz / 1e-320 Hz is past the largest float: refused before round
+        with pytest.raises(ValidationError) as exc:
+            peak_rate_bps(144, subcarrier_hz=1e-320)
+        assert str(exc.value) == ("subcarrier count at system_bw_hz=180000.0 and "
+                                  "subcarrier_hz=1e-320 must be finite and >= 0, got inf")
 
     def test_per_sensor_rates(self):
         assert per_sensor_bps(PERIODIC_REPORT) == pytest.approx(
