@@ -24,6 +24,12 @@ once; a position on a shared cell edge resolves to the lower-index cell,
 and a position off the rectangle samples the nearest edge cell. An env
 lookup returns the values of the distinct cells the points fall in and
 each point's slot among them, so per-cell work runs once per cell.
+
+A synthesized random field is linearly upsampled from a coarse lattice.
+Each axis takes its lower source indices and upper weights from _taps,
+and every upsampled value is the one blend lo * (1 - w) + hi * w
+(_blend), whether _lin_resample resamples a whole axis or EnvGrid._at
+reads a few cells.
 """
 
 from __future__ import annotations

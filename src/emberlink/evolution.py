@@ -12,8 +12,10 @@ each hour is summarized as a circle (mean of the branched points, max
 distance as radius), a (cx, cy, r) row of the float64 (hours + 1, 3)
 trajectory array that starts at the zero-radius ignition circle. A
 sensor inside an hour's closed disk detects the fire; a replay takes
-that row and sensor from one query over the trajectory's screen disk,
-for every prefix of one field's sensors it is asked about at once.
+that row and the sensor's draw index (-1 if none) from one query over
+the trajectory's screen disk, for every prefix of one field's sensors it
+is asked about at once, as two int64 arrays over those counts. The
+sweep and simulate both read them through harness.SeasonTable.
 
 The 4^t branching blow-up is tamed by prune(): snap the frontier to a
 lattice keeping one representative per cell. The dedup takes per-cell

@@ -17,7 +17,8 @@ screen disks, so it never holds the whole field. Totals and trial means
 sum from a 0.0 row by np.cumsum, as a += loop does, and rows leave as
 tuples in CSV column order, byte-identical for any worker count, through
 envdata.atomic_open. A scenario bundle's sweep and evolution sections go
-through config.merge, as the CLI's do.
+through config.merge, as the CLI's do. `simulate` is a one-incident
+SeasonTable, replayed and reported through the same methods.
 """
 
 from __future__ import annotations
