@@ -683,8 +683,11 @@ def _taps(n_old: int, n_new: int) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _blend(lo: np.ndarray, hi: np.ndarray, w) -> np.ndarray:
-    """The linear blend of lo and hi at upper weight w, in float64."""
-    return lo * (1.0 - w) + hi * w
+    """lo * (1 - w) + hi * w, written into lo and hi: float64 arrays the
+    caller made for it, so no blend allocates a raster-sized temporary."""
+    lo *= 1.0 - w
+    hi *= w
+    return np.add(lo, hi, out=lo)
 
 
 def _lin_resample(a: np.ndarray, taps: tuple, axis: int) -> np.ndarray:
