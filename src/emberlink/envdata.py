@@ -184,9 +184,9 @@ class EnvGrid:
         rows, self._wy = _taps(cy, ny)
         self._cols, self._wx = _taps(cx, nx)
         self._rows = rows * cx
-        # the lattice points a cell reads, [column][row] from its lowest
-        self._corners = np.add.outer([0, 1] if self._wx is not None else [0],
-                                     [0, cx] if self._wy is not None else [0])
+        # the lattice points a cell reads, [row][column] from its lowest
+        self._corners = np.add.outer([0, cx] if self._wy is not None else [0],
+                                     [0, 1] if self._wx is not None else [0])
         self._lo = self._scale = None
         if ranges is not None:
             # IEEE doubles of lo and hi - lo, as Python rounds them
@@ -219,10 +219,9 @@ class EnvGrid:
         field, as _hours computes them: _blend in float64 along y, then x,
         then lo + (hi - lo) * v stored as float32."""
         first = self._base + (self._rows[iy] + self._cols[ix] + t * self._hour)
-        v = self._lattice.take(first[:, :, None, None] + self._corners)
-        wy = None if self._wy is None else self._wy[iy][:, None]
-        for w in (wy, None if self._wx is None else self._wx[ix]):
-            v = v[..., 0] if w is None else _blend(v[..., 0], v[..., 1], w)
+        v = self._lattice.take(self._corners[:, :, None, None] + first)
+        for w, i in ((self._wy, iy), (self._wx, ix)):
+            v = v[0] if w is None else _blend(v[0], v[1], w[i])
         return self._scaled(slice(None), v)
 
     def _hours(self, k: int):
