@@ -29,12 +29,12 @@ from pathlib import Path
 from . import harness, linkbudget
 from .config import (DEFAULT_CONFIG, bundle_config, evolution_config, merge,
                      sweep_config)
-from .envdata import (GeoTransform, SynthSpec, load_biomass, load_env_grid,
-                      load_incidents, read_json, save_env_grid, synth_env)
+from .envdata import (GeoTransform, SynthSpec, json_text, load_biomass, load_env_grid,
+                      load_incidents, read_json, save_env_grid, synth_env, write_csv, write_json)
 from .errors import ValidationError, check_range, check_seed
 from .evolution import trace_rows
-from .harness import (SeasonTable, atomic_write_text, read_season_bundle, season_scenario,
-                      write_csv, write_manifest, write_summary_csv, write_sweep_csv)
+from .harness import (SeasonTable, read_season_bundle, season_scenario, write_summary_csv,
+                      write_sweep_csv)
 from .sensors import SensorField, deploy_uniform, load_sensors
 
 _TRAFFIC = {"periodic": linkbudget.PERIODIC_REPORT,
@@ -184,15 +184,12 @@ def cmd_simulate(config: dict, bundle: dict | None,
                "burned_area_km2": season.area[0, k].item(),
                "circle": season.circles[0, k].tolist()}
     out_dir = Path(config["out_dir"])
-    atomic_write_text(out_dir / f"incident_{incident.id}.json",
-                      json.dumps(payload, indent=2) + "\n")
+    write_json(payload, out_dir / f"incident_{incident.id}.json")
     if args.trace:
-        # Python numbers: numpy scalars would not repr as plain numbers
         write_csv(["t", "center_x_km", "center_y_km", "radius_km", "n_frontier"],
-                  [(hour, *circle, n) for hour, (circle, n) in
-                   enumerate(zip(circles.tolist(), frontier_sizes.tolist()))],
+                  [(hour, *c, n) for hour, (c, n) in enumerate(zip(circles, frontier_sizes))],
                   out_dir / f"incident_{incident.id}_trace.csv")
-    print(json.dumps(payload, indent=2))
+    print(json_text(payload), end="")
     return 0
 
 
@@ -210,7 +207,7 @@ def cmd_sweep(config: dict, bundle: dict | None,
     write_sweep_csv(rows, swp.unit_sensor_cost_usd, out_dir / "sweep_rows.csv")
     write_summary_csv(summary, swp.unit_sensor_cost_usd,
                       out_dir / "sweep_summary.csv")
-    write_manifest(manifest, out_dir / "run_manifest.json")
+    write_json(manifest, out_dir / "run_manifest.json")
     for name in ("sweep_rows.csv", "sweep_summary.csv", "run_manifest.json"):
         print(f"wrote {out_dir / name}")
     return 0
@@ -221,13 +218,12 @@ def cmd_linkbudget(config: dict, bundle: dict | None,
     link = config["link"]
     tbs = (linkbudget.TbsMap.from_csv(link["tbs_csv"])
            if link["tbs_csv"] else linkbudget.DEFAULT_TBS)
-    report = linkbudget.capacity_report(
+    report = asdict(linkbudget.capacity_report(
         linkbudget.LinkParams(**link["params"]),
         linkbudget.TrafficModel(**link["traffic"]), tbs=tbs,
-        system_bw_hz=link["system_bw_hz"], ru_duration_s=link["ru_duration_s"])
-    text = report.to_json()
-    atomic_write_text(Path(config["out_dir"]) / "capacity_report.json", text)
-    print(text, end="")
+        system_bw_hz=link["system_bw_hz"], ru_duration_s=link["ru_duration_s"]))
+    write_json(report, Path(config["out_dir"]) / "capacity_report.json")
+    print(json_text(report), end="")
     return 0
 
 

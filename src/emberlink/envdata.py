@@ -8,7 +8,7 @@ environment grid is held as the lattice its cells are computed from (its
 rasters if loaded; 0.6 MB if synthesized for the bundled season, whose
 rasters take 97 MB), and evaluated only at the cells a lookup asks for.
 
-File formats, each written whole through atomic_open:
+File formats, each written whole through atomic_open (JSON as json_text):
   env manifest      JSON {nx, ny, nt, spacing_km, origin, files: {u10, v10, swvl1}}
   biomass manifest  JSON {nx, ny, spacing_km, file} (+ optional origin)
   rasters           flat little-endian float32, row-major
@@ -387,6 +387,40 @@ def atomic_open(path: str | Path, mode: str = "w"):
         raise
 
 
+def json_text(obj) -> str:
+    """obj as strict JSON: 2-space indent, keys in their order, a final
+    newline. A numpy scalar is the Python number it holds, and any other
+    object JSON cannot hold raises TypeError. An infinity (an uncapped
+    sweep's cap) is null, as strict JSON has none; a NaN raises ValueError."""
+    strict = json.loads(json.dumps(obj, default=np.generic.item),
+                        parse_constant=lambda c: None if "Inf" in c else math.nan)
+    return json.dumps(strict, indent=2, allow_nan=False) + "\n"
+
+
+def write_json(obj, path: str | Path) -> Path:
+    """Write json_text(obj) to path through atomic_open."""
+    with atomic_open(path) as fh:
+        fh.write(json_text(obj))
+    return Path(path)
+
+
+def write_csv(header: list[str], rows, path: str | Path, meta: dict | None = None) -> Path:
+    """Write a CSV through atomic_open, row by row: a '# key=value' line for
+    each item of meta, whose value is a row, then the header and the rows.
+    A cell is the repr of the Python number it holds, which round-trips
+    every float exactly; an array row is converted by .tolist()."""
+    def line(row) -> str:
+        cells = row.tolist() if isinstance(row, np.ndarray) else (
+            v.item() if isinstance(v, np.generic) else v for v in row)
+        return ",".join(map(repr, cells)) + "\n"
+
+    with atomic_open(path) as fh:
+        fh.writelines(f"# {key}={line(value)}" for key, value in (meta or {}).items())
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(line, rows))
+    return Path(path)
+
+
 def read_json(path: str | Path, what: str) -> dict:
     """The JSON object a file holds; what names the file in error messages."""
     fpath = Path(path)
@@ -560,7 +594,7 @@ def _save_set(mpath: Path, manifest: dict, rasters: dict) -> Path:
     turn as float32) as one set: no file is renamed into place until all are
     written (the manifest flushed at once), and the manifest is renamed last."""
     with ExitStack() as stack:
-        print(json.dumps(manifest, indent=2), file=stack.enter_context(atomic_open(mpath)),
+        print(json_text(manifest), end="", file=stack.enter_context(atomic_open(mpath)),
               flush=True)
         for name, arrays in rasters.items():
             fh = stack.enter_context(atomic_open(mpath.parent / name, "wb"))

@@ -16,14 +16,13 @@ trial deploys once, at the largest count, screened with the table's
 screen disks, so it never holds the whole field. Totals and trial means
 sum from a 0.0 row by np.cumsum, as a += loop does, and rows leave as
 tuples in CSV column order, byte-identical for any worker count, through
-envdata.atomic_open. A scenario bundle's sweep and evolution sections go
+envdata.write_csv. A scenario bundle's sweep and evolution sections go
 through config.merge, as the CLI's do. `simulate` is a one-incident
 SeasonTable, replayed and reported through the same methods.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections.abc import Sequence
@@ -39,9 +38,9 @@ from .carbon import (USD_PER_TON, average_biomass, carbon_price, emission_tons,
                      savings)
 from .config import (BASELINE_MODES, SweepConfig, bundle_config,
                      evolution_config, sweep_config)
-from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec, atomic_open,
-                      check_biomass_alignment, check_fields, check_incident_id,
-                      check_placement, read_json, synth_biomass, synth_env)
+from .envdata import (BiomassGrid, EnvGrid, Incident, SynthSpec, check_biomass_alignment,
+                      check_fields, check_incident_id, check_placement, read_json,
+                      synth_biomass, synth_env, write_csv, write_json)
 from .errors import ValidationError, check_range, check_seed
 from .evolution import (EvolutionConfig, circle_trajectory, replay_detection,
                         screen_disk, undetected_hours)
@@ -233,20 +232,6 @@ def _cost_label(cost: float) -> str:
     return f"cost{int(cost)}" if float(cost).is_integer() else f"cost{cost!r}"
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write text to path through envdata.atomic_open."""
-    with atomic_open(path) as fh:
-        fh.write(text)
-    return Path(path)
-
-
-def write_csv(header: list[str], rows: list[tuple], path: str | Path) -> Path:
-    """A header line, then each row's Python numbers as their repr, which
-    round-trips every float exactly."""
-    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
-    return atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def write_sweep_csv(rows: list[tuple], costs: tuple[float, ...],
                     path: str | Path) -> Path:
     return write_csv(["n_sensors", "trial", "burned_hours", "burned_area_km2",
@@ -263,13 +248,7 @@ def write_summary_csv(summary: list[tuple], costs: tuple[float, ...],
                      summary, path)
 
 
-def write_manifest(manifest: dict, path: str | Path) -> Path:
-    """Write the manifest as strict JSON, which has no infinity: an infinite
-    number (the cap of an uncapped sweep) is null, and a NaN raises ValueError."""
-    strict = json.loads(json.dumps(manifest), parse_constant=lambda c: None if "Inf" in c
-                        else math.nan)
-    return atomic_write_text(path, json.dumps(strict, indent=2, sort_keys=True,
-                                              allow_nan=False) + "\n")
+write_manifest = write_json  # the run manifest's writer, as perfbench/run.py calls it
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ figures for the two bundled elevation scenarios reproduce to about
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -132,9 +131,6 @@ class CapacityReport:
     peak_rate_bps: float
     per_sensor_bps: float
     supportable_sensors: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def fspl_db(distance_km: float, freq_mhz: float) -> float:

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .envdata import Rect, atomic_open, csv_cell, read_csv
+from .envdata import Rect, csv_cell, read_csv, write_csv
 from .errors import ValidationError, check_range, check_seed
 
 # most sensors one deploy_uniform draw makes at a time: a block's 256 KB
@@ -275,16 +275,10 @@ def save_sensors(field_: SensorField, path: str | Path) -> Path:
     if field_.ids is not None:
         raise ValidationError(f"a screened sensor field keeps {len(field_)} of its "
                               f"{field_.drawn} draws; save the whole deployment")
-    with atomic_open(path) as fh:
-        if field_.region is not None:
-            r = field_.region
-            fh.write(f"# region={r.x0!r},{r.y0!r},{r.width_km!r},{r.height_km!r}\n")
-        if field_.seed is not None:
-            fh.write(f"# seed={field_.seed}\n")
-        fh.write("x_km,y_km\n")
-        for x, y in field_.positions:
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
-    return Path(path)
+    meta = {} if field_.region is None else {"region": astuple(field_.region)}
+    if field_.seed is not None:
+        meta["seed"] = (field_.seed,)
+    return write_csv(["x_km", "y_km"], field_.positions, path, meta)
 
 
 def load_sensors(path: str | Path) -> SensorField:

@@ -436,6 +436,21 @@ class TestRoundTrip:
                 == sample_points(grid, pts, t).tobytes())
 
 
+    def test_numpy_geometry_round_trips(self, tmp_path):
+        # the checks accept numpy scalars; each manifest holds the numbers they hold
+        origin = (np.float64(-5.5), np.float32(2.25))
+        grid = tiny_grid(spacing=np.float32(0.3), origin=origin)
+        loaded = load_env_grid(save_env_grid(grid, tmp_path / "env.json"))
+        assert (loaded.spacing_km, loaded.origin) == (grid.spacing_km, origin)
+        for name in ENV_FIELDS:  # float32 rasters hold these values exactly
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(grid, name))
+        bio = BiomassGrid(nx=np.int64(4), ny=3, spacing_km=np.float32(0.3),
+                          values=np.ones((3, 4)), origin=origin)
+        back = load_biomass(save_biomass(bio, tmp_path / "bio.json"))
+        assert (back.nx, back.spacing_km, back.origin) == (4, bio.spacing_km, origin)
+        assert back.values.tobytes() == bio.values.astype("<f4").tobytes()
+
+
 class TestGridOwnsItsValues:
     def test_writes_to_the_given_arrays_change_nothing(self):
         shape = (2, 3, 4)

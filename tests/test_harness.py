@@ -17,12 +17,12 @@ from emberlink.carbon import (average_biomass, carbon_price, emission_tons,
                              savings)
 from emberlink.cli import build_parser, load_config, main
 from emberlink.config import evolution_config, sweep_config
-from emberlink.envdata import (Incident, Rect, SynthSpec, save_biomass, save_env_grid,
-                               synth_biomass, synth_env)
+from emberlink.envdata import (Incident, Rect, SynthSpec, json_text, save_biomass,
+                               save_env_grid, synth_biomass, synth_env, write_json)
 from emberlink.errors import ValidationError
 from emberlink.evolution import (EvolutionConfig, circle_trajectory,
                                  replay_detection, screen_disk, undetected_hours)
-from emberlink.harness import (SeasonTable, SweepConfig, atomic_write_text, baseline_totals,
+from emberlink.harness import (SeasonTable, SweepConfig, baseline_totals,
                                bundled_scenario_path, load_season_bundle,
                                sweep, write_manifest, write_summary_csv,
                                write_sweep_csv)
@@ -317,20 +317,20 @@ class TestSweep:
 
 class TestOutputs:
     def test_atomic_write(self, tmp_path):
-        p = tmp_path / "deep" / "file.txt"
-        atomic_write_text(p, "hello")
-        assert p.read_text() == "hello"
+        p = tmp_path / "deep" / "file.json"
+        write_json("hello", p)
+        assert p.read_text() == '"hello"\n'
         assert list(p.parent.iterdir()) == [p]
 
     def test_concurrent_writers_leave_one_complete_file(self, tmp_path):
-        p = tmp_path / "file.txt"
+        p = tmp_path / "file.json"
         texts = [str(k) * 200_000 for k in range(4)]
         errors = []
 
         def write(text):
             try:
                 for _ in range(20):
-                    atomic_write_text(p, text)
+                    write_json(text, p)
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
@@ -341,13 +341,16 @@ class TestOutputs:
             t.join(timeout=60)
             assert not t.is_alive()
         assert errors == []
-        assert p.read_text() in texts
+        assert p.read_text() in [json_text(t) for t in texts]
         assert list(tmp_path.iterdir()) == [p]
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
-        p = tmp_path / "file.txt"
+        # the temporary file is open when the text fails to serialize
+        p = tmp_path / "file.json"
         with pytest.raises(TypeError):
-            atomic_write_text(p, b"not text")
+            write_json({"a": b"not JSON"}, p)
+        with pytest.raises(ValueError):
+            write_json({"a": math.nan}, p)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("umask, mode", [(0o077, "0o600"), (0o027, "0o640")])
@@ -356,7 +359,7 @@ class TestOutputs:
         incidents, env, bio = small_scenario()
         mask = os.umask(umask)
         try:
-            atomic_write_text(tmp_path / "a.txt", "a\n")
+            write_json("a", tmp_path / "a.json")
             write_sweep_csv([(1, 0, 1.0, 2.0, 3.0, 4.0, 5.0)], (10.0,),
                             tmp_path / "rows.csv")
             write_manifest({"a": 1}, tmp_path / "run_manifest.json")
@@ -392,6 +395,21 @@ class TestOutputs:
     def test_manifest_is_json(self, tmp_path):
         p = write_manifest({"a": 1, "b": [1, 2]}, tmp_path / "m.json")
         assert json.loads(p.read_text()) == {"a": 1, "b": [1, 2]}
+
+    def test_manifest_of_numpy_settings_holds_python_numbers(self, tmp_path):
+        # the checks accept numpy scalars, and the configs keep some as given
+        incidents, env, bio = small_scenario(2)
+        cfg = SweepConfig(sensor_counts=(50,), trials=1, cap_hours=np.int64(3),
+                          usd_per_ton=np.float32(20.0))
+        _, _, manifest = sweep(incidents, env, bio, cfg,
+                               evolution=EvolutionConfig(snap_km=np.float32(0.05)))
+        back = json.loads(write_manifest(manifest, tmp_path / "m.json").read_text())
+        assert list(back) == list(manifest)  # keys in the order the sweep builds them
+        for section, key, want in (("sweep", "cap_hours", 3), ("sweep", "usd_per_ton", 20.0),
+                                   ("evolution", "max_hours", 3),
+                                   ("evolution", "snap_km", float(np.float32(0.05)))):
+            got = back[section][key]
+            assert (got, type(got)) == (want, type(want)), (section, key)
 
     def test_manifest_is_strict_json(self, tmp_path):
         # strict JSON has no infinity: an infinite cap is null

@@ -6,11 +6,12 @@ import json
 import math
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from emberlink.cli import main
 from emberlink.config import DEFAULT_CONFIG, merge
-from emberlink.envdata import read_json
+from emberlink.envdata import json_text, read_json, write_json
 from emberlink.errors import ValidationError
 from emberlink.linkbudget import (EVENT_REPORT, PERIODIC_REPORT, TABLE1_10DEG,
                                   TABLE1_90DEG, LinkInfeasibleError,
@@ -181,19 +182,16 @@ class TestParams:
         with pytest.raises(ValidationError):
             dataclasses.replace(TABLE1_10DEG, pl_shadow_db=-0.1)
 
-    def test_bundled_param_files_match_constants(self, tmp_path):
-        # each file reaches the budget as linkbudget --params lays it over
-        # the link.params defaults
-        from importlib import resources
-        base = resources.files("emberlink").joinpath("data")
-        for name, expected in (("table1-10deg.json", TABLE1_10DEG),
-                               ("table1-90deg.json", TABLE1_90DEG)):
+    def test_table1_params_files_match_constants(self, tmp_path):
+        # a params file of each Table 1 case reaches the budget as
+        # linkbudget --params lays it over the link.params defaults
+        for name, expected in (("10deg", TABLE1_10DEG), ("90deg", TABLE1_90DEG)):
+            params = write_json(asdict(expected), tmp_path / f"table1-{name}.json")
             out = tmp_path / name
-            assert main(["--out-dir", str(out), "linkbudget",
-                         "--params", str(base / name)]) == 0
+            assert main(["--out-dir", str(out), "linkbudget", "--params", str(params)]) == 0
             report = json.loads((out / "capacity_report.json").read_text())
             assert report == asdict(capacity_report(expected, PERIODIC_REPORT))
-            layer = {"link": {"params": read_json(base / name, "link params file")}}
+            layer = {"link": {"params": read_json(params, "link params file")}}
             assert LinkParams(**merge(DEFAULT_CONFIG, layer)["link"]["params"]) == expected
 
     def test_params_file_rejects_unknown_fields(self, tmp_path, capsys):
@@ -216,9 +214,23 @@ class TestReport:
 
     def test_json_round_trip(self):
         rep = capacity_report(TABLE1_90DEG, PERIODIC_REPORT)
-        parsed = json.loads(rep.to_json())
+        parsed = json.loads(json_text(asdict(rep)))
         assert parsed["bits_per_ru"] == 144
         assert parsed["supportable_sensors"] == rep.supportable_sensors
+
+    def test_numpy_fields_report_is_strict_json(self):
+        # the checks accept numpy scalars, and the budget then computes in them
+        params = replace(TABLE1_10DEG, eirp_dbm=np.float32(23.0), distance_km=np.int64(40581))
+        report = asdict(capacity_report(params, PERIODIC_REPORT))
+        assert isinstance(report["cnr_db"], np.float32)
+
+        def refuse(constant):
+            raise AssertionError(f"not strict JSON: {constant}")
+
+        parsed = json.loads(json_text(report), parse_constant=refuse)
+        assert parsed == {k: float(v) if isinstance(v, np.floating) else v
+                          for k, v in report.items()}
+        assert all(type(v) in (int, float) for v in parsed.values())
 
     def test_traffic_validation(self):
         with pytest.raises(ValidationError):

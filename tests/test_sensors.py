@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emberlink import sensors
-from emberlink.envdata import Rect
+from emberlink.envdata import BiomassGrid, Rect
 from emberlink.errors import ValidationError
 from emberlink.sensors import (BLOCK_ROWS, RASTER_CELLS, SensorField, _screen,
                                deploy_uniform, indices_within, load_sensors,
@@ -711,6 +711,17 @@ class TestPersistence:
         np.testing.assert_array_equal(f.positions, g.positions)
         assert g.seed == 17
         assert g.region == f.region
+
+    def test_numpy_region_round_trips(self, tmp_path):
+        # a grid keeps a numpy origin as given, and its rect passes it on
+        grid = BiomassGrid(nx=4, ny=3, spacing_km=np.float32(2.5), values=np.ones((3, 4)),
+                           origin=(np.float64(-5.0), np.float64(3.0)))
+        f = deploy_uniform(50, grid.rect, seed=np.int64(4))
+        p = save_sensors(f, tmp_path / "s.csv")
+        assert p.read_text().startswith("# region=-5.0,3.0,10.0,7.5\n# seed=4\nx_km,y_km\n")
+        g = load_sensors(p)
+        np.testing.assert_array_equal(f.positions, g.positions)
+        assert (g.region, g.seed) == (f.region, 4)
 
     def test_screened_field_is_not_saved(self, tmp_path):
         f = deploy_uniform(100, RECT, seed=2, disks=[((50.0, 50.0), 5.0)])
