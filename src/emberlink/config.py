@@ -68,6 +68,10 @@ class SweepConfig:
             raise ValidationError("unit_sensor_cost_usd must be non-empty")
         for c in self.unit_sensor_cost_usd:
             check_range("unit_sensor_cost_usd", c)
+        # each cost names a savings column; 10 and 10.0, or 0 and -0.0, are one
+        if len(set(self.unit_sensor_cost_usd)) < len(self.unit_sensor_cost_usd):
+            raise ValidationError(f"unit_sensor_cost_usd must not repeat a cost, "
+                                  f"got {self.unit_sensor_cost_usd}")
         if self.baseline not in BASELINE_MODES:
             raise ValidationError(
                 f"baseline must be one of {BASELINE_MODES}, got '{self.baseline}'")

@@ -1,13 +1,13 @@
 """Hourly fire-front evolution and sensor detection.
 
-The fire is tracked as a frontier point set. One step is one hour of the
-env grid: every frontier point grows its own local spread ellipse from
-the wind and soil wetness at that point and hour, and contributes the
-ellipse's four axis endpoints to the next frontier. The kernel evaluates
-each env cell the frontier touches once, and each point takes its cell's
-terms. A frontier's (n, 2) points are column-major, x and y each
-contiguous: a view of the kernel's buffer after a step, and written that
-way by prune. The burned region at
+The fire is tracked as a frontier point set, grown by trace_rows one
+hour of the env grid at a time: every frontier point grows its own
+local spread ellipse from the wind and soil wetness at that point and
+hour, and contributes the ellipse's four axis endpoints to the next
+frontier. The kernel evaluates each env cell the frontier touches once,
+and each point takes its cell's terms. A frontier's (n, 2) points are
+column-major, x and y each contiguous: a view of the kernel's buffer
+when branched, and written that way by prune. The burned region at
 each hour is summarized as a circle (mean of the branched points, max
 distance as radius), a (cx, cy, r) row of the float64 (hours + 1, 3)
 trajectory array that starts at the zero-radius ignition circle. A
@@ -39,8 +39,8 @@ from .firekernel import DEFAULT_PARAMS, SpreadParams, branch_endpoints
 from .sensors import (SensorField, indices_within, nearest_index_within,
                       squared_distances)
 
-STEP_S = 3600.0  # one step is one env hour, the unit of every hour count
-MAX_POINTS = 1 << 22  # most branched points one step may produce
+STEP_S = 3600.0  # one env hour, the unit of every hour count
+MAX_POINTS = 1 << 22  # most points one hour may branch
 
 # the detection screen's slack over a disk query's rounding: relative,
 # and absolute for squares that underflow
@@ -69,27 +69,10 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class Frontier:
-    """Active ignition points, float64 (n, 2) (column-major after a step
-    or a prune), stamped with the absolute grid hour."""
+    """Active ignition points, float64 (n, 2): prune's argument and
+    result, column-major as trace_rows branches them or prune keeps them."""
 
     points: np.ndarray
-    hour: int
-
-
-def step(frontier: Frontier, env: EnvGrid,
-         params: SpreadParams = DEFAULT_PARAMS) -> Frontier:
-    """Advance one env hour: branch each point into its ellipse axis endpoints.
-
-    No pruning happens here; the result holds up to 4x the input points.
-    Each point takes the wind and wetness of its cell at the frontier's
-    hour, and each distinct cell's ellipse terms are computed once; points
-    that drifted off the grid sample the nearest edge cell. Stepping past
-    the grid's last hour raises (the time range is exhausted).
-    """
-    values, slot = sample_env_many(env, frontier.points, frontier.hour)
-    branched = branch_endpoints(frontier.points, *values, STEP_S, params, slot)
-    # a view of the kernel's (2, n, 4) buffer: contiguous x and y columns
-    return Frontier(points=branched.reshape(-1, 2), hour=frontier.hour + 1)
 
 
 def burned_circle(points: np.ndarray) -> np.ndarray:
@@ -156,7 +139,7 @@ def prune(frontier: Frontier, snap_km: float) -> Frontier:
     cell numbers take each cell's smallest x, then the smallest y at that
     x, then the lowest input index. Nothing is sorted: read in cell order,
     the table gives the kept frontier in (ki, kj) order, written
-    column-major as step writes its frontier.
+    column-major as trace_rows branches its frontier.
     """
     check_range("snap_km", snap_km)
     pts = frontier.points
@@ -178,7 +161,7 @@ def prune(frontier: Frontier, snap_km: float) -> Frontier:
         np.minimum.at(first, at[keep], cand[keep])
         kept = first[first < n]
         pts = np.array([x.take(kept), y.take(kept)]).T
-    return Frontier(points=pts, hour=frontier.hour)
+    return Frontier(points=pts)
 
 
 def incident_cap_hours(incident: Incident, cfg: EvolutionConfig) -> float:
@@ -192,29 +175,34 @@ def trace_rows(incident: Incident, env: EnvGrid,
                cfg: EvolutionConfig) -> tuple[np.ndarray, np.ndarray]:
     """(hours + 1, 3) burned circles and (hours + 1,) active frontier sizes.
 
-    Row 0 is the zero-radius ignition circle; each later hour's circle is
-    built from the raw branched points, and its size is that of the
+    Row 0 is the zero-radius ignition circle. Each hour from the
+    incident's start hour, every frontier point branches into its
+    ellipse's four axis endpoints from its cell's wind and wetness at that
+    hour (an off-grid point samples the nearest edge cell); the hour's
+    circle is built from those raw points, and its size is that of the
     pruned set the next hour grows from. Stops at the incident cap or the
-    env horizon; a snap_km too fine to keep a step below MAX_POINTS
-    branched points is rejected before that step.
+    env horizon; a snap_km too fine to keep an hour below MAX_POINTS
+    branched points is rejected before that hour branches.
     """
     check_range(f"incident {incident.id} start_hour", incident.start_hour, integer=True)
-    frontier = Frontier(points=np.asarray([incident.ignition_xy], dtype=float),
-                        hour=incident.start_hour)
+    points = np.asarray([incident.ignition_xy], dtype=float)
+    hour = int(incident.start_hour)
     circles = [np.array([*incident.ignition_xy, 0.0])]
     sizes = [1]
     cap = incident_cap_hours(incident, cfg)
-    while len(circles) <= cap and frontier.hour < env.nt:
-        # each point branches into its ellipse's four axis endpoints
-        if 4 * frontier.points.shape[0] > MAX_POINTS:
+    while len(circles) <= cap and hour < env.nt:
+        if 4 * points.shape[0] > MAX_POINTS:
             raise ValidationError(
                 f"incident {incident.id}: hour {len(circles)} would branch "
                 f"past {MAX_POINTS} frontier points; evolution.snap_km="
                 f"{cfg.snap_km} is too fine to bound the frontier")
-        raw = step(frontier, env, cfg.params)
-        circles.append(burned_circle(raw.points))
-        frontier = prune(raw, cfg.snap_km)
-        sizes.append(frontier.points.shape[0])
+        values, slot = sample_env_many(env, points, hour)
+        # a view of the kernel's (2, n, 4) buffer: contiguous x and y columns
+        raw = branch_endpoints(points, *values, STEP_S, cfg.params, slot).reshape(-1, 2)
+        circles.append(burned_circle(raw))
+        points = prune(Frontier(points=raw), cfg.snap_km).points
+        sizes.append(points.shape[0])
+        hour += 1
     return np.array(circles), np.array(sizes, dtype=np.int64)
 
 

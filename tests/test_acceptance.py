@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from emberlink import evolution
 from emberlink.carbon import carbon_price, emission_tons, savings
 from emberlink.cli import main as cli_main
 from emberlink.envdata import (CALIFORNIA, Incident, SynthSpec, load_incidents,
                                synth_biomass, synth_env)
-from emberlink.evolution import (EvolutionConfig, Frontier, burned_circle,
-                                 circle_trajectory, step)
+from emberlink.evolution import EvolutionConfig, circle_trajectory, trace_rows
 from emberlink.firekernel import (length_breadth_ratio, moisture_factor,
                                   wind_factor)
 from emberlink.harness import baseline_totals, bundled_scenario_path
@@ -135,7 +135,7 @@ def test_criterion_05_fire_kernel_properties():
            f"monotone={mono_ok}, bounds={bounds_ok}, {elapsed:.2f}s (<1s)")
 
 
-def test_criterion_06_evolution_geometry_oracle():
+def test_criterion_06_evolution_geometry_oracle(monkeypatch):
     t0 = time.perf_counter()
     # constant wind (16, 12) m/s, dry soil; endpoint offsets recomputed
     # here from the closed forms, independent of the kernel code
@@ -153,25 +153,36 @@ def test_criterion_06_evolution_geometry_oracle():
 
     env = synth_env(SynthSpec(nx=12, ny=12, nt=6, spacing_km=10.0,
                               mode="constant", u10=16.0, v10=12.0, swvl1=0.0), 0)
-    frontier = Frontier(points=np.asarray([[60.0, 60.0]]), hour=0)
+    # trace_rows with dedup off: each hour's branched points, as its
+    # circle is taken from them
+    frontiers = []
+    real_circle = evolution.burned_circle
+
+    def recording(points):
+        frontiers.append(points)
+        return real_circle(points)
+
+    monkeypatch.setattr(evolution, "burned_circle", recording)
+    inc = Incident(id="g", start_hour=0, ignition_xy=(60.0, 60.0))
+    circles, _ = trace_rows(inc, env, EvolutionConfig(snap_km=0.0, max_hours=5.0))
     brute = [(60.0, 60.0)]
     worst = 0.0
     for k in range(1, 6):
-        frontier = step(frontier, env)
         brute = [(x + ox, y + oy) for (x, y) in brute for (ox, oy) in offsets]
-        got = burned_circle(frontier.points)
+        got = circles[k]
         bx = sum(p[0] for p in brute) / len(brute)
         by = sum(p[1] for p in brute) / len(brute)
         br = max(math.hypot(p[0] - bx, p[1] - by) for p in brute)
         head = max((p[0] - 60.0) * dirx + (p[1] - 60.0) * diry
-                   for p in frontier.points)
+                   for p in frontiers[k - 1])
         worst = max(worst, abs(got[0] - bx), abs(got[1] - by),
                     abs(got[2] - br), abs(head - k * u_p * 3.6))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and frontier.points.shape[0] == 4 ** 5 and elapsed < 1.0
+    ok = (worst <= 1e-9 and len(circles) == len(frontiers) + 1 == 6
+          and frontiers[-1].shape[0] == 4 ** 5 and elapsed < 1.0)
     _check(6, "evolution geometry oracle", ok,
-           f"worst |error|={worst:.2e} (<=1e-9) over 5 unpruned steps "
-           f"({frontier.points.shape[0]} points), {elapsed:.2f}s (<1s)")
+           f"worst |error|={worst:.2e} (<=1e-9) over 5 unpruned hours "
+           f"({frontiers[-1].shape[0]} points), {elapsed:.2f}s (<1s)")
 
 
 def test_criterion_07_pruning_soundness():

@@ -93,7 +93,7 @@ BOUND_SITES = {
     "EvolutionConfig.max_hours": ("max_hours", 0, False, False,
                                   lambda v, tmp_path: EvolutionConfig(max_hours=v)),
     "prune snap_km": ("snap_km", 0, False, True, lambda v, tmp_path: prune(
-        Frontier(points=np.zeros((2, 2)), hour=0), v)),
+        Frontier(points=np.zeros((2, 2))), v)),
     "indices_within radius": ("radius", 0, False, True,
                               lambda v, tmp_path: indices_within(FIELD, (0.0, 0.0), v)),
     "nearest_index_within radius": ("radius", 0, False, True, lambda v, tmp_path:

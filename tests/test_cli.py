@@ -333,6 +333,16 @@ class TestSweepCommand:
         assert named in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_repeated_unit_cost_is_bad_input(self, tmp_path, capsys):
+        # 10 and 10.0 would both write a savings_usd@cost10 column
+        code = main(["--out-dir", str(tmp_path), *on_bundle(
+            "--set", "sweep.trials=1", "--set", "sweep.sensor_counts=[10]",
+            "--set", "sweep.cap_hours=2",
+            "--set", "sweep.unit_sensor_cost_usd=[10, 10.0, 1e20, 0.5]", "sweep")])
+        assert code == 1
+        assert "unit_sensor_cost_usd must not repeat a cost" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_uncapped_sweep_writes_a_strict_json_manifest(self, tmp_path):
         assert main(_file_scenario(tmp_path, "100")
                     + ["--set", "sweep.cap_hours=Infinity", "sweep"]) == 0

@@ -1,4 +1,4 @@
-"""Frontier evolution: stepping, circles, pruning, detection, full runs."""
+"""Frontier evolution: hourly branching, circles, pruning, detection, full runs."""
 
 from __future__ import annotations
 
@@ -15,13 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emberlink import evolution
-from emberlink.envdata import EnvGrid, Incident, Rect, SynthSpec, synth_env
+from emberlink.envdata import (EnvGrid, Incident, Rect, SynthSpec, sample_env_many,
+                               synth_env)
 from emberlink.errors import ValidationError
-from emberlink.evolution import (EvolutionConfig, Frontier, burned_circle,
+from emberlink.evolution import (STEP_S, EvolutionConfig, Frontier, burned_circle,
                                  circle_trajectory, incident_cap_hours, prune,
-                                 replay_detection, screen_disk, step,
-                                 trace_rows, undetected_hours)
-from emberlink.firekernel import length_breadth_ratio, spread_speed
+                                 replay_detection, screen_disk, trace_rows,
+                                 undetected_hours)
+from emberlink.firekernel import (DEFAULT_PARAMS, branch_endpoints,
+                                  length_breadth_ratio, spread_speed)
 from emberlink.harness import bundled_scenario_path, load_season_bundle
 from emberlink.sensors import (RASTER_CELLS, SensorField, _screen, deploy_uniform,
                                load_sensors, save_sensors)
@@ -67,20 +69,20 @@ def lexsort_prune(frontier: Frontier, snap_km: float) -> Frontier:
         first = np.ones(order.size, dtype=bool)
         first[1:] = (ki_s[1:] != ki_s[:-1]) | (kj_s[1:] != kj_s[:-1])
         pts = pts[order[first]]
-    return Frontier(points=pts, hour=frontier.hour)
+    return Frontier(points=pts)
 
 
 def assert_prunes_like_lexsort(pts, snap_km: float) -> np.ndarray:
     """prune and lexsort_prune keep the same points, bit for bit, in the
     same order; returns the kept points."""
-    f = Frontier(points=np.asarray(pts, dtype=float), hour=0)
+    f = Frontier(points=np.asarray(pts, dtype=float))
     got = prune(f, snap_km).points
     want = lexsort_prune(f, snap_km).points
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-    # a column-major copy, as step hands over, prunes alike, and the kept
+    # a column-major copy, as trace_rows hands over, prunes alike, and the kept
     # frontier is column-major either way
-    fortran = prune(Frontier(points=np.asfortranarray(f.points), hour=0), snap_km).points
+    fortran = prune(Frontier(points=np.asfortranarray(f.points)), snap_km).points
     assert fortran.tobytes() == want.tobytes()
     assert got.flags.f_contiguous and fortran.flags.f_contiguous
     return got
@@ -96,6 +98,22 @@ def sequential_circle(pts: np.ndarray) -> bytes:
     cx, cy = sx / len(rows), sy / len(rows)
     r2 = max((x - cx) * (x - cx) + (y - cy) * (y - cy) for x, y in rows)
     return np.array([cx, cy, math.sqrt(r2)]).tobytes()
+
+
+def branched_frontiers(monkeypatch, incident: Incident, env: EnvGrid,
+                       cfg: EvolutionConfig) -> list[np.ndarray]:
+    """Each hour's raw branched points of trace_rows, as burned_circle
+    receives them."""
+    raw = []
+    real = evolution.burned_circle
+
+    def recording(points):
+        raw.append(points)
+        return real(points)
+
+    monkeypatch.setattr(evolution, "burned_circle", recording)
+    trace_rows(incident, env, cfg)
+    return raw
 
 
 def circle_bytes(c: np.ndarray) -> bytes:
@@ -115,73 +133,92 @@ class TestEvolutionConfig:
         assert EvolutionConfig(max_hours=math.inf).max_hours == math.inf
 
 
-class TestStep:
-    def test_branches_without_pruning(self):
+class TestHourlyBranching:
+    def test_branches_without_pruning(self, monkeypatch):
         env = constant_env(12.0, 5.0, 0.0)
-        f0 = Frontier(points=np.array([[500.0, 500.0]]), hour=0)
-        f1 = step(f0, env)
-        f2 = step(f1, env)
-        assert f1.points.shape == (4, 2) and f1.hour == 1
-        assert f2.points.shape == (16, 2) and f2.hour == 2
+        sampled = []
+        real = evolution.sample_env_many
 
-    def test_endpoint_offsets(self):
+        def recording(grid, points, hour):
+            sampled.append((hour, len(points)))
+            return real(grid, points, hour)
+
+        monkeypatch.setattr(evolution, "sample_env_many", recording)
+        inc = Incident(id="t", start_hour=3, ignition_xy=(500.0, 500.0))
+        circles, sizes = trace_rows(inc, env, replace(NO_PRUNE, max_hours=2.0))
+        # each hour grows the whole frontier the hour before left, sampled
+        # at the incident's start hour, then the hour after it
+        assert sampled == [(3, 1), (4, 4)]
+        assert len(circles) == 3 and sizes.tolist() == [1, 4, 16]
+
+    def test_endpoint_offsets(self, monkeypatch):
         env = constant_env(20.0, 0.0, 0.0)
-        f1 = step(Frontier(points=np.array([[500.0, 500.0]]), hour=0), env)
+        inc = Incident(id="t", start_hour=0, ignition_xy=(500.0, 500.0))
+        [raw] = branched_frontiers(monkeypatch, inc, env, replace(NO_PRUNE, max_hours=1.0))
         u_p, u_b, v = speeds(20.0, 0.0)
         off = (u_p - u_b) * 1.8  # ellipse center leads the ignition
-        got_x = np.sort(f1.points[:, 0] - 500.0)
+        got_x = np.sort(raw[:, 0] - 500.0)
         # upwind vertex, the two lateral endpoints (at the center), downwind
         np.testing.assert_allclose(
             got_x, [-u_b * 3.6, off, off, u_p * 3.6], atol=1e-12)
-        lat = np.sort(f1.points[:, 1] - 500.0)
+        lat = np.sort(raw[:, 1] - 500.0)
         np.testing.assert_allclose(lat[0], -v * 3.6, atol=1e-12)
         np.testing.assert_allclose(lat[3], v * 3.6, atol=1e-12)
 
     def test_time_range_exhausted(self):
         env = constant_env(10.0, 0.0, 0.0, nt=3)
-        f = Frontier(points=np.array([[500.0, 500.0]]), hour=3)
-        with pytest.raises(ValidationError):
-            step(f, env)
+        with pytest.raises(ValidationError, match=r"hour 3 outside \[0, 3\)"):
+            sample_env_many(env, np.array([[500.0, 500.0]]), 3)
+        # trace_rows stops at the env horizon instead of sampling past it
+        inc = Incident(id="t", start_hour=2, ignition_xy=(500.0, 500.0))
+        assert len(circle_trajectory(inc, env, NO_PRUNE)) == 2
 
     def test_points_are_a_view_of_the_kernel_buffer(self, monkeypatch):
-        # two cells, so the kernel's terms are gathered by slot
-        u10 = np.zeros((2, 1, 2), dtype=np.float32)
+        # two cells, so the kernel's terms are gathered by slot once the
+        # frontier crosses x = 100 into the second
+        u10 = np.zeros((3, 1, 2), dtype=np.float32)
         u10[:, 0, 0], u10[:, 0, 1] = 20.0, -3.0
         calm = np.zeros_like(u10)
-        env = EnvGrid(nx=2, ny=1, nt=2, spacing_km=100.0, origin=(0.0, 0.0),
+        env = EnvGrid(nx=2, ny=1, nt=3, spacing_km=100.0, origin=(0.0, 0.0),
                       u10=u10, v10=calm + 4.0, swvl1=calm)
-        made = []
+        grown, made = [], []
         real = evolution.branch_endpoints
 
-        def kept(*args):
-            made.append(real(*args))
+        def kept(points, *args):
+            grown.append((points, args))
+            made.append(real(points, *args))
             return made[-1]
 
         monkeypatch.setattr(evolution, "branch_endpoints", kept)
-        f = Frontier(points=np.array([[50.0, 50.0], [150.0, 50.0], [60.0, 40.0]]), hour=0)
-        out = step(f, env).points
-        assert out.shape == (12, 2) and np.shares_memory(out, made[0])
-        assert out[:, 0].flags.c_contiguous and out[:, 1].flags.c_contiguous
-        assert out.tobytes() == made[0].tobytes()
-        # the kept frontier is column-major too, and steps on as any copy
-        kept_pts = prune(Frontier(points=out, hour=1), 0.05).points
-        assert kept_pts.flags.f_contiguous
-        again = step(Frontier(points=np.ascontiguousarray(kept_pts), hour=1), env)
-        assert step(Frontier(points=kept_pts, hour=1), env).points.tobytes() == \
-            again.points.tobytes()
+        inc = Incident(id="t", start_hour=0, ignition_xy=(99.95, 50.0))
+        raw = branched_frontiers(monkeypatch, inc, env, EvolutionConfig(max_hours=3.0))
+        assert len(raw) == len(made) == 3
+        assert len(set(grown[-1][1][-1].tolist())) == 2  # the last hour's slots
+        for out, buffer in zip(raw, made):
+            assert out.shape == (buffer.size // 2, 2) and np.shares_memory(out, buffer)
+            assert out[:, 0].flags.c_contiguous and out[:, 1].flags.c_contiguous
+            assert out.tobytes() == buffer.tobytes()
+        # the kept frontier is column-major too, and branches as any copy
+        for points, args in grown[1:]:
+            assert points.flags.f_contiguous
+            again = real(np.ascontiguousarray(points), *args)
+            assert real(points, *args).tobytes() == again.tobytes()
 
     def test_wind_sampled_per_point_and_hour(self):
-        # two cells with opposite winds push their points apart
+        # two cells with opposite winds push their points apart at hour 0
+        # and together at hour 1, when the winds swap
         u10 = np.zeros((2, 1, 2), dtype=np.float32)
-        u10[:, 0, 0] = 20.0
-        u10[:, 0, 1] = -20.0
+        u10[0, 0], u10[1, 0] = (20.0, -20.0), (-20.0, 20.0)
         calm = np.zeros_like(u10)
         env = EnvGrid(nx=2, ny=1, nt=2, spacing_km=100.0, origin=(0.0, 0.0),
                       u10=u10, v10=calm, swvl1=calm)
-        f = Frontier(points=np.array([[50.0, 50.0], [150.0, 50.0]]), hour=0)
-        out = step(f, env).points.reshape(2, 4, 2)
-        assert out[0, 0, 0] > 50.0   # first point heads +x
-        assert out[1, 0, 0] < 150.0  # second heads -x
+        pts = np.array([[50.0, 50.0], [150.0, 50.0]])
+        for hour, sign in ((0, 1.0), (1, -1.0)):
+            values, slot = sample_env_many(env, pts, hour)
+            out = branch_endpoints(pts, *values, STEP_S, DEFAULT_PARAMS, slot)
+            # each point's downwind vertex comes first
+            assert sign * (out[0, 0, 0] - 50.0) > 0
+            assert sign * (out[1, 0, 0] - 150.0) < 0
 
 
 class TestBurnedCircle:
@@ -222,13 +259,12 @@ class TestBurnedCircle:
 class TestPrune:
     def test_identity_when_disabled(self):
         pts = np.random.default_rng(0).normal(size=(40, 2))
-        f = Frontier(points=pts, hour=3)
-        g = prune(f, snap_km=0.0)
-        assert g.points is pts and g.hour == 3
+        g = prune(Frontier(points=pts), snap_km=0.0)
+        assert g.points is pts
 
     def test_snap_keeps_lexicographic_representative(self):
         pts = np.array([[0.26, 0.26], [0.24, 0.27], [0.24, 0.21], [5.0, 5.0]])
-        g = prune(Frontier(points=pts, hour=0), snap_km=1.0)
+        g = prune(Frontier(points=pts), snap_km=1.0)
         # the first three share the lattice cell at the origin; the
         # smallest (x, y) pair is kept as that cell's representative
         assert sorted(map(tuple, g.points)) == [(0.24, 0.21), (5.0, 5.0)]
@@ -236,7 +272,7 @@ class TestPrune:
     def test_pruned_points_are_a_subset(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(scale=5.0, size=(500, 2))
-        g = prune(Frontier(points=pts, hour=0), snap_km=0.3)
+        g = prune(Frontier(points=pts), snap_km=0.3)
         original = {tuple(p) for p in pts}
         assert all(tuple(p) in original for p in g.points)
 
@@ -250,14 +286,14 @@ class TestPrune:
         rng = np.random.default_rng(seed)
         pts = rng.normal(scale=4.0, size=(n, 2))
         circle = burned_circle(pts)
-        g = prune(Frontier(points=pts, hour=0), snap_km=snap)
+        g = prune(Frontier(points=pts), snap_km=snap)
         assert g.points.shape[0] >= 1
         d = g.points - circle[:2]
         kept_radius = float(np.sqrt(np.einsum("ij,ij->i", d, d).max()))
         assert kept_radius >= circle[2] - snap * math.sqrt(2.0) - 1e-12
 
     def test_negative_knobs_rejected(self):
-        f = Frontier(points=np.array([[0.0, 0.0]]), hour=0)
+        f = Frontier(points=np.array([[0.0, 0.0]]))
         with pytest.raises(ValidationError):
             prune(f, snap_km=-0.1)
 
@@ -401,7 +437,7 @@ class TestPruneMatchesLexsort:
         assert_prunes_like_lexsort(pts, 0.5)
 
     def test_nan_rejected(self):
-        f = Frontier(points=np.array([[0.0, math.nan], [1.0, 1.0]]), hour=0)
+        f = Frontier(points=np.array([[0.0, math.nan], [1.0, 1.0]]))
         with pytest.raises(ValidationError):
             prune(f, snap_km=0.05)
 
@@ -431,7 +467,7 @@ class TestPruneMatchesLexsort:
 
 class TestBundledFrontiers:
     def test_every_hour_matches_references(self, monkeypatch):
-        # three bundled incidents stepped 96 h through the production
+        # three bundled incidents grown 96 h through the production
         # loop; every hour's circle and pruned frontier is checked
         incidents, env, _, _, evo = load_season_bundle(bundled_scenario_path())
         hours = []
@@ -485,23 +521,29 @@ class TestBundledFrontiers:
 
 
 class TestFrontierBound:
-    def test_too_fine_snap_rejected_before_the_step(self, monkeypatch):
+    def test_too_fine_snap_rejected_before_the_hour(self, monkeypatch):
         # unpruned, hour k branches 4**(k - 1) points into 4**k
         monkeypatch.setattr(evolution, "MAX_POINTS", 4 ** 3)
         env = constant_env(15.0, 0.0, 0.0)
         inc = mid_incident(env)
         circles, sizes = trace_rows(inc, env, replace(NO_PRUNE, max_hours=3.0))
         assert len(circles) == 4 and sizes[-1] == 4 ** 3
-        branched = []
+        sampled, branched = [], []
+        real_sample, real_branch = evolution.sample_env_many, evolution.branch_endpoints
 
-        def counted_step(frontier, *args):
-            branched.append(frontier.hour)
-            return step(frontier, *args)
+        def counted_sample(grid, points, hour):
+            sampled.append(hour)
+            return real_sample(grid, points, hour)
 
-        monkeypatch.setattr(evolution, "step", counted_step)
+        def counted_branch(points, *args):
+            branched.append(len(points))
+            return real_branch(points, *args)
+
+        monkeypatch.setattr(evolution, "sample_env_many", counted_sample)
+        monkeypatch.setattr(evolution, "branch_endpoints", counted_branch)
         with pytest.raises(ValidationError, match=r"hour 4 .*evolution\.snap_km=0\.0"):
             trace_rows(inc, env, NO_PRUNE)
-        assert branched == [0, 1, 2]
+        assert sampled == [0, 1, 2] and branched == [1, 4, 16]
 
 
 def replay(circles, field_, counts):
@@ -537,7 +579,7 @@ class TestSimulate:
         cfg = EvolutionConfig(snap_km=0.0, max_hours=50.0)
         circles = circle_trajectory(inc, env, cfg)
         assert len(circles) == 4
-        # 3 whole steps, reported at the cap
+        # 3 whole hours, reported at the cap
         assert undetected_hours(inc, circles, cfg) == 3.25
 
     def test_historical_cap_beats_config(self):
@@ -565,7 +607,7 @@ class TestSimulate:
         assert undetected_hours(inc, circles, cfg) == 0.0 and circles[0, 2] == 0.0
 
     def test_downwind_extreme_identity(self):
-        # under constant wind, k unpruned steps push the head exactly
+        # under constant wind, k unpruned hours push the head exactly
         # k * u_p * 3600 / 1000 km downwind of the ignition
         env = constant_env(25.0, 0.0, 0.0)
         inc = mid_incident(env, hist=5.0)

@@ -286,6 +286,17 @@ class TestSweep:
         with pytest.raises(ValidationError, match=field):
             SweepConfig(sensor_counts=(50,), **{field: bad})
 
+    @pytest.mark.parametrize("costs", [
+        (10, 10.0), (10.0, 1e20, 10.0, 0.5), (0, -0.0), (0.5, 20.0, 0.5),
+    ])
+    def test_repeated_cost_rejected(self, costs):
+        # each cost names a savings column, compared by value: a repeat
+        # would write two columns of one name
+        with pytest.raises(ValidationError, match="unit_sensor_cost_usd must not repeat"):
+            SweepConfig(sensor_counts=(50, 50), unit_sensor_cost_usd=costs)
+        # repeated counts stay allowed
+        assert SweepConfig(sensor_counts=(50, 50)).sensor_counts == (50, 50)
+
     @pytest.mark.parametrize("field, bad", [
         ("sensor_counts", (10.7,)), ("sensor_counts", (10, 20.0)),
         ("sensor_counts", (True,)), ("trials", 2.5), ("trials", 2.0),
@@ -506,6 +517,52 @@ class TestBundle:
         p = self.edited_bundle(tmp_path, **sections)
         with pytest.raises(ValidationError, match=re.escape(f"'{key}'")):
             load_season_bundle(p)
+
+
+class TestTrajectoryCalls:
+    """The trajectory stage's calls in a sweep, wrapped as the benchmark's
+    tracer wraps them: each rebound on the module that looks it up
+    (harness.circle_trajectory; evolution's sample_env_many,
+    branch_endpoints, burned_circle and prune), with the arguments and
+    results its counters read."""
+
+    def test_one_call_per_incident_hour(self, monkeypatch):
+        calls = {}
+
+        def wrap(module, name):
+            real = getattr(module, name)
+            made = calls[name] = []
+
+            def traced(*args, **kwargs):
+                result = real(*args, **kwargs)
+                made.append((args, result))
+                return result
+
+            monkeypatch.setattr(module, name, traced)
+
+        wrap(harness, "circle_trajectory")
+        for name in ("sample_env_many", "branch_endpoints", "burned_circle", "prune"):
+            wrap(evolution, name)
+        incidents, env, bio = small_scenario()
+        sweep(incidents, env, bio, SweepConfig(sensor_counts=(0, 50), trials=2,
+                                               cap_hours=10.0),
+              evolution=EVO, workers=1)
+        # one trajectory per incident, and one call of each hourly
+        # function per incident-hour
+        trajectories = calls["circle_trajectory"]
+        assert sorted(args[0].id for args, _ in trajectories) == \
+            sorted(inc.id for inc in incidents)
+        hours = sum(len(circles) - 1 for _, circles in trajectories)
+        assert hours > len(incidents)
+        for name in ("sample_env_many", "branch_endpoints", "burned_circle", "prune"):
+            assert len(calls[name]) == hours, name
+        # points sampled equal points branched, hour by hour
+        sampled = [len(args[1]) for args, _ in calls["sample_env_many"]]
+        assert sampled == [len(args[0]) for args, _ in calls["branch_endpoints"]]
+        # prune takes a Frontier of the branched points and returns one
+        for (args, kept), n in zip(calls["prune"], sampled, strict=True):
+            assert args[0].points.shape == (4 * n, 2)
+            assert 1 <= kept.points.shape[0] <= 4 * n
 
 
 class TestQueryCount:
