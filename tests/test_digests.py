@@ -2,7 +2,8 @@
 
 The sweep CSVs hold season sums, which can hide a change that moves one
 incident's circle or detecting sensor. These digests cover every
-incident-hour of the bundled season at its cap_hours and every replay
+incident-hour of the bundled season at its cap_hours (72 h) and at
+long-fires' 96 h, and every replay
 outcome of its first two deployment trials at each bundled count. The
 `simulate` digests pin the incident JSON and trace CSV bytes of a few
 runs, detected and undetected, so a change to the one-incident path that
@@ -17,8 +18,11 @@ import struct
 
 import pytest
 
+from dataclasses import replace
+
 from emberlink.cli import main
-from emberlink.evolution import replay_detection, screen_disk, undetected_hours
+from emberlink.evolution import (replay_detection, screen_disk, trace_rows,
+                                 undetected_hours)
 from emberlink.harness import bundled_scenario_path
 from emberlink.sensors import deploy_uniform
 
@@ -33,17 +37,37 @@ def season(bundled_season):
     return incidents, env, swp, evo, traces
 
 
-def test_trajectory_digest(season):
-    incidents, _, swp, _, traces = season
+def trajectory_digest(traces) -> tuple[str, int, int]:
+    """sha256 of every incident's circles and frontier sizes, the
+    incident-hours and the largest frontier."""
     h = hashlib.sha256()
-    hours = 0
+    hours = peak = 0
     for circles, sizes in traces:
         h.update(circles.astype("<f8").tobytes())
         h.update(sizes.astype("<i8").tobytes())
         hours += len(circles) - 1
+        peak = max(peak, int(sizes.max()))
+    return h.hexdigest(), hours, peak
+
+
+def test_trajectory_digest(season):
+    incidents, _, swp, _, traces = season
+    digest, hours, _ = trajectory_digest(traces)
     assert (len(incidents), swp.cap_hours, hours) == (50, 72.0, 3600)
-    assert h.hexdigest() == (
+    assert digest == (
         "55205773923abd8589236526bac89c576ed49dac550a896a65413e4bc1c4794a")
+
+
+def test_long_fires_trajectory_digest(season):
+    # the long-fires horizon: every incident grows 96 h, and syn-017
+    # reaches the season's largest frontier
+    incidents, env, _, evo, _ = season
+    evo = replace(evo, max_hours=96.0)
+    traces = [trace_rows(inc, env, evo) for inc in incidents]
+    peaks = [int(sizes.max()) for _, sizes in traces]
+    assert incidents[peaks.index(max(peaks))].id == "syn-017"
+    assert trajectory_digest(traces) == (
+        "ad77f90800fbff62112ad404309ee0d7be4f0ca2d4552b3d6b07793bc798ded4", 4800, 15172)
 
 
 def test_replay_digest(season):
