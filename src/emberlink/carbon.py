@@ -48,7 +48,7 @@ def average_biomass(circle: tuple[float, float, float] | np.ndarray,
         inside = dy2[:, None] + dx2[None, :] <= r * r
         if inside.any():
             return float(bio.values[j0:j1 + 1, i0:i1 + 1][inside].mean())
-    ix, iy = nearest_cells(bio, cx, cy)  # tiny circle
+    ix, iy = nearest_cells(bio, (cx, cy))  # tiny circle
     return float(bio.values[iy, ix])
 
 

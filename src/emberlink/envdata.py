@@ -22,8 +22,11 @@ cells as the header. Errors read '<what> <path> row <file line>: ...'.
 Lookups are nearest-cell (no interpolation) over a whole point array at
 once; a position on a shared cell edge resolves to the lower-index cell,
 and a position off the rectangle samples the nearest edge cell. An env
-lookup returns the values of the distinct cells the points fall in and
-each point's slot among them, so per-cell work runs once per cell.
+lookup returns the distinct cells the points fall in and each point's
+slot among them, and evaluates nothing: cell_values evaluates a vector of
+(hour, cell) pairs through EnvGrid._at, so a caller can take a cell's
+values over a block of hours at once and reuse them while the cell stays
+in use.
 
 A synthesized random field is linearly upsampled from a coarse lattice.
 Each axis takes its lower source indices and upper weights from _taps,
@@ -153,7 +156,7 @@ class EnvGrid:
     resampled in time for mode "random" (0.6 MB for the bundle, whose
     rasters would take 97 MB), one value per hour otherwise (cy = cx = 1).
     `u10`, `v10` and `swvl1` compute a new read-only raster on each
-    access; sampling evaluates only the cells the points fall in.
+    access; cell_values evaluates only the (hour, cell) pairs asked for.
     """
 
     def __init__(self, nx: int, ny: int, nt: int, spacing_km: float,
@@ -214,10 +217,12 @@ class EnvGrid:
             ends = self._scaled(k, ends)
         return float(ends[0]), float(ends[1])
 
-    def _at(self, t: int, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
-        """The three fields' values at the cells (t, iy[i], ix[i]), one row per
-        field, as _hours computes them: _blend in float64 along y, then x,
-        then lo + (hi - lo) * v stored as float32."""
+    def _at(self, t, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
+        """The three fields' values at the cells (t, iy[i], ix[i]), or
+        (t[i], iy[i], ix[i]) for an array of hours, one row per field, as
+        _hours computes them: _blend in float64 along y, then x, then
+        lo + (hi - lo) * v stored as float32. Every step is elementwise, so
+        a cell-hour's values do not depend on the others asked for."""
         first = self._base + (self._rows[iy] + self._cols[ix] + t * self._hour)
         v = self._lattice.take(self._corners[:, :, None, None] + first)
         for w, i in ((self._wy, iy), (self._wx, ix)):
@@ -322,33 +327,43 @@ def check_incident_id(what: str, id_: str, seen: set[str]) -> None:
     seen.add(id_)
 
 
-def nearest_cells(grid: EnvGrid | BiomassGrid, x, y) -> tuple:
-    """Column and row indices of the grid cells holding the positions
-    (x, y), arrays or scalars: a position on a shared cell edge resolves to
-    the lower-index cell, and one off the rectangle to the nearest edge cell."""
-    # np.minimum(np.maximum(...)) is np.clip without its Python-level dispatch
-    lx = np.minimum(np.maximum(x - grid.origin[0], 0.0), grid.nx * grid.spacing_km)
-    ly = np.minimum(np.maximum(y - grid.origin[1], 0.0), grid.ny * grid.spacing_km)
-    ix = np.minimum(np.maximum(np.ceil(lx / grid.spacing_km).astype(np.int64) - 1, 0), grid.nx - 1)
-    iy = np.minimum(np.maximum(np.ceil(ly / grid.spacing_km).astype(np.int64) - 1, 0), grid.ny - 1)
-    return ix, iy
+def nearest_cells(grid: EnvGrid | BiomassGrid, xy) -> np.ndarray:
+    """Column and row indices, int64 (2, ...), of the grid cells holding the
+    positions xy = (x, y), x and y arrays or scalars: a position on a
+    shared cell edge resolves to the lower-index cell, one off the
+    rectangle to the nearest edge cell, and a NaN coordinate to the first.
+    Both axes go through each numpy call at once."""
+    xy = np.asarray(xy, dtype=float)
+    axes = (2,) + (1,) * (xy.ndim - 1)
+    origin = np.array(grid.origin, dtype=float).reshape(axes)
+    cells = np.array((grid.nx, grid.ny)).reshape(axes)
+    # the cell count ceil(offset / spacing), clamped to [1, n] before the
+    # cast: the count that clamping the offset to [0, n * spacing] first
+    # gives, as ceil is monotone and n * spacing / spacing rounds to
+    # within an ulp of n
+    k = np.subtract(xy, origin)
+    k /= grid.spacing_km
+    np.ceil(k, out=k)
+    np.fmin(np.fmax(k, 1.0, out=k), cells, out=k)
+    return k.astype(np.int64) - 1
 
 
 def sample_env_many(
     grid: EnvGrid, points: np.ndarray, t: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-cell lookup of (u10, v10, swvl1) for every point of an (n, 2)
-    array, hour t: the float64 (3, m) values of the m distinct cells the
-    points fall in, ascending by cell, and each point's slot among them.
+    """Nearest-cell lookup for every point of an (n, 2) array at hour t:
+    the m distinct cells the points fall in, as ascending int64 cell
+    numbers iy * nx + ix, and each point's slot among them.
 
-    Each point samples the cell nearest_cells gives it, and each distinct
-    cell is looked up once; values.take(slot, axis=1) gives the (3, n)
-    per-point values.
+    Each point takes the cell nearest_cells gives it, through the (2, n)
+    view points.T, which is contiguous for a column-major frontier. No
+    field is evaluated here: cell_values(grid, cells, t) gives the cells'
+    (3, m) values at hour t, and values.take(slot, axis=1) the per-point
+    values.
     """
     if not 0 <= t < grid.nt:
         raise ValidationError(f"hour {t} outside [0, {grid.nt})")
-    pts = np.asarray(points, dtype=float)
-    ix, iy = nearest_cells(grid, pts[:, 0], pts[:, 1])
+    ix, iy = nearest_cells(grid, np.asarray(points, dtype=float).T)
     # each distinct cell once, from a presence table spanning the call's cells
     # (the initial values only serve a call without points)
     cells = iy * grid.nx + ix
@@ -356,11 +371,21 @@ def sample_env_many(
     cells -= first
     seen = np.zeros(cells.max(initial=-1) + 1, dtype=bool)
     seen[cells] = True
-    distinct = np.flatnonzero(seen)
-    slot = np.searchsorted(distinct, cells)  # each point's place among them
+    distinct = seen.nonzero()[0]
+    # each point's place among them, by the table's running count (below
+    # the point count, so int32 holds it)
+    rank = seen.cumsum(dtype=np.int32)
+    rank -= 1
+    slot = rank.take(cells)
     distinct += first
-    values = grid._at(t, distinct // grid.nx, distinct % grid.nx)
-    return np.asarray(values, dtype=float), slot
+    return distinct, slot
+
+
+def cell_values(grid: EnvGrid, cells: np.ndarray, t) -> np.ndarray:
+    """Float64 (3, k) values of (u10, v10, swvl1) at the k cell numbers
+    cells (iy * nx + ix, as sample_env_many gives them) at hour t, or at
+    hours t[i], each within [0, nt) (see EnvGrid._at)."""
+    return np.asarray(grid._at(t, cells // grid.nx, cells % grid.nx), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ The fire is tracked as a frontier point set, grown by trace_rows one
 hour of the env grid at a time: every frontier point grows its own
 local spread ellipse from the wind and soil wetness at that point and
 hour, and contributes the ellipse's four axis endpoints to the next
-frontier. The kernel evaluates each env cell the frontier touches once,
-and each point takes its cell's terms. A frontier's (n, 2) points are
-column-major, x and y each contiguous: a view of the kernel's buffer
-when branched, and written that way by prune. The burned region at
-each hour is summarized as a circle (mean of the branched points, max
-distance as radius), a (cx, cy, r) row of the float64 (hours + 1, 3)
-trajectory array that starts at the zero-radius ignition circle. A
+frontier. The ellipse terms of each env cell the frontier touches are
+evaluated once per block of TERM_HOURS hours, into a small per-incident
+table, and each point takes its cell's terms. A frontier's (n, 2)
+points are column-major, x and y each contiguous: a view of the
+kernel's buffer when branched, and written that way by prune. The
+burned region at each hour is summarized as a circle (mean of the
+branched points, max distance as radius), a (cx, cy, r) row of the
+float64 (hours + 1, 3) trajectory array that starts at the zero-radius
+ignition circle. A
 sensor inside an hour's closed disk detects the fire; a replay takes
 that row and the sensor's draw index (-1 if none) from one query over
 the trajectory's screen disk, for every prefix of one field's sensors it
@@ -33,14 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envdata import EnvGrid, Incident, sample_env_many
+from .envdata import EnvGrid, Incident, cell_values, sample_env_many
 from .errors import ValidationError, check_range
-from .firekernel import DEFAULT_PARAMS, SpreadParams, branch_endpoints
+from .firekernel import DEFAULT_PARAMS, SpreadParams, branch_endpoints, ellipse_terms
 from .sensors import (SensorField, indices_within, nearest_index_within,
                       squared_distances)
 
 STEP_S = 3600.0  # one env hour, the unit of every hour count
 MAX_POINTS = 1 << 22  # most points one hour may branch
+TERM_HOURS = 24  # hours of a block of an incident's ellipse-term table
 
 # the detection screen's slack over a disk query's rounding: relative,
 # and absolute for squares that underflow
@@ -171,6 +174,47 @@ def incident_cap_hours(incident: Incident, cfg: EvolutionConfig) -> float:
     return cfg.max_hours if hours is None else hours
 
 
+class _TermTable:
+    """The ellipse terms of the env cells one incident's frontier touches,
+    one block of TERM_HOURS hours at a time.
+
+    A cell's entry is filled the first hour the frontier touches it in
+    the block: its terms at that hour and each later hour of the block
+    before the incident's stop hour, from one cell_values call over the
+    hours and one ellipse_terms call for all the cells filled that hour.
+    The next block starts with an empty table. An entry holds 10 float64
+    (80 B) per hour, so the table holds at most (cells touched in the
+    block) x TERM_HOURS x 80 B.
+    """
+
+    def __init__(self, env: EnvGrid, params: SpreadParams, start: int, stop: int) -> None:
+        self.env, self.params, self.stop = env, params, stop
+        self.end = start  # the block's end hour: the first call starts one
+
+    def terms(self, cells: np.ndarray, hour: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (2, m) center and (2, m, 4) endpoint offsets of the m cells
+        (ascending cell numbers from sample_env_many) at this hour; hours
+        come in ascending order."""
+        if hour >= self.end:
+            self.end = min(hour + TERM_HOURS, self.stop)
+            self.column = {}  # cell -> its entry's column at hour 0
+            self.center, self.ends = np.empty((2, 0)), np.empty((2, 0, 4))
+        wanted = cells.tolist()
+        new = [c for c in wanted if c not in self.column]
+        if new:
+            span = self.end - hour
+            for j, c in enumerate(new):
+                self.column[c] = self.center.shape[1] + j * span - hour
+            at = np.repeat(new, span)
+            hours = np.tile(np.arange(hour, self.end), len(new))
+            center, ends = ellipse_terms(*cell_values(self.env, at, hours),
+                                         STEP_S, self.params)
+            self.center = np.concatenate([self.center, center], axis=1)
+            self.ends = np.concatenate([self.ends, ends], axis=1)
+        cols = np.array([self.column[c] + hour for c in wanted])
+        return self.center.take(cols, axis=1), self.ends.take(cols, axis=1)
+
+
 def trace_rows(incident: Incident, env: EnvGrid,
                cfg: EvolutionConfig) -> tuple[np.ndarray, np.ndarray]:
     """(hours + 1, 3) burned circles and (hours + 1,) active frontier sizes.
@@ -180,9 +224,11 @@ def trace_rows(incident: Incident, env: EnvGrid,
     ellipse's four axis endpoints from its cell's wind and wetness at that
     hour (an off-grid point samples the nearest edge cell); the hour's
     circle is built from those raw points, and its size is that of the
-    pruned set the next hour grows from. Stops at the incident cap or the
-    env horizon; a snap_km too fine to keep an hour below MAX_POINTS
-    branched points is rejected before that hour branches.
+    pruned set the next hour grows from. The cells' ellipse terms come
+    from the incident's _TermTable, bitwise those of an evaluation per
+    hour. Stops at the incident cap or the env horizon; a snap_km too
+    fine to keep an hour below MAX_POINTS branched points is rejected
+    before that hour branches.
     """
     check_range(f"incident {incident.id} start_hour", incident.start_hour, integer=True)
     points = np.asarray([incident.ignition_xy], dtype=float)
@@ -190,15 +236,18 @@ def trace_rows(incident: Incident, env: EnvGrid,
     circles = [np.array([*incident.ignition_xy, 0.0])]
     sizes = [1]
     cap = incident_cap_hours(incident, cfg)
+    # the hour after the last one the loop steps: the cap's or the env's
+    stop = env.nt if not cap < env.nt - hour else hour + math.floor(cap)
+    table = _TermTable(env, cfg.params, hour, stop)
     while len(circles) <= cap and hour < env.nt:
         if 4 * points.shape[0] > MAX_POINTS:
             raise ValidationError(
                 f"incident {incident.id}: hour {len(circles)} would branch "
                 f"past {MAX_POINTS} frontier points; evolution.snap_km="
                 f"{cfg.snap_km} is too fine to bound the frontier")
-        values, slot = sample_env_many(env, points, hour)
+        cells, slot = sample_env_many(env, points, hour)
         # a view of the kernel's (2, n, 4) buffer: contiguous x and y columns
-        raw = branch_endpoints(points, *values, STEP_S, cfg.params, slot).reshape(-1, 2)
+        raw = branch_endpoints(points, *table.terms(cells, hour), slot).reshape(-1, 2)
         circles.append(burned_circle(raw))
         points = prune(Frontier(points=raw), cfg.snap_km).points
         sizes.append(points.shape[0])

@@ -11,10 +11,12 @@ The field functions (``wind_factor``, ``moisture_factor``, ``spread_speed``,
 elementwise over numpy arrays (a scalar input gives a numpy scalar), on
 wind speeds and soil wetness >= 0, unchecked: ``EnvGrid`` refuses
 non-finite winds and soil wetness outside [0, 1], and ``SpreadParams``
-checks its constants. ``branch_endpoints`` grows one ellipse per point of
-a whole frontier at once and returns its four axis endpoints. Its ellipse
-terms are computed once per env cell by the field functions, and each
-point adds its cell's terms to its own position.
+checks its constants. ``ellipse_terms`` builds the ellipse's center and
+axis-endpoint offsets from them over any vector of wind and wetness
+values: the env cells of one hour, or one cell's block of hours.
+``branch_endpoints`` grows one ellipse per point of a whole frontier at
+once: each point adds its cell's terms to its own position and yields
+the ellipse's four axis endpoints.
 """
 
 from __future__ import annotations
@@ -90,31 +92,26 @@ def length_breadth_ratio(ws_ms, params: SpreadParams = DEFAULT_PARAMS):
     return 1.0 + params.elongation_gain * (1.0 - np.exp(-params.elongation_rate * ws))
 
 
-def branch_endpoints(
-    points: np.ndarray,
+def ellipse_terms(
     u10: np.ndarray,
     v10: np.ndarray,
     swvl1: np.ndarray,
     dt_s: float,
     params: SpreadParams = DEFAULT_PARAMS,
-    slot: np.ndarray | None = None,
-) -> np.ndarray:
-    """Axis endpoints of the ellipse grown at every point, shape (n, 4, 2).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ellipse grown in dt_s from each of k wind and wetness values:
+    the center's (x, y) offset from the ignition, (2, k), and each axis
+    endpoint's offset from the center, (2, k, 4).
 
-    u10, v10 and swvl1 hold the wind and soil wetness of m env cells, and
-    point i grows in cell slot[i] (by default slot = arange(n): one cell
-    per point). Each point is the ignition of its own ellipse: the
-    downwind vertex is u_p * dt ahead of it along the wind and the upwind
-    vertex u_b * dt behind it, so the center leads it by
-    (u_p - u_b) / 2 * dt. Order per point: downwind vertex, upwind
-    vertex, then the two minor-axis endpoints. A zero-speed point yields
-    four copies of itself. Calm wind uses theta = 0.
-
-    The ellipse terms are computed once per cell; a point's endpoint is
-    (x + center offset) + endpoint offset, rounded as if computed per
-    point. The result is a view of one (2, n, 4) buffer, so
-    reshape(-1, 2) gives (4n, 2) points with contiguous x and y columns.
-    The wind and wetness values are not checked: swvl1 must be >= 0.
+    u10, v10 and swvl1 are k values each, of env cells, of hours or of
+    both: every term is elementwise, so a value's terms are the same bits
+    wherever it sits in the vector. The downwind vertex lies u_p * dt
+    ahead of the ignition along the wind and the upwind vertex u_b * dt
+    behind it, so the center leads it by (u_p - u_b) / 2 * dt. Endpoint
+    order: downwind vertex, upwind vertex, then the two minor-axis
+    endpoints. Calm wind uses theta = 0, and zero speed gives zero
+    offsets. The wind and wetness values are not checked: swvl1 must be
+    >= 0.
     """
     check_range("dt_s", dt_s, above=True)
     u = np.asarray(u10, dtype=float)
@@ -131,18 +128,34 @@ def branch_endpoints(
     b = v_lat * dt_km
     offset = (u_p - u_b) * dt_km / 2.0
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    # per cell: the center's (x, y) offset from the ignition, and each
-    # endpoint's from the center, (2, m, 4); x - d is x + (-d), bit for bit
+    # x - d is x + (-d), bit for bit
     center = np.array([offset * cos_t, offset * sin_t])
     a_x, a_y, b_x, b_y = a * cos_t, a * sin_t, b * sin_t, b * cos_t
     ends = np.array([[a_x, -a_x, -b_x, b_x], [a_y, -a_y, b_y, -b_y]]).transpose(0, 2, 1)
+    return center, ends
 
+
+def branch_endpoints(
+    points: np.ndarray,
+    center: np.ndarray,
+    ends: np.ndarray,
+    slot: np.ndarray | None = None,
+) -> np.ndarray:
+    """Axis endpoints of the ellipse grown at every point, shape (n, 4, 2).
+
+    center (2, m) and ends (2, m, 4) are the ellipse_terms of m env cells,
+    and point i grows in cell slot[i] (by default slot = arange(n): one
+    cell per point). Each point is the ignition of its own ellipse, and
+    its endpoint is (x + center offset) + endpoint offset, rounded as if
+    the terms were computed per point. A zero-speed point yields four
+    copies of itself. The result is a view of one (2, n, 4) buffer, so
+    reshape(-1, 2) gives (4n, 2) points with contiguous x and y columns.
+    """
     pts = np.asarray(points, dtype=float)
     if slot is None:
         slot = np.arange(pts.shape[0])
-    # per point, the two roundings of a per-point evaluation:
-    # (x + center offset) + endpoint offset, into one (2, n, 4) buffer
-    center = pts.T + center.take(slot, axis=1)
+    # per point, into one (2, n, 4) buffer
+    at = pts.T + center.take(slot, axis=1)
     out = ends.take(slot, axis=1)
-    out += center[:, :, None]
+    out += at[:, :, None]
     return out.transpose(1, 2, 0)

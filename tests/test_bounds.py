@@ -17,7 +17,7 @@ from emberlink.envdata import (CALIFORNIA, BiomassGrid, EnvGrid, Incident, Rect,
                                synth_env)
 from emberlink.errors import ValidationError, check_range
 from emberlink.evolution import EvolutionConfig, Frontier, circle_trajectory, prune
-from emberlink.firekernel import SpreadParams, branch_endpoints
+from emberlink.firekernel import SpreadParams, ellipse_terms
 from emberlink.linkbudget import (PERIODIC_REPORT, TABLE1_10DEG, TbsMap, fspl_db,
                                   peak_rate_bps, supportable_sensors)
 from emberlink.sensors import (SensorField, deploy_uniform, indices_within,
@@ -86,8 +86,8 @@ BOUND_SITES = {
         f.name, 0, f.name in ("wetness_cutoff", "wind_sq_scale"), True,
         lambda v, tmp_path, name=f.name: SpreadParams(**{name: v}))
        for f in fields(SpreadParams)},
-    "branch_endpoints dt_s": ("dt_s", 0, True, True, lambda v, tmp_path: branch_endpoints(
-        np.zeros((1, 2)), [1.0], [0.0], [0.0], v)),
+    "ellipse_terms dt_s": ("dt_s", 0, True, True, lambda v, tmp_path: ellipse_terms(
+        [1.0], [0.0], [0.0], v)),
     "EvolutionConfig.snap_km": ("snap_km", 0, False, True,
                                 lambda v, tmp_path: EvolutionConfig(snap_km=v)),
     "EvolutionConfig.max_hours": ("max_hours", 0, False, False,

@@ -7,7 +7,7 @@ import pytest
 
 from emberlink.carbon import (average_biomass, carbon_price, emission_tons,
                               savings)
-from emberlink.envdata import BiomassGrid, EnvGrid, sample_env_many
+from emberlink.envdata import BiomassGrid, EnvGrid, cell_values, sample_env_many
 from emberlink.errors import ValidationError
 
 
@@ -92,8 +92,8 @@ class TestNearestCellRule:
         ys = origin[1] + sp * np.arange(ny + 1)
         for x in xs:
             for y in ys:
-                values, slot = sample_env_many(env, np.array([[x, y]]), 0)
-                u = values[0, slot[0]]
+                cells, slot = sample_env_many(env, np.array([[x, y]]), 0)
+                u = cell_values(env, cells, 0)[0, slot[0]]
                 assert average_biomass((x, y, 0.0), bio) == u
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from emberlink import envdata
 from emberlink.envdata import (CALIFORNIA, ENV_FIELDS, BiomassGrid, EnvGrid, GeoTransform,
-                               Incident, Rect, SynthSpec,
+                               Incident, Rect, SynthSpec, cell_values,
                                check_biomass_alignment, geo_to_planar,
                                load_biomass, load_env_grid, load_incidents,
                                sample_env_many, save_biomass,
@@ -159,8 +159,8 @@ class TestOneGeometryCheck:
 def sample_points(grid, pts, t):
     """(3, n) rows of (u10, v10, swvl1) at each point of pts, hour t: the
     sampled cells' values, one column per point."""
-    values, slot = sample_env_many(grid, pts, t)
-    return values.take(slot, axis=1)
+    cells, slot = sample_env_many(grid, pts, t)
+    return cell_values(grid, cells, t).take(slot, axis=1)
 
 
 def sample_one(grid, xy, t):
@@ -369,12 +369,29 @@ class TestDistinctCells:
             _coords(grid.origin[1], grid.ny, grid.spacing_km)), max_size=40)),
             dtype=float).reshape(-1, 2)
         t = data.draw(st.integers(0, grid.nt - 1))
-        values, slot = sample_env_many(grid, pts, t)
-        ix, iy = envdata.nearest_cells(grid, pts[:, 0], pts[:, 1])
+        cells, slot = sample_env_many(grid, pts, t)
+        ix, iy = envdata.nearest_cells(grid, pts.T)
         distinct, rank = np.unique(iy * grid.nx + ix, return_inverse=True)
-        assert values.dtype == np.float64 and values.shape == (3, distinct.size)
+        assert cells.dtype == np.int64
+        np.testing.assert_array_equal(cells, distinct)
         np.testing.assert_array_equal(slot, rank)
+        values = cell_values(grid, cells, t)
+        assert values.dtype == np.float64 and values.shape == (3, distinct.size)
         assert values.take(slot, axis=1).tobytes() == gathered(grid, pts, t).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_random_specs() | _uniform_specs(), seed=st.integers(0, 2 ** 128 - 1),
+           data=st.data())
+    def test_a_vector_of_hours_gives_each_hour_values(self, spec, seed, data):
+        # one cell over up to 70 hours, as a trajectory's term table fills
+        # an entry, is bitwise one lookup per hour
+        grid = synth_env(spec, seed)
+        cell = data.draw(st.integers(0, grid.nx * grid.ny - 1))
+        t0 = data.draw(st.integers(0, grid.nt - 1))
+        hours = np.arange(t0, min(t0 + data.draw(st.integers(1, 70)), grid.nt))
+        block = cell_values(grid, np.full(hours.size, cell), hours)
+        per_hour = [cell_values(grid, np.array([cell]), int(h)) for h in hours]
+        assert block.tobytes() == np.concatenate(per_hour, axis=1).tobytes()
 
 
 def clip_cells(grid, x, y):
@@ -404,12 +421,12 @@ class TestNearestCells:
             _coords(origin[0], nx, spacing_km), _coords(origin[1], ny, spacing_km)),
             max_size=40)), dtype=float).reshape(-1, 2)
         x, y = pts[:, 0], pts[:, 1]
-        got, want = envdata.nearest_cells(grid, x, y), clip_cells(grid, x, y)
+        got, want = envdata.nearest_cells(grid, (x, y)), clip_cells(grid, x, y)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype == np.int64
             np.testing.assert_array_equal(g, w)
         for xi, yi in pts.tolist():
-            got = envdata.nearest_cells(grid, xi, yi)
+            got = envdata.nearest_cells(grid, (xi, yi))
             assert tuple(map(int, got)) == tuple(map(int, clip_cells(grid, xi, yi)))
             assert all(np.ndim(g) == 0 for g in got)
 
@@ -758,7 +775,7 @@ class TestLatticeMemory:
         spec = SynthSpec(nx=1010, ny=1110, nt=8760, spacing_km=1.0, mode="random")
         pts = np.random.default_rng(2).uniform((-5.0, -5.0), (1015.0, 1115.0),
                                                size=(10_000, 2))
-        peak = _peak_bytes(lambda: sample_env_many(synth_env(spec, 3), pts, 8759))
+        peak = _peak_bytes(lambda: sample_points(synth_env(spec, 3), pts, 8759))
         assert peak < 32 * 10 ** 6, peak
 
 

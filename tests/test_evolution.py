@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import pickle
 import tempfile
@@ -15,14 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emberlink import evolution
-from emberlink.envdata import (EnvGrid, Incident, Rect, SynthSpec, sample_env_many,
-                               synth_env)
+from emberlink.envdata import (EnvGrid, Incident, Rect, SynthSpec, cell_values,
+                               sample_env_many, synth_env)
 from emberlink.errors import ValidationError
-from emberlink.evolution import (STEP_S, EvolutionConfig, Frontier, burned_circle,
+from emberlink.evolution import (STEP_S, TERM_HOURS, EvolutionConfig, Frontier, burned_circle,
                                  circle_trajectory, incident_cap_hours, prune,
                                  replay_detection, screen_disk, trace_rows,
                                  undetected_hours)
-from emberlink.firekernel import (DEFAULT_PARAMS, branch_endpoints,
+from emberlink.firekernel import (DEFAULT_PARAMS, branch_endpoints, ellipse_terms,
                                   length_breadth_ratio, spread_speed)
 from emberlink.harness import bundled_scenario_path, load_season_bundle
 from emberlink.sensors import (RASTER_CELLS, SensorField, _screen, deploy_uniform,
@@ -214,8 +215,9 @@ class TestHourlyBranching:
                       u10=u10, v10=calm, swvl1=calm)
         pts = np.array([[50.0, 50.0], [150.0, 50.0]])
         for hour, sign in ((0, 1.0), (1, -1.0)):
-            values, slot = sample_env_many(env, pts, hour)
-            out = branch_endpoints(pts, *values, STEP_S, DEFAULT_PARAMS, slot)
+            cells, slot = sample_env_many(env, pts, hour)
+            terms = ellipse_terms(*cell_values(env, cells, hour), STEP_S, DEFAULT_PARAMS)
+            out = branch_endpoints(pts, *terms, slot)
             # each point's downwind vertex comes first
             assert sign * (out[0, 0, 0] - 50.0) > 0
             assert sign * (out[1, 0, 0] - 150.0) < 0
@@ -544,6 +546,118 @@ class TestFrontierBound:
         with pytest.raises(ValidationError, match=r"hour 4 .*evolution\.snap_km=0\.0"):
             trace_rows(inc, env, NO_PRUNE)
         assert sampled == [0, 1, 2] and branched == [1, 4, 16]
+
+
+def per_hour_rows(incident: Incident, env: EnvGrid, cfg: EvolutionConfig):
+    """trace_rows' (circles, sizes) from one ellipse_terms call per hour
+    over that hour's cells, with no table of terms."""
+    points = np.asarray([incident.ignition_xy], dtype=float)
+    circles, sizes = [np.array([*incident.ignition_xy, 0.0])], [1]
+    hour = incident.start_hour
+    while len(circles) <= cfg.max_hours and hour < env.nt:
+        cells, slot = sample_env_many(env, points, hour)
+        terms = ellipse_terms(*cell_values(env, cells, hour), STEP_S, cfg.params)
+        raw = branch_endpoints(points, *terms, slot).reshape(-1, 2)
+        circles.append(burned_circle(raw))
+        points = prune(Frontier(points=raw), cfg.snap_km).points
+        sizes.append(points.shape[0])
+        hour += 1
+    return np.array(circles), np.array(sizes, dtype=np.int64)
+
+
+def late_cell_env() -> EnvGrid:
+    """Two 10 km cells: a steady dry 20 m/s wind in cell 0 carries a fire
+    into cell 1, whose wind and wetness change every hour, calm and past
+    the wetness cutoff among them."""
+    nt = 60
+    rng = np.random.default_rng(5)
+    u10 = np.full((nt, 1, 2), 20.0, dtype=np.float32)
+    v10 = np.zeros((nt, 1, 2), dtype=np.float32)
+    swvl1 = np.zeros((nt, 1, 2), dtype=np.float32)
+    u10[:, 0, 1] = rng.uniform(-30.0, 30.0, nt)
+    v10[:, 0, 1] = rng.uniform(-30.0, 30.0, nt)
+    swvl1[:, 0, 1] = rng.choice([0.0, 0.1, 0.35, 0.6], nt)
+    u10[::5, 0, 1] = v10[::5, 0, 1] = 0.0
+    return EnvGrid(nx=2, ny=1, nt=nt, spacing_km=10.0, origin=(0.0, 0.0),
+                   u10=u10, v10=v10, swvl1=swvl1)
+
+
+def recorded_fills(monkeypatch) -> list:
+    """Record trace_rows' hourly cells and its table fills, in call order:
+    ("hour", hour, cells) per sample_env_many call, and ("fill", values,
+    bytes) per ellipse_terms call, its count of values and the bytes of
+    the terms it returns."""
+    events = []
+    real_sample, real_terms = evolution.sample_env_many, evolution.ellipse_terms
+
+    def sample(grid, points, hour):
+        cells, slot = real_sample(grid, points, hour)
+        events.append(("hour", hour, cells.tolist()))
+        return cells, slot
+
+    def terms(u10, *args):
+        center, ends = real_terms(u10, *args)
+        events.append(("fill", len(u10), center.nbytes + ends.nbytes))
+        return center, ends
+
+    monkeypatch.setattr(evolution, "sample_env_many", sample)
+    monkeypatch.setattr(evolution, "ellipse_terms", terms)
+    return events
+
+
+class TestTermTable:
+    """trace_rows takes each (cell, hour)'s ellipse terms from a table
+    filled once per cell and block of TERM_HOURS hours; its rows are
+    bitwise those of one kernel evaluation per hour, and the table stays
+    within (cells touched in the block) x TERM_HOURS x 80 B."""
+
+    def test_a_cell_first_touched_late_in_a_block(self, monkeypatch):
+        env = late_cell_env()
+        inc = Incident(id="late", start_hour=3, ignition_xy=(6.8, 5.0))
+        cfg = EvolutionConfig(max_hours=50.0)
+        events = recorded_fills(monkeypatch)
+        circles, sizes = trace_rows(inc, env, cfg)
+        hours = [(hour, cells) for kind, hour, cells in events if kind == "hour"]
+        # cell 1 joins at hour 33, 6 hours into the second block (27-50)
+        first = next(hour for hour, cells in hours if 1 in cells)
+        assert first == 33 and (first - inc.start_hour) // TERM_HOURS == 1
+        # its entry spans the rest of that block, hours 33-50; the third
+        # block fills both cells at once for the incident's last two hours
+        fills = [values for kind, values, _ in events if kind == "fill"]
+        assert fills == [TERM_HOURS, TERM_HOURS, 51 - first, 2 * 2]
+        # the rows the kernel gave when it ran once per hour
+        digest = hashlib.sha256(circles.tobytes() + sizes.tobytes()).hexdigest()
+        assert (len(circles), int(sizes.max()), digest) == (51, 902, (
+            "c025b3c4b48e6af3300e55390f9900119bbe945216c34da33e1ee85050a16994"))
+        want = per_hour_rows(inc, env, cfg)
+        assert circles.tobytes() == want[0].tobytes()
+        assert sizes.tobytes() == want[1].tobytes()
+
+    def test_many_cells_stay_within_the_bound(self, monkeypatch):
+        # a coarse snap and a fast dry wind across 250 m cells: the
+        # frontier crosses dozens of cells in each block
+        env = constant_env(40.0, -40.0, 0.0, nt=80, nx=200, ny=200, spacing=0.25)
+        inc = mid_incident(env, start=5)
+        events = recorded_fills(monkeypatch)
+        circles, sizes = trace_rows(inc, env, EvolutionConfig(snap_km=0.2, max_hours=60.0))
+        assert len(circles) == 61
+        touched, entries, held = {}, {}, {}
+        for kind, a, b in events:
+            if kind == "hour":
+                block = (a - inc.start_hour) // TERM_HOURS
+                touched.setdefault(block, set()).update(b)
+            else:
+                entries[block] = entries.get(block, 0) + a
+                held[block] = held.get(block, 0) + b
+        assert sorted(touched) == [0, 1, 2]
+        assert min(len(cells) for cells in touched.values()) > 50
+        for block, cells in touched.items():
+            assert entries[block] <= len(cells) * TERM_HOURS
+            assert held[block] == 80 * entries[block]
+        # the last block holds hours 53-64, cut at the incident's 60 h
+        assert entries[2] <= len(touched[2]) * 12
+        assert per_hour_rows(inc, env, EvolutionConfig(snap_km=0.2, max_hours=60.0))[
+            0].tobytes() == circles.tobytes()
 
 
 def replay(circles, field_, counts):

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from emberlink.errors import ValidationError
 from emberlink.firekernel import (DEFAULT_PARAMS, SpreadParams,
-                                  branch_endpoints, length_breadth_ratio,
-                                  moisture_factor, spread_speed, wind_factor)
+                                  branch_endpoints, ellipse_terms,
+                                  length_breadth_ratio, moisture_factor,
+                                  spread_speed, wind_factor)
 
 winds = st.floats(min_value=0.0, max_value=120.0,
                   allow_nan=False, allow_infinity=False)
@@ -99,8 +100,8 @@ class TestSpreadSpeed:
     @given(winds, wetness)
     def test_speeds_consistency(self, w, b):
         # read the three speeds back off the ellipse grown in wind along +x
-        out = branch_endpoints(np.zeros((1, 2)), np.array([w]), np.zeros(1),
-                               np.array([b]), dt_s=1000.0)[0]
+        out = branch_endpoints(np.zeros((1, 2)), *ellipse_terms(
+            np.array([w]), np.zeros(1), np.array([b]), dt_s=1000.0))[0]
         u_p, u_b = out[0, 0], -out[1, 0]
         v = (out[2, 1] - out[3, 1]) / 2.0
         assert u_p == pytest.approx(spread_speed(w, b), rel=1e-12, abs=1e-300)
@@ -133,8 +134,8 @@ class TestSpreadParams:
 
 def grow(xy, u10, v10, beta, dt_s):
     """The (4, 2) axis endpoints of one ellipse grown by branch_endpoints."""
-    return branch_endpoints(np.array([xy], dtype=float), np.array([u10]),
-                            np.array([v10]), np.array([beta]), dt_s)[0]
+    return branch_endpoints(np.array([xy], dtype=float), *ellipse_terms(
+        np.array([u10]), np.array([v10]), np.array([beta]), dt_s))[0]
 
 
 def semi_axes(pts):
@@ -203,7 +204,7 @@ class TestBranchEndpoints:
         u = rng.uniform(-30.0, 30.0, size=n)
         v = rng.uniform(-30.0, 30.0, size=n)
         b = rng.uniform(0.0, 0.5, size=n)
-        out = branch_endpoints(pts, u, v, b, dt_s=3600.0)
+        out = branch_endpoints(pts, *ellipse_terms(u, v, b, dt_s=3600.0))
         assert out.shape == (n, 4, 2)
         # each point's endpoints from the closed forms, one point at a time
         for i in range(n):
@@ -223,8 +224,8 @@ class TestBranchEndpoints:
             np.testing.assert_allclose(out[i], expected, rtol=1e-12, atol=1e-12)
 
     def test_zero_speed_point_stays_put(self):
-        out = branch_endpoints(np.array([[2.0, 3.0]]), np.array([0.0]),
-                               np.array([0.0]), np.array([0.9]), dt_s=3600.0)
+        out = branch_endpoints(np.array([[2.0, 3.0]]), *ellipse_terms(
+            np.array([0.0]), np.array([0.0]), np.array([0.9]), dt_s=3600.0))
         np.testing.assert_array_equal(out[0], np.full((4, 2), [2.0, 3.0]))
 
 
@@ -274,11 +275,12 @@ class TestPerCellKernel:
     def check(values, slot, seed):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-1e3, 1e3, size=(slot.size, 2))
-        per_cell = branch_endpoints(pts, *values, 3600.0, DEFAULT_PARAMS, slot)
+        per_cell = branch_endpoints(
+            pts, *ellipse_terms(*values, 3600.0, DEFAULT_PARAMS), slot)
         taken = values.take(slot, axis=1)
-        per_point = branch_endpoints(pts, *taken, 3600.0, DEFAULT_PARAMS,
-                                     np.arange(slot.size))
-        default = branch_endpoints(pts, *taken, 3600.0)
+        per_point = branch_endpoints(
+            pts, *ellipse_terms(*taken, 3600.0, DEFAULT_PARAMS), np.arange(slot.size))
+        default = branch_endpoints(pts, *ellipse_terms(*taken, 3600.0))
         assert per_cell.shape == (slot.size, 4, 2)
         assert per_cell.tobytes() == per_point.tobytes() == default.tobytes()
         assert per_cell.tobytes() == per_point_endpoints(pts, *taken, 3600.0).tobytes()
@@ -294,3 +296,49 @@ class TestPerCellKernel:
     def test_calm_and_wet_cells_among_others(self, cell):
         values = np.array([cell, (7.0, 2.0, 0.05)]).T
         self.check(values, np.array([1, 0, 0, 1, 0]), 0)
+
+
+def terms_bytes(u10, v10, swvl1):
+    """The bytes of ellipse_terms' center and endpoint offsets, each as a
+    C-ordered (k, ...) array with one row per value."""
+    center, ends = ellipse_terms(u10, v10, swvl1, 3600.0)
+    return center.T.tobytes(), ends.transpose(1, 0, 2).tobytes()
+
+
+class TestHourVectorTerms:
+    """One ellipse_terms call over a cell's vector of hours, as the
+    trajectory's term table fills an entry, gives bitwise the terms of one
+    call per hour: every term is elementwise, so numpy's SIMD loops and
+    their tails (vector lengths 1-70) give each value the same bits
+    wherever it sits. The vectors are contiguous, as the table's are:
+    numpy's AVX-512 transcendental loops take another path on strided
+    data."""
+
+    @staticmethod
+    def check(hours):
+        u10, v10, swvl1 = (np.ascontiguousarray(a) for a in np.array(hours, dtype=float).T)
+        center, ends = terms_bytes(u10, v10, swvl1)
+        per_hour = [terms_bytes(u10[h:h + 1], v10[h:h + 1], swvl1[h:h + 1])
+                    for h in range(u10.size)]
+        assert center == b"".join(c for c, _ in per_hour)
+        assert ends == b"".join(e for _, e in per_hour)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(cells, min_size=1, max_size=70))
+    @example([(0.0, -0.0, 0.35), (-0.0, 0.0, 1.0), (0.0, 0.0, 0.0)])
+    def test_matches_per_hour_evaluation(self, hours):
+        self.check(hours)
+
+    @pytest.mark.parametrize("k", range(1, 71))
+    def test_every_length_with_calm_and_wet_hours(self, k):
+        rng = np.random.default_rng(k)
+        hours = np.column_stack([rng.uniform(-40.0, 40.0, k), rng.uniform(-40.0, 40.0, k),
+                                 rng.uniform(0.0, 0.5, k)])
+        hours[::3, :2] = 0.0  # calm
+        hours[1::4, 2] = 0.35  # at the wetness cutoff
+        hours[2::4, 2] = 1.0  # past it
+        self.check(hours.tolist())
+
+    def test_bad_dt_rejected(self):
+        with pytest.raises(ValidationError, match="dt_s"):
+            ellipse_terms(np.ones(1), np.ones(1), np.zeros(1), 0.0)
