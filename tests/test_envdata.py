@@ -429,6 +429,9 @@ class TestNearestCells:
             got = envdata.nearest_cells(grid, (xi, yi))
             assert tuple(map(int, got)) == tuple(map(int, clip_cells(grid, xi, yi)))
             assert all(np.ndim(g) == 0 for g in got)
+        # a NaN coordinate takes the first cell, whatever the other one
+        got = envdata.nearest_cells(grid, (math.nan, origin[1] + ny * spacing_km))
+        assert tuple(map(int, got)) == (0, ny - 1)
 
 
 class TestRoundTrip:
