@@ -154,7 +154,8 @@ def branch_endpoints(
     pts = np.asarray(points, dtype=float)
     if slot is None:
         slot = np.arange(pts.shape[0])
-    # per point, into one (2, n, 4) buffer
+    # per point, the two roundings of a per-point evaluation:
+    # (x + center offset) + endpoint offset, into one (2, n, 4) buffer
     at = pts.T + center.take(slot, axis=1)
     out = ends.take(slot, axis=1)
     out += at[:, :, None]

@@ -351,10 +351,10 @@ class TestLatticeSampling:
 
 
 class TestDistinctCells:
-    """sample_env_many looks each distinct cell up once: its values are the
-    distinct cells' in ascending cell order, and taken by slot they are the
-    per-point gather from the full rasters, on a synthesized lattice and on
-    the loaded rasters written from it."""
+    """sample_env_many gives each distinct cell once, in ascending cell
+    order, and each point's slot among them: the cells' cell_values taken
+    by slot are the per-point gather from the full rasters, on a
+    synthesized lattice and on the loaded rasters written from it."""
 
     @settings(max_examples=80, deadline=None)
     @given(spec=_random_specs() | _uniform_specs(), seed=st.integers(0, 2 ** 128 - 1),
